@@ -21,7 +21,7 @@ use crate::{check_sql, plant, Args, Gate, Report};
 /// Offered rate of the latency measurement, requests/s.
 const RATE_NOMINAL: f64 = 200.0;
 /// Offered rate of the peak-load tail measurement (traced run), requests/s.
-const RATE_PEAK: f64 = 600.0;
+const RATE_PEAK: f64 = 400.0;
 /// The p99 latency limit `slo_qps` holds the ladder to, ms.
 const P99_LIMIT_MS: f64 = 50.0;
 /// The upward rate ladder for `slo_qps`: LADDER_START · LADDER_STEP^k.
