@@ -335,8 +335,11 @@ fn gold_actions(sample: &Sample, candidates: &[String]) -> Option<Vec<Action>> {
 pub struct TrainStep {
     pub loss: f64,
     pub backward: f64,
+    /// `ParamStore::collect_grads`, which the trainer runs per sample.
+    pub collect: f64,
+    /// `Adam::step_collected`, which the trainer runs once per batch.
     pub adam: f64,
-    /// The same step under one timer, and under the three layer timers.
+    /// The same step under one timer, and under the four layer timers.
     plain: f64,
     traced: f64,
 }
@@ -363,7 +366,8 @@ pub fn train_step(p: &Pipeline, corpus: &Corpus, samples: usize, seed: u64) -> T
         },
     );
     let mut g = Graph::new();
-    let (mut loss_ms, mut backward_ms, mut adam_ms) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut loss_ms, mut backward_ms, mut collect_ms, mut adam_ms) =
+        (Vec::new(), Vec::new(), Vec::new(), Vec::new());
     let (mut plain, mut traced) = (Vec::new(), Vec::new());
     for (i, sample) in corpus.train.iter().enumerate() {
         if loss_ms.len() >= samples {
@@ -387,16 +391,19 @@ pub fn train_step(p: &Pipeline, corpus: &Corpus, samples: usize, seed: u64) -> T
                 let t0 = Instant::now();
                 let (loss, l) = timed(|| model.loss(&mut g, &input, &actions, Some(&mut rng)));
                 let (grads, b) = timed(|| g.backward(loss));
-                let (_, a) = timed(|| adam.step(&mut model.params, &grads));
+                let (collected, c) = timed(|| model.params.collect_grads(&grads));
+                let (_, a) = timed(|| adam.step_collected(&mut model.params, collected));
                 traced.push(t0.elapsed().as_secs_f64() * 1e3);
                 loss_ms.push(l);
                 backward_ms.push(b);
+                collect_ms.push(c);
                 adam_ms.push(a);
             } else {
                 let (_, whole) = timed(|| {
                     let loss = model.loss(&mut g, &input, &actions, Some(&mut rng));
                     let grads = g.backward(loss);
-                    adam.step(&mut model.params, &grads);
+                    let collected = model.params.collect_grads(&grads);
+                    adam.step_collected(&mut model.params, collected);
                 });
                 plain.push(whole);
             }
@@ -405,6 +412,7 @@ pub fn train_step(p: &Pipeline, corpus: &Corpus, samples: usize, seed: u64) -> T
     TrainStep {
         loss: mean(&loss_ms),
         backward: mean(&backward_ms),
+        collect: mean(&collect_ms),
         adam: mean(&adam_ms),
         plain: mean(&plain),
         traced: mean(&traced),
@@ -492,6 +500,7 @@ pub fn common(
     decode_members(p, corpus, requests, if quick { 2 } else { 8 }, r);
     r.metric("core.loss_ms", step.loss, "ms");
     r.metric("tensor.backward_ms", step.backward, "ms");
+    r.metric("nn.collect_grads_ms", step.collect, "ms");
     r.metric("nn.adam_step_ms", step.adam, "ms");
     kernels(if quick { 2.0e6 } else { 4.0e7 }, r);
 }

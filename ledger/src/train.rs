@@ -153,7 +153,7 @@ pub fn run(args: &Args) -> Result<Report, Gate> {
         report.metric("dataset.generate_s", median(&setup_s), "s");
         // The trainer steps Adam once per batch.
         let batch = train_config(1, threads).batch_size as f64;
-        let per_sample = t.loss + t.backward + t.adam / batch;
+        let per_sample = t.loss + t.backward + t.collect + t.adam / batch;
         attribution(
             &mut report,
             1.0 - per_sample / median(&sample_ms),
