@@ -353,8 +353,9 @@ impl TrainStep {
 
 /// Training-path layers over up to `samples` training questions, on a
 /// freshly initialised model of the pipeline's architecture (so the served
-/// weights stay untouched): `ValueNetModel::loss`, `Graph::backward` and
-/// `Adam::step`. Each sample steps twice, once under a single timer and once
+/// weights stay untouched): `ValueNetModel::loss`, `Graph::backward`,
+/// `ParamStore::collect_grads` and `Adam::step_collected`, as the trainer
+/// calls them. Each sample steps twice, once under a single timer and once
 /// with a timer per layer.
 pub fn train_step(p: &Pipeline, corpus: &Corpus, samples: usize, seed: u64) -> TrainStep {
     let mut model = ValueNetModel::new(p.model.config.clone(), p.model.vocab.clone(), seed);

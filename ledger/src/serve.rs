@@ -27,7 +27,7 @@ const P99_LIMIT_MS: f64 = 50.0;
 /// The upward rate ladder for `slo_qps`: LADDER_START · LADDER_STEP^k.
 const LADDER_START: f64 = 400.0;
 const LADDER_STEP: f64 = 1.05;
-const LADDER_RUNGS: usize = 20;
+const LADDER_RUNGS: usize = 24;
 const LADDER_PASSES: usize = 3;
 const LADDER_BUDGET_RUNGS: usize = 26;
 /// Parts the nominal-rate phase is offered in (see [`calmest`]).

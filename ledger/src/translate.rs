@@ -1,4 +1,4 @@
-//! `translate_lookup`: the paper's Table II regime. 20000-row tables, one
+//! `translate_lookup`: the paper's Table II regime. 2000-row tables, one
 //! caller running `Pipeline::try_translate` back to back over the dev
 //! questions (closed loop). Value lookup and execution dominate.
 
