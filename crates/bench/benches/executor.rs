@@ -37,7 +37,7 @@ fn bench_executor(c: &mut Criterion) {
              EXCEPT SELECT home_country FROM student WHERE age < 20",
         ),
     ];
-    for rows in [50usize, 400] {
+    for rows in [50usize, 400, 2000] {
         let db = pets_db(rows);
         let mut group = c.benchmark_group(format!("executor_{rows}rows"));
         for (name, sql) in &queries {

@@ -1,16 +1,24 @@
-//! Query evaluation.
+//! Query evaluation over row-index tuples (see the crate docs).
 
 use crate::result::row_key;
 use crate::{ExecError, ResultSet};
+use std::borrow::Cow;
+use std::cell::RefCell;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
+use std::rc::Rc;
 use valuenet_sql::{
-    AggFunc, BinOp, ColumnRef, CompoundOp, Expr, SelectCore, SelectStmt,
+    AggFunc, BinOp, ColumnRef, CompoundOp, Expr, Join, Literal, SelectCore, SelectStmt,
 };
 use valuenet_storage::{like_match, Database, Datum};
 use valuenet_schema::TableId;
 
 static QUERIES: valuenet_obs::Counter = valuenet_obs::Counter::new("exec.queries");
 static ROWS_SCANNED: valuenet_obs::Counter = valuenet_obs::Counter::new("exec.rows_scanned");
+
+/// What a cell of a table not yet joined reads as, and an empty group's
+/// representative row.
+static NULL: Datum = Datum::Null;
 
 /// Executes a query against a database.
 pub fn execute(db: &Database, stmt: &SelectStmt) -> Result<ResultSet, ExecError> {
@@ -49,7 +57,7 @@ fn apply_compound(op: CompoundOp, left: ResultSet, right: ResultSet) -> ResultSe
             rows
         }
         CompoundOp::Intersect => {
-            let right_keys: HashSet<String> = right.rows.iter().map(|r| row_key(r)).collect();
+            let right_keys: HashSet<String> = right.rows.iter().map(row_key).collect();
             let mut seen = HashSet::new();
             left.rows
                 .into_iter()
@@ -60,7 +68,7 @@ fn apply_compound(op: CompoundOp, left: ResultSet, right: ResultSet) -> ResultSe
                 .collect()
         }
         CompoundOp::Except => {
-            let right_keys: HashSet<String> = right.rows.iter().map(|r| row_key(r)).collect();
+            let right_keys: HashSet<String> = right.rows.iter().map(row_key).collect();
             let mut seen = HashSet::new();
             left.rows
                 .into_iter()
@@ -77,16 +85,15 @@ fn apply_compound(op: CompoundOp, left: ResultSet, right: ResultSet) -> ResultSe
 
 /// Executes `core + ORDER BY + LIMIT`, ignoring any compound tail.
 fn execute_plain(db: &Database, stmt: &SelectStmt) -> Result<ResultSet, ExecError> {
-    let env = Env::build(db, &stmt.core)?;
-    let source_rows = env.joined_rows(&stmt.core)?;
-    ROWS_SCANNED.add(source_rows.len() as u64);
-    let ev = Evaluator::new(db, &env);
+    let q = Query::new(db, stmt)?;
+    let (arity, joined) = q.joined_rows(&stmt.core)?;
+    ROWS_SCANNED.add((joined.len() / arity) as u64);
 
     // Filter with WHERE.
-    let mut kept: Vec<Vec<Datum>> = Vec::with_capacity(source_rows.len());
-    for row in source_rows {
+    let mut kept: Vec<&[u32]> = Vec::with_capacity(joined.len() / arity);
+    for row in joined.chunks_exact(arity) {
         let keep = match &stmt.core.where_clause {
-            Some(pred) => truthy(&ev.eval(pred, &Ctx::Row(&row))?),
+            Some(pred) => truthy(q.eval(pred, &Ctx::Row(row))?),
             None => true,
         };
         if keep {
@@ -103,31 +110,31 @@ fn execute_plain(db: &Database, stmt: &SelectStmt) -> Result<ResultSet, ExecErro
     for it in &stmt.core.items {
         match &it.expr {
             Expr::Column(c) if c.is_star() => {
-                headers.extend(ev.star_headers(c)?);
+                headers.extend(q.star_headers(c)?);
             }
             e => headers.push(it.alias.clone().unwrap_or_else(|| e.to_string())),
         }
     }
 
-    // Produce (projected row, sort key) pairs.
-    let mut produced: Vec<(Vec<Datum>, Vec<Datum>)> = Vec::new();
+    // The rows (or groups) that reach the projection.
+    let mut groups: Vec<Vec<&[u32]>> = Vec::new();
+    let mut outputs: Vec<Ctx> = Vec::new();
     if grouped {
-        // Group rows by the GROUP BY key (single implicit group if empty).
-        let mut groups: Vec<Vec<Vec<Datum>>> = Vec::new();
+        // Group rows by the GROUP BY key (single implicit group if empty),
+        // in first-encounter order.
         if stmt.core.group_by.is_empty() {
             groups.push(kept);
         } else {
-            let mut keys: Vec<String> = Vec::new();
+            let mut group_of: HashMap<String, usize> = HashMap::new();
             for row in kept {
                 let mut kv = Vec::with_capacity(stmt.core.group_by.len());
                 for gexpr in &stmt.core.group_by {
-                    kv.push(ev.eval(gexpr, &Ctx::Row(&row))?);
+                    kv.push(q.eval(gexpr, &Ctx::Row(row))?);
                 }
-                let k = row_key(&kv);
-                match keys.iter().position(|x| *x == k) {
-                    Some(i) => groups[i].push(row),
-                    None => {
-                        keys.push(k);
+                match group_of.entry(row_key(kv.iter().map(|d| &**d))) {
+                    Entry::Occupied(g) => groups[*g.get()].push(row),
+                    Entry::Vacant(g) => {
+                        g.insert(groups.len());
                         groups.push(vec![row]);
                     }
                 }
@@ -136,55 +143,66 @@ fn execute_plain(db: &Database, stmt: &SelectStmt) -> Result<ResultSet, ExecErro
         for rows in &groups {
             let ctx = Ctx::Group(rows);
             if let Some(h) = &stmt.core.having {
-                if !truthy(&ev.eval(h, &ctx)?) {
+                if !truthy(q.eval(h, &ctx)?) {
                     continue;
                 }
             }
-            let out = ev.project(&stmt.core, &ctx)?;
-            let key = ev.order_keys(&stmt.order_by, &ctx)?;
-            produced.push((out, key));
+            outputs.push(ctx);
         }
     } else {
-        for row in &kept {
-            let ctx = Ctx::Row(row);
-            let out = ev.project(&stmt.core, &ctx)?;
-            let key = ev.order_keys(&stmt.order_by, &ctx)?;
-            produced.push((out, key));
+        outputs.extend(kept.iter().map(|&r| Ctx::Row(r)));
+    }
+
+    // Sort positions by their ORDER BY keys; ties keep input order, as a
+    // stable sort would.
+    let width = stmt.order_by.len();
+    let mut keys = Vec::with_capacity(outputs.len() * width);
+    for ctx in &outputs {
+        for o in &stmt.order_by {
+            keys.push(q.eval(&o.expr, ctx)?);
         }
     }
-
-    if !stmt.order_by.is_empty() {
-        produced.sort_by(|(_, ka), (_, kb)| {
-            for (i, o) in stmt.order_by.iter().enumerate() {
-                let ord = ka[i].total_cmp(&kb[i]);
-                let ord = if o.desc { ord.reverse() } else { ord };
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
+    let by_key = |&a: &usize, &b: &usize| {
+        (0..width)
+            .map(|i| {
+                let ord = keys[a * width + i].total_cmp(&keys[b * width + i]);
+                if stmt.order_by[i].desc { ord.reverse() } else { ord }
+            })
+            .find(|ord| ord.is_ne())
+            .unwrap_or(a.cmp(&b))
+    };
+    let mut order: Vec<usize> = (0..outputs.len()).collect();
+    // Without DISTINCT only the first LIMIT positions are projected.
+    let limit = stmt.limit.map_or(usize::MAX, |l| l as usize);
+    let take = if stmt.core.distinct { order.len() } else { limit.min(order.len()) };
+    if width > 0 && take < order.len() {
+        order.select_nth_unstable_by(take, by_key);
+        order[..take].sort_unstable_by(by_key);
+    } else if width > 0 {
+        order.sort_unstable_by(by_key);
+    }
+    for &i in &order[take..] {
+        q.check_projection(&stmt.core, &outputs[i])?;
     }
 
-    let mut rows: Vec<Vec<Datum>> = produced.into_iter().map(|(r, _)| r).collect();
-
-    if stmt.core.distinct {
-        let mut seen = HashSet::new();
-        rows.retain(|r| seen.insert(row_key(r)));
+    let mut rows = Vec::with_capacity(take);
+    let mut seen = HashSet::new();
+    for &i in &order[..take] {
+        let row = q.project(&stmt.core, &outputs[i])?;
+        if !stmt.core.distinct || seen.insert(row_key(&row)) {
+            rows.push(row);
+        }
     }
-
-    if let Some(limit) = stmt.limit {
-        rows.truncate(limit as usize);
-    }
+    rows.truncate(limit);
 
     Ok(ResultSet { headers, rows, ordered: stmt.is_ordered() })
 }
 
-fn truthy(d: &Datum) -> bool {
-    match d {
+fn truthy(d: Cow<'_, Datum>) -> bool {
+    match *d {
         Datum::Null => false,
-        Datum::Int(i) => *i != 0,
-        Datum::Float(f) => *f != 0.0,
+        Datum::Int(i) => i != 0,
+        Datum::Float(f) => f != 0.0,
         Datum::Text(_) => false,
     }
 }
@@ -193,223 +211,326 @@ fn bool_datum(b: bool) -> Datum {
     Datum::Int(i64::from(b))
 }
 
+/// An expression's identity within the borrowed statement.
+fn addr<T>(node: &T) -> usize {
+    node as *const T as usize
+}
+
+/// Values keyed by a node's address in the statement, sorted for binary
+/// search: a statement has a handful of them, read once per row.
+struct ByAddr<V>(Vec<(usize, V)>);
+
+impl<V> ByAddr<V> {
+    fn get(&self, node: usize) -> &V {
+        let i = self.0.binary_search_by_key(&node, |e| e.0);
+        &self.0[i.expect("every node is prepared with its query")].1
+    }
+}
+
+/// A hash-join key that agrees with [`Datum::sql_eq`]: a number keys on the
+/// bits of its `f64` value (`-0.0` folded to `0.0`), text on the string
+/// itself. NULL and NaN equal nothing, so they have no key.
+#[derive(PartialEq, Eq, Hash)]
+enum JoinKey<'a> {
+    Num(u64),
+    Text(&'a str),
+}
+
+impl<'a> JoinKey<'a> {
+    fn of(d: &'a Datum) -> Option<Self> {
+        match d {
+            Datum::Null => None,
+            Datum::Text(s) => Some(JoinKey::Text(s)),
+            _ => {
+                let x = d.as_number().filter(|x| !x.is_nan())?;
+                Some(JoinKey::Num(if x == 0.0 { 0 } else { x.to_bits() }))
+            }
+        }
+    }
+}
+
 /// One table bound in the FROM/JOIN list.
-struct EnvEntry {
+struct BoundTable<'a> {
     /// Effective name (alias or table name).
     name: String,
     table: TableId,
-    /// Flat offset of this table's first column in a combined row.
-    offset: usize,
-    width: usize,
+    /// The table's rows, read in place.
+    rows: &'a [Vec<Datum>],
 }
 
-struct Env<'a> {
+/// A resolved column: its table's tuple slot and its position in that
+/// table's rows.
+#[derive(Clone, Copy)]
+struct Col {
+    slot: usize,
+    pos: usize,
+}
+
+/// Evaluation context: a single tuple, or a group of tuples (aggregates
+/// allowed).
+enum Ctx<'r> {
+    Row(&'r [u32]),
+    Group(&'r [&'r [u32]]),
+}
+
+/// One statement's bound tables plus what is worked out once per query.
+struct Query<'a> {
     db: &'a Database,
-    entries: Vec<EnvEntry>,
+    tables: Vec<BoundTable<'a>>,
+    /// Every column reference's resolution, keyed by the reference's
+    /// address. A failed one raises its error only when evaluated.
+    cols: ByAddr<Result<Col, ExecError>>,
+    /// Every literal as a datum, keyed by the expression's address. A LIKE
+    /// pattern literal is stored lowercased.
+    lits: ByAddr<Datum>,
+    /// Results of uncorrelated subqueries, evaluated once and reused across
+    /// rows (keyed by the subquery's address within the borrowed statement).
+    subquery_cache: RefCell<HashMap<usize, Rc<[Datum]>>>,
 }
 
-impl<'a> Env<'a> {
-    fn build(db: &'a Database, core: &SelectCore) -> Result<Self, ExecError> {
-        let mut entries = Vec::new();
-        let mut offset = 0;
-        let mut push = |name: String, table_name: &str| -> Result<(), ExecError> {
-            let table = db
-                .schema()
-                .table_by_name(table_name)
-                .ok_or_else(|| ExecError::UnknownTable(table_name.to_string()))?;
-            let width = db.schema().table(table).columns.len();
-            entries.push(EnvEntry { name, table, offset, width });
-            offset += width;
-            Ok(())
-        };
+impl<'a> Query<'a> {
+    fn new(db: &'a Database, stmt: &SelectStmt) -> Result<Self, ExecError> {
+        let core = &stmt.core;
+        let mut tables = Vec::new();
         if let Some(from) = &core.from {
-            push(from.effective_name().to_string(), &from.name)?;
-            for j in &core.joins {
-                push(j.table.effective_name().to_string(), &j.table.name)?;
+            for t in std::iter::once(from).chain(core.joins.iter().map(|j| &j.table)) {
+                let table = db
+                    .schema()
+                    .table_by_name(&t.name)
+                    .ok_or_else(|| ExecError::UnknownTable(t.name.clone()))?;
+                let name = t.effective_name().to_string();
+                tables.push(BoundTable { name, table, rows: db.rows(table) });
             }
         }
-        Ok(Env { db, entries })
+        let mut q = Query {
+            db,
+            tables,
+            cols: ByAddr(Vec::new()),
+            lits: ByAddr(Vec::new()),
+            subquery_cache: RefCell::new(HashMap::new()),
+        };
+        let exprs = core
+            .items
+            .iter()
+            .map(|it| &it.expr)
+            .chain(core.joins.iter().filter_map(|j| j.on.as_ref()))
+            .chain(&core.where_clause)
+            .chain(&core.group_by)
+            .chain(&core.having)
+            .chain(stmt.order_by.iter().map(|o| &o.expr));
+        for e in exprs {
+            q.prepare(e);
+        }
+        q.cols.0.sort_unstable_by_key(|e| e.0);
+        q.lits.0.sort_unstable_by_key(|e| e.0);
+        Ok(q)
     }
 
-    /// Computes the joined row set, applying each join's ON predicate as the
-    /// table is attached (a join without ON degenerates to a cross join).
-    fn joined_rows(&self, core: &SelectCore) -> Result<Vec<Vec<Datum>>, ExecError> {
-        if self.entries.is_empty() {
-            // No FROM: a single empty row lets `SELECT 1` work.
-            return Ok(vec![Vec::new()]);
+    /// Resolves the column references and converts the literals of `e`,
+    /// not descending into subqueries (each runs as its own query).
+    fn prepare(&mut self, e: &Expr) {
+        match e {
+            Expr::Column(c) => {
+                let col = self.resolve(c);
+                self.cols.0.push((addr(c), col));
+            }
+            Expr::Lit(l) => {
+                self.lits.0.push((addr(e), lit_datum(l)));
+            }
+            Expr::Agg { arg: x, .. } | Expr::Not(x) | Expr::InSubquery { expr: x, .. } => {
+                self.prepare(x)
+            }
+            Expr::Binary { lhs, rhs, .. } => {
+                self.prepare(lhs);
+                self.prepare(rhs);
+            }
+            Expr::Between { expr, low, high, .. } => {
+                self.prepare(expr);
+                self.prepare(low);
+                self.prepare(high);
+            }
+            Expr::InList { expr, list, .. } => {
+                self.prepare(expr);
+                list.iter().for_each(|x| self.prepare(x));
+            }
+            Expr::Like { expr, pattern, .. } => {
+                self.prepare(expr);
+                match pattern.as_ref() {
+                    Expr::Lit(Literal::Text(p)) => {
+                        self.lits.0.push((addr(&**pattern), Datum::Text(p.to_lowercase())));
+                    }
+                    p => self.prepare(p),
+                }
+            }
+            Expr::Subquery(_) => {}
         }
-        let ev = Evaluator::new(self.db, self);
-        let first = &self.entries[0];
-        let mut rows: Vec<Vec<Datum>> = self.db.rows(first.table).to_vec();
+    }
+
+    /// The cell a resolved column names in a (possibly partial) tuple.
+    fn cell(&self, tuple: &[u32], col: Col) -> &'a Datum {
+        match tuple.get(col.slot) {
+            Some(&ri) => &self.tables[col.slot].rows[ri as usize][col.pos],
+            // An ON clause naming a table that is not joined yet.
+            None => &NULL,
+        }
+    }
+
+    fn col(&self, c: &ColumnRef) -> Result<Col, ExecError> {
+        self.cols.get(addr(c)).clone()
+    }
+
+    /// Computes the joined rows as tuples of row indices, one slot per
+    /// FROM/JOIN table, stored back to back; returns the tuple width too.
+    /// Each join's ON predicate applies as its table is attached (a join
+    /// without ON degenerates to a cross join).
+    fn joined_rows(&self, core: &SelectCore) -> Result<(usize, Vec<u32>), ExecError> {
+        let Some(first) = self.tables.first() else {
+            // No FROM: a single tuple, whose slot no column reads, lets
+            // `SELECT 1` work.
+            return Ok((1, vec![0]));
+        };
+        let mut rows: Vec<u32> = (0..first.rows.len() as u32).collect();
         for (ji, join) in core.joins.iter().enumerate() {
-            let entry = &self.entries[ji + 1];
-            let right_rows = self.db.rows(entry.table);
+            // The new table's slot, and the width of the tuples so far.
+            let slot = ji + 1;
+            let right_rows = self.tables[slot].rows;
+            let mut next = Vec::new();
             // Fast path: a single equi-join condition between an
             // already-joined column and a column of the new table becomes a
-            // hash join; anything else falls back to the nested loop.
-            if let Some((left_idx, right_local)) = self.equi_join_key(join, entry)? {
-                let mut table: HashMap<String, Vec<usize>> = HashMap::new();
-                for (ri, right) in right_rows.iter().enumerate() {
-                    let key = &right[right_local];
-                    if key.is_null() {
-                        continue; // NULL never joins
+            // hash join; anything else falls back to the nested loop. Both
+            // emit left-major, right rows in table order.
+            if let Some((left_col, right_col)) = self.equi_join_key(join, slot)? {
+                // Chain the right rows by key: walking the table backwards
+                // and prepending leaves every chain in table order.
+                const END: u32 = u32::MAX;
+                let mut head: HashMap<JoinKey, u32> = HashMap::with_capacity(right_rows.len());
+                let mut chain = vec![END; right_rows.len()];
+                for (ri, right) in right_rows.iter().enumerate().rev() {
+                    if let Some(k) = JoinKey::of(&right[right_col.pos]) {
+                        chain[ri] = head.insert(k, ri as u32).unwrap_or(END);
                     }
-                    table
-                        .entry(row_key(std::slice::from_ref(key)))
-                        .or_default()
-                        .push(ri);
                 }
-                let mut next = Vec::new();
-                for left in &rows {
-                    let key = &left[left_idx];
-                    if key.is_null() {
-                        continue;
+                for left in rows.chunks_exact(slot) {
+                    let k = JoinKey::of(self.cell(left, left_col));
+                    let mut ri = k.and_then(|k| head.get(&k).copied()).unwrap_or(END);
+                    while ri != END {
+                        next.extend_from_slice(left);
+                        next.push(ri);
+                        ri = chain[ri as usize];
                     }
-                    if let Some(matches) = table.get(&row_key(std::slice::from_ref(key))) {
-                        for &ri in matches {
-                            let right = &right_rows[ri];
-                            let mut combined =
-                                Vec::with_capacity(left.len() + right.len());
-                            combined.extend_from_slice(left);
-                            combined.extend_from_slice(right);
-                            next.push(combined);
+                }
+            } else {
+                for left in rows.chunks_exact(slot) {
+                    for ri in 0..right_rows.len() as u32 {
+                        next.extend_from_slice(left);
+                        next.push(ri);
+                        let start = next.len() - slot - 1;
+                        if let Some(on) = &join.on {
+                            if !truthy(self.eval(on, &Ctx::Row(&next[start..]))?) {
+                                next.truncate(start);
+                            }
                         }
-                    }
-                }
-                rows = next;
-                continue;
-            }
-            let mut next = Vec::new();
-            for left in &rows {
-                for right in right_rows {
-                    let mut combined = Vec::with_capacity(left.len() + right.len());
-                    combined.extend_from_slice(left);
-                    combined.extend_from_slice(right);
-                    let keep = match &join.on {
-                        Some(on) => truthy(&ev.eval(on, &Ctx::Row(&combined))?),
-                        None => true,
-                    };
-                    if keep {
-                        next.push(combined);
                     }
                 }
             }
             rows = next;
         }
-        Ok(rows)
+        Ok((self.tables.len(), rows))
     }
 
     /// Detects `ON a = b` where one side lives in the already-joined prefix
-    /// and the other in the newly attached table. Returns the flat index on
-    /// the left and the local offset within the right table.
-    fn equi_join_key(
-        &self,
-        join: &valuenet_sql::Join,
-        entry: &EnvEntry,
-    ) -> Result<Option<(usize, usize)>, ExecError> {
+    /// and the other in the newly attached table (`slot`). Returns the left
+    /// and the right column. Both references must resolve, even when no row
+    /// is ever joined.
+    fn equi_join_key(&self, join: &Join, slot: usize) -> Result<Option<(Col, Col)>, ExecError> {
         let Some(Expr::Binary { op: BinOp::Eq, lhs, rhs }) = &join.on else {
             return Ok(None);
         };
         let (Expr::Column(a), Expr::Column(b)) = (lhs.as_ref(), rhs.as_ref()) else {
             return Ok(None);
         };
-        let ia = self.resolve(a)?;
-        let ib = self.resolve(b)?;
-        let right_range = entry.offset..entry.offset + entry.width;
-        if ia < entry.offset && right_range.contains(&ib) {
-            Ok(Some((ia, ib - entry.offset)))
-        } else if ib < entry.offset && right_range.contains(&ia) {
-            Ok(Some((ib, ia - entry.offset)))
+        let (ca, cb) = (self.col(a)?, self.col(b)?);
+        Ok(if ca.slot < slot && cb.slot == slot {
+            Some((ca, cb))
+        } else if cb.slot < slot && ca.slot == slot {
+            Some((cb, ca))
         } else {
-            Ok(None)
-        }
+            None
+        })
     }
 
-    /// Resolves a (non-star) column reference to its flat index.
-    fn resolve(&self, c: &ColumnRef) -> Result<usize, ExecError> {
-        if self.entries.is_empty() {
+    /// Resolves a (non-star) column reference to its slot and position.
+    fn resolve(&self, c: &ColumnRef) -> Result<Col, ExecError> {
+        if self.tables.is_empty() {
             return Err(ExecError::NoFrom);
         }
         let schema = self.db.schema();
+        let position = |slot: usize, name: &str| {
+            let table = self.tables[slot].table;
+            let col = schema.column_by_name(table, name)?;
+            let pos = schema.table(table).columns.iter().position(|&cc| cc == col);
+            Some(Col { slot, pos: pos.expect("column belongs to table") })
+        };
         match &c.table {
             Some(q) => {
                 // Aliases take precedence: a physical table name only
                 // addresses an entry when no effective name matches, so an
                 // alias can never be shadowed by another table's physical
                 // name (found by differential fuzzing against the oracle).
-                let entry = self
-                    .entries
+                let slot = self
+                    .tables
                     .iter()
-                    .find(|e| e.name.eq_ignore_ascii_case(q))
+                    .position(|t| t.name.eq_ignore_ascii_case(q))
                     .or_else(|| {
-                        self.entries
+                        self.tables
                             .iter()
-                            .find(|e| schema.table(e.table).name.eq_ignore_ascii_case(q))
+                            .position(|t| schema.table(t.table).name.eq_ignore_ascii_case(q))
                     })
                     .ok_or_else(|| ExecError::UnknownTable(q.clone()))?;
-                let col = schema
-                    .column_by_name(entry.table, &c.column)
-                    .ok_or_else(|| ExecError::UnknownColumn(format!("{q}.{}", c.column)))?;
-                let pos = schema
-                    .table(entry.table)
-                    .columns
-                    .iter()
-                    .position(|&cc| cc == col)
-                    .expect("column belongs to table");
-                Ok(entry.offset + pos)
+                position(slot, &c.column)
+                    .ok_or_else(|| ExecError::UnknownColumn(format!("{q}.{}", c.column)))
             }
-            None => {
-                // Unqualified: first table that has the column (lenient, like
-                // the official evaluation harness).
-                for entry in &self.entries {
-                    if let Some(col) = schema.column_by_name(entry.table, &c.column) {
-                        let pos = schema
-                            .table(entry.table)
-                            .columns
-                            .iter()
-                            .position(|&cc| cc == col)
-                            .expect("column belongs to table");
-                        return Ok(entry.offset + pos);
-                    }
-                }
-                Err(ExecError::UnknownColumn(c.column.clone()))
-            }
+            // Unqualified: first table that has the column (lenient, like
+            // the official evaluation harness).
+            None => (0..self.tables.len())
+                .find_map(|slot| position(slot, &c.column))
+                .ok_or_else(|| ExecError::UnknownColumn(c.column.clone())),
         }
     }
 
-    /// Flat indices covered by a star reference.
-    fn star_indices(&self, c: &ColumnRef) -> Result<Vec<usize>, ExecError> {
-        match &c.table {
-            None => Ok((0..self.entries.iter().map(|e| e.width).sum()).collect()),
+    /// Columns covered by a star reference, in table then schema order.
+    fn star_cols(&self, c: &ColumnRef) -> Result<Vec<Col>, ExecError> {
+        let slots = match &c.table {
+            None => 0..self.tables.len(),
             Some(q) => {
-                let entry = self
-                    .entries
+                let slot = self
+                    .tables
                     .iter()
-                    .find(|e| e.name.eq_ignore_ascii_case(q))
+                    .position(|t| t.name.eq_ignore_ascii_case(q))
                     .ok_or_else(|| ExecError::UnknownTable(q.clone()))?;
-                Ok((entry.offset..entry.offset + entry.width).collect())
+                slot..slot + 1
             }
-        }
+        };
+        let schema = self.db.schema();
+        Ok(slots
+            .flat_map(|slot| {
+                let width = schema.table(self.tables[slot].table).columns.len();
+                (0..width).map(move |pos| Col { slot, pos })
+            })
+            .collect())
     }
-}
 
-/// Evaluation context: a single row, or a group of rows (aggregates allowed).
-enum Ctx<'a> {
-    Row(&'a [Datum]),
-    Group(&'a [Vec<Datum>]),
-}
-
-struct Evaluator<'a> {
-    db: &'a Database,
-    env: &'a Env<'a>,
-    /// Results of uncorrelated subqueries, evaluated once and reused across
-    /// rows (keyed by the subquery's address within the borrowed statement).
-    subquery_cache: std::cell::RefCell<HashMap<usize, Vec<Datum>>>,
-}
-
-impl<'a> Evaluator<'a> {
-    fn new(db: &'a Database, env: &'a Env<'a>) -> Self {
-        Evaluator { db, env, subquery_cache: std::cell::RefCell::new(HashMap::new()) }
+    fn star_headers(&self, c: &ColumnRef) -> Result<Vec<String>, ExecError> {
+        let schema = self.db.schema();
+        Ok(self
+            .star_cols(c)?
+            .into_iter()
+            .map(|col| {
+                let t = &self.tables[col.slot];
+                let column = schema.table(t.table).columns[col.pos];
+                format!("{}.{}", t.name, schema.column(column).name)
+            })
+            .collect())
     }
 
     fn project(&self, core: &SelectCore, ctx: &Ctx<'_>) -> Result<Vec<Datum>, ExecError> {
@@ -417,108 +538,77 @@ impl<'a> Evaluator<'a> {
         for it in &core.items {
             match &it.expr {
                 Expr::Column(c) if c.is_star() => {
-                    let idxs = self.env.star_indices(c)?;
-                    let repr: &[Datum] = match ctx {
-                        Ctx::Row(r) => r,
-                        Ctx::Group(rows) => rows.first().map(|r| r.as_slice()).unwrap_or(&[]),
+                    let repr = match ctx {
+                        Ctx::Row(r) => Some(*r),
+                        Ctx::Group(rows) => rows.first().copied(),
                     };
-                    for i in idxs {
-                        out.push(repr.get(i).cloned().unwrap_or(Datum::Null));
+                    for col in self.star_cols(c)? {
+                        out.push(repr.map_or(&NULL, |r| self.cell(r, col)).clone());
                     }
                 }
-                e => out.push(self.eval(e, ctx)?),
+                e => out.push(self.eval(e, ctx)?.into_owned()),
             }
         }
         Ok(out)
     }
 
-    fn star_headers(&self, c: &ColumnRef) -> Result<Vec<String>, ExecError> {
-        let idxs = self.env.star_indices(c)?;
-        let schema = self.db.schema();
-        let mut names = Vec::with_capacity(idxs.len());
-        for entry in &self.env.entries {
-            for (pos, &col) in schema.table(entry.table).columns.iter().enumerate() {
-                if idxs.contains(&(entry.offset + pos)) {
-                    names.push(format!("{}.{}", entry.name, schema.column(col).name));
-                }
+    /// Evaluates a projection for its errors alone. A star's only error, an
+    /// unknown table, was raised with the headers.
+    fn check_projection(&self, core: &SelectCore, ctx: &Ctx<'_>) -> Result<(), ExecError> {
+        for it in &core.items {
+            if !matches!(&it.expr, Expr::Column(c) if c.is_star()) {
+                self.eval(&it.expr, ctx)?;
             }
         }
-        Ok(names)
+        Ok(())
     }
 
-    fn order_keys(
-        &self,
-        order_by: &[valuenet_sql::OrderItem],
-        ctx: &Ctx<'_>,
-    ) -> Result<Vec<Datum>, ExecError> {
-        order_by.iter().map(|o| self.eval(&o.expr, ctx)).collect()
-    }
-
-    fn eval(&self, e: &Expr, ctx: &Ctx<'_>) -> Result<Datum, ExecError> {
-        match e {
-            Expr::Lit(l) => Ok(match l {
-                valuenet_sql::Literal::Null => Datum::Null,
-                valuenet_sql::Literal::Int(i) => Datum::Int(*i),
-                valuenet_sql::Literal::Float(f) => Datum::Float(*f),
-                valuenet_sql::Literal::Text(s) => Datum::Text(s.clone()),
-            }),
+    /// Evaluates an expression; column reads and literals come back
+    /// borrowed, computed values owned.
+    fn eval(&self, e: &Expr, ctx: &Ctx<'_>) -> Result<Cow<'_, Datum>, ExecError> {
+        let b = match e {
+            Expr::Lit(_) => return Ok(Cow::Borrowed(self.lits.get(addr(e)))),
             Expr::Column(c) => {
                 if c.is_star() {
                     return Err(ExecError::Invalid("bare * outside count(*)".into()));
                 }
-                let idx = self.env.resolve(c)?;
-                let repr: Option<&Vec<Datum>> = match ctx {
-                    Ctx::Row(r) => return Ok(r.get(idx).cloned().unwrap_or(Datum::Null)),
-                    Ctx::Group(rows) => rows.first(),
-                };
-                Ok(repr.and_then(|r| r.get(idx).cloned()).unwrap_or(Datum::Null))
+                let col = self.col(c)?;
+                return Ok(Cow::Borrowed(match ctx {
+                    Ctx::Row(r) => self.cell(r, col),
+                    Ctx::Group(rows) => rows.first().map_or(&NULL, |r| self.cell(r, col)),
+                }));
             }
             Expr::Agg { func, distinct, arg } => {
                 let Ctx::Group(rows) = ctx else {
                     return Err(ExecError::Invalid("aggregate outside grouped context".into()));
                 };
-                self.eval_aggregate(*func, *distinct, arg, rows)
+                return Ok(Cow::Owned(self.eval_aggregate(*func, *distinct, arg, rows)?));
             }
-            Expr::Binary { op, lhs, rhs } => match op {
-                BinOp::And => {
-                    let l = truthy(&self.eval(lhs, ctx)?);
-                    if !l {
-                        return Ok(bool_datum(false));
-                    }
-                    Ok(bool_datum(truthy(&self.eval(rhs, ctx)?)))
+            Expr::Binary { op: BinOp::And, lhs, rhs } => {
+                truthy(self.eval(lhs, ctx)?) && truthy(self.eval(rhs, ctx)?)
+            }
+            Expr::Binary { op: BinOp::Or, lhs, rhs } => {
+                truthy(self.eval(lhs, ctx)?) || truthy(self.eval(rhs, ctx)?)
+            }
+            Expr::Binary { op, lhs, rhs } => {
+                let l = self.eval(lhs, ctx)?;
+                let r = self.eval(rhs, ctx)?;
+                use std::cmp::Ordering::{Greater, Less};
+                match op {
+                    BinOp::Eq => l.sql_eq(&r),
+                    BinOp::Ne => !l.is_null() && !r.is_null() && !l.sql_eq(&r),
+                    BinOp::Lt => l.sql_cmp(&r) == Some(Less),
+                    BinOp::Le => l.sql_cmp(&r).is_some_and(|o| o != Greater),
+                    BinOp::Gt => l.sql_cmp(&r) == Some(Greater),
+                    BinOp::Ge => l.sql_cmp(&r).is_some_and(|o| o != Less),
+                    BinOp::And | BinOp::Or => unreachable!("handled above"),
                 }
-                BinOp::Or => {
-                    let l = truthy(&self.eval(lhs, ctx)?);
-                    if l {
-                        return Ok(bool_datum(true));
-                    }
-                    Ok(bool_datum(truthy(&self.eval(rhs, ctx)?)))
-                }
-                _ => {
-                    let l = self.eval_operand(lhs, ctx)?;
-                    let r = self.eval_operand(rhs, ctx)?;
-                    Ok(match op {
-                        BinOp::Eq => bool_datum(l.sql_eq(&r)),
-                        BinOp::Ne => {
-                            if l.is_null() || r.is_null() {
-                                bool_datum(false)
-                            } else {
-                                bool_datum(!l.sql_eq(&r))
-                            }
-                        }
-                        BinOp::Lt => cmp_datum(&l, &r, |o| o == std::cmp::Ordering::Less),
-                        BinOp::Le => cmp_datum(&l, &r, |o| o != std::cmp::Ordering::Greater),
-                        BinOp::Gt => cmp_datum(&l, &r, |o| o == std::cmp::Ordering::Greater),
-                        BinOp::Ge => cmp_datum(&l, &r, |o| o != std::cmp::Ordering::Less),
-                        BinOp::And | BinOp::Or => unreachable!("handled above"),
-                    })
-                }
-            },
-            Expr::Not(inner) => Ok(bool_datum(!truthy(&self.eval(inner, ctx)?))),
+            }
+            Expr::Not(inner) => !truthy(self.eval(inner, ctx)?),
             Expr::Between { expr, low, high, negated } => {
-                let v = self.eval_operand(expr, ctx)?;
-                let lo = self.eval_operand(low, ctx)?;
-                let hi = self.eval_operand(high, ctx)?;
+                let v = self.eval(expr, ctx)?;
+                let lo = self.eval(low, ctx)?;
+                let hi = self.eval(high, ctx)?;
                 let in_range = matches!(
                     v.sql_cmp(&lo),
                     Some(std::cmp::Ordering::Greater | std::cmp::Ordering::Equal)
@@ -526,69 +616,70 @@ impl<'a> Evaluator<'a> {
                     v.sql_cmp(&hi),
                     Some(std::cmp::Ordering::Less | std::cmp::Ordering::Equal)
                 );
-                Ok(bool_datum(in_range != *negated))
+                in_range != *negated
             }
             Expr::InList { expr, list, negated } => {
-                let v = self.eval_operand(expr, ctx)?;
+                let v = self.eval(expr, ctx)?;
                 let mut found = false;
                 for item in list {
-                    if v.sql_eq(&self.eval_operand(item, ctx)?) {
+                    if v.sql_eq(&*self.eval(item, ctx)?) {
                         found = true;
                         break;
                     }
                 }
-                Ok(bool_datum(found != *negated))
+                found != *negated
             }
             Expr::InSubquery { expr, subquery, negated } => {
-                let v = self.eval_operand(expr, ctx)?;
+                let v = self.eval(expr, ctx)?;
                 let vals = self.subquery_column(subquery)?;
-                let found = vals.iter().any(|x| v.sql_eq(x));
-                Ok(bool_datum(found != *negated))
+                vals.iter().any(|x| v.sql_eq(x)) != *negated
             }
             Expr::Like { expr, pattern, negated } => {
-                let v = self.eval_operand(expr, ctx)?;
-                let p = self.eval_operand(pattern, ctx)?;
+                let v = self.eval(expr, ctx)?;
+                let p = self.eval(pattern, ctx)?;
                 // SQLite semantics: case-insensitive for ASCII; NULL → false.
-                let matched = match (v.as_text(), p.as_text()) {
-                    (Some(t), Some(pat)) => {
-                        like_match(&pat.to_lowercase(), &t.to_lowercase())
+                let matched = match p.as_text() {
+                    None => false,
+                    Some(pat) => {
+                        // A literal pattern was lowercased when the query
+                        // was prepared.
+                        let pat = match pattern.as_ref() {
+                            Expr::Lit(_) => Cow::Borrowed(pat),
+                            _ => Cow::Owned(pat.to_lowercase()),
+                        };
+                        match v.as_text() {
+                            Some(t) => like_match(&pat, &t.to_lowercase()),
+                            // LIKE against numbers compares their text form.
+                            None if !v.is_null() => {
+                                like_match(&pat, &v.to_string().to_lowercase())
+                            }
+                            None => false,
+                        }
                     }
-                    // LIKE against numbers compares their text form.
-                    (None, Some(pat)) if !v.is_null() => {
-                        like_match(&pat.to_lowercase(), &v.to_string().to_lowercase())
-                    }
-                    _ => false,
                 };
-                Ok(bool_datum(matched != *negated))
+                matched != *negated
             }
-            Expr::Subquery(sub) => self.scalar_subquery(sub),
-        }
-    }
-
-    /// Evaluates a comparison operand; a scalar subquery yields its single
-    /// value, everything else is a normal expression.
-    fn eval_operand(&self, e: &Expr, ctx: &Ctx<'_>) -> Result<Datum, ExecError> {
-        self.eval(e, ctx)
-    }
-
-    fn scalar_subquery(&self, sub: &SelectStmt) -> Result<Datum, ExecError> {
-        let col = self.subquery_column(sub)?;
-        Ok(col.into_iter().next().unwrap_or(Datum::Null))
+            Expr::Subquery(sub) => {
+                let col = self.subquery_column(sub)?;
+                return Ok(Cow::Owned(col.first().cloned().unwrap_or(Datum::Null)));
+            }
+        };
+        Ok(Cow::Owned(bool_datum(b)))
     }
 
     /// Executes an (uncorrelated) subquery once and caches its single-column
     /// result, so WHERE predicates do not re-run it per candidate row.
-    fn subquery_column(&self, sub: &SelectStmt) -> Result<Vec<Datum>, ExecError> {
-        let key = sub as *const SelectStmt as usize;
+    fn subquery_column(&self, sub: &SelectStmt) -> Result<Rc<[Datum]>, ExecError> {
+        let key = addr(sub);
         if let Some(cached) = self.subquery_cache.borrow().get(&key) {
-            return Ok(cached.clone());
+            return Ok(Rc::clone(cached));
         }
         let rs = execute(self.db, sub)?;
         if !rs.rows.is_empty() && rs.rows[0].len() != 1 {
             return Err(ExecError::SubqueryArity(rs.rows[0].len()));
         }
-        let col: Vec<Datum> = rs.rows.into_iter().filter_map(|mut r| r.pop()).collect();
-        self.subquery_cache.borrow_mut().insert(key, col.clone());
+        let col: Rc<[Datum]> = rs.rows.into_iter().filter_map(|mut r| r.pop()).collect();
+        self.subquery_cache.borrow_mut().insert(key, Rc::clone(&col));
         Ok(col)
     }
 
@@ -597,7 +688,7 @@ impl<'a> Evaluator<'a> {
         func: AggFunc,
         distinct: bool,
         arg: &Expr,
-        rows: &[Vec<Datum>],
+        rows: &[&[u32]],
     ) -> Result<Datum, ExecError> {
         // count(*) counts rows regardless of values.
         let is_star = matches!(arg, Expr::Column(c) if c.is_star());
@@ -616,7 +707,7 @@ impl<'a> Evaluator<'a> {
         }
         if distinct {
             let mut seen = HashSet::new();
-            values.retain(|v| seen.insert(row_key(std::slice::from_ref(v))));
+            values.retain(|v| seen.insert(row_key([&**v])));
         }
         Ok(match func {
             AggFunc::Count => Datum::Int(values.len() as i64),
@@ -624,16 +715,16 @@ impl<'a> Evaluator<'a> {
                 if values.is_empty() {
                     Datum::Null
                 } else {
-                    let all_int = values.iter().all(|v| matches!(v, Datum::Int(_)));
+                    let all_int = values.iter().all(|v| matches!(**v, Datum::Int(_)));
                     if all_int {
                         Datum::Int(values.iter().map(|v| v.as_number().unwrap() as i64).sum())
                     } else {
-                        Datum::Float(values.iter().filter_map(Datum::as_number).sum())
+                        Datum::Float(values.iter().filter_map(|v| v.as_number()).sum())
                     }
                 }
             }
             AggFunc::Avg => {
-                let nums: Vec<f64> = values.iter().filter_map(Datum::as_number).collect();
+                let nums: Vec<f64> = values.iter().filter_map(|v| v.as_number()).collect();
                 if nums.is_empty() {
                     Datum::Null
                 } else {
@@ -643,18 +734,20 @@ impl<'a> Evaluator<'a> {
             AggFunc::Min => values
                 .into_iter()
                 .min_by(|a, b| a.total_cmp(b))
-                .unwrap_or(Datum::Null),
+                .map_or(Datum::Null, Cow::into_owned),
             AggFunc::Max => values
                 .into_iter()
                 .max_by(|a, b| a.total_cmp(b))
-                .unwrap_or(Datum::Null),
+                .map_or(Datum::Null, Cow::into_owned),
         })
     }
 }
 
-fn cmp_datum(l: &Datum, r: &Datum, f: impl Fn(std::cmp::Ordering) -> bool) -> Datum {
-    match l.sql_cmp(r) {
-        Some(o) => bool_datum(f(o)),
-        None => bool_datum(false),
+fn lit_datum(l: &Literal) -> Datum {
+    match l {
+        Literal::Null => Datum::Null,
+        Literal::Int(i) => Datum::Int(*i),
+        Literal::Float(f) => Datum::Float(*f),
+        Literal::Text(s) => Datum::Text(s.clone()),
     }
 }

@@ -10,6 +10,12 @@
 //! with the five standard aggregates, DISTINCT, ORDER BY + LIMIT, and
 //! UNION / UNION ALL / INTERSECT / EXCEPT.
 //!
+//! A query reads [`valuenet_storage::Database::rows`] in place: joined rows
+//! are tuples of row indices, expressions read cells by reference, a single
+//! `ON a = b` is a hash join keyed consistently with `Datum::sql_eq`, and
+//! column references are resolved once per query. The naive interpreter in
+//! `valuenet-verify` is the oracle it must agree with row for row.
+//!
 //! ```
 //! use valuenet_exec::execute;
 //! use valuenet_schema::{ColumnType, SchemaBuilder};

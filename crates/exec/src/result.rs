@@ -74,18 +74,17 @@ fn sort_rows(rows: &mut [Vec<Datum>]) {
 /// Canonical text key for a row, used for DISTINCT, GROUP BY and set
 /// operations. Numeric values canonicalise so `Int(2)` and `Float(2.0)`
 /// coincide, matching SQL value semantics.
-pub(crate) fn row_key(row: &[Datum]) -> String {
-    let mut key = String::with_capacity(row.len() * 8);
+pub(crate) fn row_key<'d>(row: impl IntoIterator<Item = &'d Datum>) -> String {
+    use std::fmt::Write;
+    let mut key = String::new();
     for d in row {
         match d {
             Datum::Null => key.push_str("\u{1}N"),
             Datum::Int(i) => {
-                key.push_str("\u{1}n");
-                key.push_str(&format!("{:.9e}", *i as f64));
+                let _ = write!(key, "\u{1}n{:.9e}", *i as f64);
             }
             Datum::Float(f) => {
-                key.push_str("\u{1}n");
-                key.push_str(&format!("{f:.9e}"));
+                let _ = write!(key, "\u{1}n{f:.9e}");
             }
             Datum::Text(s) => {
                 key.push_str("\u{1}t");

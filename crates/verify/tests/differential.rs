@@ -2,8 +2,13 @@
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use valuenet_exec::execute;
+use valuenet_schema::{ColumnType, SchemaBuilder};
+use valuenet_sql::parse_select;
+use valuenet_storage::{Database, Datum};
 use valuenet_verify::{
-    case_seed, gen_database, gen_semql, run_case, run_fuzz, CaseOutcome, FuzzConfig,
+    case_seed, gen_database, gen_semql, reference_execute, run_case, run_fuzz, CaseOutcome,
+    FuzzConfig,
 };
 
 #[test]
@@ -79,5 +84,39 @@ fn generated_databases_are_schema_consistent() {
         for r in tree.value_refs() {
             assert!(r.0 < values.len(), "dangling ValueRef {:?}", r);
         }
+    }
+}
+
+/// The hash join's keys must agree with `Datum::sql_eq`, the equality the
+/// oracle's nested loop applies: numbers equal only at full precision,
+/// `Int` against `Float` by value, `-0.0` with `0.0`, and never NaN, NULL
+/// or text against a number.
+#[test]
+fn hash_join_keys_agree_with_sql_equality() {
+    let schema = SchemaBuilder::new("keys")
+        .table("a", &[("id", ColumnType::Number)])
+        .table("b", &[("id", ColumnType::Number), ("a_ref", ColumnType::Number)])
+        .build();
+    let stmt =
+        parse_select("SELECT count(*) FROM a AS T1 JOIN b AS T2 ON T1.id = T2.a_ref").unwrap();
+    let cases = [
+        (Datum::Int(12345678901), Datum::Int(12345678902), 0),
+        (Datum::Float(1.0), Datum::Float(1.0000000001), 0),
+        (Datum::Int(2), Datum::Float(2.0), 1),
+        (Datum::Float(-0.0), Datum::Float(0.0), 1),
+        (Datum::Text("x".into()), Datum::Text("x".into()), 1),
+        (Datum::Float(f64::NAN), Datum::Float(f64::NAN), 0),
+        (Datum::Null, Datum::Null, 0),
+        (Datum::Text("2".into()), Datum::Int(2), 0),
+    ];
+    for (left, right, joined) in cases {
+        let db = Database::with_rows(
+            schema.clone(),
+            vec![vec![vec![left.clone()]], vec![vec![Datum::Int(1), right.clone()]]],
+        );
+        let got = execute(&db, &stmt).unwrap();
+        let want = reference_execute(&db, &stmt).unwrap();
+        assert_eq!(got.rows, vec![vec![Datum::Int(joined)]], "{left:?} against {right:?}");
+        assert_eq!(got.rows, want.rows, "executor and oracle differ on {left:?} against {right:?}");
     }
 }

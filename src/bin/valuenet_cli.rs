@@ -37,8 +37,28 @@ fn arg(args: &[String], name: &str) -> Option<String> {
     args.iter().position(|a| a == name).and_then(|i| args.get(i + 1).cloned())
 }
 
+/// A numeric flag's value, `None` when the flag is absent. A missing or
+/// malformed value exits with status 2 rather than falling back silently.
+fn arg_usize_opt(args: &[String], name: &str) -> Option<usize> {
+    let i = args.iter().position(|a| a == name)?;
+    Some(parse_usize(name, args.get(i + 1).map(String::as_str)))
+}
+
 fn arg_usize(args: &[String], name: &str, default: usize) -> usize {
-    arg(args, name).and_then(|v| v.parse().ok()).unwrap_or(default)
+    arg_usize_opt(args, name).unwrap_or(default)
+}
+
+/// Parses the value of a numeric flag or environment variable `what`.
+fn parse_usize(what: &str, value: Option<&str>) -> usize {
+    let got = match value {
+        Some(v) => match v.parse() {
+            Ok(n) => return n,
+            Err(_) => format!("{v:?}"),
+        },
+        None => "nothing".to_string(),
+    };
+    eprintln!("error: {what} expects a non-negative integer, got {got}");
+    std::process::exit(2);
 }
 
 fn load_bundle(path: &str) -> (Pipeline, Corpus) {
@@ -228,7 +248,7 @@ fn cmd_serve(args: &[String]) {
     // then the config default (off).
     let env_window = std::env::var("VN_BATCH_WINDOW_US")
         .ok()
-        .and_then(|v| v.parse::<u64>().ok())
+        .map(|v| parse_usize("VN_BATCH_WINDOW_US", Some(&v)) as u64)
         .unwrap_or(defaults.batch_window_us);
     let cfg = ServeConfig {
         workers: arg_usize(args, "--workers", defaults.workers),
@@ -278,7 +298,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     // Make --threads the process-wide default so every fan-out (training,
     // evaluation) respects it even where no explicit count is plumbed.
-    if let Some(t) = arg(&args, "--threads").and_then(|v| v.parse().ok()) {
+    if let Some(t) = arg_usize_opt(&args, "--threads") {
         valuenet::par::set_threads(t);
     }
     // Observability is opt-in via environment: OBS=1 prints a span/counter
