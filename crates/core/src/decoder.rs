@@ -122,14 +122,12 @@ impl Decoder {
         LstmState { h, c }
     }
 
-    /// One LSTM + attention step. Returns the new state and the feature
-    /// matrix `[B, hidden + d]`.
+    /// One LSTM + attention step for one hypothesis. Returns the new state
+    /// and the feature row `[1, hidden + d]`.
     ///
-    /// Row-batched: `B` stacked hypotheses produce exactly the rows that `B`
-    /// separate `[1, ·]` calls would (the LSTM cell and the fused attention
-    /// both compute each output row independently in a fixed order), which
-    /// is what lets [`Decoder::decode_beam`] step a whole beam through one
-    /// blocked matmul per gate.
+    /// Used by the teacher-forced [`Decoder::loss`] and the per-hypothesis
+    /// oracle; [`Decoder::step_multi`] is its row-batched counterpart for
+    /// [`Decoder::decode`].
     fn step(
         &self,
         g: &mut Graph,
@@ -293,199 +291,8 @@ impl Decoder {
         g.mean_all(stacked)
     }
 
-    /// Beam-search decoding under the same grammar constraints.
-    ///
-    /// Returns up to `beam_width` completed hypotheses, best first (ranked
-    /// by mean per-action log-probability, i.e. length-normalised), each
-    /// with its summed log-probability. An empty result means no hypothesis
-    /// completed within `max_steps`.
-    ///
-    /// This is the paper lineage's standard decoding upgrade (IRNet decodes
-    /// with beam search); combined with execution-guided selection in the
-    /// pipeline it also realises a piece of the paper's future work — using
-    /// the database to discard candidates that cannot execute.
-    ///
-    /// All live hypotheses advance through **one** batched LSTM + attention
-    /// step per search step (rows stacked with `concat_rows`), so the per-gate
-    /// matmuls are `[B, ·]` blocked kernels instead of `B` separate matvecs.
-    /// Every output row is computed independently in a fixed order, so the
-    /// result is bit-identical to [`Decoder::decode_beam_unbatched`] (covered
-    /// by `tests/beam_search.rs`).
-    pub fn decode_beam(
-        &self,
-        g: &mut Graph,
-        ps: &ParamStore,
-        enc: &Encodings,
-        max_steps: usize,
-        beam_width: usize,
-    ) -> Vec<(Vec<Action>, f32)> {
-        assert!(beam_width >= 1, "beam width must be at least 1");
-        let _span = valuenet_obs::span("decode.beam");
-        let has_values = enc.values.is_some();
-        let start = self.action_emb.forward(g, ps, &[0]);
-        let init = self.init_state(g, ps, enc);
-        let mut beams = vec![BeamHyp {
-            ts: TransitionSystem::new(),
-            state: init,
-            prev_emb: start,
-            prev_ctx: enc.pooled,
-            actions: Vec::new(),
-            score: 0.0,
-        }];
-        let mut completed: Vec<(Vec<Action>, f32)> = Vec::new();
-        for _ in 0..max_steps {
-            if beams.is_empty() {
-                break;
-            }
-            BEAM_STEPS.add(1);
-            // Stack every live hypothesis and run one step for the whole beam.
-            let b = beams.len();
-            let (state_all, f_all) = {
-                let embs: Vec<Var> = beams.iter().map(|h| h.prev_emb).collect();
-                let ctxs: Vec<Var> = beams.iter().map(|h| h.prev_ctx).collect();
-                let hs: Vec<Var> = beams.iter().map(|h| h.state.h).collect();
-                let cs: Vec<Var> = beams.iter().map(|h| h.state.c).collect();
-                let prev_emb = g.concat_rows(&embs);
-                let prev_ctx = g.concat_rows(&ctxs);
-                let state = LstmState { h: g.concat_rows(&hs), c: g.concat_rows(&cs) };
-                self.step(g, ps, enc, prev_emb, prev_ctx, state)
-            };
-            let hidden = g.value(state_all.h).cols();
-            let ctx_all = g.slice_cols(f_all, hidden, hidden + self.d);
-            // Group rows by frontier kind so each pointer head and the sketch
-            // head run once over their subset of rows. Sketch dead ends drop
-            // out here (no legal action left).
-            let mut ptr_rows: [Vec<usize>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-            let mut sketch_rows: Vec<(usize, Vec<usize>)> = Vec::new();
-            for (idx, hyp) in beams.iter().enumerate() {
-                match hyp.ts.frontier().expect("incomplete hypotheses only") {
-                    NonTerminal::C => ptr_rows[0].push(idx),
-                    NonTerminal::T => ptr_rows[1].push(idx),
-                    NonTerminal::V => ptr_rows[2].push(idx),
-                    _ => {
-                        let valid = self.valid_sketch(&hyp.ts, has_values);
-                        if valid.is_empty() {
-                            BEAM_DEAD_ENDS.add(1);
-                        } else {
-                            sketch_rows.push((idx, valid));
-                        }
-                    }
-                }
-            }
-            // Log-probabilities over the legal actions, per hypothesis; `None`
-            // marks a dead end.
-            let mut choices: Vec<Option<Vec<(Action, f32)>>> = (0..b).map(|_| None).collect();
-            for (k, rows) in ptr_rows.iter().enumerate() {
-                if rows.is_empty() {
-                    continue;
-                }
-                let which = [NonTerminal::C, NonTerminal::T, NonTerminal::V][k];
-                let items = match which {
-                    NonTerminal::C => enc.columns,
-                    NonTerminal::T => enc.tables,
-                    _ => enc.values.expect("masking guarantees candidates"),
-                };
-                let f_k = g.gather_rows(f_all, rows);
-                let scores = self.pointer_scores(g, ps, f_k, items, which);
-                let lp = g.log_softmax_rows(scores);
-                for (j, &idx) in rows.iter().enumerate() {
-                    let row = g.value(lp).row(j);
-                    choices[idx] = Some(
-                        row.iter()
-                            .enumerate()
-                            .map(|(i, &p)| {
-                                let a = match which {
-                                    NonTerminal::C => Action::C(i),
-                                    NonTerminal::T => Action::T(i),
-                                    _ => Action::V(i),
-                                };
-                                (a, p)
-                            })
-                            .collect(),
-                    );
-                }
-            }
-            if !sketch_rows.is_empty() {
-                let rows: Vec<usize> = sketch_rows.iter().map(|&(idx, _)| idx).collect();
-                let f_s = g.gather_rows(f_all, &rows);
-                let logits = self.sketch_head.forward(g, ps, f_s);
-                let mut mask = Tensor::full(sketch_rows.len(), SKETCH_VOCAB, -1e9);
-                for (j, (_, valid)) in sketch_rows.iter().enumerate() {
-                    for &i in valid {
-                        mask.set(j, i, 0.0);
-                    }
-                }
-                let m = g.input(mask);
-                let masked = g.add(logits, m);
-                let lp = g.log_softmax_rows(masked);
-                for (j, (idx, valid)) in sketch_rows.iter().enumerate() {
-                    let row = g.value(lp).row(j);
-                    choices[*idx] = Some(
-                        valid.iter().map(|&i| (Action::from_sketch_index(i), row[i])).collect(),
-                    );
-                }
-            }
-            // Expand each live hypothesis exactly like the unbatched search;
-            // per-hypothesis state rows are sliced out of the batch lazily
-            // (only survivors into the next step need them).
-            let mut state_rows: Vec<Option<(Var, Var, Var)>> = (0..b).map(|_| None).collect();
-            let mut expansions: Vec<BeamHyp> = Vec::new();
-            for (idx, hyp) in beams.drain(..).enumerate() {
-                let Some(mut ranked) = choices[idx].take() else { continue };
-                BEAM_CANDIDATES.record(ranked.len() as u64);
-                ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-                for (action, logp) in ranked.into_iter().take(beam_width) {
-                    let mut ts = hyp.ts.clone();
-                    if ts.apply(&action).is_err() {
-                        continue;
-                    }
-                    count_choice(&action);
-                    BEAM_EXPANDED.add(1);
-                    let mut actions = hyp.actions.clone();
-                    actions.push(action);
-                    let score = hyp.score + logp;
-                    if ts.is_complete() {
-                        BEAM_COMPLETED.add(1);
-                        completed.push((actions, score));
-                    } else {
-                        if state_rows[idx].is_none() {
-                            state_rows[idx] = Some((
-                                g.slice_rows(state_all.h, idx, idx + 1),
-                                g.slice_rows(state_all.c, idx, idx + 1),
-                                g.slice_rows(ctx_all, idx, idx + 1),
-                            ));
-                        }
-                        let (h, c, ctx) = state_rows[idx].expect("just inserted");
-                        let prev_emb = self.action_input(g, ps, enc, &action);
-                        expansions.push(BeamHyp {
-                            ts,
-                            state: LstmState { h, c },
-                            prev_emb,
-                            prev_ctx: ctx,
-                            actions,
-                            score,
-                        });
-                    }
-                }
-            }
-            expansions
-                .sort_by(|a, b| b.score.partial_cmp(&a.score).unwrap_or(std::cmp::Ordering::Equal));
-            BEAM_PRUNED.add(expansions.len().saturating_sub(beam_width) as u64);
-            expansions.truncate(beam_width);
-            beams = expansions;
-            // Early exit: enough completed hypotheses that beat every open one.
-            if completed.len() >= beam_width
-                && beams
-                    .iter()
-                    .all(|h| completed.iter().any(|(_, cs)| *cs >= h.score))
-            {
-                break;
-            }
-        }
-        rank_completed(completed, beam_width)
-    }
-
-    /// Per-hypothesis reference implementation of [`Decoder::decode_beam`].
+    /// Per-hypothesis reference implementation of [`Decoder::decode`] for
+    /// one request.
     ///
     /// Steps every hypothesis through its own `[1, ·]` LSTM + attention call.
     /// Kept as the differential oracle for the batched search (the two must
@@ -609,65 +416,6 @@ impl Decoder {
         rank_completed(completed, beam_width)
     }
 
-    /// Greedy grammar-constrained decoding.
-    ///
-    /// # Errors
-    /// Returns an error if the derivation does not complete in `max_steps`.
-    pub fn decode_greedy(
-        &self,
-        g: &mut Graph,
-        ps: &ParamStore,
-        enc: &Encodings,
-        max_steps: usize,
-    ) -> Result<Vec<Action>, String> {
-        let _span = valuenet_obs::span("decode.greedy");
-        let has_values = enc.values.is_some();
-        let num_values = enc.values.map(|v| g.value(v).rows()).unwrap_or(0);
-        let mut ts = TransitionSystem::new();
-        let mut state = self.init_state(g, ps, enc);
-        let mut prev_emb = self.action_emb.forward(g, ps, &[0]);
-        let mut prev_ctx = enc.pooled;
-        let mut actions = Vec::new();
-        while !ts.is_complete() {
-            if actions.len() >= max_steps {
-                return Err(format!("decoding exceeded {max_steps} steps"));
-            }
-            let frontier = ts.frontier().expect("incomplete derivation has a frontier");
-            let (next_state, f) = self.step(g, ps, enc, prev_emb, prev_ctx, state);
-            state = next_state;
-            prev_ctx = g.slice_cols(f, g.value(state.h).cols(), g.value(state.h).cols() + self.d);
-            let action = match frontier {
-                NonTerminal::C => {
-                    let scores = self.pointer_scores(g, ps, f, enc.columns, NonTerminal::C);
-                    Action::C(g.value(scores).argmax())
-                }
-                NonTerminal::T => {
-                    let scores = self.pointer_scores(g, ps, f, enc.tables, NonTerminal::T);
-                    Action::T(g.value(scores).argmax())
-                }
-                NonTerminal::V => {
-                    debug_assert!(num_values > 0, "V frontier reached without candidates");
-                    let values = enc.values.expect("checked above");
-                    let scores = self.pointer_scores(g, ps, f, values, NonTerminal::V);
-                    Action::V(g.value(scores).argmax())
-                }
-                _ => {
-                    let valid = self.valid_sketch(&ts, has_values);
-                    if valid.is_empty() {
-                        return Err(format!("no valid action at frontier {frontier:?}"));
-                    }
-                    let logits = self.masked_sketch_logits(g, ps, f, &valid);
-                    Action::from_sketch_index(g.value(logits).argmax())
-                }
-            };
-            prev_emb = self.action_input(g, ps, enc, &action);
-            ts.apply(&action).map_err(|e| format!("decoder chose invalid action: {e}"))?;
-            count_choice(&action);
-            actions.push(action);
-        }
-        Ok(actions)
-    }
-
     /// One fused LSTM + attention step over rows drawn from *multiple*
     /// requests. `blocks` lists, in row order, `(enc index, row count)` per
     /// request; `embs`/`ctxs`/`hs`/`cs` are the flattened per-row inputs.
@@ -676,9 +424,9 @@ impl Decoder {
     /// per-step cost — and the attention query projection) run once over all
     /// rows; attention scores and contexts are computed per request against
     /// that request's own question encodings, so no padding or masking is
-    /// needed and every output row stays bit-identical to what the request
-    /// would compute alone (the same row-stability discipline
-    /// [`Decoder::step`] relies on).
+    /// needed. The LSTM cell and the fused attention compute each output row
+    /// independently in a fixed order, so every row is bit-identical to what
+    /// [`Decoder::step`] computes for that hypothesis alone.
     ///
     /// Returns the stacked state, the stacked attention contexts and the
     /// feature matrix `[B_total, hidden + d]`.
@@ -715,28 +463,44 @@ impl Decoder {
         (state, ctx_all, f_all)
     }
 
-    /// Beam search over *several requests at once*: all live hypotheses of
-    /// all unfinished requests advance through one [`Decoder::step_multi`]
-    /// pass per search step, and each head (sketch, column/table/value
-    /// pointers) runs its shared-weight projection once over every row that
-    /// needs it across the whole batch. Per-request work — attention over
-    /// the request's question, pointer scores against the request's item
-    /// matrices, expansion, pruning, completion — is untouched, so each
-    /// request terminates independently and drops out of subsequent steps.
+    /// Grammar-constrained beam search over a batch of requests: the
+    /// decoder's one search loop. `width` 1 is greedy decoding (each step
+    /// keeps the single highest-scoring legal action), and a lone request is
+    /// a batch of one.
     ///
-    /// Returns one [`Decoder::decode_beam`]-shaped result per request, in
-    /// input order, bit-identical to decoding each request alone (pinned by
+    /// Returns, per request in input order, up to `width` completed
+    /// hypotheses, best first (ranked by mean per-action log-probability,
+    /// i.e. length-normalised), each with its summed log-probability. An
+    /// empty list means no hypothesis of that request completed within
+    /// `max_steps`.
+    ///
+    /// Beam search is the paper lineage's standard decoding upgrade (IRNet
+    /// decodes with beam search); combined with execution-guided selection in
+    /// the pipeline it also realises a piece of the paper's future work —
+    /// using the database to discard candidates that cannot execute.
+    ///
+    /// All live hypotheses of all unfinished requests advance through one
+    /// [`Decoder::step_multi`] pass per search step, and each head (sketch,
+    /// column/table/value pointers) runs its shared-weight projection once
+    /// over every row that needs it across the whole batch. Per-request work
+    /// — attention over the request's question, pointer scores against the
+    /// request's item matrices, expansion, pruning, completion — stays per
+    /// request, so each request terminates independently and drops out of
+    /// later steps. Every kernel computes each output row independently in a
+    /// fixed order, so each request's result is bit-identical to
+    /// [`Decoder::decode_beam_unbatched`] on that request alone, whatever it
+    /// is batched with (pinned by `tests/beam_search.rs` and
     /// `tests/multi_decode.rs`).
-    pub fn decode_beam_multi(
+    pub fn decode(
         &self,
         g: &mut Graph,
         ps: &ParamStore,
         encs: &[Encodings],
         max_steps: usize,
-        beam_width: usize,
+        width: usize,
     ) -> Vec<Vec<(Vec<Action>, f32)>> {
-        assert!(beam_width >= 1, "beam width must be at least 1");
-        let _span = valuenet_obs::span("decode.beam_multi");
+        assert!(width >= 1, "beam width must be at least 1");
+        let _span = valuenet_obs::span("decode.beam");
         struct ReqBeam {
             beams: Vec<BeamHyp>,
             completed: Vec<(Vec<Action>, f32)>,
@@ -890,7 +654,7 @@ impl Decoder {
                 }
             }
             // Expand, prune and early-exit each request exactly like the
-            // single-request batched search.
+            // per-hypothesis oracle.
             let mut base = 0usize;
             for &(r, n) in &blocks {
                 let rq = &mut reqs[r];
@@ -903,7 +667,7 @@ impl Decoder {
                     ranked.sort_by(|a, b| {
                         b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal)
                     });
-                    for (action, logp) in ranked.into_iter().take(beam_width) {
+                    for (action, logp) in ranked.into_iter().take(width) {
                         let mut ts = hyp.ts.clone();
                         if ts.apply(&action).is_err() {
                             continue;
@@ -941,10 +705,10 @@ impl Decoder {
                 expansions.sort_by(|a, b| {
                     b.score.partial_cmp(&a.score).unwrap_or(std::cmp::Ordering::Equal)
                 });
-                BEAM_PRUNED.add(expansions.len().saturating_sub(beam_width) as u64);
-                expansions.truncate(beam_width);
+                BEAM_PRUNED.add(expansions.len().saturating_sub(width) as u64);
+                expansions.truncate(width);
                 rq.beams = expansions;
-                if rq.completed.len() >= beam_width
+                if rq.completed.len() >= width
                     && rq
                         .beams
                         .iter()
@@ -956,174 +720,7 @@ impl Decoder {
                 base += n;
             }
         }
-        reqs.into_iter().map(|rq| rank_completed(rq.completed, beam_width)).collect()
-    }
-
-    /// Greedy decoding over several requests at once: one
-    /// [`Decoder::step_multi`] pass per step with one row per live request,
-    /// shared-weight head projections batched across requests, argmax and
-    /// grammar bookkeeping per request. Each request's result is
-    /// bit-identical to [`Decoder::decode_greedy`] on that request alone —
-    /// including the exact error strings for step-budget exhaustion and
-    /// dead-end frontiers.
-    pub fn decode_greedy_multi(
-        &self,
-        g: &mut Graph,
-        ps: &ParamStore,
-        encs: &[Encodings],
-        max_steps: usize,
-    ) -> Vec<Result<Vec<Action>, String>> {
-        let _span = valuenet_obs::span("decode.greedy_multi");
-        struct ReqGreedy {
-            ts: TransitionSystem,
-            state: LstmState,
-            prev_emb: Var,
-            prev_ctx: Var,
-            actions: Vec<Action>,
-            result: Option<Result<Vec<Action>, String>>,
-        }
-        let mut reqs: Vec<ReqGreedy> = encs
-            .iter()
-            .map(|enc| ReqGreedy {
-                ts: TransitionSystem::new(),
-                state: self.init_state(g, ps, enc),
-                prev_emb: self.action_emb.forward(g, ps, &[0]),
-                prev_ctx: enc.pooled,
-                actions: Vec::new(),
-                result: None,
-            })
-            .collect();
-        loop {
-            // Terminal checks, in the single-request loop's order: a complete
-            // derivation finishes Ok; an over-budget one finishes Err.
-            for rq in reqs.iter_mut() {
-                if rq.result.is_some() {
-                    continue;
-                }
-                if rq.ts.is_complete() {
-                    rq.result = Some(Ok(std::mem::take(&mut rq.actions)));
-                } else if rq.actions.len() >= max_steps {
-                    rq.result = Some(Err(format!("decoding exceeded {max_steps} steps")));
-                }
-            }
-            let active: Vec<usize> =
-                (0..reqs.len()).filter(|&r| reqs[r].result.is_none()).collect();
-            if active.is_empty() {
-                break;
-            }
-            let blocks: Vec<(usize, usize)> = active.iter().map(|&r| (r, 1)).collect();
-            let embs: Vec<Var> = active.iter().map(|&r| reqs[r].prev_emb).collect();
-            let ctxs: Vec<Var> = active.iter().map(|&r| reqs[r].prev_ctx).collect();
-            let hs: Vec<Var> = active.iter().map(|&r| reqs[r].state.h).collect();
-            let cs: Vec<Var> = active.iter().map(|&r| reqs[r].state.c).collect();
-            let (state_all, ctx_all, f_all) =
-                self.step_multi(g, ps, encs, &blocks, &embs, &ctxs, &hs, &cs);
-            for (gi, &r) in active.iter().enumerate() {
-                let rq = &mut reqs[r];
-                rq.state = LstmState {
-                    h: g.slice_rows(state_all.h, gi, gi + 1),
-                    c: g.slice_rows(state_all.c, gi, gi + 1),
-                };
-                rq.prev_ctx = g.slice_rows(ctx_all, gi, gi + 1);
-            }
-            // Group the single row of each request by frontier kind.
-            let mut ptr_rows: [Vec<(usize, usize)>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-            let mut sketch_rows: Vec<(usize, usize, Vec<usize>)> = Vec::new();
-            let mut dead: Vec<(usize, NonTerminal)> = Vec::new();
-            for (gi, &r) in active.iter().enumerate() {
-                let rq = &reqs[r];
-                let frontier = rq.ts.frontier().expect("incomplete derivation has a frontier");
-                match frontier {
-                    NonTerminal::C => ptr_rows[0].push((gi, r)),
-                    NonTerminal::T => ptr_rows[1].push((gi, r)),
-                    NonTerminal::V => ptr_rows[2].push((gi, r)),
-                    _ => {
-                        let valid = self.valid_sketch(&rq.ts, encs[r].values.is_some());
-                        if valid.is_empty() {
-                            dead.push((r, frontier));
-                        } else {
-                            sketch_rows.push((gi, r, valid));
-                        }
-                    }
-                }
-            }
-            for (r, frontier) in dead {
-                reqs[r].result = Some(Err(format!("no valid action at frontier {frontier:?}")));
-            }
-            let mut pending: Vec<Option<Action>> = vec![None; reqs.len()];
-            for (k, rows) in ptr_rows.iter().enumerate() {
-                if rows.is_empty() {
-                    continue;
-                }
-                let which = [NonTerminal::C, NonTerminal::T, NonTerminal::V][k];
-                let global: Vec<usize> = rows.iter().map(|&(gi, _)| gi).collect();
-                let f_k = g.gather_rows(f_all, &global);
-                let proj = self.pointer_project(g, ps, f_k, which);
-                for (j, &(_, r)) in rows.iter().enumerate() {
-                    let items = match which {
-                        NonTerminal::C => encs[r].columns,
-                        NonTerminal::T => encs[r].tables,
-                        _ => encs[r].values.expect("V frontier without candidates"),
-                    };
-                    let proj_r = if rows.len() == 1 {
-                        proj
-                    } else {
-                        g.slice_rows(proj, j, j + 1)
-                    };
-                    let scores = self.pointer_score_items(g, proj_r, items);
-                    let i = g.value(scores).argmax();
-                    pending[r] = Some(match which {
-                        NonTerminal::C => Action::C(i),
-                        NonTerminal::T => Action::T(i),
-                        _ => Action::V(i),
-                    });
-                }
-            }
-            if !sketch_rows.is_empty() {
-                let global: Vec<usize> = sketch_rows.iter().map(|&(gi, _, _)| gi).collect();
-                let f_s = g.gather_rows(f_all, &global);
-                let logits = self.sketch_head.forward(g, ps, f_s);
-                let mut mask = Tensor::full(sketch_rows.len(), SKETCH_VOCAB, -1e9);
-                for (j, (_, _, valid)) in sketch_rows.iter().enumerate() {
-                    for &i in valid {
-                        mask.set(j, i, 0.0);
-                    }
-                }
-                let m = g.input(mask);
-                let masked = g.add(logits, m);
-                for (j, (_, r, _)) in sketch_rows.iter().enumerate() {
-                    // Row argmax with `Tensor::argmax` semantics (first
-                    // strict maximum wins).
-                    let row = g.value(masked).row(j);
-                    let mut best = 0;
-                    for (i, &v) in row.iter().enumerate() {
-                        if v > row[best] {
-                            best = i;
-                        }
-                    }
-                    pending[*r] = Some(Action::from_sketch_index(best));
-                }
-            }
-            for &r in &active {
-                let Some(action) = pending[r] else { continue };
-                let enc = &encs[r];
-                let prev_emb = self.action_input(g, ps, enc, &action);
-                let rq = &mut reqs[r];
-                rq.prev_emb = prev_emb;
-                match rq.ts.apply(&action) {
-                    Ok(()) => {
-                        count_choice(&action);
-                        rq.actions.push(action);
-                    }
-                    Err(e) => {
-                        rq.result = Some(Err(format!("decoder chose invalid action: {e}")));
-                    }
-                }
-            }
-        }
-        reqs.into_iter()
-            .map(|rq| rq.result.expect("every request finished"))
-            .collect()
+        reqs.into_iter().map(|rq| rank_completed(rq.completed, width)).collect()
     }
 }
 

@@ -206,68 +206,41 @@ impl ValueNetModel {
         }
     }
 
-    /// Greedy grammar-constrained prediction.
+    /// Grammar-constrained prediction for a batch of inputs at beam `width`
+    /// (at least 1; `1` = greedy): every input is encoded on one inference tape, then all
+    /// of them decode together through [`Decoder::decode`], whose live
+    /// hypotheses ride the same fused LSTM/attention/pointer kernels, one
+    /// pass per search step. Returns, per input, up to `width` completed
+    /// action sequences, best first, with their summed log-probabilities;
+    /// each is bit-identical to predicting that input alone.
+    pub fn predict_batch(
+        &self,
+        inputs: &[&ModelInput],
+        width: usize,
+    ) -> Vec<Vec<(Vec<Action>, f32)>> {
+        Self::with_inference_tape(|g| {
+            let encs: Vec<Encodings> =
+                inputs.iter().map(|input| self.encode(g, input, None)).collect();
+            self.decoder.decode(g, &self.params, &encs, self.config.max_decode_steps, width)
+        })
+    }
+
+    /// Greedy grammar-constrained prediction: [`ValueNetModel::predict_batch`]
+    /// at width 1 on a batch of one.
     ///
     /// # Errors
-    /// Propagates decoding failures (step-budget exhaustion).
+    /// When the derivation does not complete within `max_decode_steps`.
     pub fn predict(&self, input: &ModelInput) -> Result<Vec<Action>, String> {
-        Self::with_inference_tape(|g| {
-            let enc = self.encode(g, input, None);
-            self.decoder.decode_greedy(g, &self.params, &enc, self.config.max_decode_steps)
+        let best = self.predict_batch(&[input], 1).remove(0).pop();
+        best.map(|(actions, _)| actions).ok_or_else(|| {
+            format!("decoding did not complete within {} steps", self.config.max_decode_steps)
         })
     }
 
-    /// Beam-search prediction: up to `config.beam_width` completed action
-    /// sequences, best first, with their summed log-probabilities.
+    /// Beam-search prediction: [`ValueNetModel::predict_batch`] at
+    /// `config.beam_width` on a batch of one.
     pub fn predict_beam(&self, input: &ModelInput) -> Vec<(Vec<Action>, f32)> {
-        Self::with_inference_tape(|g| {
-            let enc = self.encode(g, input, None);
-            self.decoder.decode_beam(
-                g,
-                &self.params,
-                &enc,
-                self.config.max_decode_steps,
-                self.config.beam_width.max(1),
-            )
-        })
-    }
-
-    /// Beam-search prediction for several inputs at once: all requests'
-    /// live hypotheses ride the same fused LSTM/attention/pointer kernels,
-    /// one pass per search step (see [`Decoder::decode_beam_multi`]). A
-    /// single input takes the exact [`ValueNetModel::predict_beam`] code
-    /// path; every result is bit-identical to predicting that input alone.
-    pub fn predict_beam_multi(&self, inputs: &[&ModelInput]) -> Vec<Vec<(Vec<Action>, f32)>> {
-        if inputs.len() == 1 {
-            return vec![self.predict_beam(inputs[0])];
-        }
-        Self::with_inference_tape(|g| {
-            let encs: Vec<Encodings> =
-                inputs.iter().map(|input| self.encode(g, input, None)).collect();
-            self.decoder.decode_beam_multi(
-                g,
-                &self.params,
-                &encs,
-                self.config.max_decode_steps,
-                self.config.beam_width.max(1),
-            )
-        })
-    }
-
-    /// Greedy prediction for several inputs at once, one fused step pass per
-    /// decode step (see [`Decoder::decode_greedy_multi`]). A single input
-    /// takes the exact [`ValueNetModel::predict`] code path; every result —
-    /// including error strings — is bit-identical to predicting that input
-    /// alone.
-    pub fn predict_greedy_multi(&self, inputs: &[&ModelInput]) -> Vec<Result<Vec<Action>, String>> {
-        if inputs.len() == 1 {
-            return vec![self.predict(inputs[0])];
-        }
-        Self::with_inference_tape(|g| {
-            let encs: Vec<Encodings> =
-                inputs.iter().map(|input| self.encode(g, input, None)).collect();
-            self.decoder.decode_greedy_multi(g, &self.params, &encs, self.config.max_decode_steps)
-        })
+        self.predict_batch(&[input], self.config.beam_width.max(1)).remove(0)
     }
 
     /// Beam-search prediction through the per-hypothesis reference decoder

@@ -420,14 +420,13 @@ impl Pipeline {
     }
 
     /// Decodes a batch of prepared requests — possibly from different
-    /// serving clients — in one fused pass, stamping each request's
-    /// hypotheses and adding the decode wall time to each request's
+    /// serving clients — in one fused pass at the configured beam width
+    /// ([`ValueNetModel::predict_batch`]; width 1 is greedy), stamping each
+    /// request's hypotheses and adding the decode wall time to each request's
     /// `encoder_decoder` timing (every co-batched request experiences the
-    /// full batch decode as latency).
-    ///
-    /// A batch of one takes the exact single-request code path
-    /// ([`ValueNetModel::predict_beam`] / [`ValueNetModel::predict`]), so a
-    /// lone in-flight request is bit-identical to the unbatched engine.
+    /// full batch decode as latency). Each request's hypotheses are
+    /// bit-identical to decoding it alone, so a lone in-flight request is
+    /// simply a batch of one.
     pub fn decode_batch(&self, batch: &mut [&mut PreparedRequest<'_>]) {
         if batch.is_empty() {
             return;
@@ -435,35 +434,10 @@ impl Pipeline {
         let t0 = Instant::now();
         {
             let _s = valuenet_obs::span("pipeline.encode_decode");
-            let beam = self.model.config.beam_width > 1;
-            if batch.len() == 1 {
-                let m = &mut *batch[0];
-                m.hypotheses = if beam {
-                    self.model.predict_beam(&m.input).into_iter().map(|(a, _)| a).collect()
-                } else {
-                    self.model.predict(&m.input).into_iter().collect()
-                };
-            } else {
-                let hyps: Vec<Vec<Vec<Action>>> = {
-                    let inputs: Vec<&crate::input::ModelInput> =
-                        batch.iter().map(|m| &m.input).collect();
-                    if beam {
-                        self.model
-                            .predict_beam_multi(&inputs)
-                            .into_iter()
-                            .map(|hs| hs.into_iter().map(|(a, _)| a).collect())
-                            .collect()
-                    } else {
-                        self.model
-                            .predict_greedy_multi(&inputs)
-                            .into_iter()
-                            .map(|r| r.into_iter().collect())
-                            .collect()
-                    }
-                };
-                for (m, h) in batch.iter_mut().zip(hyps) {
-                    m.hypotheses = h;
-                }
+            let inputs: Vec<&crate::input::ModelInput> = batch.iter().map(|m| &m.input).collect();
+            let hyps = self.model.predict_batch(&inputs, self.model.config.beam_width.max(1));
+            for (m, h) in batch.iter_mut().zip(hyps) {
+                m.hypotheses = h.into_iter().map(|(a, _)| a).collect();
             }
         }
         let dt = t0.elapsed();

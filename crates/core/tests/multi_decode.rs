@@ -1,19 +1,19 @@
 //! Cross-request batched decoding invariants on fixed-seed micro models.
 //!
-//! The serving engine merges the live hypotheses of *several concurrent
-//! requests* into one step batch per LSTM/attention/pointer pass
-//! (`decode_beam_multi` / `decode_greedy_multi`). Every fused kernel is
-//! row-stable, so co-batching requests must not change a single bit of any
-//! request's output relative to decoding it alone:
+//! `Decoder::decode` merges the live hypotheses of *several concurrent
+//! requests* into one step batch per LSTM/attention/pointer pass. Every
+//! fused kernel is row-stable, so co-batching requests must not change a
+//! single bit of any request's output relative to decoding it alone:
 //!
-//! * `decode_beam_multi` over N requests reproduces N independent
-//!   `decode_beam` calls exactly (actions and `f32` score bits),
-//! * `decode_greedy_multi` reproduces `decode_greedy` exactly, including
-//!   the error strings of requests that fail mid-batch,
-//! * the model-level `predict_beam_multi` / `predict_greedy_multi` hold the
-//!   same identity across all kernel tiers of the degradation ladder
-//!   (SIMD+fused, packed weights off, int8 quantized, forced scalar),
-//! * a batch of one takes the exact single-request code path.
+//! * each of N co-batched requests reproduces the per-hypothesis
+//!   `decode_beam_unbatched` oracle on that request alone (actions and `f32`
+//!   score bits), at widths 1 (greedy), 2 and 4,
+//! * the model-level `predict_batch` at widths 1 and 4 reproduces `predict`
+//!   and `predict_beam` per input across all kernel tiers of the
+//!   degradation ladder (SIMD+fused, packed weights off, int8 quantized,
+//!   forced scalar),
+//! * a step budget no derivation fits in leaves every co-batched request
+//!   without hypotheses, and `predict` reports it as an error.
 
 use std::sync::Mutex;
 
@@ -119,10 +119,9 @@ fn setup(seed: u64) -> (ParamStore, Encoder, Decoder, Vec<ModelInput>) {
     (ps, encoder, decoder, inputs)
 }
 
-fn model_setup(seed: u64, beam_width: usize) -> (ValueNetModel, Vec<ModelInput>) {
+fn model_setup(seed: u64, cfg: ModelConfig) -> (ValueNetModel, Vec<ModelInput>) {
     let db = demo_db();
     let vocab = build_vocab();
-    let cfg = ModelConfig { beam_width, ..micro_config() };
     let model = ValueNetModel::new(cfg, vocab.clone(), seed);
     let inputs = build_inputs(&db, &vocab);
     (model, inputs)
@@ -147,7 +146,7 @@ fn assert_beams_identical(
 }
 
 #[test]
-fn multi_request_beam_matches_independent_beams_exactly() {
+fn co_batched_requests_match_the_unbatched_oracle_exactly() {
     let _t = TIER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let mut nonempty = 0;
     for seed in [3u64, 17, 29, 41] {
@@ -157,13 +156,13 @@ fn multi_request_beam_matches_independent_beams_exactly() {
             let mut g = Graph::new();
             let encs: Vec<_> =
                 inputs.iter().map(|i| encoder.forward(&mut g, &ps, i, 0.0, None)).collect();
-            let multi = decoder.decode_beam_multi(&mut g, &ps, &encs, MAX_STEPS, width);
+            let multi = decoder.decode(&mut g, &ps, &encs, MAX_STEPS, width);
             assert_eq!(multi.len(), inputs.len());
 
             for (ri, input) in inputs.iter().enumerate() {
                 let mut g = Graph::new();
                 let enc = encoder.forward(&mut g, &ps, input, 0.0, None);
-                let single = decoder.decode_beam(&mut g, &ps, &enc, MAX_STEPS, width);
+                let single = decoder.decode_beam_unbatched(&mut g, &ps, &enc, MAX_STEPS, width);
                 assert_beams_identical(
                     &multi[ri],
                     &single,
@@ -177,57 +176,7 @@ fn multi_request_beam_matches_independent_beams_exactly() {
 }
 
 #[test]
-fn multi_request_greedy_matches_independent_greedy_exactly() {
-    let _t = TIER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let mut completed = 0;
-    for seed in [3u64, 17, 29, 41] {
-        let (ps, encoder, decoder, inputs) = setup(seed);
-
-        let mut g = Graph::new();
-        let encs: Vec<_> =
-            inputs.iter().map(|i| encoder.forward(&mut g, &ps, i, 0.0, None)).collect();
-        let multi = decoder.decode_greedy_multi(&mut g, &ps, &encs, MAX_STEPS);
-        assert_eq!(multi.len(), inputs.len());
-
-        for (ri, input) in inputs.iter().enumerate() {
-            let mut g = Graph::new();
-            let enc = encoder.forward(&mut g, &ps, input, 0.0, None);
-            let single = decoder.decode_greedy(&mut g, &ps, &enc, MAX_STEPS);
-            // Results must match exactly — including the error string of a
-            // request that fails mid-batch while its co-batched neighbours
-            // keep decoding.
-            assert_eq!(multi[ri], single, "seed {seed} request {ri}: greedy results differ");
-            completed += usize::from(single.is_ok());
-        }
-    }
-    assert!(completed >= 3, "too few requests completed ({completed}) — the check is vacuous");
-}
-
-#[test]
-fn multi_greedy_reports_per_request_step_budget_errors() {
-    let _t = TIER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    // With a step budget no derivation can finish in, every co-batched
-    // request must fail with exactly the error its solo decode produces.
-    let (ps, encoder, decoder, inputs) = setup(3);
-    let mut g = Graph::new();
-    let encs: Vec<_> =
-        inputs.iter().map(|i| encoder.forward(&mut g, &ps, i, 0.0, None)).collect();
-    let multi = decoder.decode_greedy_multi(&mut g, &ps, &encs, 2);
-    for (ri, input) in inputs.iter().enumerate() {
-        let mut g = Graph::new();
-        let enc = encoder.forward(&mut g, &ps, input, 0.0, None);
-        let single = decoder.decode_greedy(&mut g, &ps, &enc, 2);
-        assert_eq!(multi[ri], single, "request {ri}: truncated decode mismatch");
-        assert_eq!(
-            multi[ri].as_ref().unwrap_err(),
-            "decoding exceeded 2 steps",
-            "request {ri}: unexpected error shape"
-        );
-    }
-}
-
-#[test]
-fn model_level_multi_matches_singles_across_kernel_tiers() {
+fn predict_batch_matches_lone_predictions_across_kernel_tiers() {
     let _t = TIER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
 
     // The packed-weights flag is process-global; restore it even if an
@@ -240,20 +189,22 @@ fn model_level_multi_matches_singles_across_kernel_tiers() {
     }
     let _restore = RestorePacked;
 
-    let (model, inputs) = model_setup(17, 4);
+    let (model, inputs) = model_setup(17, ModelConfig { beam_width: 4, ..micro_config() });
     let refs: Vec<&ModelInput> = inputs.iter().collect();
 
     let run_tier = |tier: &str| {
-        let multi = model.predict_beam_multi(&refs);
-        let multi_greedy = model.predict_greedy_multi(&refs);
+        let greedy = model.predict_batch(&refs, 1);
+        let beam = model.predict_batch(&refs, 4);
+        assert_eq!((greedy.len(), beam.len()), (inputs.len(), inputs.len()));
         for (ri, input) in inputs.iter().enumerate() {
-            let single = model.predict_beam(input);
-            assert_beams_identical(&multi[ri], &single, &format!("tier {tier} request {ri}"));
+            let what = format!("tier {tier} request {ri}");
+            assert!(greedy[ri].len() <= 1, "{what}: width 1 kept {} hypotheses", greedy[ri].len());
             assert_eq!(
-                multi_greedy[ri],
-                model.predict(input),
-                "tier {tier} request {ri}: greedy results differ"
+                greedy[ri].first().map(|(a, _)| a.clone()),
+                model.predict(input).ok(),
+                "{what}: width-1 batch differs from predict()"
             );
+            assert_beams_identical(&beam[ri], &model.predict_beam(input), &what);
         }
     };
 
@@ -274,19 +225,24 @@ fn model_level_multi_matches_singles_across_kernel_tiers() {
 }
 
 #[test]
-fn batch_of_one_takes_the_single_request_path() {
+fn exhausted_step_budget_leaves_every_request_without_hypotheses() {
     let _t = TIER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    for seed in [3u64, 29] {
-        let (model, inputs) = model_setup(seed, 4);
-        for input in &inputs {
-            let multi = model.predict_beam_multi(&[input]);
-            assert_eq!(multi.len(), 1);
-            assert_beams_identical(&multi[0], &model.predict_beam(input), "beam singleton");
-            assert_eq!(
-                model.predict_greedy_multi(&[input])[0],
-                model.predict(input),
-                "greedy singleton differs from predict()"
-            );
+    // No derivation completes in two steps, so every co-batched request
+    // must come back empty at any width, and `predict` must say so.
+    let (ps, encoder, decoder, inputs) = setup(3);
+    for width in [1usize, 4] {
+        let mut g = Graph::new();
+        let encs: Vec<_> =
+            inputs.iter().map(|i| encoder.forward(&mut g, &ps, i, 0.0, None)).collect();
+        let multi = decoder.decode(&mut g, &ps, &encs, 2, width);
+        assert_eq!(multi.len(), inputs.len());
+        for (ri, hyps) in multi.iter().enumerate() {
+            assert!(hyps.is_empty(), "width {width} request {ri}: {} hypotheses", hyps.len());
         }
+    }
+    let (model, inputs) = model_setup(3, ModelConfig { max_decode_steps: 2, ..micro_config() });
+    for (ri, input) in inputs.iter().enumerate() {
+        let err = model.predict(input).expect_err("two steps cannot complete a derivation");
+        assert!(err.contains("2 steps"), "request {ri}: unexpected error {err:?}");
     }
 }

@@ -336,7 +336,7 @@ impl Graph {
 
     /// Rectified linear unit.
     pub fn relu(&mut self, a: Var) -> Var {
-        let v = self.value(a).map(|x| x.max(0.0));
+        let v = self.value(a).map(crate::simd::relu_scalar);
         let ng = self.any_needs_grad(&[a]);
         self.push(v, Op::Relu(a), ng, None)
     }
@@ -1193,7 +1193,8 @@ fn softmax_row(row: &mut [f32]) {
 
 /// Applies an activation in place, with the exact element expressions of the
 /// unfused [`Graph::tanh`] / [`Graph::sigmoid`] / [`Graph::relu`] maps (the
-/// Relu goes through the SIMD kernel, which is bit-pinned to `x.max(0.0)`).
+/// Relu goes through the SIMD kernel, which is bit-pinned to the scalar
+/// `simd::relu_scalar`).
 pub fn apply_activation(out: &mut Tensor, act: Activation) {
     match act {
         Activation::None => {}

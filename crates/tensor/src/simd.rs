@@ -571,10 +571,11 @@ mod x86 {
         }
     }
 
-    /// `dst[j] = dst[j].max(0.0)`, 128-bit lanes. `maxps(x, +0.0)` matches
-    /// the scalar `f32::max(x, 0.0)` lowering bit-for-bit: NaN → +0.0 and
-    /// −0.0 → +0.0 in both (the zero operand is the second source), which
-    /// the unit tests below pin.
+    /// `dst[j] = if dst[j] > 0.0 { dst[j] } else { 0.0 }`, 128-bit lanes.
+    /// `maxps(x, +0.0)` returns its second source unless `x > +0.0`, so it
+    /// matches that scalar expression bit-for-bit: NaN → +0.0 and −0.0 →
+    /// +0.0 in both, which the unit tests below pin. (`f32::max(x, 0.0)`
+    /// does not: it may keep −0.0, and does in debug builds.)
     pub unsafe fn relu_sse2(dst: &mut [f32]) {
         let m = dst.len();
         let zero = _mm_setzero_ps();
@@ -585,12 +586,12 @@ mod x86 {
             j += 4;
         }
         while j < m {
-            dst[j] = dst[j].max(0.0);
+            dst[j] = super::relu_scalar(dst[j]);
             j += 1;
         }
     }
 
-    /// `dst[j] = dst[j].max(0.0)`, 256-bit lanes.
+    /// `dst[j] = if dst[j] > 0.0 { dst[j] } else { 0.0 }`, 256-bit lanes.
     #[target_feature(enable = "avx2")]
     pub unsafe fn relu_avx2(dst: &mut [f32]) {
         let m = dst.len();
@@ -602,7 +603,7 @@ mod x86 {
             j += 8;
         }
         while j < m {
-            dst[j] = dst[j].max(0.0);
+            dst[j] = super::relu_scalar(dst[j]);
             j += 1;
         }
     }
@@ -890,7 +891,18 @@ pub fn div(dst: &mut [f32], d: f32) {
     div_at(level(), dst, d);
 }
 
-/// `dst[j] = dst[j].max(0.0)`, at an explicit level.
+/// The scalar ReLU every tier matches: `x` when `x > 0.0`, else `+0.0`
+/// (so −0.0 and NaN both map to +0.0, as `maxps(x, +0.0)` does).
+#[inline]
+pub(crate) fn relu_scalar(x: f32) -> f32 {
+    if x > 0.0 {
+        x
+    } else {
+        0.0
+    }
+}
+
+/// `dst[j] = relu_scalar(dst[j])`, at an explicit level.
 pub fn relu_at(lvl: SimdLevel, dst: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
     match lvl {
@@ -900,11 +912,11 @@ pub fn relu_at(lvl: SimdLevel, dst: &mut [f32]) {
     }
     let _ = lvl;
     for x in dst.iter_mut() {
-        *x = x.max(0.0);
+        *x = relu_scalar(*x);
     }
 }
 
-/// `dst[j] = dst[j].max(0.0)` at the process-wide level.
+/// `dst[j] = relu_scalar(dst[j])` at the process-wide level.
 pub fn relu(dst: &mut [f32]) {
     relu_at(level(), dst);
 }
@@ -974,8 +986,9 @@ mod tests {
 
     #[test]
     fn relu_matches_scalar_on_special_values() {
-        // −0.0 and NaN are exactly where `maxps` could diverge from the
-        // scalar lowering of `f32::max(x, 0.0)`; pin them bit-for-bit.
+        // −0.0 and NaN are exactly where `maxps` could diverge from a
+        // scalar ReLU (`f32::max(x, 0.0)` keeps −0.0 in debug builds); pin
+        // them bit-for-bit against the written-out comparison.
         let specials = [-0.0f32, 0.0, f32::NAN, -f32::NAN, 1.5, -1.5, f32::MIN_POSITIVE];
         for lvl in levels() {
             for pad in 0..9 {
@@ -983,7 +996,7 @@ mod tests {
                 base.extend(std::iter::repeat_n(-0.0, pad));
                 let mut scalar = base.clone();
                 for x in scalar.iter_mut() {
-                    *x = x.max(0.0);
+                    *x = if *x > 0.0 { *x } else { 0.0 };
                 }
                 let mut vec = base.clone();
                 relu_at(lvl, &mut vec);

@@ -41,24 +41,19 @@ fn arg(args: &[String], name: &str) -> Option<String> {
 /// malformed value exits with status 2 rather than falling back silently.
 fn arg_usize_opt(args: &[String], name: &str) -> Option<usize> {
     let i = args.iter().position(|a| a == name)?;
-    Some(parse_usize(name, args.get(i + 1).map(String::as_str)))
-}
-
-fn arg_usize(args: &[String], name: &str, default: usize) -> usize {
-    arg_usize_opt(args, name).unwrap_or(default)
-}
-
-/// Parses the value of a numeric flag or environment variable `what`.
-fn parse_usize(what: &str, value: Option<&str>) -> usize {
-    let got = match value {
+    let got = match args.get(i + 1) {
         Some(v) => match v.parse() {
-            Ok(n) => return n,
+            Ok(n) => return Some(n),
             Err(_) => format!("{v:?}"),
         },
         None => "nothing".to_string(),
     };
-    eprintln!("error: {what} expects a non-negative integer, got {got}");
+    eprintln!("error: {name} expects a non-negative integer, got {got}");
     std::process::exit(2);
+}
+
+fn arg_usize(args: &[String], name: &str, default: usize) -> usize {
+    arg_usize_opt(args, name).unwrap_or(default)
 }
 
 fn load_bundle(path: &str) -> (Pipeline, Corpus) {
@@ -244,18 +239,13 @@ fn cmd_serve(args: &[String]) {
         eprintln!("serving with int8 quantized weights");
     }
     let defaults = ServeConfig::default();
-    // Batching window: --batch-window µs wins, then VN_BATCH_WINDOW_US,
-    // then the config default (off).
-    let env_window = std::env::var("VN_BATCH_WINDOW_US")
-        .ok()
-        .map(|v| parse_usize("VN_BATCH_WINDOW_US", Some(&v)) as u64)
-        .unwrap_or(defaults.batch_window_us);
     let cfg = ServeConfig {
         workers: arg_usize(args, "--workers", defaults.workers),
         queue_capacity: arg_usize(args, "--queue", defaults.queue_capacity),
         default_deadline_ms: arg_usize(args, "--deadline-ms", 0) as u64,
         allow_fault_injection: args.iter().any(|a| a == "--allow-faults"),
-        batch_window_us: arg_usize(args, "--batch-window", env_window as usize) as u64,
+        batch_window_us: arg_usize(args, "--batch-window", defaults.batch_window_us as usize)
+            as u64,
         batch_max: arg_usize(args, "--batch-max", defaults.batch_max),
         ..defaults
     };
@@ -321,7 +311,7 @@ fn main() {
                  \x20 repl  --model model.json --db <db_id>\n\
                  \x20 serve --model model.json --socket valuenet.sock [--load ckpt.jsonl] [--quantized]\n\
                  \x20       [--workers N] [--queue N] [--deadline-ms N] [--allow-faults]\n\
-                 \x20       [--batch-window US] [--batch-max N]   (env: VN_BATCH_WINDOW_US)\n\
+                 \x20       [--batch-window US] [--batch-max N]\n\
                  \x20 dbs   [--seed N]"
             );
             std::process::exit(2);
