@@ -5,10 +5,13 @@
 //! post-processing 13±2, query execution 15±3; total ≈ 418 ms.
 //!
 //! Absolute numbers are incomparable (different hardware, a small
-//! from-scratch model instead of BERT); the *shape* to verify is that the
-//! value lookup — a scan over the database content — dominates as the
-//! databases grow. `VN_ROWS` scales the bases; the default here is larger
-//! than the other binaries so the lookup-bound regime is visible.
+//! from-scratch model instead of BERT). In the paper the value lookup takes
+//! 56% of a translation. Here the inverted index blocks on length and
+//! character set before it computes any distance, so the run prints the
+//! lookup's measured share beside the paper's rather than expecting the
+//! two to match. `VN_ROWS` scales the bases; the default here (2000) is
+//! larger than the other binaries' so that the stages whose cost grows with
+//! the data show.
 //!
 //! ```text
 //! cargo run --release -p valuenet-bench --bin table2_translation_time
@@ -22,7 +25,7 @@ use valuenet_eval::TextTable;
 fn main() {
     let mut cfg = BenchConfig::from_env();
     if std::env::var("VN_ROWS").is_err() {
-        cfg.rows_per_table = 2000; // lookup-bound regime by default here
+        cfg.rows_per_table = 2000;
     }
     let corpus = generate(&cfg.corpus(0));
     eprintln!("training ValueNet (full mode) on {}-row tables...", cfg.rows_per_table);
@@ -79,8 +82,5 @@ fn main() {
     print!("{table}");
     println!("\ntotal: {total:.3} ms per query (paper: ~418 ms on a Tesla V100 testbed)");
     let (lm, _) = mean_std(&lookup);
-    println!(
-        "shape check: value lookup share = {:.0}% (paper: 56%; grows with VN_ROWS)",
-        100.0 * lm / total
-    );
+    println!("value lookup share: {:.1}% of the total (paper: 56%)", 100.0 * lm / total);
 }

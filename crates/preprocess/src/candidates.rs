@@ -324,8 +324,7 @@ pub fn generate_candidates(
         }
     }
 
-    // Suppress candidates that merely echo schema words with no DB backing
-    // (e.g. a capitalized "Students" heading) — unless numeric.
+    // `tokens` is unused; the parameter stays for the callers that pass it.
     let _ = tokens;
     out.sort_by_key(|c| c.source.rank());
     out.truncate(cfg.max_candidates);

@@ -5,6 +5,10 @@
 //! This is the optimal-string-alignment variant (each substring may be
 //! transposed at most once), computed over Unicode scalar values with a
 //! rolling three-row buffer.
+//!
+//! [`damerau_levenshtein`] computes the full distance and is the reference;
+//! the similarity search runs [`osa_within`], the same recurrence with a
+//! cap, on row buffers it reuses from one value to the next.
 
 /// Damerau–Levenshtein (optimal string alignment) distance between `a` and
 /// `b`, case-sensitive. Compare lowercased inputs for the case-insensitive
@@ -39,6 +43,59 @@ pub fn damerau_levenshtein(a: &str, b: &str) -> usize {
         std::mem::swap(&mut prev1, &mut cur);
     }
     prev1[m]
+}
+
+/// Row buffers for [`osa_within`], reused across calls so that a search
+/// over many values allocates them once.
+#[derive(Debug, Default)]
+pub(crate) struct OsaRows {
+    prev2: Vec<usize>,
+    prev1: Vec<usize>,
+    cur: Vec<usize>,
+}
+
+/// The distance [`damerau_levenshtein`] computes between `a` and `b`, if it
+/// is at most `max`; `None` otherwise.
+///
+/// It runs the same recurrence row by row and stops as soon as every cell
+/// of a row exceeds `max`: no cell is smaller than the smallest cell of the
+/// row above it (a transposition from two rows up costs at least the
+/// diagonal cell of the row above), so the final cell cannot come back
+/// under the cap.
+pub(crate) fn osa_within(a: &[char], b: &[char], max: usize, rows: &mut OsaRows) -> Option<usize> {
+    let (n, m) = (a.len(), b.len());
+    if n.abs_diff(m) > max {
+        return None;
+    }
+    if n == 0 || m == 0 {
+        return Some(n.max(m));
+    }
+    let OsaRows { prev2, prev1, cur } = rows;
+    for row in [&mut *prev2, &mut *cur] {
+        row.clear();
+        row.resize(m + 1, 0);
+    }
+    prev1.clear();
+    prev1.extend(0..=m);
+    for i in 1..=n {
+        cur[0] = i;
+        let mut row_min = i;
+        for j in 1..=m {
+            let cost = usize::from(a[i - 1] != b[j - 1]);
+            let mut d = (prev1[j] + 1).min(cur[j - 1] + 1).min(prev1[j - 1] + cost);
+            if i > 1 && j > 1 && a[i - 1] == b[j - 2] && a[i - 2] == b[j - 1] {
+                d = d.min(prev2[j - 2] + 1);
+            }
+            cur[j] = d;
+            row_min = row_min.min(d);
+        }
+        if row_min > max {
+            return None;
+        }
+        std::mem::swap(prev2, prev1);
+        std::mem::swap(prev1, cur);
+    }
+    Some(prev1[m]).filter(|&d| d <= max)
 }
 
 #[cfg(test)]
@@ -89,6 +146,21 @@ mod tests {
             let min = a.chars().count().min(b.chars().count());
             prop_assert!(d <= max);
             prop_assert!(d >= max - min);
+        }
+
+        #[test]
+        fn capped_distance_agrees_with_full(
+            a in "[abcİ]{0,9}",
+            b in "[abcİ]{0,9}",
+            k in 0usize..5,
+        ) {
+            let (ac, bc): (Vec<char>, Vec<char>) = (a.chars().collect(), b.chars().collect());
+            let full = damerau_levenshtein(&a, &b);
+            let mut rows = OsaRows::default();
+            let capped = osa_within(&ac, &bc, k, &mut rows);
+            prop_assert_eq!(capped, Some(full).filter(|&d| d <= k));
+            // The buffers carry nothing from one call to the next.
+            prop_assert_eq!(osa_within(&bc, &ac, k, &mut rows), capped);
         }
 
         #[test]

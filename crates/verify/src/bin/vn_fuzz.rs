@@ -2,13 +2,18 @@
 //!
 //! ```text
 //! vn-fuzz [--cases N] [--seed S] [--replay CASE_SEED] [--inject-divergence]
-//!         [--fail-log PATH] [--quant N] [--serve N] [--serve-replay CASE_SEED]
-//!         [--report PATH]
+//!         [--fail-log PATH] [--quant N] [--lookup N] [--serve N]
+//!         [--serve-replay CASE_SEED] [--report PATH]
 //! ```
 //!
 //! `--quant N` switches to kernel mode: `N` seeded cases fuzz the packed and
 //! int8-quantized matmul kernels against their scalar oracles
 //! (`valuenet_verify::quant_fuzz`) instead of the SQL executor.
+//!
+//! `--lookup N` switches to lookup mode: `N` seeded cases compare the
+//! inverted index's similarity search with a scan that has no blocking, and
+//! `like_match` with the oracle's recursive LIKE
+//! (`valuenet_verify::lookup_fuzz`).
 //!
 //! `--serve N` switches to serving mode: a trained tiny pipeline is served
 //! over a Unix socket and `N` seeded fault cases (worker panics, stage
@@ -38,6 +43,7 @@ fn main() -> ExitCode {
     let mut replay: Option<u64> = None;
     let mut fail_log: Option<String> = None;
     let mut quant: Option<usize> = None;
+    let mut lookup: Option<usize> = None;
     let mut serve: Option<usize> = None;
     let mut serve_replay: Option<u64> = None;
     let mut report_path: Option<String> = None;
@@ -65,6 +71,9 @@ fn main() -> ExitCode {
             "--quant" => {
                 quant = Some(parse_num(&take("a case count")) as usize);
             }
+            "--lookup" => {
+                lookup = Some(parse_num(&take("a case count")) as usize);
+            }
             "--serve" => {
                 serve = Some(parse_num(&take("a case count")) as usize);
             }
@@ -76,7 +85,7 @@ fn main() -> ExitCode {
                 eprintln!(
                     "usage: vn-fuzz [--cases N] [--seed S] [--replay CASE_SEED] \
                      [--inject-divergence] [--fail-log PATH] [--quant N] \
-                     [--serve N] [--serve-replay CASE_SEED] [--report PATH]"
+                     [--lookup N] [--serve N] [--serve-replay CASE_SEED] [--report PATH]"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -172,6 +181,27 @@ fn main() -> ExitCode {
         );
         for (seed, desc) in &report.failures {
             println!("  seed {seed}: {desc}");
+        }
+        valuenet_obs::finish();
+        return if report.failures.is_empty() { ExitCode::SUCCESS } else { ExitCode::FAILURE };
+    }
+
+    if let Some(cases) = lookup {
+        // Lookup mode: the blocked similarity search and the iterative LIKE
+        // matcher against their unblocked and recursive references.
+        let report = valuenet_verify::run_lookup_fuzz(cases, cfg.seed);
+        println!(
+            "vn-fuzz --lookup: {} cases (seed {}): {} (query, k) lookups with {} hits, \
+             {} LIKE pairs; {} failures",
+            report.cases,
+            cfg.seed,
+            report.counts.lookups,
+            report.counts.hits,
+            report.counts.like_pairs,
+            report.failures.len()
+        );
+        for (_, desc) in &report.failures {
+            println!("  {desc}");
         }
         valuenet_obs::finish();
         return if report.failures.is_empty() { ExitCode::SUCCESS } else { ExitCode::FAILURE };

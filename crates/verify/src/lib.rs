@@ -20,6 +20,9 @@
 //! * [`fuzz`] ties the generators and the oracle into deterministic seed
 //!   streams with bit-identical `--replay`, and [`shrink`] greedily
 //!   minimises failing cases before they are reported.
+//! * [`lookup_fuzz`] checks the inverted index's blocked similarity search
+//!   against a scan with no blocking, and the executor's LIKE matcher
+//!   against the oracle's recursive one, on seeded random strings.
 //! * [`serve_fault`] turns the same seed-stream discipline on the serving
 //!   engine: seeded worker panics, stage stalls, overload bursts and
 //!   malformed protocol frames against a live `valuenet-serve` socket,
@@ -27,10 +30,12 @@
 //!   responses versus the single-process pipeline.
 //!
 //! The `vn-fuzz` binary is a thin CLI over [`fuzz::run_fuzz`] (and, with
-//! `--serve N`, over [`serve_fault::run_serve_fuzz`]).
+//! `--serve N`, over [`serve_fault::run_serve_fuzz`]; with `--lookup N`,
+//! over [`lookup_fuzz::run_lookup_fuzz`]).
 
 pub mod fuzz;
 pub mod gradcheck;
+pub mod lookup_fuzz;
 pub mod oracle;
 pub mod quant_fuzz;
 pub mod schema_gen;
@@ -44,7 +49,8 @@ pub use serve_fault::{
 };
 pub use quant_fuzz::{run_quant_case, run_quant_fuzz, QuantFuzzReport};
 pub use gradcheck::{grad_check, GradCheckConfig, GradReport};
-pub use oracle::{reference_execute, OracleError};
+pub use lookup_fuzz::{gen_lookup_case, reference_find_similar, run_lookup_fuzz};
+pub use oracle::{reference_execute, reference_like_match, OracleError};
 pub use schema_gen::gen_database;
 pub use shrink::{shrink_case, Case};
 pub use tree_gen::gen_semql;

@@ -20,7 +20,7 @@ use valuenet_schema::TableId;
 use valuenet_sql::{
     AggFunc, BinOp, ColumnRef, CompoundOp, Expr, Literal, OrderItem, SelectCore, SelectStmt,
 };
-use valuenet_storage::{like_match, Database, Datum};
+use valuenet_storage::{Database, Datum};
 
 /// Reference-interpreter failure. The variants deliberately cover the same
 /// conditions `valuenet_exec::ExecError` reports; the fuzz harness compares
@@ -535,9 +535,11 @@ impl<'a> Scope<'a> {
                 let v = self.eval(expr, ctx)?;
                 let p = self.eval(pattern, ctx)?;
                 let matched = match (v.as_text(), p.as_text()) {
-                    (Some(t), Some(pat)) => like_match(&pat.to_lowercase(), &t.to_lowercase()),
+                    (Some(t), Some(pat)) => {
+                        reference_like_match(&pat.to_lowercase(), &t.to_lowercase())
+                    }
                     (None, Some(pat)) if !v.is_null() => {
-                        like_match(&pat.to_lowercase(), &v.to_string().to_lowercase())
+                        reference_like_match(&pat.to_lowercase(), &v.to_string().to_lowercase())
                     }
                     _ => false,
                 };
@@ -597,6 +599,25 @@ impl<'a> Scope<'a> {
             AggFunc::Max => values.into_iter().max_by(|a, b| a.total_cmp(b)).unwrap_or(Datum::Null),
         })
     }
+}
+
+/// SQL LIKE by straight recursion: at each `%`, every split of the rest of
+/// the text is tried. It is the oracle's LIKE and the reference that
+/// `vn-fuzz --lookup` checks the executor's `valuenet_storage::like_match`
+/// against. Its time is exponential in the number of `%` on a miss, which
+/// only the fuzzers' short inputs can afford.
+pub fn reference_like_match(pattern: &str, text: &str) -> bool {
+    fn rec(p: &[char], t: &[char]) -> bool {
+        match p.split_first() {
+            None => t.is_empty(),
+            Some(('%', rest)) => (0..=t.len()).any(|k| rec(rest, &t[k..])),
+            Some(('_', rest)) => !t.is_empty() && rec(rest, &t[1..]),
+            Some((&c, rest)) => t.first() == Some(&c) && rec(rest, &t[1..]),
+        }
+    }
+    let p: Vec<char> = pattern.chars().collect();
+    let t: Vec<char> = text.chars().collect();
+    rec(&p, &t)
 }
 
 fn cmp_datum(l: &Datum, r: &Datum, f: impl Fn(std::cmp::Ordering) -> bool) -> Datum {
