@@ -296,7 +296,7 @@ impl Decoder {
     ///
     /// Steps every hypothesis through its own `[1, ·]` LSTM + attention call.
     /// Kept as the differential oracle for the batched search (the two must
-    /// agree bit-for-bit) and as the baseline arm of the speed benchmark.
+    /// agree bit-for-bit).
     pub fn decode_beam_unbatched(
         &self,
         g: &mut Graph,

@@ -96,7 +96,9 @@ impl Encoder {
     }
 
     /// Summarises one multi-token item with the shared Bi-LSTM and projects
-    /// it to the model dimension.
+    /// it to the model dimension: the oracle [`Encoder::summarize_items`] is
+    /// tested against.
+    #[cfg(test)]
     fn summarize_item(
         &self,
         g: &mut Graph,
@@ -116,16 +118,8 @@ impl Encoder {
     /// through [`BiLstm::summarize_steps`] — a handful of `[N, ·]` matmuls
     /// per step instead of hundreds of matvecs per sample. Row `i` of the
     /// result is bit-identical to `summarize_item(items[i])` (row-wise ops,
-    /// per-row-independent kernels; pinned by `tests/encoder_batch.rs`).
-    ///
-    /// Batching is part of the allocation-free execution rework and follows
-    /// its master toggle: with [`valuenet_tensor::fusion_enabled`] off, each
-    /// item is summarised separately, exactly as the pre-rework encoder did —
-    /// the baseline arm of the speed benchmark.
+    /// per-row-independent kernels; pinned by the unit test below).
     fn summarize_items(&self, g: &mut Graph, ps: &ParamStore, items: &[&[usize]]) -> Vec<Var> {
-        if !valuenet_tensor::fusion_enabled() {
-            return items.iter().map(|ids| self.summarize_item(g, ps, ids)).collect();
-        }
         // Bucket item indices by token count; BTreeMap keeps bucket order
         // deterministic (ascending length).
         let mut buckets: std::collections::BTreeMap<usize, Vec<usize>> =
@@ -229,5 +223,40 @@ impl Encoder {
         let ones = g.input(valuenet_tensor::Tensor::full(1, tq, 1.0 / tq as f32));
         let pooled = g.matmul(ones, question);
         Encodings { question, columns, tables, values, pooled }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::SeedableRng;
+
+    fn bits(g: &Graph, v: Var) -> Vec<u32> {
+        g.value(v).as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Forward values are exactly reproducible: every op involved is row-wise
+    /// with per-row-independent accumulation. (Parameter gradients are not
+    /// compared bitwise — batching legitimately reorders the scatter-add
+    /// accumulation across gather nodes; the valuenet-verify gradient
+    /// checker covers them.)
+    #[test]
+    fn batched_item_summaries_match_per_item_exactly() {
+        // Schema-like items of mixed token lengths ("stu id", "name", "home
+        // country", a located value ...), interleaved so every bucket has
+        // several members whose rows must scatter back to item order.
+        let items: [&[usize]; 9] =
+            [&[1, 2], &[3], &[4], &[5, 6], &[1, 2], &[7, 3], &[8], &[9], &[10, 8, 5, 6]];
+        for seed in [5u64, 19, 33] {
+            let mut ps = ParamStore::new();
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let encoder = Encoder::new(&mut ps, &mut rng, &ModelConfig::tiny(), 11);
+            let mut g = Graph::new();
+            let batched = encoder.summarize_items(&mut g, &ps, &items);
+            for (i, ids) in items.iter().enumerate() {
+                let single = encoder.summarize_item(&mut g, &ps, ids);
+                assert_eq!(bits(&g, batched[i]), bits(&g, single), "seed {seed}: item {i} differs");
+            }
+        }
     }
 }

@@ -182,13 +182,12 @@ impl ValueNetModel {
     }
 
     /// Runs `f` on a thread-local recycled tape (capacity and, through the
-    /// buffer pool, every tensor from the previous query survive), or on a
-    /// fresh tape when the execution rework is toggled off — the pre-rework
-    /// behaviour the speed benchmark's baseline arm measures. Under
-    /// [`ValueNetModel::with_scalar_fallback`] the recycled inference tape
-    /// (and with it every packed/quantized fast path) is bypassed.
+    /// buffer pool, every tensor from the previous query survive). Under
+    /// [`ValueNetModel::with_scalar_fallback`] it runs on a fresh
+    /// non-inference tape instead, bypassing every packed/quantized fast
+    /// path.
     fn with_inference_tape<R>(f: impl FnOnce(&mut Graph) -> R) -> R {
-        if valuenet_tensor::fusion_enabled() && !Self::scalar_fallback_active() {
+        if !Self::scalar_fallback_active() {
             thread_local! {
                 static TAPE: std::cell::RefCell<Graph> = std::cell::RefCell::new(Graph::new());
             }
@@ -245,8 +244,7 @@ impl ValueNetModel {
 
     /// Beam-search prediction through the per-hypothesis reference decoder
     /// ([`Decoder::decode_beam_unbatched`]). Bit-identical to
-    /// [`ValueNetModel::predict_beam`]; kept as the differential oracle and
-    /// the baseline arm of the speed benchmark.
+    /// [`ValueNetModel::predict_beam`]; kept as the differential oracle.
     pub fn predict_beam_unbatched(&self, input: &ModelInput) -> Vec<(Vec<Action>, f32)> {
         let mut g = Graph::new();
         let enc = self.encode(&mut g, input, None);

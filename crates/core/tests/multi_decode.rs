@@ -10,12 +10,10 @@
 //!   score bits), at widths 1 (greedy), 2 and 4,
 //! * the model-level `predict_batch` at widths 1 and 4 reproduces `predict`
 //!   and `predict_beam` per input across all kernel tiers of the
-//!   degradation ladder (SIMD+fused, packed weights off, int8 quantized,
-//!   forced scalar),
+//!   degradation ladder (SIMD+fused packed weights, int8 quantized, forced
+//!   scalar),
 //! * a step budget no derivation fits in leaves every co-batched request
 //!   without hypotheses, and `predict` reports it as an error.
-
-use std::sync::Mutex;
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -31,11 +29,6 @@ use valuenet_tensor::Graph;
 // Untrained weights can wander through deeply nested derivations before
 // completing, so the cap is well above anything a trained model needs.
 const MAX_STEPS: usize = 200;
-
-/// `set_packed_inference` is process-global, and every test here compares
-/// two decodes bit-for-bit — a concurrent tier flip between the two halves
-/// would produce spurious mismatches. All tests serialise on this lock.
-static TIER_LOCK: Mutex<()> = Mutex::new(());
 
 fn demo_db() -> Database {
     let schema = SchemaBuilder::new("d")
@@ -147,7 +140,6 @@ fn assert_beams_identical(
 
 #[test]
 fn co_batched_requests_match_the_unbatched_oracle_exactly() {
-    let _t = TIER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let mut nonempty = 0;
     for seed in [3u64, 17, 29, 41] {
         for width in [1usize, 2, 4] {
@@ -177,18 +169,6 @@ fn co_batched_requests_match_the_unbatched_oracle_exactly() {
 
 #[test]
 fn predict_batch_matches_lone_predictions_across_kernel_tiers() {
-    let _t = TIER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-
-    // The packed-weights flag is process-global; restore it even if an
-    // assertion below unwinds so sibling tests keep a sane tier.
-    struct RestorePacked;
-    impl Drop for RestorePacked {
-        fn drop(&mut self) {
-            valuenet_nn::set_packed_inference(true);
-        }
-    }
-    let _restore = RestorePacked;
-
     let (model, inputs) = model_setup(17, ModelConfig { beam_width: 4, ..micro_config() });
     let refs: Vec<&ModelInput> = inputs.iter().collect();
 
@@ -211,10 +191,6 @@ fn predict_batch_matches_lone_predictions_across_kernel_tiers() {
     // Default tier: SIMD + fused graph ops + packed weights.
     run_tier("default");
 
-    valuenet_nn::set_packed_inference(false);
-    run_tier("packed-off");
-    valuenet_nn::set_packed_inference(true);
-
     model.params.set_quantized(true);
     run_tier("int8");
     model.params.set_quantized(false);
@@ -226,7 +202,6 @@ fn predict_batch_matches_lone_predictions_across_kernel_tiers() {
 
 #[test]
 fn exhausted_step_budget_leaves_every_request_without_hypotheses() {
-    let _t = TIER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     // No derivation completes in two steps, so every co-batched request
     // must come back empty at any width, and `predict` must say so.
     let (ps, encoder, decoder, inputs) = setup(3);

@@ -60,36 +60,6 @@ pub use linear::{Embedding, Linear};
 pub use lstm::{BiLstm, Lstm, LstmCell, LstmState};
 pub use store::{PackedParam, ParamId, ParamStore};
 
-use std::sync::atomic::{AtomicU8, Ordering};
-
-/// 0 = read `VN_PACKED` on first use, 1 = on, 2 = off.
-static PACKED_INFERENCE: AtomicU8 = AtomicU8::new(0);
-
-/// Whether layers route inference-mode forwards through the packed-weight
-/// cache ([`ParamStore::packed_param`]). Defaults to on; `VN_PACKED=0`
-/// disables it from the environment (the f32 results are bit-identical
-/// either way — only speed changes).
-pub fn packed_inference_enabled() -> bool {
-    match PACKED_INFERENCE.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => {
-            let off = matches!(
-                std::env::var("VN_PACKED").ok().as_deref(),
-                Some("0") | Some("off") | Some("false")
-            );
-            PACKED_INFERENCE.store(if off { 2 } else { 1 }, Ordering::Relaxed);
-            !off
-        }
-    }
-}
-
-/// Overrides the packed-inference toggle (used by benchmarks to measure the
-/// unpacked baseline).
-pub fn set_packed_inference(on: bool) {
-    PACKED_INFERENCE.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-}
-
 /// Samples an inverted-dropout mask of `len` entries with drop probability
 /// `p`: each entry is `0.0` with probability `p`, otherwise `1/(1-p)`.
 pub fn dropout_mask(rng: &mut impl rand::Rng, len: usize, p: f32) -> Vec<f32> {

@@ -58,7 +58,7 @@ impl Linear {
     /// quantized) weights — bit-identical on the f32 path.
     pub fn forward_act(&self, g: &mut Graph, ps: &ParamStore, x: Var, act: Activation) -> Var {
         debug_assert_eq!(g.value(x).cols(), self.in_dim, "Linear: input dim mismatch");
-        if g.inference_mode() && crate::packed_inference_enabled() {
+        if g.inference_mode() {
             return ps.forward_linear(g, x, self.w, self.b, act);
         }
         let w = ps.var(g, self.w);
@@ -104,7 +104,7 @@ impl Embedding {
     /// the full-table parameter clone.
     pub fn forward(&self, g: &mut Graph, ps: &ParamStore, ids: &[usize]) -> Var {
         debug_assert!(ids.iter().all(|&i| i < self.vocab), "Embedding: id out of vocab");
-        if g.inference_mode() && crate::packed_inference_enabled() {
+        if g.inference_mode() {
             return ps.gather_rows(g, self.table, ids);
         }
         let table = ps.var(g, self.table);

@@ -94,7 +94,7 @@ impl LstmCell {
             g.value(state.h).rows(),
             "LstmCell: input/state batch mismatch"
         );
-        if g.inference_mode() && crate::packed_inference_enabled() {
+        if g.inference_mode() {
             // Off-tape path: packed (or int8 quantized) weight matmuls, same
             // summation order as the tape ops, so f32 results are
             // bit-identical.

@@ -4,8 +4,8 @@
 //!
 //! Walks the document (or each JSONL line) for SLO reports — any object
 //! carrying both `availability_burn` and `latency_burn`, wherever it is
-//! nested (a `stats` verb dump, `BENCH_serve.json`, a bare `type:"slo"`
-//! stream) — and exits nonzero when any burn rate exceeds `max-burn`
+//! nested (a `stats` verb dump such as `vn_serve_smoke --slo-out` writes,
+//! or a bare `type:"slo"` stream) — and exits nonzero when any burn rate exceeds `max-burn`
 //! (default 1.0, i.e. the error budget is being consumed faster than
 //! provisioned). Finding no SLO report at all is also a failure: a gate
 //! that silently checks nothing is worse than no gate.

@@ -17,7 +17,7 @@
 //! Everything is gated on one process-wide flag: with observability disabled
 //! (the default) a span is a single relaxed atomic load and a counter add is
 //! the same, so instrumented kernels stay within noise of uninstrumented
-//! ones (`BENCH_obs.json` tracks the measured delta).
+//! ones.
 //!
 //! Sinks, selected via environment variables (read by [`init_from_env`]):
 //!

@@ -26,8 +26,8 @@ use crate::{Snapshot, SpanStat};
 use std::io::{BufWriter, Write};
 
 /// Version stamp written into every JSONL stream and run report. Bump when
-/// a field changes meaning so downstream parsers of the perf trajectory
-/// (e.g. `BENCH_parallel.json` history) can dispatch on it.
+/// a field changes meaning so downstream parsers (`vn-obs-check`, saved
+/// run reports and checkpoints) can dispatch on it.
 pub const RUN_REPORT_SCHEMA_VERSION: i64 = 1;
 
 // ---------------------------------------------------------------------------
@@ -36,8 +36,7 @@ pub const RUN_REPORT_SCHEMA_VERSION: i64 = 1;
 
 /// Writes JSON objects one per line, stamping each record with
 /// `schema_version` (unless the record already carries one). Used by the
-/// observability event stream and by benchmark binaries
-/// (`BENCH_parallel.json`, `BENCH_obs.json`) so every machine-readable
+/// observability event stream and by checkpoints, so every machine-readable
 /// artifact in the repository shares one versioned envelope.
 pub struct JsonlWriter {
     out: BufWriter<std::fs::File>,

@@ -80,9 +80,6 @@ pub struct ServeConfig {
     pub flight_capacity: usize,
     /// Service-level objectives evaluated by the `stats` verb.
     pub slo: SloPolicy,
-    /// Whether per-request traces are recorded (always-on default; the
-    /// overhead benchmark's untraced arm is the only intended off-switch).
-    pub record_traces: bool,
     /// Cross-request batching window in µs (`0` = decode every request
     /// alone, the pre-batching behaviour). With a window, a worker that
     /// dequeues a request keeps collecting concurrently queued requests for
@@ -105,7 +102,6 @@ impl Default for ServeConfig {
             allow_fault_injection: false,
             flight_capacity: 256,
             slo: SloPolicy::default(),
-            record_traces: true,
             batch_window_us: 0,
             batch_max: 8,
         }
@@ -151,7 +147,7 @@ struct Job {
     degraded: bool,
     /// The request's trace, carried across retries so stage events from a
     /// panicked attempt and its degraded retry land in one span tree.
-    /// `None` only when the engine runs with trace recording off.
+    /// `None` once [`finish_trace`] has filed it.
     trace: Option<RequestTrace>,
 }
 
@@ -573,17 +569,14 @@ impl Engine {
         let now_ms = ms_since(sh.epoch);
         let now_us = us_since(sh.epoch);
         let budget = req.deadline_ms.unwrap_or(sh.cfg.default_deadline_ms);
-        let trace = sh.cfg.record_traces.then(|| {
-            let mut t = RequestTrace::new(req.id, req.db.clone(), budget);
-            // Injected faults are attributed up front: if this request later
-            // panics a worker, the flight recorder shows what was asked for.
-            if let Some(f) = &req.fault {
-                if !f.is_noop() {
-                    t.fault = Some(format!("injected: {}", f.render().render()));
-                }
+        let mut trace = RequestTrace::new(req.id, req.db.clone(), budget);
+        // Injected faults are attributed up front: if this request later
+        // panics a worker, the flight recorder shows what was asked for.
+        if let Some(f) = &req.fault {
+            if !f.is_noop() {
+                trace.fault = Some(format!("injected: {}", f.render().render()));
             }
-            t
-        });
+        }
         let (tx, rx) = mpsc::channel();
         let job = Job {
             id: req.id,
@@ -598,7 +591,7 @@ impl Engine {
             not_before_ms: 0,
             panics: 0,
             degraded: false,
-            trace,
+            trace: Some(trace),
         };
         let admission = AdmissionPolicy { capacity: sh.cfg.queue_capacity };
         {
@@ -760,19 +753,6 @@ impl Engine {
     /// The flight recorder (test and harness access).
     pub fn flight(&self) -> &FlightRecorder {
         &self.shared.flight
-    }
-
-    /// A standalone named `type:"slo"` record over the engine's cumulative
-    /// window — benchmark artifacts gate on this via `vn-slo-check`.
-    pub fn slo_json(&self, name: &str) -> Json {
-        let sh = &self.shared;
-        let win = sh.stats.window();
-        let good = win.completed + win.translate_failed;
-        let bad = win.shed + win.deadline_missed + win.quarantined + win.internal;
-        sh.cfg
-            .slo
-            .evaluate("cumulative", good, good + bad, &win.total)
-            .to_json(&sh.cfg.slo, Some(name))
     }
 
     /// Graceful shutdown: stop admitting, drain the queue, wait for every
@@ -1120,7 +1100,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Appends one attempt record to the job's trace (no-op when untraced).
+/// Appends one attempt record to the job's trace (no-op once it is filed).
 fn record_attempt(job: &mut Job, queue_wait_us: u64, outcome: &'static str, detail: &str) {
     if let Some(t) = job.trace.as_mut() {
         t.attempts.push(AttemptTrace {

@@ -105,9 +105,9 @@ fn handle_conn(st: &ServerState, stream: UnixStream) -> std::io::Result<()> {
             }
             Err(mut error) => {
                 let id = best_effort_id(&line);
-                if error.detail.len() > 200 {
-                    error.detail.truncate(200); // don't echo megabyte garbage
-                }
+                // Don't echo megabyte garbage. Cut on a char boundary:
+                // `truncate` panics inside a multi-byte character.
+                error.detail.truncate(error.detail.floor_char_boundary(200));
                 Response::Error { id, error, trace: None }
             }
         };
@@ -118,7 +118,7 @@ fn handle_conn(st: &ServerState, stream: UnixStream) -> std::io::Result<()> {
 }
 
 /// A tiny blocking client for the line protocol — used by the smoke
-/// driver, the fault harness and the serving benchmark.
+/// driver and the fault harness.
 pub struct Client {
     reader: BufReader<UnixStream>,
     writer: BufWriter<UnixStream>,

@@ -659,6 +659,20 @@ fn unix_socket_roundtrip() {
         }
         other => panic!("expected bad_request, got {other:?}"),
     }
+    // A detail long enough to be cut, with byte 200 inside the `é`: still a
+    // bad_request with its id, and the connection answers the next frame.
+    let long_verb = format!(r#"{{"id":43,"verb":"{}é"}}"#, "a".repeat(185));
+    match client.roundtrip_raw(&long_verb).unwrap() {
+        Response::Error { id, error, .. } => {
+            assert_eq!(id, Some(43));
+            assert_eq!(error.kind, ErrorKind::BadRequest);
+        }
+        other => panic!("expected bad_request, got {other:?}"),
+    }
+    match client.roundtrip(&verb_frame(44, "ping")).unwrap() {
+        Response::Pong { id } => assert_eq!(id, Some(44)),
+        other => panic!("expected pong, got {other:?}"),
+    }
 
     // A real translate round trip (untrained model: typed outcome either
     // way), then an unknown database.

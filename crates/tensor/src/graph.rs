@@ -8,15 +8,13 @@
 //!
 //! Every op builds its output in a single pass into a buffer drawn from the
 //! thread-local pool ([`crate::pool`]) — nothing clones its input just to
-//! overwrite it. The three hottest op compositions additionally have fused
-//! single-node variants ([`Graph::matmul_bias_act`], [`Graph::attn_softmax`],
-//! [`Graph::log_softmax_nll`]); each falls back to recording the equivalent
-//! unfused chain when fusion is off ([`set_fusion_enabled`]), and both paths
-//! are bit-identical in values and gradients (pinned by proptest in
-//! `tests/fused_kernels.rs`).
+//! overwrite it. The hottest op compositions are recorded as fused
+//! single-node ops ([`Graph::matmul_bias_act`], [`Graph::attn_softmax`],
+//! [`Graph::log_softmax_nll`], [`Graph::lstm_gates`]); each is bit-identical
+//! in values and gradients to the equivalent chain of unfused ops (pinned by
+//! proptest in `tests/fused_kernels.rs`, which records those chains by hand).
 
 use crate::Tensor;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 // Invocation counts for the fused kernels; the FLOP/byte accounting itself
 // is inherited from the `tensor.matmul.*` counters because the fused paths
@@ -29,20 +27,6 @@ static FUSED_LOG_SOFTMAX_NLL: valuenet_obs::Counter =
     valuenet_obs::Counter::new("tensor.fused.log_softmax_nll");
 static FUSED_LSTM_GATES: valuenet_obs::Counter =
     valuenet_obs::Counter::new("tensor.fused.lstm_gates");
-
-static FUSION: AtomicBool = AtomicBool::new(true);
-
-/// Globally toggles kernel fusion. When off, the fused entry points record
-/// the equivalent unfused op chains — the baseline arm of `bench_speed` and
-/// the oracle the proptests compare against.
-pub fn set_fusion_enabled(on: bool) {
-    FUSION.store(on, Ordering::Relaxed);
-}
-
-/// Whether fused kernels are currently recorded (the default).
-pub fn fusion_enabled() -> bool {
-    FUSION.load(Ordering::Relaxed)
-}
 
 /// Activation fused into [`Graph::matmul_bias_act`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -179,8 +163,8 @@ impl Graph {
         Graph { nodes: Vec::new(), inference: false }
     }
 
-    /// Marks this tape as inference-only. Layers may then bypass the tape
-    /// for parameter applications (pre-packed / quantized weight kernels
+    /// Marks this tape as inference-only. Layers then bypass the tape for
+    /// parameter applications (pre-packed / quantized weight kernels
     /// feeding [`Graph::input`] leaves) since no backward pass will run.
     /// Training tapes never set this, so training stays on the recorded
     /// f32 path.
@@ -513,22 +497,9 @@ impl Graph {
 
     /// Fused `act(a @ w + bias)` — one node instead of the three-node
     /// matmul / add_broadcast_row / activation chain, so the bias-shifted
-    /// pre-activation never materialises. With fusion off
-    /// ([`set_fusion_enabled`]) the unfused composition is recorded instead;
-    /// both paths are bit-identical in values and gradients.
+    /// pre-activation never materialises. Bit-identical in values and
+    /// gradients to the unfused composition.
     pub fn matmul_bias_act(&mut self, a: Var, w: Var, bias: Option<Var>, act: Activation) -> Var {
-        if !fusion_enabled() {
-            let mut y = self.matmul(a, w);
-            if let Some(b) = bias {
-                y = self.add_broadcast_row(y, b);
-            }
-            return match act {
-                Activation::None => y,
-                Activation::Tanh => self.tanh(y),
-                Activation::Sigmoid => self.sigmoid(y),
-                Activation::Relu => self.relu(y),
-            };
-        }
         FUSED_MATMUL_BIAS_ACT.add(1);
         let mut out = self.value(a).matmul(self.value(w));
         if let Some(b) = bias {
@@ -557,15 +528,6 @@ impl Graph {
     /// The context vector is a separate [`Graph::matmul`] with the value
     /// rows, so callers whose keys differ from their values fuse equally.
     pub fn attn_softmax(&mut self, q: Var, keys: Var, scale: f32, mask: Option<Var>) -> Var {
-        if !fusion_enabled() {
-            let kt = self.transpose(keys);
-            let raw = self.matmul(q, kt);
-            let mut s = self.scale(raw, scale);
-            if let Some(m) = mask {
-                s = self.add(s, m);
-            }
-            return self.softmax_rows(s);
-        }
         FUSED_ATTN_SOFTMAX.add(1);
         let mut out = self.value(q).matmul_transposed_b(self.value(keys));
         crate::simd::scale(out.as_mut_slice(), scale);
@@ -589,10 +551,6 @@ impl Graph {
     /// `rows × classes` log-probability matrix of the unfused pair is never
     /// allocated.
     pub fn log_softmax_nll(&mut self, x: Var, targets: &[usize]) -> Var {
-        if !fusion_enabled() {
-            let lp = self.log_softmax_rows(x);
-            return self.nll_loss(lp, targets);
-        }
         FUSED_LOG_SOFTMAX_NLL.add(1);
         let t = self.value(x);
         assert_eq!(
@@ -621,31 +579,15 @@ impl Graph {
     /// `z = [i|f|g|o]` (`[B, 4h]`) and the previous cell state (`[B, h]`),
     /// returns `(h, c)` — two nodes instead of the thirteen-node
     /// slice/activate/multiply/add chain, with no intermediate gate tensors
-    /// on the tape. With fusion off the unfused chain is recorded instead;
-    /// values and gradients are bit-identical either way (gates are
-    /// recomputed in backward with the same scalar expressions the unfused
-    /// ops use; pinned by proptest in `tests/fused_kernels.rs`).
+    /// on the tape. Values and gradients are bit-identical to the unfused
+    /// chain (gates are recomputed in backward with the same scalar
+    /// expressions the unfused ops use; pinned by proptest in
+    /// `tests/fused_kernels.rs`).
     pub fn lstm_gates(&mut self, z: Var, c_prev: Var) -> (Var, Var) {
         let h = self.value(c_prev).cols();
         let rows = self.value(c_prev).rows();
         assert_eq!(self.value(z).cols(), 4 * h, "lstm_gates: z must be [B, 4h]");
         assert_eq!(self.value(z).rows(), rows, "lstm_gates: batch mismatch");
-        if !fusion_enabled() {
-            let i_g = self.slice_cols(z, 0, h);
-            let f_g = self.slice_cols(z, h, 2 * h);
-            let g_g = self.slice_cols(z, 2 * h, 3 * h);
-            let o_g = self.slice_cols(z, 3 * h, 4 * h);
-            let i = self.sigmoid(i_g);
-            let f = self.sigmoid(f_g);
-            let cand = self.tanh(g_g);
-            let o = self.sigmoid(o_g);
-            let fc = self.mul(f, c_prev);
-            let ic = self.mul(i, cand);
-            let c = self.add(fc, ic);
-            let tc = self.tanh(c);
-            let h_out = self.mul(o, tc);
-            return (h_out, c);
-        }
         FUSED_LSTM_GATES.add(1);
         let ng = self.any_needs_grad(&[z, c_prev]);
         let (h_t, c_t) = lstm_gates_eval(self.value(z), self.value(c_prev));

@@ -32,11 +32,10 @@
 //! # Allocation behaviour
 //!
 //! Tensor buffers are recycled through a thread-local size-bucketed pool
-//! ([`pool`]); the hottest op compositions have fused single-node variants
-//! ([`Graph::matmul_bias_act`], [`Graph::attn_softmax`],
-//! [`Graph::log_softmax_nll`]) that can be toggled back to their unfused
-//! compositions with [`set_fusion_enabled`] for baseline measurements. See
-//! `DESIGN.md`, "Memory & kernel fusion".
+//! ([`pool`]); the hottest op compositions are recorded as fused
+//! single-node ops ([`Graph::matmul_bias_act`], [`Graph::attn_softmax`],
+//! [`Graph::log_softmax_nll`], [`Graph::lstm_gates`]). See `DESIGN.md`,
+//! "Memory & kernel fusion".
 
 mod graph;
 pub mod packed;
@@ -44,10 +43,7 @@ pub mod pool;
 pub mod simd;
 mod tensor;
 
-pub use graph::{
-    apply_activation, fusion_enabled, lstm_gates_eval, set_fusion_enabled, Activation, Gradients,
-    Graph, Var,
-};
+pub use graph::{apply_activation, lstm_gates_eval, Activation, Gradients, Graph, Var};
 pub use packed::{PackedMatrix, QuantizedMatrix};
 pub use simd::SimdLevel;
 pub use tensor::Tensor;

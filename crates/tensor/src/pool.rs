@@ -18,12 +18,12 @@
 //!
 //! Statistics (hits / misses / recycled and allocated bytes) are plain
 //! process-wide atomics that stay live even when observability is disabled,
-//! because `BENCH_speed.json` reports them for both the pooled and the
-//! baseline arm. When observability *is* enabled they are mirrored into
-//! `tensor.pool.*` counters for the summary/JSONL sinks.
+//! because the benchmark ledger's `tensor.pool_hit_rate` reads them. When
+//! observability *is* enabled they are mirrored into `tensor.pool.*`
+//! counters for the summary/JSONL sinks.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Largest pooled bucket: 2^24 elements (64 MiB of `f32`). Bigger buffers
 /// are allocated and freed directly — they are rare one-offs and would pin
@@ -44,8 +44,6 @@ fn max_per_bucket(bucket: usize) -> usize {
     (MAX_BUCKET_BYTES / (4 << bucket)).max(8)
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
 static HITS: AtomicU64 = AtomicU64::new(0);
 static MISSES: AtomicU64 = AtomicU64::new(0);
 static RETURNS: AtomicU64 = AtomicU64::new(0);
@@ -60,19 +58,6 @@ static OBS_RECYCLED: valuenet_obs::Counter =
 thread_local! {
     static FREE: RefCell<Vec<Vec<Vec<f32>>>> =
         RefCell::new((0..NUM_BUCKETS).map(|_| Vec::new()).collect());
-}
-
-/// Globally enables or disables recycling. When off, [`take`] always
-/// allocates and [`give`] always frees — the pre-pool allocator behaviour,
-/// used as the baseline arm of the speed benchmark. Stats keep counting
-/// either way so both arms report bytes allocated.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Whether recycling is currently on (the default).
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
 }
 
 /// Point-in-time pool statistics (process-wide, monotonically increasing).
@@ -155,12 +140,9 @@ pub fn take(len: usize) -> Vec<f32> {
         return Vec::new();
     }
     let b = bucket_for_len(len);
-    if b >= NUM_BUCKETS || !enabled() {
-        // Unpoolable size, or the pool is off: plain allocation. Capacity is
-        // still rounded to the bucket size when poolable so a later
-        // re-enable finds buffers in the expected buckets.
-        let cap = if b < NUM_BUCKETS { 1 << b } else { len };
-        return miss(len, cap);
+    if b >= NUM_BUCKETS {
+        // Unpoolable size: plain allocation.
+        return miss(len, len);
     }
     let recycled = FREE.try_with(|f| f.borrow_mut()[b].pop()).ok().flatten();
     match recycled {
@@ -178,9 +160,9 @@ pub fn take(len: usize) -> Vec<f32> {
 }
 
 /// Files a retiring buffer back into the thread's free list (or frees it
-/// when pooling is off, the bucket is full, or the thread is shutting down).
+/// when the bucket is full or the thread is shutting down).
 pub fn give(v: Vec<f32>) {
-    if v.capacity() == 0 || !enabled() {
+    if v.capacity() == 0 {
         return;
     }
     let b = bucket_for_cap(v.capacity());
@@ -199,7 +181,7 @@ pub fn give(v: Vec<f32>) {
 }
 
 /// Drops every buffer held by the current thread's free lists (used by
-/// benchmarks to separate measurement arms).
+/// tests that assert on buffer reuse).
 pub fn clear_thread_local() {
     let _ = FREE.try_with(|f| {
         for bucket in f.borrow_mut().iter_mut() {
@@ -234,9 +216,7 @@ mod tests {
         let ptr = v.as_ptr();
         give(v);
         let w = take(10);
-        if enabled() {
-            assert_eq!(w.as_ptr(), ptr, "LIFO bucket should return the same buffer");
-        }
+        assert_eq!(w.as_ptr(), ptr, "LIFO bucket should return the same buffer");
         assert!(w.is_empty());
     }
 

@@ -222,19 +222,6 @@ impl Tensor {
         block_kernel(&self.data, &other.data, self.rows, self.cols, other.cols, lvl)
     }
 
-    /// [`Tensor::matmul`] without the observability check — the baseline for
-    /// the disabled-path overhead benchmark (`benches/obs_overhead.rs`).
-    /// Production code always goes through [`Tensor::matmul`].
-    #[doc(hidden)]
-    pub fn matmul_uninstrumented(&self, other: &Tensor) -> Tensor {
-        assert_eq!(
-            self.cols, other.rows,
-            "matmul: {}x{} @ {}x{}",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        block_kernel(&self.data, &other.data, self.rows, self.cols, other.cols, simd::level())
-    }
-
     /// Reference matrix product (the original straightforward i-k-j kernel).
     ///
     /// Kept as the oracle for equivalence tests and as the baseline in the
@@ -271,11 +258,6 @@ impl Tensor {
     /// [`dot_kernel`] instead. Both regimes fold each output element over
     /// the shared dimension in ascending order, one add per step, so the
     /// choice never changes a bit of the result.
-    ///
-    /// The narrow path is part of the allocation-free execution rework and
-    /// follows its master toggle ([`crate::set_fusion_enabled`]); with the
-    /// rework off every shape takes the pre-rework pack-and-block path, so
-    /// the speed benchmark's baseline arm measures the legacy kernel.
     pub fn matmul_transposed_b(&self, other: &Tensor) -> Tensor {
         assert_eq!(
             self.cols, other.cols,
@@ -284,7 +266,7 @@ impl Tensor {
         );
         let lvl = simd::level();
         let start = valuenet_obs::enabled().then(valuenet_obs::now_ns);
-        let out = if self.rows < 8 && crate::fusion_enabled() {
+        let out = if self.rows < 8 {
             dot_kernel(&self.data, &other.data, self.rows, self.cols, other.rows, lvl)
         } else {
             let packed = other.transpose();
@@ -429,8 +411,7 @@ impl Tensor {
 ///
 /// `inline(never)`: call overhead is nothing next to the 2·n·k·m-FLOP body,
 /// and one out-of-line copy keeps every `matmul` entry point (instrumented
-/// or not) on the same code — avoiding per-caller layout/alignment skew,
-/// which would otherwise dwarf the effect `benches/obs_overhead.rs` measures.
+/// or not) on the same code, free of per-caller layout/alignment skew.
 /// Narrow-case kernel for [`Tensor::matmul_transposed_b`]: `n×k @ (m×k)ᵀ`
 /// as plain row dots, no transpose pack. Four output columns are produced
 /// per pass — four independent accumulator chains over four contiguous `b`

@@ -41,9 +41,6 @@ fn live_tensors_never_alias() {
 
 #[test]
 fn reuse_is_lifo_within_a_bucket() {
-    if !pool::enabled() {
-        return;
-    }
     pool::clear_thread_local();
     let a = Tensor::zeros(4, 4); // 16 elements -> bucket 4
     let b = Tensor::zeros(4, 4);
@@ -66,9 +63,6 @@ fn reuse_is_lifo_within_a_bucket() {
 
 #[test]
 fn different_buckets_do_not_mix() {
-    if !pool::enabled() {
-        return;
-    }
     pool::clear_thread_local();
     let small = Tensor::zeros(1, 4); // bucket 2
     let p_small = ptr_of(&small);
@@ -109,11 +103,9 @@ fn stats_count_takes_and_gives() {
     // Other test threads may add to the process-wide counters concurrently,
     // so only lower bounds are exact.
     assert!(delta.misses + delta.hits >= 3, "three takes happened: {delta:?}");
-    if pool::enabled() {
-        assert!(delta.returns >= 3, "three buffers retired: {delta:?}");
-        assert!(delta.hits >= 1, "the warm take should hit: {delta:?}");
-        assert!(delta.recycled_bytes >= 4 * 256, "hit served 256 f32s: {delta:?}");
-    }
+    assert!(delta.returns >= 3, "three buffers retired: {delta:?}");
+    assert!(delta.hits >= 1, "the warm take should hit: {delta:?}");
+    assert!(delta.recycled_bytes >= 4 * 256, "hit served 256 f32s: {delta:?}");
     assert!(delta.alloc_bytes >= 4 * 256, "the cold take allocated: {delta:?}");
     let rate = pool::stats().hit_rate();
     assert!((0.0..=1.0).contains(&rate));

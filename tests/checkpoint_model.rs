@@ -6,6 +6,7 @@
 
 use valuenet::core::{
     assemble_candidates, build_input_opts, train, ModelConfig, ModelInput, TrainConfig, ValueMode,
+    ValueNetModel,
 };
 use valuenet::dataset::{generate, Corpus, CorpusConfig};
 use valuenet::nn::{load_checkpoint, save_checkpoint, save_checkpoint_quantized, CheckpointFormat};
@@ -100,9 +101,7 @@ fn packed_inference_path_matches_tape_path() {
     let (pipeline, corpus) = trained();
     for input in &dev_inputs(&pipeline, &corpus) {
         let oracle = pipeline.model.predict_beam_unbatched(input);
-        valuenet::nn::set_packed_inference(false);
-        let tape = pipeline.model.predict_beam(input);
-        valuenet::nn::set_packed_inference(true);
+        let tape = ValueNetModel::with_scalar_fallback(|| pipeline.model.predict_beam(input));
         let packed = pipeline.model.predict_beam(input);
         assert_eq!(tape, packed, "packed inference diverged from the tape path");
         assert_eq!(

@@ -4,7 +4,10 @@
 //! * Table I matches `results_table1.txt` row for row (and in its overall
 //!   line), and its accuracies and overall execution accuracy match
 //!   `run_report.json`'s `execution_accuracy` section;
-//! * Table II matches `results_table2.txt` row for row (and in its total).
+//! * Table II matches `results_table2.txt` row for row (and in its total);
+//! * Fig. 10 matches `results_fig10.txt`: each system's mean ± std, the
+//!   reported points, and the light − full gap;
+//! * the Section V-G error analysis matches `results_error_analysis.txt`.
 //!
 //! Regenerating an artifact without updating the prose, or editing the
 //! prose by hand, fails here.
@@ -116,4 +119,50 @@ fn table2_matches_results_table2() {
         format!("{artifact_total:.1}"),
         "EXPERIMENTS.md Table II total differs from results_table2.txt"
     );
+}
+
+#[test]
+fn fig10_matches_results_fig10() {
+    let doc = read("EXPERIMENTS.md");
+    let doc = section(&doc, "## Fig. 10 ");
+    let artifact = read("results_fig10.txt");
+
+    // The artifact splits mean and std into two columns and marks reported
+    // points in the system name; EXPERIMENTS.md writes `mean ± std` (bold
+    // for ValueNet) and marks reported points in the paper column.
+    let expected: Vec<Vec<String>> = table_rows(&artifact)
+        .into_iter()
+        .map(|r| match r[0].strip_suffix(" (reported point)") {
+            Some(system) => vec![system.into(), "—".into(), format!("{} (reported point)", r[3])],
+            None => vec![r[0].clone(), format!("{} ± {}", r[1], r[2]), r[3].clone()],
+        })
+        .collect();
+    let rows: Vec<Vec<String>> = table_rows(doc)
+        .into_iter()
+        .map(|r| r.iter().map(|c| c.trim_matches('*').to_string()).collect())
+        .collect();
+    assert_eq!(rows.len(), 7, "Fig. 10 has four systems and three reported points: {rows:?}");
+    assert_eq!(rows, expected, "EXPERIMENTS.md Fig. 10 differs from results_fig10.txt");
+
+    let gap = artifact.rsplit("gap = ").next().expect("split yields at least one piece");
+    assert_eq!(
+        number_before(doc, " points**"),
+        number_before(gap, " points"),
+        "EXPERIMENTS.md Fig. 10 light − full gap differs from results_fig10.txt"
+    );
+}
+
+#[test]
+fn error_analysis_matches_results_error_analysis() {
+    let doc = read("EXPERIMENTS.md");
+    let doc = section(&doc, "## Section V-G ");
+    let artifact = read("results_error_analysis.txt");
+
+    let rows = table_rows(doc);
+    // EXPERIMENTS.md keeps the artifact's share and paper columns, not its
+    // failure counts.
+    let expected: Vec<Vec<String>> =
+        table_rows(&artifact).into_iter().map(|r| vec![r[0].clone(), r[2].clone(), r[3].clone()]).collect();
+    assert_eq!(rows.len(), 4, "the error analysis has one row per cause: {rows:?}");
+    assert_eq!(rows, expected, "EXPERIMENTS.md error analysis differs from results_error_analysis.txt");
 }
