@@ -6,8 +6,10 @@ use crate::input::{InputOptions, ModelInput};
 use crate::vocab::Vocab;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
-use valuenet_nn::ParamStore;
+use valuenet_nn::{
+    read_checkpoint, write_checkpoint, Checkpoint, CheckpointError, CheckpointFormat, ParamStore,
+};
+use valuenet_obs::json::Json;
 use valuenet_semql::Action;
 use valuenet_tensor::{Graph, Var};
 
@@ -15,7 +17,7 @@ use valuenet_tensor::{Graph, Var};
 /// paper's setup (the paper uses BERT-Base with 300-dimensional LSTM
 /// summarisers; we train from scratch, so smaller is both sufficient and
 /// necessary for CPU training).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ModelConfig {
     /// Shared model dimension.
     pub d_model: usize,
@@ -66,6 +68,56 @@ impl Default for ModelConfig {
 }
 
 impl ModelConfig {
+    /// The config as the model file's `config` field.
+    pub fn to_json(&self) -> Json {
+        let n = |v: usize| Json::uint(v as u64);
+        Json::obj(vec![
+            ("d_model", n(self.d_model)),
+            ("summary_hidden", n(self.summary_hidden)),
+            ("heads", n(self.heads)),
+            ("encoder_layers", n(self.encoder_layers)),
+            ("ffn_inner", n(self.ffn_inner)),
+            ("action_dim", n(self.action_dim)),
+            ("decoder_hidden", n(self.decoder_hidden)),
+            ("dropout", Json::Num(self.dropout as f64)),
+            ("max_decode_steps", n(self.max_decode_steps)),
+            ("beam_width", n(self.beam_width)),
+            ("use_hints", Json::Bool(self.use_hints)),
+            ("encode_value_location", Json::Bool(self.encode_value_location)),
+        ])
+    }
+
+    /// Reads the fields [`ModelConfig::to_json`] writes; each one is
+    /// required.
+    ///
+    /// # Errors
+    /// Names the first missing or ill-typed field, or a head count that does
+    /// not divide `d_model` (the attention layers could not be built).
+    pub fn from_json(v: &Json) -> Result<Self, String> {
+        let flag = |key| v.field(key, "a boolean", Json::as_bool);
+        let config = ModelConfig {
+            d_model: v.usize_field("d_model")?,
+            summary_hidden: v.usize_field("summary_hidden")?,
+            heads: v.usize_field("heads")?,
+            encoder_layers: v.usize_field("encoder_layers")?,
+            ffn_inner: v.usize_field("ffn_inner")?,
+            action_dim: v.usize_field("action_dim")?,
+            decoder_hidden: v.usize_field("decoder_hidden")?,
+            dropout: v.field("dropout", "a number", Json::as_f64)? as f32,
+            max_decode_steps: v.usize_field("max_decode_steps")?,
+            beam_width: v.usize_field("beam_width")?,
+            use_hints: flag("use_hints")?,
+            encode_value_location: flag("encode_value_location")?,
+        };
+        if config.heads == 0 || !config.d_model.is_multiple_of(config.heads) {
+            return Err(format!(
+                "`d_model` {} is not divisible by `heads` {}",
+                config.d_model, config.heads
+            ));
+        }
+        Ok(config)
+    }
+
     /// An even smaller configuration for fast unit tests.
     pub fn tiny() -> Self {
         ModelConfig {
@@ -83,14 +135,6 @@ impl ModelConfig {
             encode_value_location: true,
         }
     }
-}
-
-/// Serialised model (config + vocabulary + weights).
-#[derive(Serialize, Deserialize)]
-struct SavedModel {
-    config: ModelConfig,
-    vocab: Vocab,
-    params: String,
 }
 
 thread_local! {
@@ -293,27 +337,114 @@ impl ValueNetModel {
         Ok(())
     }
 
-    /// Serialises config, vocabulary and weights to JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(&SavedModel {
-            config: self.config.clone(),
-            vocab: self.vocab.clone(),
-            params: self.params.to_json(),
-        })
-        .expect("model serialisation cannot fail")
+    /// The model file: checkpoint text in `format` whose meta record carries
+    /// the `config` and `vocab` fields and then `extra`.
+    ///
+    /// # Errors
+    /// [`CheckpointError::NonFinite`] when a weight is NaN or infinite.
+    pub fn to_checkpoint(
+        &self,
+        format: CheckpointFormat,
+        extra: Vec<(&str, Json)>,
+    ) -> Result<String, CheckpointError> {
+        let mut meta = vec![("config", self.config.to_json()), ("vocab", self.vocab.to_json())];
+        meta.extend(extra);
+        write_checkpoint(&self.params, format, meta)
     }
 
-    /// Restores a model saved with [`ValueNetModel::to_json`].
-    pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        let saved: SavedModel = serde_json::from_str(json)?;
-        let mut model = ValueNetModel::new(saved.config, saved.vocab, 0);
-        let params = ParamStore::from_json(&saved.params)?;
-        assert_eq!(
-            params.len(),
-            model.params.len(),
-            "saved parameter count does not match the architecture"
-        );
-        model.params = params;
+    /// Rebuilds the model a checkpoint describes: its `config` and `vocab`
+    /// meta fields fix the architecture, and [`ValueNetModel::load_params`]
+    /// checks the weights against it.
+    ///
+    /// # Errors
+    /// [`CheckpointError::Corrupt`] for a missing or malformed field,
+    /// [`CheckpointError::Mismatch`] for weights of another architecture.
+    pub fn from_checkpoint(ck: Checkpoint) -> Result<Self, CheckpointError> {
+        let config = ck.meta_field("config", ModelConfig::from_json)?;
+        let vocab = ck.meta_field("vocab", Vocab::from_json)?;
+        let mut model = ValueNetModel::new(config, vocab, 0);
+        model.load_params(ck.params).map_err(CheckpointError::Mismatch)?;
         Ok(model)
+    }
+
+    /// The f32 model file with no extra fields (see
+    /// [`ValueNetModel::to_checkpoint`]).
+    ///
+    /// # Panics
+    /// When a weight is NaN or infinite; such a model cannot be saved.
+    pub fn to_json(&self) -> String {
+        self.to_checkpoint(CheckpointFormat::F32, Vec::new())
+            .unwrap_or_else(|e| panic!("model cannot be saved: {e}"))
+    }
+
+    /// Restores a model from model-file text in either format (see
+    /// [`ValueNetModel::from_checkpoint`]).
+    pub fn from_json(text: &str) -> Result<Self, CheckpointError> {
+        Self::from_checkpoint(read_checkpoint(text)?)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn tiny_model() -> ValueNetModel {
+        let vocab = Vocab::build(["how many pets are there"].into_iter());
+        ValueNetModel::new(ModelConfig::tiny(), vocab, 5)
+    }
+
+    #[test]
+    fn model_file_reloads_bit_identically_and_resaves_byte_identically() {
+        let m = tiny_model();
+        let back = ValueNetModel::from_json(&m.to_json()).unwrap();
+        assert_eq!(back.config.to_json(), m.config.to_json());
+        assert_eq!(back.vocab.to_json(), m.vocab.to_json());
+        let bits = |ps: &ParamStore| -> Vec<u32> {
+            ps.ids().flat_map(|id| ps.data(id)).map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(bits(&back.params), bits(&m.params), "weights changed on reload");
+        for format in [CheckpointFormat::F32, CheckpointFormat::Int8] {
+            let text = m.to_checkpoint(format, Vec::new()).unwrap();
+            let back = ValueNetModel::from_json(&text).unwrap();
+            assert_eq!(back.to_checkpoint(format, Vec::new()).unwrap(), text, "{format:?}");
+        }
+    }
+
+    #[test]
+    fn malformed_model_files_are_typed_errors_not_panics() {
+        let m = tiny_model();
+        let text = m.to_json();
+        let load = |from: &str, to: &str| {
+            let bad = text.replacen(from, to, 1);
+            assert_ne!(bad, text, "{from} is not in the model file");
+            match ValueNetModel::from_json(&bad) {
+                Err(e) => e,
+                Ok(_) => panic!("{from} -> {to}: the model loaded"),
+            }
+        };
+        for (from, to, field) in [
+            ("\"d_model\":32,", "", "d_model"),
+            ("\"use_hints\":true", "\"use_hints\":\"yes\"", "use_hints"),
+            ("\"d_model\":32,", "\"d_model\":32.5,", "d_model"),
+            ("\"beam_width\":1", "\"beam_width\":-1", "beam_width"),
+            ("\"heads\":2,", "\"heads\":3,", "heads"),
+            ("\"vocab\":[\"<unk>\"", "\"vocab\":[7", "vocab"),
+        ] {
+            match load(from, to) {
+                CheckpointError::Corrupt(msg) => assert!(msg.contains(field), "{to}: {msg}"),
+                e => panic!("{from} -> {to}: expected Corrupt, got {e:?}"),
+            }
+        }
+        let first = m.params.name(m.params.ids().next().unwrap());
+        for (from, to) in [
+            ("\"encoder_layers\":1", "\"encoder_layers\":2".to_string()),
+            (&format!("\"name\":\"{first}\""), format!("\"name\":\"{first}_renamed\"")),
+            ("\"decoder_hidden\":48", "\"decoder_hidden\":40".to_string()),
+        ] {
+            match load(from, &to) {
+                CheckpointError::Mismatch(_) => {}
+                e => panic!("{from} -> {to}: expected Mismatch, got {e:?}"),
+            }
+        }
     }
 }

@@ -1,12 +1,12 @@
 //! Word vocabulary.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use valuenet_obs::json::Json;
 
 /// A word-level vocabulary with an `<unk>` fallback, built from the training
 /// questions, all schema names and the database content the candidates draw
 /// from. Lookup is case-insensitive.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Vocab {
     words: HashMap<String, usize>,
     size: usize,
@@ -48,6 +48,33 @@ impl Vocab {
     /// Id of a word (`UNK` when out of vocabulary).
     pub fn id(&self, word: &str) -> usize {
         self.words.get(&normalize(word)).copied().unwrap_or(UNK)
+    }
+
+    /// The words in id order (ids are dense, `0..len`), the model file's
+    /// `vocab` field.
+    pub fn to_json(&self) -> Json {
+        let mut by_id = vec![""; self.size];
+        for (w, &id) in &self.words {
+            by_id[id] = w;
+        }
+        Json::Arr(by_id.into_iter().map(|w| Json::Str(w.to_string())).collect())
+    }
+
+    /// Reads the word list [`Vocab::to_json`] writes; each word's id is its
+    /// position.
+    ///
+    /// # Errors
+    /// When `v` is not an array of distinct strings.
+    pub fn from_json(v: &Json) -> Result<Self, String> {
+        let list = v.as_arr().ok_or("expected an array of words")?;
+        let mut words = HashMap::with_capacity(list.len());
+        for (id, w) in list.iter().enumerate() {
+            let w = w.as_str().ok_or_else(|| format!("word {id} is not a string"))?;
+            if words.insert(w.to_string(), id).is_some() {
+                return Err(format!("word `{w}` is listed twice"));
+            }
+        }
+        Ok(Vocab { size: words.len(), words })
     }
 
     /// Ids of every whitespace-separated word of `text`. Always returns at
@@ -98,11 +125,14 @@ mod tests {
     }
 
     #[test]
-    fn serde_round_trip() {
-        let v = Vocab::build(["hello world"].iter().copied());
-        let json = serde_json::to_string(&v).unwrap();
-        let v2: Vocab = serde_json::from_str(&json).unwrap();
-        assert_eq!(v2.id("world"), v.id("world"));
+    fn json_round_trip() {
+        let v = Vocab::build(["hello world", "Hello again"].iter().copied());
+        let text = v.to_json().render();
+        let v2 = Vocab::from_json(&Json::parse(&text).unwrap()).unwrap();
+        assert_eq!(v2.words, v.words);
         assert_eq!(v2.len(), v.len());
+        assert_eq!(v2.to_json().render(), text, "the word list is written in id order");
+        let dup = Json::parse(r#"["<unk>","a","a"]"#).unwrap();
+        assert_eq!(Vocab::from_json(&dup).unwrap_err(), "word `a` is listed twice");
     }
 }

@@ -7,12 +7,13 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use valuenet_eval::{spider_difficulty, Difficulty};
 use valuenet_exec::execute;
+use valuenet_obs::json::Json;
 use valuenet_schema::SchemaGraph;
 use valuenet_semql::{to_sql, ResolvedValue, SemQl};
 use valuenet_storage::Database;
 
 /// Corpus generation knobs.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CorpusConfig {
     /// Random seed (databases and questions are fully determined by it).
     pub seed: u64,
@@ -42,6 +43,40 @@ impl Default for CorpusConfig {
 }
 
 impl CorpusConfig {
+    /// The config as the model file's `corpus` field. The seed is exact over
+    /// the whole `u64` range (see [`Json::uint`]).
+    pub fn to_json(&self) -> Json {
+        let n = |v: usize| Json::uint(v as u64);
+        let weights = self.surface_weights.iter().map(|&w| Json::Int(w.into())).collect();
+        Json::obj(vec![
+            ("seed", Json::uint(self.seed)),
+            ("train_size", n(self.train_size)),
+            ("dev_size", n(self.dev_size)),
+            ("rows_per_table", n(self.rows_per_table)),
+            ("surface_weights", Json::Arr(weights)),
+        ])
+    }
+
+    /// Reads the fields [`CorpusConfig::to_json`] writes; each one is
+    /// required.
+    ///
+    /// # Errors
+    /// Names the first missing or ill-typed field.
+    pub fn from_json(v: &Json) -> Result<Self, String> {
+        let weight = |w: &Json| w.as_u64().and_then(|w| u32::try_from(w).ok());
+        let weights = |list: &[Json]| list.iter().map(weight).collect::<Option<Vec<u32>>>();
+        let surface_weights = v.field("surface_weights", "four 32-bit counts", |w| {
+            weights(w.as_arr()?)?.try_into().ok()
+        })?;
+        Ok(CorpusConfig {
+            seed: v.field("seed", "a non-negative integer", Json::as_u64)?,
+            train_size: v.usize_field("train_size")?,
+            dev_size: v.usize_field("dev_size")?,
+            rows_per_table: v.usize_field("rows_per_table")?,
+            surface_weights,
+        })
+    }
+
     /// The paper-scale configuration: 7,000 train / 1,034 dev questions
     /// (Spider's split sizes).
     pub fn paper_scale() -> Self {

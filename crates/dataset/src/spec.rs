@@ -1,11 +1,10 @@
 //! Domain specification: the metadata the generic question templates need.
 
-use serde::{Deserialize, Serialize};
 use valuenet_schema::{ColumnId, DbSchema, TableId};
 use valuenet_storage::Datum;
 
 /// The paper's value-difficulty classes (Section V-A1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ValueDifficulty {
     /// Value appears verbatim in the question ("older than 20").
     Easy,
@@ -39,7 +38,7 @@ impl ValueDifficulty {
 }
 
 /// One way a database value can surface in a question.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SurfaceForm {
     /// The value as stored in the database (and used in the gold SQL).
     pub db_value: String,
@@ -67,7 +66,7 @@ impl SurfaceForm {
 }
 
 /// How an equality filter on a column is phrased in a question.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Phrase {
     /// "`{plural}` from `{value}`" (countries, cities).
     From,
@@ -84,7 +83,7 @@ pub enum Phrase {
 }
 
 /// A column suitable for equality filters, with its surface forms.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FilterCol {
     /// Owning table.
     pub table: TableId,
@@ -99,7 +98,7 @@ pub struct FilterCol {
 }
 
 /// A numeric column usable in comparisons, aggregates and orderings.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NumericCol {
     /// Owning table.
     pub table: TableId,
@@ -116,7 +115,7 @@ pub struct NumericCol {
 }
 
 /// A table the questions can be *about*.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Entity {
     /// The table.
     pub table: TableId,
@@ -132,7 +131,7 @@ pub struct Entity {
 
 /// A semantic relation between two entities, for join / NOT-IN templates
 /// ("students that own pets").
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Relation {
     /// Index into `DomainSpec::entities` of the subject (student).
     pub subject: usize,
@@ -185,7 +184,7 @@ impl DomainSpec {
 }
 
 /// One gold value of a sample, with its provenance.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ValueInfo {
     /// The value as used in the gold SQL (database form).
     pub db_value: String,

@@ -6,11 +6,10 @@
 //! selection errors*. As in the paper, one example can exhibit several
 //! causes.
 
-use serde::{Deserialize, Serialize};
 use valuenet_semql::{ast_to_actions, Action, SemQl};
 
 /// The paper's error categories.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ErrorCause {
     /// Wrong column pointer.
     Column,

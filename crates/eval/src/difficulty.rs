@@ -5,11 +5,10 @@
 //! that contain more SQL keywords … are considered to be harder"
 //! (paper Section V-F).
 
-use serde::{Deserialize, Serialize};
 use valuenet_sql::{Expr, SelectStmt};
 
 /// Spider's four difficulty levels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Difficulty {
     /// Single-table, at most one simple component.
     Easy,

@@ -1,16 +1,21 @@
-//! Versioned model checkpoints.
+//! Versioned model files.
 //!
-//! A checkpoint is a JSONL file written through the observability envelope
-//! ([`valuenet_obs::JsonlWriter`] stamps every record with `schema_version`),
-//! so the same `vn-obs-check` validator that guards the benchmark artifacts
-//! also accepts checkpoints. Layout:
+//! A checkpoint is JSONL text in the observability envelope (every record
+//! is a [`valuenet_obs::jsonl_line`], stamped with `schema_version`), so the
+//! same `vn-obs-check` validator that guards the benchmark artifacts also
+//! accepts model files. Layout:
 //!
 //! ```text
-//! {"schema_version":1,"type":"checkpoint_meta","checkpoint_version":1,"format":"f32","params":N,"weights":W}
+//! {"schema_version":1,"type":"checkpoint_meta","checkpoint_version":2,"format":"f32","params":N,"weights":W,...}
 //! {"schema_version":1,"type":"checkpoint_param","name":"...","group":0,"rows":R,"cols":C,"data":[...]}
 //! ...
 //! {"schema_version":1,"type":"checkpoint_end","params":N}
 //! ```
+//!
+//! The meta record ends with the caller's own fields (the model's config and
+//! vocabulary, the CLI's NER, mode and corpus), which [`read_checkpoint`]
+//! hands back untouched. [`write_checkpoint`] and [`read_checkpoint`] work
+//! on text, so callers choose where it lives.
 //!
 //! The `int8` format stores each tensor as a per-tensor `scale` plus integer
 //! codes in `qdata`; loading dequantizes to f32 and *preserves the scale* in
@@ -19,14 +24,20 @@
 //! record guards against truncated files; every failure mode surfaces as a
 //! typed [`CheckpointError`], never a panic.
 
-use crate::{ParamId, ParamStore};
+use crate::ParamStore;
 use std::fmt;
 use valuenet_obs::json::Json;
-use valuenet_obs::JsonlWriter;
+use valuenet_obs::jsonl_line;
 use valuenet_tensor::packed::{quant_scale, quantize_one};
 
 /// Version of the checkpoint record layout. Bump on incompatible change.
-pub const CHECKPOINT_VERSION: i64 = 1;
+/// Version 2 carries the caller's fields in the meta record.
+pub const CHECKPOINT_VERSION: i64 = 2;
+
+/// Meta-record fields the checkpoint itself owns; the caller's fields may
+/// not reuse these names.
+const RESERVED: [&str; 6] =
+    ["schema_version", "type", "checkpoint_version", "format", "params", "weights"];
 
 /// How the weights are stored on disk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,7 +60,7 @@ impl CheckpointFormat {
 /// Why a checkpoint failed to save or load.
 #[derive(Debug)]
 pub enum CheckpointError {
-    /// Filesystem error.
+    /// Filesystem error reading or writing the checkpoint text.
     Io(std::io::Error),
     /// A line was not valid JSON.
     Parse(String),
@@ -59,6 +70,11 @@ pub enum CheckpointError {
     Truncated(String),
     /// A record is structurally invalid (bad shape, missing field, ...).
     Corrupt(String),
+    /// A weight is NaN or infinite; JSON cannot carry it, so nothing is
+    /// written. Names the parameter.
+    NonFinite(String),
+    /// The parameters do not fit the architecture the file describes.
+    Mismatch(String),
 }
 
 impl fmt::Display for CheckpointError {
@@ -69,6 +85,8 @@ impl fmt::Display for CheckpointError {
             CheckpointError::Version(m) => write!(f, "checkpoint version mismatch: {m}"),
             CheckpointError::Truncated(m) => write!(f, "checkpoint truncated: {m}"),
             CheckpointError::Corrupt(m) => write!(f, "checkpoint corrupt: {m}"),
+            CheckpointError::NonFinite(m) => write!(f, "non-finite weight: {m}"),
+            CheckpointError::Mismatch(m) => write!(f, "checkpoint does not fit the model: {m}"),
         }
     }
 }
@@ -81,217 +99,208 @@ impl From<std::io::Error> for CheckpointError {
     }
 }
 
-fn meta_record(ps: &ParamStore, format: CheckpointFormat) -> Json {
-    Json::obj(vec![
+/// A checkpoint read back by [`read_checkpoint`].
+pub struct Checkpoint {
+    /// The restored parameters (int8 files dequantized, scales preserved).
+    pub params: ParamStore,
+    /// How the weights were stored.
+    pub format: CheckpointFormat,
+    /// The caller's meta fields, as an object in file order.
+    pub meta: Json,
+}
+
+impl Checkpoint {
+    /// Decodes the caller's meta field `key` with `read`; a missing or
+    /// malformed field is [`CheckpointError::Corrupt`], naming it.
+    pub fn meta_field<T>(
+        &self,
+        key: &str,
+        read: impl FnOnce(&Json) -> Result<T, String>,
+    ) -> Result<T, CheckpointError> {
+        let v = self
+            .meta
+            .get(key)
+            .ok_or_else(|| CheckpointError::Corrupt(format!("missing meta field `{key}`")))?;
+        read(v).map_err(|e| CheckpointError::Corrupt(format!("meta field `{key}`: {e}")))
+    }
+}
+
+/// Member `key` of `rec` as an array, each element read through `read`.
+fn values(
+    rec: &Json,
+    key: &str,
+    expected: &str,
+    read: impl Fn(&Json) -> Option<f32>,
+) -> Result<Vec<f32>, String> {
+    rec.field(key, expected, |v| v.as_arr()?.iter().map(read).collect())
+}
+
+fn push_line(out: &mut String, record: Json) {
+    out.push_str(&jsonl_line(record));
+    out.push('\n');
+}
+
+/// Renders every parameter of `ps` as checkpoint text in `format`, with
+/// `meta` appended to the meta record. The same store and meta always give
+/// the same bytes: f32 weights use the shortest round-trip rendering, so
+/// [`read_checkpoint`] restores them bit for bit.
+///
+/// # Errors
+/// [`CheckpointError::NonFinite`] for the first NaN or infinite weight.
+pub fn write_checkpoint(
+    ps: &ParamStore,
+    format: CheckpointFormat,
+    meta: Vec<(&str, Json)>,
+) -> Result<String, CheckpointError> {
+    debug_assert!(meta.iter().all(|(k, _)| !RESERVED.contains(k)), "meta reuses a reserved field");
+    let mut out = String::new();
+    let mut head = vec![
         ("type", Json::Str("checkpoint_meta".into())),
         ("checkpoint_version", Json::Int(CHECKPOINT_VERSION)),
         ("format", Json::Str(format.tag().into())),
-        ("params", Json::Int(ps.len() as i64)),
-        ("weights", Json::Int(ps.num_weights() as i64)),
-    ])
-}
-
-fn end_record(ps: &ParamStore) -> Json {
-    Json::obj(vec![
-        ("type", Json::Str("checkpoint_end".into())),
-        ("params", Json::Int(ps.len() as i64)),
-    ])
-}
-
-fn param_header(ps: &ParamStore, id: ParamId) -> Vec<(&'static str, Json)> {
-    let (rows, cols) = ps.shape(id);
-    vec![
-        ("type", Json::Str("checkpoint_param".into())),
-        ("name", Json::Str(ps.name(id).into())),
-        ("group", Json::Int(ps.group(id) as i64)),
-        ("rows", Json::Int(rows as i64)),
-        ("cols", Json::Int(cols as i64)),
-    ]
-}
-
-/// Saves every parameter at full precision. `load_checkpoint` restores a
-/// bit-identical store: f32 values survive the JSON round trip exactly
-/// (numbers are rendered with shortest round-trip formatting).
-pub fn save_checkpoint(path: &str, ps: &ParamStore) -> Result<(), CheckpointError> {
-    let mut w = JsonlWriter::create(path)?;
-    w.write(meta_record(ps, CheckpointFormat::F32))?;
-    for id in ps.ids() {
-        let mut rec = param_header(ps, id);
-        rec.push((
-            "data",
-            Json::Arr(ps.data(id).iter().map(|&v| Json::Num(v as f64)).collect()),
-        ));
-        w.write(Json::obj(rec))?;
-    }
-    w.write(end_record(ps))?;
-    w.finish()?;
-    Ok(())
-}
-
-/// Saves every parameter as per-tensor-scaled int8 codes — roughly a quarter
-/// of the f32 artifact. Loading dequantizes and preserves each scale, so the
-/// quantized inference path reproduces the exact saved codes.
-pub fn save_checkpoint_quantized(path: &str, ps: &ParamStore) -> Result<(), CheckpointError> {
-    let mut w = JsonlWriter::create(path)?;
-    w.write(meta_record(ps, CheckpointFormat::Int8))?;
+        ("params", Json::uint(ps.len() as u64)),
+        ("weights", Json::uint(ps.num_weights() as u64)),
+    ];
+    head.extend(meta);
+    push_line(&mut out, Json::obj(head));
     for id in ps.ids() {
         let data = ps.data(id);
-        let scale = ps.qscale(id).unwrap_or_else(|| quant_scale(data));
-        let mut rec = param_header(ps, id);
-        rec.push(("scale", Json::Num(scale as f64)));
-        rec.push((
-            "qdata",
-            Json::Arr(data.iter().map(|&v| Json::Int(quantize_one(v, scale) as i64)).collect()),
-        ));
-        w.write(Json::obj(rec))?;
+        if let Some(i) = data.iter().position(|v| !v.is_finite()) {
+            return Err(CheckpointError::NonFinite(format!(
+                "`{}` holds {} at index {i}",
+                ps.name(id),
+                data[i]
+            )));
+        }
+        let (rows, cols) = ps.shape(id);
+        let mut rec = vec![
+            ("type", Json::Str("checkpoint_param".into())),
+            ("name", Json::Str(ps.name(id).into())),
+            ("group", Json::uint(ps.group(id) as u64)),
+            ("rows", Json::uint(rows as u64)),
+            ("cols", Json::uint(cols as u64)),
+        ];
+        match format {
+            CheckpointFormat::F32 => {
+                rec.push(("data", Json::Arr(data.iter().map(|&v| Json::Num(v as f64)).collect())));
+            }
+            CheckpointFormat::Int8 => {
+                let scale = ps.qscale(id).unwrap_or_else(|| quant_scale(data));
+                rec.push(("scale", Json::Num(scale as f64)));
+                let codes = data.iter().map(|&v| Json::Int(quantize_one(v, scale) as i64));
+                rec.push(("qdata", Json::Arr(codes.collect())));
+            }
+        }
+        push_line(&mut out, Json::obj(rec));
     }
-    w.write(end_record(ps))?;
-    w.finish()?;
-    Ok(())
+    push_line(
+        &mut out,
+        Json::obj(vec![
+            ("type", Json::Str("checkpoint_end".into())),
+            ("params", Json::uint(ps.len() as u64)),
+        ]),
+    );
+    Ok(out)
 }
 
-fn get_usize(rec: &Json, key: &str, line: usize) -> Result<usize, CheckpointError> {
-    rec.get(key).and_then(Json::as_f64).map(|v| v as usize).ok_or_else(|| {
-        CheckpointError::Corrupt(format!("line {line}: missing or non-numeric `{key}`"))
-    })
-}
-
-fn get_str<'j>(rec: &'j Json, key: &str, line: usize) -> Result<&'j str, CheckpointError> {
-    rec.get(key).and_then(Json::as_str).ok_or_else(|| {
-        CheckpointError::Corrupt(format!("line {line}: missing or non-string `{key}`"))
-    })
-}
-
-/// Loads a checkpoint written by [`save_checkpoint`] or
-/// [`save_checkpoint_quantized`], returning the restored store and the
-/// on-disk format. Malformed input yields a typed error, never a panic.
-pub fn load_checkpoint(path: &str) -> Result<(ParamStore, CheckpointFormat), CheckpointError> {
-    let text = std::fs::read_to_string(path)?;
+/// Reads checkpoint text written by [`write_checkpoint`], one record at a
+/// time. Malformed input yields a typed error, never a panic.
+pub fn read_checkpoint(text: &str) -> Result<Checkpoint, CheckpointError> {
     let mut ps = ParamStore::new();
-    let mut format = None;
-    let mut declared_params = 0usize;
+    let mut head: Option<(CheckpointFormat, usize, Json)> = None;
     let mut ended = false;
     for (i, line) in text.lines().enumerate() {
         let lineno = i + 1;
+        let corrupt = |e: String| CheckpointError::Corrupt(format!("line {lineno}: {e}"));
         if line.trim().is_empty() {
             continue;
         }
         if ended {
-            return Err(CheckpointError::Corrupt(format!(
-                "line {lineno}: record after checkpoint_end"
-            )));
+            return Err(corrupt("record after checkpoint_end".into()));
         }
-        let rec = Json::parse(line)
+        let mut rec = Json::parse(line)
             .map_err(|e| CheckpointError::Parse(format!("line {lineno}: {e}")))?;
-        let ty = get_str(&rec, "type", lineno)?;
-        match ty {
+        match rec.str_field("type").map_err(corrupt)? {
             "checkpoint_meta" => {
-                let version = rec
-                    .get("checkpoint_version")
-                    .and_then(Json::as_f64)
-                    .map(|v| v as i64)
-                    .ok_or_else(|| {
-                        CheckpointError::Corrupt(format!(
-                            "line {lineno}: meta record lacks checkpoint_version"
-                        ))
-                    })?;
-                if version != CHECKPOINT_VERSION {
-                    return Err(CheckpointError::Version(format!(
-                        "file has checkpoint_version {version}, this build reads {CHECKPOINT_VERSION}"
-                    )));
+                if head.is_some() {
+                    return Err(corrupt("second checkpoint_meta record".into()));
                 }
-                format = Some(match get_str(&rec, "format", lineno)? {
-                    "f32" => CheckpointFormat::F32,
-                    "int8" => CheckpointFormat::Int8,
-                    other => {
-                        return Err(CheckpointError::Corrupt(format!(
-                            "line {lineno}: unknown format `{other}`"
+                match rec.get("checkpoint_version") {
+                    None => return Err(corrupt("meta record lacks checkpoint_version".into())),
+                    Some(Json::Int(CHECKPOINT_VERSION)) => {}
+                    Some(v) => {
+                        return Err(CheckpointError::Version(format!(
+                            "file has checkpoint_version {}, this build reads {CHECKPOINT_VERSION}",
+                            v.render()
                         )))
                     }
-                });
-                declared_params = get_usize(&rec, "params", lineno)?;
+                }
+                let format = match rec.str_field("format").map_err(corrupt)? {
+                    "f32" => CheckpointFormat::F32,
+                    "int8" => CheckpointFormat::Int8,
+                    other => return Err(corrupt(format!("unknown format `{other}`"))),
+                };
+                let declared = rec.usize_field("params").map_err(corrupt)?;
+                if let Json::Obj(entries) = &mut rec {
+                    entries.retain(|(k, _)| !RESERVED.contains(&k.as_str()));
+                }
+                head = Some((format, declared, rec));
             }
             "checkpoint_param" => {
-                let format = format.ok_or_else(|| {
-                    CheckpointError::Corrupt(format!(
-                        "line {lineno}: checkpoint_param before checkpoint_meta"
-                    ))
-                })?;
-                let name = get_str(&rec, "name", lineno)?.to_string();
-                let group = get_usize(&rec, "group", lineno)?;
-                let rows = get_usize(&rec, "rows", lineno)?;
-                let cols = get_usize(&rec, "cols", lineno)?;
+                let Some((format, ..)) = head else {
+                    return Err(corrupt("checkpoint_param before checkpoint_meta".into()));
+                };
+                let name = rec.str_field("name").map_err(corrupt)?.to_string();
+                let group = rec.usize_field("group").map_err(corrupt)?;
+                let rows = rec.usize_field("rows").map_err(corrupt)?;
+                let cols = rec.usize_field("cols").map_err(corrupt)?;
                 let (data, qscale) = match format {
                     CheckpointFormat::F32 => {
-                        let arr = rec.get("data").and_then(Json::as_arr).ok_or_else(|| {
-                            CheckpointError::Corrupt(format!("line {lineno}: missing `data`"))
-                        })?;
-                        let mut data = Vec::with_capacity(arr.len());
-                        for v in arr {
-                            data.push(v.as_f64().ok_or_else(|| {
-                                CheckpointError::Corrupt(format!(
-                                    "line {lineno}: non-numeric weight"
-                                ))
-                            })? as f32);
-                        }
-                        (data, None)
+                        let weight = |v: &Json| Some(v.as_f64()? as f32);
+                        let expected = "an array of numbers";
+                        (values(&rec, "data", expected, weight).map_err(corrupt)?, None)
                     }
                     CheckpointFormat::Int8 => {
                         let scale =
-                            rec.get("scale").and_then(Json::as_f64).ok_or_else(|| {
-                                CheckpointError::Corrupt(format!("line {lineno}: missing `scale`"))
-                            })? as f32;
-                        let arr = rec.get("qdata").and_then(Json::as_arr).ok_or_else(|| {
-                            CheckpointError::Corrupt(format!("line {lineno}: missing `qdata`"))
-                        })?;
-                        let mut data = Vec::with_capacity(arr.len());
-                        for v in arr {
-                            let q = v.as_f64().ok_or_else(|| {
-                                CheckpointError::Corrupt(format!("line {lineno}: non-numeric code"))
-                            })?;
-                            if !(-127.0..=127.0).contains(&q) || q.fract() != 0.0 {
-                                return Err(CheckpointError::Corrupt(format!(
-                                    "line {lineno}: int8 code {q} out of range"
-                                )));
-                            }
-                            data.push(q as f32 * scale);
-                        }
-                        (data, Some(scale))
+                            rec.field("scale", "a number", Json::as_f64).map_err(corrupt)? as f32;
+                        let code = |v: &Json| match v {
+                            Json::Int(q) if (-127..=127).contains(q) => Some(*q as f32 * scale),
+                            _ => None,
+                        };
+                        let expected = "an array of integers in -127..=127";
+                        (values(&rec, "qdata", expected, code).map_err(corrupt)?, Some(scale))
                     }
                 };
-                if data.len() != rows * cols {
-                    return Err(CheckpointError::Corrupt(format!(
-                        "line {lineno}: `{name}` declares {rows}x{cols} but carries {} values",
+                if Some(data.len()) != rows.checked_mul(cols) {
+                    return Err(corrupt(format!(
+                        "`{name}` declares {rows}x{cols} but carries {} values",
                         data.len()
                     )));
                 }
                 ps.add_raw(name, group, rows, cols, data, qscale);
             }
             "checkpoint_end" => {
-                let n = get_usize(&rec, "params", lineno)?;
-                if n != ps.len() || n != declared_params {
+                let n = rec.usize_field("params").map_err(corrupt)?;
+                let declared = head.as_ref().map_or(0, |h| h.1);
+                if n != ps.len() || n != declared {
                     return Err(CheckpointError::Truncated(format!(
-                        "end record declares {n} params, read {} of {declared_params}",
+                        "end record declares {n} params, read {} of {declared}",
                         ps.len()
                     )));
                 }
                 ended = true;
             }
-            other => {
-                return Err(CheckpointError::Corrupt(format!(
-                    "line {lineno}: unknown record type `{other}`"
-                )));
-            }
+            other => return Err(corrupt(format!("unknown record type `{other}`"))),
         }
     }
-    let format = format.ok_or_else(|| {
+    let (format, declared, meta) = head.ok_or_else(|| {
         CheckpointError::Truncated("file has no checkpoint_meta record".to_string())
     })?;
     if !ended {
         return Err(CheckpointError::Truncated(format!(
-            "missing checkpoint_end record ({} of {declared_params} params read)",
+            "missing checkpoint_end record ({} of {declared} params read)",
             ps.len()
         )));
     }
-    Ok((ps, format))
+    Ok(Checkpoint { params: ps, format, meta })
 }

@@ -52,8 +52,8 @@ mod store;
 pub use adam::{Adam, AdamConfig};
 pub use attention::{padding_mask, FeedForward, LayerNorm, MultiHeadAttention, TransformerBlock};
 pub use checkpoint::{
-    load_checkpoint, save_checkpoint, save_checkpoint_quantized, CheckpointError,
-    CheckpointFormat, CHECKPOINT_VERSION,
+    read_checkpoint, write_checkpoint, Checkpoint, CheckpointError, CheckpointFormat,
+    CHECKPOINT_VERSION,
 };
 pub use init::Initializer;
 pub use linear::{Embedding, Linear};

@@ -9,7 +9,6 @@
 //! concurrent evaluation threads can fill it) and invalidated whenever the
 //! optimiser writes to a parameter.
 
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 use valuenet_tensor::{
@@ -28,7 +27,6 @@ impl ParamId {
     }
 }
 
-#[derive(Serialize, Deserialize)]
 struct ParamEntry {
     name: String,
     group: usize,
@@ -73,22 +71,6 @@ pub struct ParamStore {
     packed: RwLock<Vec<Option<Arc<PackedParam>>>>,
     /// When set, the inference helpers use the int8 quantized weights.
     quantized: AtomicBool,
-}
-
-impl Serialize for ParamStore {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Obj(vec![("params".to_string(), self.params.to_value())])
-    }
-}
-
-impl Deserialize for ParamStore {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        Ok(ParamStore {
-            params: Vec::<ParamEntry>::from_value(v.field("params"))?,
-            packed: RwLock::new(Vec::new()),
-            quantized: AtomicBool::new(false),
-        })
-    }
 }
 
 impl ParamStore {
@@ -331,16 +313,6 @@ impl ParamStore {
             .collect()
     }
 
-    /// Serialises all weights to JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("ParamStore serialisation cannot fail")
-    }
-
-    /// Restores a store previously produced by [`ParamStore::to_json`].
-    pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(s)
-    }
-
     /// Iterator over all parameter ids.
     pub fn ids(&self) -> impl Iterator<Item = ParamId> {
         (0..self.params.len()).map(ParamId)
@@ -361,19 +333,6 @@ mod tests {
         assert_eq!(ps.name(id), "w");
         assert_eq!(ps.group(id), 0);
         assert_eq!(ps.num_weights(), 2);
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let mut ps = ParamStore::new();
-        ps.add("a", 0, Tensor::scalar(1.5));
-        ps.add("b", 2, Tensor::from_rows(&[&[1.0], &[2.0]]));
-        let json = ps.to_json();
-        let ps2 = ParamStore::from_json(&json).unwrap();
-        assert_eq!(ps2.len(), 2);
-        assert_eq!(ps2.get(ParamId(0)).scalar_value(), 1.5);
-        assert_eq!(ps2.group(ParamId(1)), 2);
-        assert_eq!(ps2.get(ParamId(1)).shape(), (2, 1));
     }
 
     #[test]

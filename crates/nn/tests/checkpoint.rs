@@ -1,16 +1,12 @@
 //! Checkpoint round-trip and rejection tests.
 
 use valuenet_nn::{
-    load_checkpoint, save_checkpoint, save_checkpoint_quantized, CheckpointError,
-    CheckpointFormat, ParamStore,
+    read_checkpoint, write_checkpoint, Checkpoint, CheckpointError, CheckpointFormat, ParamStore,
 };
+use valuenet_obs::json::Json;
 use valuenet_tensor::Tensor;
 
-fn tmp_path(tag: &str) -> String {
-    let mut p = std::env::temp_dir();
-    p.push(format!("vn_ckpt_{}_{}.jsonl", tag, std::process::id()));
-    p.to_str().unwrap().to_string()
-}
+use CheckpointFormat::{Int8, F32};
 
 /// A store with shapes and value ranges resembling the real model's.
 fn sample_store() -> ParamStore {
@@ -31,6 +27,21 @@ fn sample_store() -> ParamStore {
     ps
 }
 
+fn write(ps: &ParamStore, format: CheckpointFormat) -> String {
+    write_checkpoint(ps, format, Vec::new()).unwrap()
+}
+
+/// The store and format of a checkpoint that must load.
+fn read(text: &str) -> (ParamStore, CheckpointFormat) {
+    let Checkpoint { params, format, .. } = read_checkpoint(text).unwrap();
+    (params, format)
+}
+
+/// Reads a checkpoint file the way the CLI does.
+fn load_file(path: &str) -> Result<Checkpoint, CheckpointError> {
+    read_checkpoint(&std::fs::read_to_string(path)?)
+}
+
 fn assert_stores_bit_identical(a: &ParamStore, b: &ParamStore) {
     assert_eq!(a.len(), b.len());
     for (ia, ib) in a.ids().zip(b.ids()) {
@@ -43,44 +54,47 @@ fn assert_stores_bit_identical(a: &ParamStore, b: &ParamStore) {
     }
 }
 
+fn expect_err(text: &str, want: fn(&CheckpointError) -> bool, what: &str) -> CheckpointError {
+    match read_checkpoint(text) {
+        Err(e) if want(&e) => e,
+        Err(e) => panic!("expected {what}, got {e:?}"),
+        Ok(_) => panic!("expected {what}, load succeeded"),
+    }
+}
+
 #[test]
 fn f32_round_trip_is_bit_identical() {
-    let ps = sample_store();
-    let path = tmp_path("f32");
-    save_checkpoint(&path, &ps).unwrap();
-    let (loaded, format) = load_checkpoint(&path).unwrap();
+    let mut ps = sample_store();
+    // Signed zeros and the extremes of the f32 range survive too.
+    let extremes = vec![-0.0, 0.0, f32::MAX, f32::MIN_POSITIVE];
+    let edge = ps.add("edge", 3, Tensor::from_vec(1, 4, extremes));
+    let (loaded, format) = read(&write(&ps, F32));
     assert_eq!(format, CheckpointFormat::F32);
     assert_stores_bit_identical(&ps, &loaded);
     assert!(loaded.ids().all(|id| loaded.qscale(id).is_none()));
-    std::fs::remove_file(&path).ok();
+    assert_eq!(loaded.data(edge)[0].to_bits(), (-0.0f32).to_bits());
 }
 
 #[test]
 fn int8_round_trip_preserves_scale_and_is_idempotent() {
     let ps = sample_store();
-    let path1 = tmp_path("int8_a");
-    let path2 = tmp_path("int8_b");
-    save_checkpoint_quantized(&path1, &ps).unwrap();
-    let (loaded, format) = load_checkpoint(&path1).unwrap();
+    let text1 = write(&ps, Int8);
+    let (loaded, format) = read(&text1);
     assert_eq!(format, CheckpointFormat::Int8);
     // Every tensor carries its preserved scale after an int8 load.
     assert!(loaded.ids().all(|id| loaded.qscale(id).is_some()));
     // Re-saving the dequantized store reproduces the exact same codes.
-    save_checkpoint_quantized(&path2, &loaded).unwrap();
-    assert_eq!(std::fs::read_to_string(&path1).unwrap(), std::fs::read_to_string(&path2).unwrap());
+    let text2 = write(&loaded, Int8);
+    assert_eq!(text1, text2);
     // And a second load is a fixed point.
-    let (loaded2, _) = load_checkpoint(&path2).unwrap();
+    let (loaded2, _) = read(&text2);
     assert_stores_bit_identical(&loaded, &loaded2);
-    std::fs::remove_file(&path1).ok();
-    std::fs::remove_file(&path2).ok();
 }
 
 #[test]
 fn int8_error_is_within_half_step() {
     let ps = sample_store();
-    let path = tmp_path("int8_err");
-    save_checkpoint_quantized(&path, &ps).unwrap();
-    let (loaded, _) = load_checkpoint(&path).unwrap();
+    let (loaded, _) = read(&write(&ps, Int8));
     for (ia, ib) in ps.ids().zip(loaded.ids()) {
         let scale = loaded.qscale(ib).unwrap();
         for (x, y) in ps.data(ia).iter().zip(loaded.data(ib)) {
@@ -90,77 +104,119 @@ fn int8_error_is_within_half_step() {
             );
         }
     }
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]
 fn truncated_file_is_rejected() {
     let ps = sample_store();
-    let path = tmp_path("trunc");
-    save_checkpoint(&path, &ps).unwrap();
-    let text = std::fs::read_to_string(&path).unwrap();
+    let text = write(&ps, F32);
     let mut lines: Vec<&str> = text.lines().collect();
     lines.pop(); // drop checkpoint_end
-    std::fs::write(&path, lines.join("\n")).unwrap();
-    match load_checkpoint(&path) {
-        Err(CheckpointError::Truncated(_)) => {}
-        Err(e) => panic!("expected Truncated, got {e:?}"),
-        Ok(_) => panic!("expected Truncated, load succeeded"),
-    }
+    expect_err(&lines.join("\n"), |e| matches!(e, CheckpointError::Truncated(_)), "Truncated");
     // Dropping a param line too makes the end-count inconsistent.
-    save_checkpoint(&path, &ps).unwrap();
-    let text = std::fs::read_to_string(&path).unwrap();
     let mut lines: Vec<&str> = text.lines().collect();
     lines.remove(2);
-    std::fs::write(&path, lines.join("\n")).unwrap();
-    match load_checkpoint(&path) {
-        Err(CheckpointError::Truncated(_)) => {}
-        Err(e) => panic!("expected Truncated, got {e:?}"),
-        Ok(_) => panic!("expected Truncated, load succeeded"),
-    }
-    std::fs::remove_file(&path).ok();
+    expect_err(&lines.join("\n"), |e| matches!(e, CheckpointError::Truncated(_)), "Truncated");
 }
 
 #[test]
 fn corrupted_and_unversioned_files_are_rejected() {
-    let path = tmp_path("garbage");
-    std::fs::write(&path, "not json at all\n").unwrap();
-    match load_checkpoint(&path) {
-        Err(CheckpointError::Parse(_)) => {}
-        Err(e) => panic!("expected Parse, got {e:?}"),
-        Ok(_) => panic!("expected Parse, load succeeded"),
-    }
+    expect_err("not json at all\n", |e| matches!(e, CheckpointError::Parse(_)), "Parse");
 
     // A future checkpoint_version must be refused, not misread.
     let ps = sample_store();
-    save_checkpoint(&path, &ps).unwrap();
-    let text = std::fs::read_to_string(&path).unwrap();
-    let bumped = text.replace("\"checkpoint_version\":1", "\"checkpoint_version\":99");
-    std::fs::write(&path, bumped).unwrap();
-    match load_checkpoint(&path) {
-        Err(CheckpointError::Version(msg)) => {
-            assert!(msg.contains("99"), "unhelpful message: {msg}")
-        }
-        Err(e) => panic!("expected Version, got {e:?}"),
-        Ok(_) => panic!("expected Version, load succeeded"),
+    let text = write(&ps, F32);
+    let bumped = text.replace("\"checkpoint_version\":2", "\"checkpoint_version\":99");
+    match expect_err(&bumped, |e| matches!(e, CheckpointError::Version(_)), "Version") {
+        CheckpointError::Version(msg) => assert!(msg.contains("99"), "unhelpful message: {msg}"),
+        _ => unreachable!(),
     }
 
     // A shape/payload mismatch is corrupt.
-    save_checkpoint(&path, &ps).unwrap();
-    let text = std::fs::read_to_string(&path).unwrap();
     let bad = text.replace("\"rows\":7", "\"rows\":9");
-    std::fs::write(&path, bad).unwrap();
-    match load_checkpoint(&path) {
-        Err(CheckpointError::Corrupt(_)) => {}
-        Err(e) => panic!("expected Corrupt, got {e:?}"),
-        Ok(_) => panic!("expected Corrupt, load succeeded"),
-    }
+    expect_err(&bad, |e| matches!(e, CheckpointError::Corrupt(_)), "Corrupt");
 
     // Missing file surfaces as Io.
-    std::fs::remove_file(&path).ok();
-    match load_checkpoint(&path) {
+    let path = std::env::temp_dir().join(format!("vn_ckpt_gone_{}.jsonl", std::process::id()));
+    match load_file(path.to_str().unwrap()) {
         Err(CheckpointError::Io(_)) => {}
         Err(e) => panic!("expected Io, got {e:?}"),
         Ok(_) => panic!("expected Io, load succeeded"),
+    }
+}
+
+#[test]
+fn version_1_files_are_refused() {
+    let text = write(&sample_store(), F32)
+        .replace("\"checkpoint_version\":2", "\"checkpoint_version\":1");
+    expect_err(&text, |e| matches!(e, CheckpointError::Version(_)), "Version");
+}
+
+#[test]
+fn negative_and_fractional_counts_are_corrupt() {
+    let text = write(&sample_store(), F32);
+    for (from, to) in [
+        ("\"rows\":7,", "\"rows\":-7,"),
+        ("\"rows\":7,", "\"rows\":7.0,"),
+        ("\"rows\":7,", "\"rows\":2.7,"),
+        ("\"group\":0,", "\"group\":-1,"),
+        ("\"params\":4,", "\"params\":4.5,"),
+    ] {
+        let bad = text.replacen(from, to, 1);
+        assert_ne!(bad, text, "{from} not found");
+        let e = expect_err(&bad, |e| matches!(e, CheckpointError::Corrupt(_)), "Corrupt");
+        let field = from.split('"').nth(1).unwrap();
+        assert!(e.to_string().contains(&format!("`{field}`")), "{to}: {e}");
+    }
+}
+
+/// NaN and ±inf cannot be written as JSON numbers: the writer must refuse
+/// the store, naming the parameter, instead of writing an unreadable file.
+fn assert_non_finite_refused(format: CheckpointFormat) {
+    for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+        let mut ps = sample_store();
+        ps.add("dec.bad", 1, Tensor::from_vec(1, 3, vec![0.5, bad, -0.5]));
+        match write_checkpoint(&ps, format, Vec::new()) {
+            Err(CheckpointError::NonFinite(msg)) => {
+                assert!(msg.contains("dec.bad"), "{format:?}: message lacks the name: {msg}")
+            }
+            Err(e) => panic!("{format:?}: expected NonFinite, got {e:?}"),
+            Ok(_) => panic!("{format:?}: a {bad} weight was written"),
+        }
+    }
+}
+
+#[test]
+fn non_finite_weight_is_refused_in_f32() {
+    assert_non_finite_refused(F32);
+}
+
+#[test]
+fn non_finite_weight_is_refused_in_int8() {
+    assert_non_finite_refused(Int8);
+}
+
+#[test]
+fn meta_fields_round_trip_and_saves_are_byte_identical() {
+    let ps = sample_store();
+    let meta = || {
+        vec![
+            ("seed", Json::uint(u64::MAX)),
+            ("note", Json::Str("tiny".into())),
+            ("nested", Json::obj(vec![("n", Json::Int(3))])),
+        ]
+    };
+    for format in [F32, Int8] {
+        let text = write_checkpoint(&ps, format, meta()).unwrap();
+        assert_eq!(text, write_checkpoint(&ps, format, meta()).unwrap(), "{format:?} save differs");
+        let ck = read_checkpoint(&text).unwrap();
+        let want: Vec<(String, Json)> = meta().into_iter().map(|(k, v)| (k.into(), v)).collect();
+        assert_eq!(ck.meta, Json::Obj(want), "the caller's fields come back untouched");
+        let seed = ck.meta_field("seed", |v| v.as_u64().ok_or("not u64".into()));
+        assert_eq!(seed.unwrap(), u64::MAX);
+        match ck.meta_field("absent", |_| Ok(())) {
+            Err(CheckpointError::Corrupt(msg)) => assert!(msg.contains("absent"), "{msg}"),
+            other => panic!("expected Corrupt for a missing field, got {:?}", other.err()),
+        }
     }
 }

@@ -51,27 +51,6 @@ impl CheckReport {
     }
 }
 
-fn require_num(r: &Json, field: &str) -> Result<(), String> {
-    match r.get(field).and_then(Json::as_f64) {
-        Some(_) => Ok(()),
-        None => Err(format!("missing numeric `{field}`")),
-    }
-}
-
-fn require_str(r: &Json, field: &str) -> Result<(), String> {
-    match r.get(field).and_then(Json::as_str) {
-        Some(_) => Ok(()),
-        None => Err(format!("missing string `{field}`")),
-    }
-}
-
-fn require_arr(r: &Json, field: &str) -> Result<(), String> {
-    match r.get(field).and_then(Json::as_arr) {
-        Some(_) => Ok(()),
-        None => Err(format!("missing array `{field}`")),
-    }
-}
-
 /// Validates one already-parsed record. Returns the record's span name when
 /// it contributes one.
 fn check_record(record: &Json, report: &mut CheckReport) -> Result<Option<String>, String> {
@@ -105,23 +84,23 @@ fn check_record(record: &Json, report: &mut CheckReport) -> Result<Option<String
             Ok(None)
         }
         Some("trace") => {
-            require_num(record, "trace_id")?;
-            require_str(record, "outcome")?;
-            require_arr(record, "stages")?;
-            require_arr(record, "attempts")?;
+            record.field("trace_id", "a number", Json::as_f64)?;
+            record.str_field("outcome")?;
+            record.field("stages", "an array", Json::as_arr)?;
+            record.field("attempts", "an array", Json::as_arr)?;
             report.traces += 1;
             Ok(None)
         }
         Some("profile") => {
-            require_str(record, "stack")?;
-            require_num(record, "samples")?;
+            record.str_field("stack")?;
+            record.field("samples", "a number", Json::as_f64)?;
             report.profiles += 1;
             Ok(None)
         }
         Some("slo") => {
-            require_num(record, "availability_burn")?;
-            require_num(record, "latency_burn")?;
-            require_num(record, "total")?;
+            for key in ["availability_burn", "latency_burn", "total"] {
+                record.field(key, "a number", Json::as_f64)?;
+            }
             report.slos += 1;
             Ok(None)
         }

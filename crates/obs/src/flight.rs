@@ -126,35 +126,18 @@ impl FlightRecorder {
         use std::io::Write as _;
         let needs_meta = std::fs::metadata(path).map(|m| m.len() == 0).unwrap_or(true);
         let mut f = std::fs::OpenOptions::new().create(true).append(true).open(path)?;
-        let stamp = |record: Json| -> String {
-            match record {
-                Json::Obj(mut entries) => {
-                    if !entries.iter().any(|(k, _)| k == "schema_version") {
-                        entries.insert(
-                            0,
-                            (
-                                "schema_version".to_string(),
-                                Json::Int(crate::RUN_REPORT_SCHEMA_VERSION),
-                            ),
-                        );
-                    }
-                    Json::Obj(entries).render()
-                }
-                other => other.render(),
-            }
-        };
         if needs_meta {
             writeln!(
                 f,
                 "{}",
-                stamp(Json::obj(vec![
+                crate::jsonl_line(Json::obj(vec![
                     ("type", Json::Str("meta".into())),
                     ("stream", Json::Str("flight_recorder".into())),
                     ("clock", Json::Str("monotonic_us".into())),
                 ]))
             )?;
         }
-        writeln!(f, "{}", stamp(trace.to_json()))
+        writeln!(f, "{}", crate::jsonl_line(trace.to_json()))
     }
 }
 

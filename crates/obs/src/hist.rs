@@ -10,10 +10,13 @@
 //! 12.5% — plenty for latency work, where the interesting differences are
 //! 2× not 2%.
 //!
-//! The same layout backs both the lock-free [`crate::Histogram`] statics
-//! (atomic buckets, safe to hammer from `valuenet-par` workers) and the
-//! per-thread span-duration aggregates (plain `u64` buckets, merged at
+//! The same layout backs the lock-free [`AtomicBuckets`] (safe to hammer
+//! from `valuenet-par` workers) that both the gated [`crate::Histogram`]
+//! statics and the serving engine's always-on latency histograms hold, and
+//! the per-thread span-duration aggregates (plain `u64` buckets, merged at
 //! flush time).
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Total bucket count: 4 exact small-value buckets + 62 octaves × 4.
 pub const NBUCKETS: usize = 252;
@@ -64,6 +67,41 @@ pub fn percentile_from_counts(counts: &[u64], q: f64) -> f64 {
         }
     }
     bucket_mid(counts.len() - 1)
+}
+
+/// One count per bucket, incremented with relaxed atomics. Records
+/// unconditionally; [`crate::Histogram`] adds the observability gate.
+pub struct AtomicBuckets([AtomicU64; NBUCKETS]);
+
+impl AtomicBuckets {
+    /// All buckets empty (const, for statics).
+    pub const fn new() -> Self {
+        AtomicBuckets([const { AtomicU64::new(0) }; NBUCKETS])
+    }
+
+    /// Counts `v` in its bucket.
+    #[inline]
+    pub fn record(&self, v: u64) {
+        self.0[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// A copy of the bucket counts, for [`percentile_from_counts`].
+    pub fn counts(&self) -> Vec<u64> {
+        self.0.iter().map(|c| c.load(Ordering::Relaxed)).collect()
+    }
+
+    /// Empties every bucket.
+    pub fn reset(&self) {
+        for c in &self.0 {
+            c.store(0, Ordering::Relaxed);
+        }
+    }
+}
+
+impl Default for AtomicBuckets {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 #[cfg(test)]

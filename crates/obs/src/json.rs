@@ -1,11 +1,14 @@
-//! A minimal JSON value, writer and parser.
+//! A minimal JSON value, writer and parser — the repository's one JSON
+//! layer.
 //!
 //! `valuenet-obs` is dependency-free by design (it sits below every other
-//! crate, including `valuenet-tensor`), so it carries its own tiny JSON
-//! layer instead of using the vendored `serde_json`. The writer emits
-//! compact single-line JSON (one event per line is the JSONL contract);
-//! the parser is a recursive-descent reader used by the round-trip tests
-//! and the `vn-obs-check` CI validator.
+//! crate, including `valuenet-tensor`), so every crate that reads or writes
+//! JSON — traces, reports, the serving protocol and the model file — goes
+//! through this module. The writer emits compact single-line JSON (one
+//! record per line is the JSONL contract); the parser is a recursive-descent
+//! reader. Types that travel in the model file convert to and from [`Json`]
+//! by hand, reading their members through [`Json::field`] so a malformed
+//! file is refused with the field's name instead of defaulted.
 
 use std::fmt::Write as _;
 
@@ -66,6 +69,63 @@ impl Json {
             Json::Arr(items) => Some(items),
             _ => None,
         }
+    }
+
+    /// The boolean payload, if this is a boolean.
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Json::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
+    /// A `u64`, exactly: an [`Json::Int`] when it fits, otherwise its
+    /// decimal digits as a string (an `f64` would round it).
+    pub fn uint(v: u64) -> Json {
+        i64::try_from(v).map_or_else(|_| Json::Str(v.to_string()), Json::Int)
+    }
+
+    /// The exact non-negative integer [`Json::uint`] writes. Negative
+    /// numbers, floats (even integral ones) and other strings are `None`,
+    /// never truncated or saturated.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Json::Int(i) => u64::try_from(*i).ok(),
+            Json::Str(s) if s.bytes().all(|b| b.is_ascii_digit()) => s.parse().ok(),
+            _ => None,
+        }
+    }
+
+    /// [`Json::as_u64`], when it also fits in a `usize`.
+    pub fn as_usize(&self) -> Option<usize> {
+        self.as_u64().and_then(|v| usize::try_from(v).ok())
+    }
+
+    /// Member `key` of an object read through `read`, for readers that must
+    /// refuse a malformed record rather than default a field: a missing or
+    /// ill-typed member is an error naming the field, what it should be and
+    /// what it is.
+    pub fn field<'a, T>(
+        &'a self,
+        key: &str,
+        expected: &str,
+        read: impl FnOnce(&'a Json) -> Option<T>,
+    ) -> Result<T, String> {
+        let v = self.get(key).ok_or_else(|| format!("missing field `{key}`"))?;
+        read(v).ok_or_else(|| {
+            let found: String = v.render().chars().take(40).collect();
+            format!("field `{key}`: expected {expected}, found {found}")
+        })
+    }
+
+    /// Member `key` as a `usize` (see [`Json::field`]).
+    pub fn usize_field(&self, key: &str) -> Result<usize, String> {
+        self.field(key, "a non-negative integer", Json::as_usize)
+    }
+
+    /// Member `key` as a string (see [`Json::field`]).
+    pub fn str_field(&self, key: &str) -> Result<&str, String> {
+        self.field(key, "a string", Json::as_str)
     }
 
     /// Renders compact JSON text.
@@ -214,7 +274,8 @@ impl<'a> Parser<'a> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| "invalid utf8 in number".to_string())?;
-        if float {
+        if float || text == "-0" {
+            // `-0` is how the writer renders a negative zero float.
             text.parse::<f64>().map(Json::Num).map_err(|e| format!("bad number {text:?}: {e}"))
         } else {
             text.parse::<i64>()
@@ -357,6 +418,34 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("{\"a\":1} extra").is_err());
         assert!(Json::parse("nul").is_err());
+    }
+
+    #[test]
+    fn unsigned_integers_are_exact_over_u64() {
+        for v in [0, 1 << 53, (1 << 53) + 1, i64::MAX as u64, i64::MAX as u64 + 1, u64::MAX] {
+            let back = Json::parse(&Json::uint(v).render()).unwrap();
+            assert_eq!(back.as_u64(), Some(v), "{v}");
+        }
+        for bad in ["-1", "2.7", "2.0", "\"12a\"", "\"\"", "true"] {
+            assert_eq!(Json::parse(bad).unwrap().as_u64(), None, "{bad}");
+        }
+    }
+
+    #[test]
+    fn negative_zero_survives() {
+        let back = Json::parse(&Json::Num(-0.0).render()).unwrap();
+        assert_eq!(back.as_f64().map(f64::to_bits), Some((-0.0f64).to_bits()));
+    }
+
+    #[test]
+    fn field_errors_name_the_field() {
+        let v = Json::parse(r#"{"n":2.7,"s":"x"}"#).unwrap();
+        assert_eq!(v.str_field("s"), Ok("x"));
+        assert_eq!(
+            v.usize_field("n"),
+            Err("field `n`: expected a non-negative integer, found 2.7".to_string())
+        );
+        assert_eq!(v.usize_field("m"), Err("missing field `m`".to_string()));
     }
 
     #[test]

@@ -45,10 +45,10 @@ pub mod slo;
 pub mod trace;
 
 pub use flight::FlightRecorder;
-pub use hist::{bucket_bounds, bucket_index, percentile_from_counts, NBUCKETS};
+pub use hist::{bucket_bounds, bucket_index, percentile_from_counts, AtomicBuckets, NBUCKETS};
 pub use sink::{
-    chrome_trace, summary, write_run_report, write_run_report_with, DifficultyRow, JsonlWriter,
-    RUN_REPORT_SCHEMA_VERSION,
+    chrome_trace, jsonl_line, summary, write_run_report, write_run_report_with, DifficultyRow,
+    JsonlWriter, RUN_REPORT_SCHEMA_VERSION,
 };
 pub use slo::{SloPolicy, SloReport};
 pub use trace::{RequestTrace, SpanCtx, TraceId};
@@ -475,7 +475,7 @@ pub struct Histogram {
     name: &'static str,
     count: AtomicU64,
     sum: AtomicU64,
-    buckets: [AtomicU64; NBUCKETS],
+    buckets: AtomicBuckets,
     registered: AtomicBool,
 }
 
@@ -486,7 +486,7 @@ impl Histogram {
             name,
             count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
-            buckets: [const { AtomicU64::new(0) }; NBUCKETS],
+            buckets: AtomicBuckets::new(),
             registered: AtomicBool::new(false),
         }
     }
@@ -504,7 +504,7 @@ impl Histogram {
         }
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
-        self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
+        self.buckets.record(v);
     }
 
     /// The histogram's name.
@@ -525,9 +525,7 @@ impl Histogram {
     /// Nearest-rank percentile `q` in `(0, 1]`, as a bucket midpoint
     /// (relative error ≤ 12.5%). 0.0 when empty.
     pub fn percentile(&self, q: f64) -> f64 {
-        let counts: Vec<u64> =
-            self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect();
-        percentile_from_counts(&counts, q)
+        percentile_from_counts(&self.buckets.counts(), q)
     }
 }
 
@@ -778,9 +776,7 @@ pub fn reset() {
     for h in &g.histograms {
         h.count.store(0, Ordering::Relaxed);
         h.sum.store(0, Ordering::Relaxed);
-        for b in &h.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
+        h.buckets.reset();
     }
     EVENT_COUNT.store(0, Ordering::Relaxed);
 }

@@ -48,28 +48,30 @@ impl JsonlWriter {
         Ok(JsonlWriter { out: BufWriter::new(std::fs::File::create(path)?) })
     }
 
-    /// Writes one record, injecting `schema_version` as the first field if
-    /// the object does not already have one. Non-object values are written
-    /// unchanged.
+    /// Writes one record as a [`jsonl_line`].
     pub fn write(&mut self, record: Json) -> std::io::Result<()> {
-        let record = match record {
-            Json::Obj(mut entries) => {
-                if !entries.iter().any(|(k, _)| k == "schema_version") {
-                    entries.insert(
-                        0,
-                        ("schema_version".to_string(), Json::Int(RUN_REPORT_SCHEMA_VERSION)),
-                    );
-                }
-                Json::Obj(entries)
-            }
-            other => other,
-        };
-        writeln!(self.out, "{}", record.render())
+        writeln!(self.out, "{}", jsonl_line(record))
     }
 
     /// Flushes buffered lines to disk.
     pub fn finish(mut self) -> std::io::Result<()> {
         self.out.flush()
+    }
+}
+
+/// One JSONL line (without its newline) in the versioned envelope:
+/// `schema_version` is injected as the first field unless the object
+/// already has one. Non-object values are rendered unchanged.
+pub fn jsonl_line(record: Json) -> String {
+    match record {
+        Json::Obj(mut entries) => {
+            if !entries.iter().any(|(k, _)| k == "schema_version") {
+                entries
+                    .insert(0, ("schema_version".to_string(), Json::Int(RUN_REPORT_SCHEMA_VERSION)));
+            }
+            Json::Obj(entries).render()
+        }
+        other => other.render(),
     }
 }
 

@@ -12,8 +12,8 @@
 //!   as the paper augments its stochastic model.
 
 use crate::tokenizer::Token;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use valuenet_obs::json::Json;
 
 /// How an extracted value was recognised.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -237,7 +237,7 @@ impl Ner for HeuristicNer {
 /// Features are the token's character trigrams plus shape features
 /// (capitalised / digit / length bucket). Trained on (token, is-value)
 /// pairs extracted from a labelled corpus.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct StatisticalNer {
     value_counts: HashMap<String, f64>,
     other_counts: HashMap<String, f64>,
@@ -256,6 +256,56 @@ impl StatisticalNer {
     /// Whether any training examples have been observed.
     pub fn is_trained(&self) -> bool {
         self.value_docs + self.other_docs > 0.0
+    }
+
+    /// The trained counts as the model file's `ner` field, features sorted
+    /// so equal models write equal bytes.
+    pub fn to_json(&self) -> Json {
+        let counts = |m: &HashMap<String, f64>| {
+            let mut entries: Vec<(&String, &f64)> = m.iter().collect();
+            entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
+            Json::Obj(entries.into_iter().map(|(f, &c)| (f.clone(), Json::Num(c))).collect())
+        };
+        Json::obj(vec![
+            ("value_counts", counts(&self.value_counts)),
+            ("other_counts", counts(&self.other_counts)),
+            ("value_total", Json::Num(self.value_total)),
+            ("other_total", Json::Num(self.other_total)),
+            ("value_docs", Json::Num(self.value_docs)),
+            ("other_docs", Json::Num(self.other_docs)),
+        ])
+    }
+
+    /// Reads the counts [`StatisticalNer::to_json`] writes. Every count is
+    /// a tally of observations, so each must be a non-negative integer.
+    ///
+    /// # Errors
+    /// Names the first missing field or malformed count.
+    pub fn from_json(v: &Json) -> Result<Self, String> {
+        let count = |key: &str| v.field(key, "a non-negative integer", Json::as_u64);
+        let counts = |key: &str| -> Result<HashMap<String, f64>, String> {
+            let Some(Json::Obj(entries)) = v.get(key) else {
+                return Err(format!("field `{key}`: expected an object of counts"));
+            };
+            let mut map = HashMap::with_capacity(entries.len());
+            for (feature, c) in entries {
+                let c = c.as_u64().ok_or_else(|| {
+                    format!("`{key}`: count of `{feature}` is not a non-negative integer")
+                })?;
+                if map.insert(feature.clone(), c as f64).is_some() {
+                    return Err(format!("`{key}`: `{feature}` is listed twice"));
+                }
+            }
+            Ok(map)
+        };
+        Ok(StatisticalNer {
+            value_counts: counts("value_counts")?,
+            other_counts: counts("other_counts")?,
+            value_total: count("value_total")? as f64,
+            other_total: count("other_total")? as f64,
+            value_docs: count("value_docs")? as f64,
+            other_docs: count("other_docs")? as f64,
+        })
     }
 
     fn features(token: &Token) -> Vec<String> {
@@ -445,5 +495,26 @@ mod tests {
         let sfo = toks.iter().find(|t| t.text == "SFO").unwrap();
         let go = toks.iter().find(|t| t.text == "go").unwrap();
         assert!(ner.score(sfo) > ner.score(go), "SFO should look more value-like than 'go'");
+    }
+
+    #[test]
+    fn statistical_ner_json_round_trip_is_exact() {
+        let mut ner = StatisticalNer::new();
+        let examples = [("flights to JFK", "JFK"), ("students from France", "France")]
+            .map(|(q, v)| (tokenize_question(q), vec![v.to_string()]));
+        ner.fit(&examples);
+        let text = ner.to_json().render();
+        let back = StatisticalNer::from_json(&Json::parse(&text).unwrap()).unwrap();
+        assert_eq!(back.value_counts, ner.value_counts);
+        assert_eq!(back.other_counts, ner.other_counts);
+        assert_eq!(back.to_json().render(), text, "features are written in sorted order");
+        let tok = &tokenize_question("to SFO")[1];
+        assert_eq!(back.score(tok).to_bits(), ner.score(tok).to_bits());
+
+        for (bad, why) in [("2.7", "fractional"), ("-1", "negative")] {
+            let text = text.replacen("\"value_docs\":2", &format!("\"value_docs\":{bad}"), 1);
+            let err = StatisticalNer::from_json(&Json::parse(&text).unwrap()).unwrap_err();
+            assert!(err.contains("value_docs"), "{why} count: {err}");
+        }
     }
 }

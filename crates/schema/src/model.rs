@@ -1,14 +1,12 @@
 //! Schema data model: tables, columns, types and key relationships.
 
-use serde::{Deserialize, Serialize};
-
 /// Index of a table within a [`DbSchema`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TableId(pub usize);
 
 /// Index of a column within a [`DbSchema`]. Column `0` is always the special
 /// `*` column (it belongs to no table), mirroring Spider's schema encoding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ColumnId(pub usize);
 
 impl ColumnId {
@@ -22,7 +20,7 @@ impl ColumnId {
 }
 
 /// Logical column types, following Spider's five-way classification.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ColumnType {
     /// Free text.
     Text,
@@ -44,7 +42,7 @@ impl ColumnType {
 }
 
 /// A column of a table.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Column {
     /// Physical (snake_case) name as used in SQL.
     pub name: String,
@@ -60,7 +58,7 @@ pub struct Column {
 }
 
 /// A table of the schema.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table {
     /// Physical (snake_case) name as used in SQL.
     pub name: String,
@@ -72,7 +70,7 @@ pub struct Table {
 
 /// A foreign-key relationship `from` → `to` (child column references parent
 /// column).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ForeignKey {
     /// Referencing (child) column.
     pub from: ColumnId,
@@ -81,7 +79,7 @@ pub struct ForeignKey {
 }
 
 /// A complete database schema.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DbSchema {
     /// Database identifier (Spider's `db_id`).
     pub db_id: String,
@@ -329,15 +327,5 @@ mod tests {
         let student = s.table_by_name("student").unwrap();
         let c = s.column_by_name(student, "home_country").unwrap();
         assert_eq!(s.column(c).display, "home country");
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let s = pets_schema();
-        let json = serde_json::to_string(&s).unwrap();
-        let s2: DbSchema = serde_json::from_str(&json).unwrap();
-        assert_eq!(s2.tables.len(), s.tables.len());
-        assert_eq!(s2.columns.len(), s.columns.len());
-        assert_eq!(s2.foreign_keys, s.foreign_keys);
     }
 }

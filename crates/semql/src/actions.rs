@@ -8,12 +8,11 @@
 //! decoder masks its output distribution to that set.
 
 use crate::ast::*;
-use serde::{Deserialize, Serialize};
 use valuenet_schema::{ColumnId, TableId};
 use valuenet_sql::AggFunc;
 
 /// Productions of `Z`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ZRule {
     /// `intersect R R`
     Intersect,
@@ -26,7 +25,7 @@ pub enum ZRule {
 }
 
 /// Productions of `R` (which optional parts follow the Select).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RRule {
     /// `Select`
     S,
@@ -43,7 +42,7 @@ pub enum RRule {
 }
 
 /// Productions of `Filter`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FilterRule {
     /// `and Filter Filter`
     And,
@@ -104,7 +103,7 @@ impl FilterRule {
 
 /// One decoding action: either a grammar-rule application (a "sketch"
 /// action, fixed vocabulary) or a pointer selection (`C`/`T`/`V`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Action {
     /// Apply a `Z` production.
     Z(ZRule),
@@ -217,7 +216,7 @@ impl Action {
 }
 
 /// Grammar nonterminals (decoder frontier kinds).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NonTerminal {
     /// Root.
     Z,

@@ -1,16 +1,15 @@
 //! Typed SemQL 2.0 abstract syntax tree.
 
-use serde::{Deserialize, Serialize};
 use valuenet_schema::{ColumnId, TableId};
 use valuenet_sql::AggFunc;
 
 /// Index into the value-candidate list attached to a query (the `V`
 /// nonterminal — the paper's extension over SemQL 1.0).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ValueRef(pub usize);
 
 /// The root `Z`: an optional set operation over one or two `R` queries.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SemQl {
     /// `intersect R R`
     Intersect(Box<QueryR>, Box<QueryR>),
@@ -47,7 +46,7 @@ impl SemQl {
 
 /// An `R` query: a Select plus at most one of Order/Superlative and an
 /// optional Filter (the six `R` productions).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryR {
     /// The projection.
     pub select: Select,
@@ -106,7 +105,7 @@ impl QueryR {
 }
 
 /// `Select ::= distinct N | N` with `N` being 1–5 aggregated columns.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Select {
     /// `SELECT DISTINCT`?
     pub distinct: bool,
@@ -127,7 +126,7 @@ impl Select {
 }
 
 /// `Order ::= asc A | desc A` — ORDER BY without LIMIT.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Order {
     /// Descending?
     pub desc: bool,
@@ -136,7 +135,7 @@ pub struct Order {
 }
 
 /// `Superlative ::= most V A | least V A` — ORDER BY + LIMIT `V`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Superlative {
     /// `most` (descending) or `least` (ascending)?
     pub most: bool,
@@ -147,7 +146,7 @@ pub struct Superlative {
 }
 
 /// Comparison operators usable in filters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CmpOp {
     /// `=`
     Eq,
@@ -179,7 +178,7 @@ impl CmpOp {
 }
 
 /// The `Filter` nonterminal.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Filter {
     /// `and Filter Filter`
     And(Box<Filter>, Box<Filter>),
@@ -289,7 +288,7 @@ impl Filter {
 /// `A ::= [agg] C T` — a column of a table, optionally aggregated. The `*`
 /// pseudo-column still names a table (`count(*)` is attributed to the table
 /// being counted, as in Spider's annotation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Agg {
     /// The aggregate function, `None` for a plain column.
     pub func: Option<AggFunc>,

@@ -40,7 +40,7 @@ use crate::protocol::{ErrorKind, Response, ServeError, Translated, TraceSummary}
 use valuenet_core::{Pipeline, PipelineError, PreparedRequest, Stage, StageTimings, ValueNetModel};
 use valuenet_obs::json::Json;
 use valuenet_obs::trace::{install_ctx, AttemptTrace, RequestTrace, SpanCtx};
-use valuenet_obs::{bucket_index, percentile_from_counts, FlightRecorder, SloPolicy, NBUCKETS};
+use valuenet_obs::{percentile_from_counts, AtomicBuckets, FlightRecorder, SloPolicy};
 use valuenet_storage::Database;
 
 /// Worker threads are named with this prefix; the quiet panic hook uses it
@@ -158,37 +158,16 @@ struct QueueState {
     spawned_total: u64,
 }
 
-/// An always-on latency histogram (the obs `Histogram` no-ops when tracing
-/// is disabled, but the `stats` verb must work regardless), sharing the obs
-/// crate's bucket layout and percentile arithmetic.
-struct ServeHist {
-    counts: [AtomicU64; NBUCKETS],
-}
-
-impl ServeHist {
-    fn new() -> Self {
-        ServeHist { counts: std::array::from_fn(|_| AtomicU64::new(0)) }
-    }
-
-    fn record_us(&self, us: u64) {
-        self.counts[bucket_index(us)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn counts(&self) -> Vec<u64> {
-        self.counts.iter().map(|c| c.load(Ordering::Relaxed)).collect()
-    }
-
-    /// Percentile summary of a bucket-count vector (cumulative snapshot or
-    /// a delta window — same arithmetic).
-    fn json_from_counts(counts: &[u64]) -> Json {
-        let total: u64 = counts.iter().sum();
-        Json::obj(vec![
-            ("count", Json::Int(total as i64)),
-            ("p50_us", Json::Num(percentile_from_counts(counts, 0.50))),
-            ("p90_us", Json::Num(percentile_from_counts(counts, 0.90))),
-            ("p99_us", Json::Num(percentile_from_counts(counts, 0.99))),
-        ])
-    }
+/// Percentile summary of a latency bucket-count vector (cumulative snapshot
+/// or a delta window — same arithmetic).
+fn latency_json(counts: &[u64]) -> Json {
+    let total: u64 = counts.iter().sum();
+    Json::obj(vec![
+        ("count", Json::Int(total as i64)),
+        ("p50_us", Json::Num(percentile_from_counts(counts, 0.50))),
+        ("p90_us", Json::Num(percentile_from_counts(counts, 0.90))),
+        ("p99_us", Json::Num(percentile_from_counts(counts, 0.99))),
+    ])
 }
 
 /// Always-on serving counters and per-stage latency histograms, surfaced by
@@ -210,16 +189,16 @@ pub struct EngineStats {
     internal: AtomicU64,
     shutting_down: AtomicU64,
     // Latencies (µs).
-    total: ServeHist,
-    queue_wait: ServeHist,
-    stage_hists: [ServeHist; Stage::ALL.len()],
+    total: AtomicBuckets,
+    queue_wait: AtomicBuckets,
+    stage_hists: [AtomicBuckets; Stage::ALL.len()],
     // Cross-request batching (all zero while batching is disabled; degraded
     // scalar retries decode alone and are not counted as batches).
     batches: AtomicU64,
     batch_members: AtomicU64,
     batch_window_flushes: AtomicU64,
     batch_size_flushes: AtomicU64,
-    batch_occupancy: ServeHist,
+    batch_occupancy: AtomicBuckets,
 }
 
 impl EngineStats {
@@ -239,14 +218,14 @@ impl EngineStats {
             quarantined: AtomicU64::new(0),
             internal: AtomicU64::new(0),
             shutting_down: AtomicU64::new(0),
-            total: ServeHist::new(),
-            queue_wait: ServeHist::new(),
-            stage_hists: std::array::from_fn(|_| ServeHist::new()),
+            total: AtomicBuckets::new(),
+            queue_wait: AtomicBuckets::new(),
+            stage_hists: std::array::from_fn(|_| AtomicBuckets::new()),
             batches: AtomicU64::new(0),
             batch_members: AtomicU64::new(0),
             batch_window_flushes: AtomicU64::new(0),
             batch_size_flushes: AtomicU64::new(0),
-            batch_occupancy: ServeHist::new(),
+            batch_occupancy: AtomicBuckets::new(),
         }
     }
 
@@ -279,7 +258,7 @@ impl EngineStats {
             t.query_execution,
         ];
         for (hist, d) in self.stage_hists.iter().zip(us) {
-            hist.record_us(d.as_micros() as u64);
+            hist.record(d.as_micros() as u64);
         }
     }
 
@@ -333,7 +312,7 @@ impl EngineStats {
     fn record_batch(&self, occupancy: usize, size_flush: bool) {
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.batch_members.fetch_add(occupancy as u64, Ordering::Relaxed);
-        self.batch_occupancy.record_us(occupancy as u64);
+        self.batch_occupancy.record(occupancy as u64);
         let c = if size_flush { &self.batch_size_flushes } else { &self.batch_window_flushes };
         c.fetch_add(1, Ordering::Relaxed);
     }
@@ -358,7 +337,7 @@ impl EngineStats {
             shutting_down: self.shutting_down.load(Ordering::Relaxed),
             total: self.total.counts(),
             queue_wait: self.queue_wait.counts(),
-            stages: self.stage_hists.iter().map(ServeHist::counts).collect(),
+            stages: self.stage_hists.iter().map(AtomicBuckets::counts).collect(),
             batches: self.batches.load(Ordering::Relaxed),
             batch_members: self.batch_members.load(Ordering::Relaxed),
             batch_window_flushes: self.batch_window_flushes.load(Ordering::Relaxed),
@@ -653,11 +632,11 @@ impl Engine {
         };
         let int = |v: u64| Json::Int(v as i64);
         let mut latencies: Vec<(&str, Json)> = vec![
-            ("total", ServeHist::json_from_counts(&win.total)),
-            ("queue_wait", ServeHist::json_from_counts(&win.queue_wait)),
+            ("total", latency_json(&win.total)),
+            ("queue_wait", latency_json(&win.queue_wait)),
         ];
         for (stage, counts) in Stage::ALL.iter().zip(&win.stages) {
-            latencies.push((stage.label(), ServeHist::json_from_counts(counts)));
+            latencies.push((stage.label(), latency_json(counts)));
         }
         // SLO eligibility: the server's own failures burn the budget; client
         // errors (bad_request, unknown_db) and orderly shutdown do not.
@@ -902,7 +881,7 @@ fn requeue_innocent(sh: &Shared, mut member: Member<'_>) {
 fn settle_ok(sh: &Shared, mut member: Member<'_>, mut body: Box<Translated>) {
     let latency = us_since(sh.epoch).saturating_sub(member.job.submitted_us);
     body.latency_us = latency;
-    sh.stats.total.record_us(latency);
+    sh.stats.total.record(latency);
     sh.stats.completed.fetch_add(1, Ordering::Relaxed);
     if body.degraded {
         sh.stats.degraded_completions.fetch_add(1, Ordering::Relaxed);
@@ -985,7 +964,7 @@ fn process_batch(sh: &Arc<Shared>, jobs: Vec<Job>) -> bool {
             reject_job(sh, &mut job, ErrorKind::DeadlineExceeded, "deadline expired in queue".into());
             continue;
         }
-        sh.stats.queue_wait.record_us(queue_wait_us);
+        sh.stats.queue_wait.record(queue_wait_us);
         // The attempt's stage events are recorded through an ambient context
         // whose buffer is shared (Arc) with this scope — a panic unwinding
         // the attempt cannot lose them, and the guard uninstalls either way.

@@ -240,22 +240,10 @@ impl Request {
             Some(Json::Int(i)) => Some(*i),
             Some(_) => return Err(bad("`id` must be an integer".into())),
         };
-        let verb = v
-            .get("verb")
-            .and_then(Json::as_str)
-            .ok_or_else(|| bad("missing string field `verb`".into()))?;
-        match verb {
+        match v.str_field("verb").map_err(bad)? {
             "translate" => {
-                let db = v
-                    .get("db")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| bad("translate requires string field `db`".into()))?
-                    .to_string();
-                let question = v
-                    .get("question")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| bad("translate requires string field `question`".into()))?
-                    .to_string();
+                let db = v.str_field("db").map_err(bad)?.to_string();
+                let question = v.str_field("question").map_err(bad)?.to_string();
                 let deadline_ms = match v.get("deadline_ms") {
                     None | Some(Json::Null) => None,
                     Some(Json::Int(i)) if *i >= 0 => Some(*i as u64),

@@ -1,9 +1,7 @@
 //! Abstract syntax tree for the covered SQL subset.
 
-use serde::{Deserialize, Serialize};
-
 /// A literal value appearing in SQL text.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Literal {
     /// `NULL`.
     Null,
@@ -29,7 +27,7 @@ impl Literal {
 }
 
 /// Aggregate functions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AggFunc {
     /// `COUNT`.
     Count,
@@ -57,7 +55,7 @@ impl AggFunc {
 }
 
 /// Binary operators (comparisons and boolean connectives).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BinOp {
     /// `=`
     Eq,
@@ -99,7 +97,7 @@ impl BinOp {
 }
 
 /// Reference to a column, optionally qualified: `T1.age`, `age`, `T1.*`, `*`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ColumnRef {
     /// Table name or alias qualifier.
     pub table: Option<String>,
@@ -125,7 +123,7 @@ impl ColumnRef {
 }
 
 /// Expressions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
     /// Column reference.
     Column(ColumnRef),
@@ -253,7 +251,7 @@ impl Expr {
 }
 
 /// One projected item.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SelectItem {
     /// The projected expression.
     pub expr: Expr,
@@ -262,7 +260,7 @@ pub struct SelectItem {
 }
 
 /// A table reference in `FROM` or `JOIN`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableRef {
     /// Physical table name.
     pub name: String,
@@ -278,7 +276,7 @@ impl TableRef {
 }
 
 /// An `INNER JOIN`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Join {
     /// Joined table.
     pub table: TableRef,
@@ -288,7 +286,7 @@ pub struct Join {
 }
 
 /// The body of one `SELECT` (everything before ORDER BY / set operators).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SelectCore {
     /// `SELECT DISTINCT`?
     pub distinct: bool,
@@ -328,7 +326,7 @@ impl Default for SelectCore {
 }
 
 /// Set operators combining two queries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CompoundOp {
     /// `UNION` (duplicate-eliminating).
     Union,
@@ -353,7 +351,7 @@ impl CompoundOp {
 }
 
 /// One `ORDER BY` key.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OrderItem {
     /// Sort key.
     pub expr: Expr,
@@ -362,7 +360,7 @@ pub struct OrderItem {
 }
 
 /// A complete query.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SelectStmt {
     /// The select body.
     pub core: SelectCore,

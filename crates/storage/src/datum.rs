@@ -1,6 +1,5 @@
 //! Runtime values stored in tables and produced by the executor.
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -8,7 +7,7 @@ use std::fmt;
 ///
 /// The derived `PartialEq` is structural (`Int(2) != Float(2.0)`); use
 /// [`Datum::sql_eq`] / [`Datum::result_eq`] for SQL value semantics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Datum {
     /// SQL NULL.
     Null,

@@ -2,14 +2,21 @@
 //! and translate questions against the corpus databases.
 //!
 //! ```text
-//! valuenet-cli train --out model.json [--mode light|full] [--train 2000]
+//! valuenet-cli train --out model.jsonl [--mode light|full] [--train 2000]
 //!                    [--dev 300] [--epochs 8] [--seed 42] [--threads N]
-//! valuenet-cli eval  --model model.json [--threads N]
-//! valuenet-cli ask   --model model.json --db student_pets "How many pets ...?"
-//! valuenet-cli repl  --model model.json --db student_pets
-//! valuenet-cli serve --model model.json --socket valuenet.sock [--workers N]
+//!                    [--save-quant model.int8.jsonl]
+//! valuenet-cli eval  --model model.jsonl [--threads N] [--quantized]
+//! valuenet-cli ask   --model model.jsonl [--quantized] --db student_pets "How many pets ...?"
+//! valuenet-cli repl  --model model.jsonl [--quantized] --db student_pets
+//! valuenet-cli serve --model model.jsonl [--quantized] --socket valuenet.sock [--workers N]
 //! valuenet-cli dbs   [--seed 42]
 //! ```
+//!
+//! The model file is one checkpoint (`valuenet::nn::checkpoint`): the
+//! weights, f32 or (`--save-quant`) int8, plus a meta record carrying the
+//! model config and vocabulary, the trained NER, the value mode and the
+//! corpus config, so `--model` alone restores the pipeline and regenerates
+//! the corpus from its seed.
 //!
 //! `--threads N` caps the worker threads used by training and evaluation
 //! (default: all available cores). Results are bit-identical for any value —
@@ -21,17 +28,9 @@ use valuenet::core::{
 };
 use valuenet::dataset::{generate, Corpus, CorpusConfig};
 use valuenet::eval::ExecOutcome;
+use valuenet::nn::{read_checkpoint, CheckpointError, CheckpointFormat};
+use valuenet::obs::json::Json;
 use valuenet::preprocess::StatisticalNer;
-
-/// Everything needed to reload a trained pipeline: weights, the trained
-/// NER, the mode, and the corpus configuration (seed ⇒ identical DBs).
-#[derive(serde::Serialize, serde::Deserialize)]
-struct Bundle {
-    model: String,
-    ner: StatisticalNer,
-    mode: String,
-    corpus: CorpusConfig,
-}
 
 fn arg(args: &[String], name: &str) -> Option<String> {
     args.iter().position(|a| a == name).and_then(|i| args.get(i + 1).cloned())
@@ -56,21 +55,43 @@ fn arg_usize(args: &[String], name: &str, default: usize) -> usize {
     arg_usize_opt(args, name).unwrap_or(default)
 }
 
-fn load_bundle(path: &str) -> (Pipeline, Corpus) {
-    let data = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| fatal(&format!("cannot read {path}: {e}")));
-    let bundle: Bundle = serde_json::from_str(&data)
-        .unwrap_or_else(|e| fatal(&format!("cannot parse {path}: {e}")));
-    let model = ValueNetModel::from_json(&bundle.model)
-        .unwrap_or_else(|e| fatal(&format!("cannot restore model: {e}")));
-    let mode = match bundle.mode.as_str() {
-        "light" => ValueMode::Light,
-        "novalue" => ValueMode::NoValue,
-        _ => ValueMode::Full,
-    };
-    eprintln!("regenerating corpus (seed {})...", bundle.corpus.seed);
-    let corpus = generate(&bundle.corpus);
-    (Pipeline::new(model, mode, bundle.ner), corpus)
+/// The value modes `train --mode` accepts, by name.
+fn mode_named(name: &str) -> Option<ValueMode> {
+    match name {
+        "light" => Some(ValueMode::Light),
+        "full" => Some(ValueMode::Full),
+        _ => None,
+    }
+}
+
+/// Restores the pipeline a model file describes and the corpus config it
+/// was trained on. Reads either weight format.
+fn read_model(path: &str) -> Result<(Pipeline, CorpusConfig, CheckpointFormat), CheckpointError> {
+    let ck = read_checkpoint(&std::fs::read_to_string(path)?)?;
+    let ner = ck.meta_field("ner", StatisticalNer::from_json)?;
+    let mode = ck.meta_field("mode", |v| {
+        let name = v.as_str().ok_or("expected a string")?;
+        mode_named(name).ok_or_else(|| format!("unknown mode `{name}` (expected light|full)"))
+    })?;
+    let corpus = ck.meta_field("corpus", CorpusConfig::from_json)?;
+    let format = ck.format;
+    let model = ValueNetModel::from_checkpoint(ck)?;
+    Ok((Pipeline::new(model, mode, ner), corpus, format))
+}
+
+/// [`read_model`] for the `--model` flag, then the corpus regenerated from
+/// the stored seed; `--quantized` switches inference to int8 weights.
+fn load_model(args: &[String]) -> (Pipeline, Corpus) {
+    let path = arg(args, "--model").unwrap_or_else(|| fatal("--model is required"));
+    let (pipeline, corpus_cfg, format) =
+        read_model(&path).unwrap_or_else(|e| fatal(&format!("cannot load {path}: {e}")));
+    eprintln!("loaded {format:?} model from {path}");
+    if args.iter().any(|a| a == "--quantized") {
+        pipeline.model.params.set_quantized(true);
+        eprintln!("running with int8 quantized weights");
+    }
+    eprintln!("regenerating corpus (seed {})...", corpus_cfg.seed);
+    (pipeline, generate(&corpus_cfg))
 }
 
 fn fatal(msg: &str) -> ! {
@@ -79,13 +100,10 @@ fn fatal(msg: &str) -> ! {
 }
 
 fn cmd_train(args: &[String]) {
-    let out = arg(args, "--out").unwrap_or_else(|| "model.json".to_string());
+    let out = arg(args, "--out").unwrap_or_else(|| "model.jsonl".to_string());
     let mode_name = arg(args, "--mode").unwrap_or_else(|| "full".to_string());
-    let mode = match mode_name.as_str() {
-        "light" => ValueMode::Light,
-        "full" => ValueMode::Full,
-        other => fatal(&format!("unknown mode '{other}' (use light|full)")),
-    };
+    let mode = mode_named(&mode_name)
+        .unwrap_or_else(|| fatal(&format!("unknown mode '{mode_name}' (use light|full)")));
     let corpus_cfg = CorpusConfig {
         seed: arg_usize(args, "--seed", 42) as u64,
         train_size: arg_usize(args, "--train", 2000),
@@ -112,44 +130,28 @@ fn cmd_train(args: &[String]) {
         report.skipped_samples,
         report.epoch_losses.last().copied().unwrap_or(f32::NAN)
     );
-    let bundle = Bundle {
-        model: pipeline.model.to_json(),
-        ner: pipeline.ner.clone(),
-        mode: mode_name,
-        corpus: corpus_cfg,
+    let save = |path: &str, format: CheckpointFormat| {
+        let extra = vec![
+            ("ner", pipeline.ner.to_json()),
+            ("mode", Json::Str(mode_name.clone())),
+            ("corpus", corpus_cfg.to_json()),
+        ];
+        let text = pipeline
+            .model
+            .to_checkpoint(format, extra)
+            .unwrap_or_else(|e| fatal(&format!("cannot save {path}: {e}")));
+        std::fs::write(path, text).unwrap_or_else(|e| fatal(&format!("cannot write {path}: {e}")));
+        println!("saved {format:?} model to {path}");
     };
-    std::fs::write(&out, serde_json::to_string(&bundle).expect("serialisable"))
-        .unwrap_or_else(|e| fatal(&format!("cannot write {out}: {e}")));
-    println!("saved model bundle to {out}");
-    if let Some(ckpt) = arg(args, "--save") {
-        valuenet::nn::save_checkpoint(&ckpt, &pipeline.model.params)
-            .unwrap_or_else(|e| fatal(&format!("cannot write checkpoint {ckpt}: {e}")));
-        println!("saved f32 checkpoint to {ckpt}");
-    }
-    if let Some(ckpt) = arg(args, "--save-quant") {
-        valuenet::nn::save_checkpoint_quantized(&ckpt, &pipeline.model.params)
-            .unwrap_or_else(|e| fatal(&format!("cannot write checkpoint {ckpt}: {e}")));
-        println!("saved int8 checkpoint to {ckpt}");
+    save(&out, CheckpointFormat::F32);
+    if let Some(path) = arg(args, "--save-quant") {
+        save(&path, CheckpointFormat::Int8);
     }
 }
 
 fn cmd_eval(args: &[String]) {
-    let path = arg(args, "--model").unwrap_or_else(|| fatal("--model is required"));
     let threads = arg_usize(args, "--threads", 0);
-    let (mut pipeline, corpus) = load_bundle(&path);
-    if let Some(ckpt) = arg(args, "--load") {
-        let (params, format) = valuenet::nn::load_checkpoint(&ckpt)
-            .unwrap_or_else(|e| fatal(&format!("cannot load checkpoint {ckpt}: {e}")));
-        pipeline
-            .model
-            .load_params(params)
-            .unwrap_or_else(|e| fatal(&format!("checkpoint {ckpt} does not fit this model: {e}")));
-        eprintln!("loaded {format:?} checkpoint from {ckpt}");
-    }
-    if args.iter().any(|a| a == "--quantized") {
-        pipeline.model.params.set_quantized(true);
-        eprintln!("evaluating with int8 quantized weights");
-    }
+    let (pipeline, corpus) = load_model(args);
     let stats = evaluate_with_threads(&pipeline, &corpus, &corpus.dev, threads);
     let correct = stats.samples.iter().filter(|s| s.outcome.is_correct()).count();
     let failed_exec = stats
@@ -187,7 +189,6 @@ fn translate_one(pipeline: &Pipeline, corpus: &Corpus, db_id: &str, question: &s
 }
 
 fn cmd_ask(args: &[String]) {
-    let path = arg(args, "--model").unwrap_or_else(|| fatal("--model is required"));
     let db_id = arg(args, "--db").unwrap_or_else(|| fatal("--db is required"));
     let question = args
         .iter()
@@ -195,14 +196,13 @@ fn cmd_ask(args: &[String]) {
         .nth(2)
         .cloned()
         .unwrap_or_else(|| fatal("question text is required"));
-    let (pipeline, corpus) = load_bundle(&path);
+    let (pipeline, corpus) = load_model(args);
     translate_one(&pipeline, &corpus, &db_id, &question);
 }
 
 fn cmd_repl(args: &[String]) {
-    let path = arg(args, "--model").unwrap_or_else(|| fatal("--model is required"));
     let db_id = arg(args, "--db").unwrap_or_else(|| fatal("--db is required"));
-    let (pipeline, corpus) = load_bundle(&path);
+    let (pipeline, corpus) = load_model(args);
     println!("ValueNet REPL over '{db_id}' — empty line to quit.");
     let stdin = std::io::stdin();
     loop {
@@ -222,22 +222,8 @@ fn cmd_repl(args: &[String]) {
 
 fn cmd_serve(args: &[String]) {
     use valuenet::serve::{serve_unix, Engine, ServeConfig};
-    let path = arg(args, "--model").unwrap_or_else(|| fatal("--model is required"));
     let socket = arg(args, "--socket").unwrap_or_else(|| "valuenet.sock".to_string());
-    let (mut pipeline, corpus) = load_bundle(&path);
-    if let Some(ckpt) = arg(args, "--load") {
-        let (params, format) = valuenet::nn::load_checkpoint(&ckpt)
-            .unwrap_or_else(|e| fatal(&format!("cannot load checkpoint {ckpt}: {e}")));
-        pipeline
-            .model
-            .load_params(params)
-            .unwrap_or_else(|e| fatal(&format!("checkpoint {ckpt} does not fit this model: {e}")));
-        eprintln!("loaded {format:?} checkpoint from {ckpt}");
-    }
-    if args.iter().any(|a| a == "--quantized") {
-        pipeline.model.params.set_quantized(true);
-        eprintln!("serving with int8 quantized weights");
-    }
+    let (pipeline, corpus) = load_model(args);
     let defaults = ServeConfig::default();
     let cfg = ServeConfig {
         workers: arg_usize(args, "--workers", defaults.workers),
@@ -304,12 +290,12 @@ fn main() {
         _ => {
             eprintln!(
                 "usage: valuenet-cli <train|eval|ask|repl|serve|dbs> [options]\n\
-                 \x20 train --out model.json [--mode light|full] [--train N] [--dev N] [--epochs N] [--seed N] [--threads N]\n\
-                 \x20       [--save ckpt.jsonl] [--save-quant ckpt.int8.jsonl]\n\
-                 \x20 eval  --model model.json [--threads N] [--load ckpt.jsonl] [--quantized]\n\
-                 \x20 ask   --model model.json --db <db_id> \"question\"\n\
-                 \x20 repl  --model model.json --db <db_id>\n\
-                 \x20 serve --model model.json --socket valuenet.sock [--load ckpt.jsonl] [--quantized]\n\
+                 \x20 train --out model.jsonl [--mode light|full] [--train N] [--dev N] [--epochs N] [--seed N] [--threads N]\n\
+                 \x20       [--save-quant model.int8.jsonl]\n\
+                 \x20 eval  --model model.jsonl [--threads N] [--quantized]\n\
+                 \x20 ask   --model model.jsonl [--quantized] --db <db_id> \"question\"\n\
+                 \x20 repl  --model model.jsonl [--quantized] --db <db_id>\n\
+                 \x20 serve --model model.jsonl --socket valuenet.sock [--quantized]\n\
                  \x20       [--workers N] [--queue N] [--deadline-ms N] [--allow-faults]\n\
                  \x20       [--batch-window US] [--batch-max N]\n\
                  \x20 dbs   [--seed N]"

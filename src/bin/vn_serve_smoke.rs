@@ -16,7 +16,7 @@
 //! `--slo-out` writes the final cumulative `stats` payload to a file so CI
 //! can gate the smoke run with `vn-slo-check`.
 //!
-//! The corpus parameters must match the served model's bundle so the
+//! The corpus parameters must match the served model file's so the
 //! driver regenerates the same databases and question set.
 
 use std::time::Duration;

@@ -1,5 +1,5 @@
-//! End-to-end checkpoint integration: a trained model saved to disk and
-//! loaded into a fresh model must be indistinguishable from the original —
+//! End-to-end checkpoint integration: a trained model written as a model
+//! file and read back into a model must be indistinguishable from the original —
 //! bit-identical parameters and identical greedy and beam-4 predictions —
 //! and the packed/quantized inference paths must not change what the f32
 //! model predicts.
@@ -9,15 +9,8 @@ use valuenet::core::{
     ValueNetModel,
 };
 use valuenet::dataset::{generate, Corpus, CorpusConfig};
-use valuenet::nn::{load_checkpoint, save_checkpoint, save_checkpoint_quantized, CheckpointFormat};
+use valuenet::nn::{read_checkpoint, Checkpoint, CheckpointFormat};
 use valuenet::preprocess::preprocess;
-
-fn tmp_path(tag: &str) -> String {
-    std::env::temp_dir()
-        .join(format!("vn_ckpt_model_{tag}_{}.jsonl", std::process::id()))
-        .to_string_lossy()
-        .into_owned()
-}
 
 fn small_corpus() -> Corpus {
     generate(&CorpusConfig {
@@ -60,13 +53,14 @@ fn dev_inputs(pipeline: &valuenet::core::Pipeline, corpus: &Corpus) -> Vec<Model
 fn f32_checkpoint_restores_params_and_predictions() {
     let (mut pipeline, corpus) = trained();
     let inputs = dev_inputs(&pipeline, &corpus);
-    let path = tmp_path("f32");
 
-    save_checkpoint(&path, &pipeline.model.params).expect("checkpoint saves");
+    let text =
+        pipeline.model.to_checkpoint(CheckpointFormat::F32, Vec::new()).expect("checkpoint saves");
     let greedy_before: Vec<_> = inputs.iter().map(|i| pipeline.model.predict(i)).collect();
     let beam_before: Vec<_> = inputs.iter().map(|i| pipeline.model.predict_beam(i)).collect();
 
-    let (restored, format) = load_checkpoint(&path).expect("checkpoint loads");
+    let Checkpoint { params: restored, format, .. } =
+        read_checkpoint(&text).expect("checkpoint loads");
     assert_eq!(format, CheckpointFormat::F32);
 
     // Every tensor must come back bit-identical before it goes anywhere
@@ -93,7 +87,6 @@ fn f32_checkpoint_restores_params_and_predictions() {
             assert!(h.1.to_bits() == before.1.to_bits(), "beam score changed");
         }
     }
-    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
@@ -116,10 +109,13 @@ fn packed_inference_path_matches_tape_path() {
 fn quantized_checkpoint_round_trips_and_predicts_deterministically() {
     let (mut pipeline, corpus) = trained();
     let inputs = dev_inputs(&pipeline, &corpus);
-    let path = tmp_path("int8");
 
-    save_checkpoint_quantized(&path, &pipeline.model.params).expect("int8 checkpoint saves");
-    let (restored, format) = load_checkpoint(&path).expect("int8 checkpoint loads");
+    let text = pipeline
+        .model
+        .to_checkpoint(CheckpointFormat::Int8, Vec::new())
+        .expect("int8 checkpoint saves");
+    let Checkpoint { params: restored, format, .. } =
+        read_checkpoint(&text).expect("int8 checkpoint loads");
     assert_eq!(format, CheckpointFormat::Int8);
     pipeline.model.load_params(restored).expect("int8 params load into the model");
 
@@ -132,5 +128,4 @@ fn quantized_checkpoint_round_trips_and_predicts_deterministically() {
     for (a, b) in first.iter().zip(&second) {
         assert_eq!(a, b, "quantized beam search is not deterministic");
     }
-    let _ = std::fs::remove_file(&path);
 }

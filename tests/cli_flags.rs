@@ -1,5 +1,6 @@
 //! The CLI rejects malformed numeric flags instead of silently using their
-//! defaults.
+//! defaults, and a model file restores exactly what `train` wrote or fails
+//! loudly.
 
 use std::process::Command;
 
@@ -27,4 +28,46 @@ fn well_formed_numeric_flag_still_works() {
     let out = cli(&["dbs", "--seed", "7"]);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     assert!(String::from_utf8_lossy(&out.stdout).contains("tables"));
+}
+
+/// `train` on a five-question corpus, no epochs, into a fresh model file.
+fn train_tiny(tag: &str, seed: &str) -> String {
+    let path = std::env::temp_dir().join(format!("vn_cli_{tag}_{}.jsonl", std::process::id()));
+    let path = path.to_str().expect("temp path is UTF-8").to_string();
+    let out = cli(&[
+        "train", "--epochs", "0", "--train", "5", "--dev", "2", "--rows", "5", "--seed", seed,
+        "--out", &path,
+    ]);
+    assert!(out.status.success(), "train failed: {}", String::from_utf8_lossy(&out.stderr));
+    path
+}
+
+#[test]
+fn corpus_seed_survives_the_model_file_exactly() {
+    // Seeds above 2^53 have no exact f64; `eval` must still regenerate the
+    // corpus the model was trained on.
+    for seed in ["9007199254740993", "18446744073709551615"] {
+        let path = train_tiny(&format!("seed{seed}"), seed);
+        let out = cli(&["eval", "--model", &path]);
+        std::fs::remove_file(&path).ok();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "eval failed: {stderr}");
+        let want = format!("regenerating corpus (seed {seed})");
+        assert!(stderr.contains(&want), "eval must name seed {seed}: {stderr}");
+    }
+}
+
+#[test]
+fn unknown_mode_in_the_model_file_fails_loudly() {
+    let path = train_tiny("mode", "7");
+    let text = std::fs::read_to_string(&path).unwrap();
+    let bad = text.replacen("\"mode\":\"full\"", "\"mode\":\"fast\"", 1);
+    assert_ne!(bad, text, "the model file records its mode");
+    std::fs::write(&path, bad).unwrap();
+    let out = cli(&["eval", "--model", &path]);
+    std::fs::remove_file(&path).ok();
+    assert_eq!(out.status.code(), Some(1), "an unknown mode must not load");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown mode `fast`"), "stderr must name the mode: {stderr}");
+    assert!(out.stdout.is_empty(), "nothing may be evaluated");
 }

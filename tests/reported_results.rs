@@ -7,7 +7,11 @@
 //! * Table II matches `results_table2.txt` row for row (and in its total);
 //! * Fig. 10 matches `results_fig10.txt`: each system's mean ± std, the
 //!   reported points, and the light − full gap;
-//! * the Section V-G error analysis matches `results_error_analysis.txt`.
+//! * the Section V-G error analysis matches `results_error_analysis.txt`;
+//! * Fig. 9 matches `results_fig9.txt`: each share, the share of samples
+//!   with values and the mean values per value-bearing sample;
+//! * the Section V-E coverage matches `results_coverage.txt`: the train
+//!   and dev coverage and the four per-class train rates.
 //!
 //! Regenerating an artifact without updating the prose, or editing the
 //! prose by hand, fails here.
@@ -52,6 +56,20 @@ fn number_before(text: &str, label: &str) -> String {
     let number = &head[start..];
     assert!(!number.is_empty(), "no number before {label:?} in {line:?}");
     number.to_string()
+}
+
+/// The number written immediately after `label` on the first line of
+/// `text` that contains it, e.g. `1.36` for `"sample: "` in
+/// `"mean per value-bearing sample: 1.36 (paper: 1.33)"`.
+fn number_after(text: &str, label: &str) -> String {
+    let line = text
+        .lines()
+        .find(|l| l.contains(label))
+        .unwrap_or_else(|| panic!("no line contains {label:?}"));
+    let tail = &line[line.find(label).expect("found above") + label.len()..];
+    let number: String = tail.chars().take_while(|c| c.is_ascii_digit() || *c == '.').collect();
+    assert!(!number.is_empty(), "no number after {label:?} in {line:?}");
+    number
 }
 
 #[test]
@@ -165,4 +183,70 @@ fn error_analysis_matches_results_error_analysis() {
         table_rows(&artifact).into_iter().map(|r| vec![r[0].clone(), r[2].clone(), r[3].clone()]).collect();
     assert_eq!(rows.len(), 4, "the error analysis has one row per cause: {rows:?}");
     assert_eq!(rows, expected, "EXPERIMENTS.md error analysis differs from results_error_analysis.txt");
+}
+
+#[test]
+fn fig9_matches_results_fig9() {
+    let doc = read("EXPERIMENTS.md");
+    let doc = section(&doc, "## Fig. 9 ");
+    let artifact = read("results_fig9.txt");
+
+    // EXPERIMENTS.md keeps the artifact's share and paper columns, not its
+    // sample counts.
+    let rows = table_rows(doc);
+    let expected: Vec<Vec<String>> = table_rows(&artifact)
+        .into_iter()
+        .map(|r| vec![r[0].clone(), r[2].clone(), r[3].clone()])
+        .collect();
+    assert_eq!(rows.len(), 5, "Fig. 9 has one row per value count 0-4: {rows:?}");
+    assert_eq!(rows, expected, "EXPERIMENTS.md Fig. 9 differs from results_fig9.txt");
+    assert_eq!(
+        number_before(doc, "% of samples contain values"),
+        number_after(&artifact, "samples contain values ("),
+        "EXPERIMENTS.md Fig. 9 share with values differs from results_fig9.txt"
+    );
+    assert_eq!(
+        number_after(doc, "carries "),
+        number_after(&artifact, "mean per value-bearing sample: "),
+        "EXPERIMENTS.md Fig. 9 mean values per value-bearing sample differs from results_fig9.txt"
+    );
+}
+
+#[test]
+fn coverage_matches_results_coverage() {
+    let doc = read("EXPERIMENTS.md");
+    let doc = section(&doc, "## Section V-E ");
+    let artifact = read("results_coverage.txt");
+
+    let rows = table_rows(doc);
+    assert_eq!(rows.len(), 2, "V-E has a train and a dev row: {rows:?}");
+    let line = |split: &str| {
+        let line = artifact.lines().find(|l| l.starts_with(split));
+        line.unwrap_or_else(|| panic!("results_coverage.txt has no {split:?} line"))
+    };
+    let (train, dev) = (line("train: "), line("dev: "));
+    assert_eq!(
+        rows[0][1].replace('*', ""),
+        format!(
+            "{} / {} value-bearing samples = {}%",
+            number_after(train, "for "),
+            number_after(train, " of "),
+            number_after(train, "samples (")
+        ),
+        "EXPERIMENTS.md V-E train coverage differs from results_coverage.txt"
+    );
+    assert_eq!(
+        rows[1][1],
+        format!("{}%", number_after(dev, "samples (")),
+        "EXPERIMENTS.md V-E dev coverage differs from results_coverage.txt"
+    );
+
+    // The artifact's first table is the train split's per-class rates.
+    let prose = doc.split_whitespace().collect::<Vec<_>>().join(" ");
+    let classes = table_rows(&artifact);
+    assert_eq!(classes.len(), 4, "four value-difficulty classes: {classes:?}");
+    for class in classes {
+        let rate = format!("{} {}", class[0], class[3]);
+        assert!(prose.contains(&rate), "EXPERIMENTS.md V-E lacks the train rate {rate:?}");
+    }
 }
