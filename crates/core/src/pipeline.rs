@@ -151,10 +151,10 @@ impl StageTimings {
 type ChosenHypothesis = (Vec<Action>, SemQl, Option<SelectStmt>, Option<ResultSet>);
 
 /// A request that has run every pipeline stage up to (and including) input
-/// assembly, and is ready for the neural decode. This is the unit a serving
-/// engine batches: several prepared requests from different clients can ride
-/// one fused decode pass ([`Pipeline::decode_batch`]) before each finishes
-/// independently ([`Pipeline::finish_guarded`]).
+/// assembly, and is ready for the neural decode. Several prepared requests
+/// can share one decode pass ([`Pipeline::decode_batch`]) before each
+/// finishes independently ([`Pipeline::finish_guarded`]);
+/// [`Pipeline::try_translate_guarded`] runs one as a batch of one.
 pub struct PreparedRequest<'a> {
     db: &'a Database,
     input: crate::input::ModelInput,
@@ -394,7 +394,9 @@ impl Pipeline {
         timings.value_lookup += t0.elapsed();
 
         // Stage 1b: hint classification (needs the candidates for the
-        // value-candidate-match class).
+        // value-candidate-match class). No gate here, but the request trace
+        // charges it to pre-processing, as `StageTimings` does.
+        valuenet_obs::trace::enter_stage(Stage::Preprocess.label());
         let t0 = Instant::now();
         let pre = {
             let _s = valuenet_obs::span("pipeline.pre_processing");
@@ -404,10 +406,9 @@ impl Pipeline {
         };
         timings.pre_processing += t0.elapsed();
 
-        // Stage 3 (input half): the encode/decode gate fires here — serving
-        // faults and deadline aborts happen per request, before the request
-        // can join a shared decode batch — followed by candidate assembly
-        // and input construction. The decode itself is batch-wide.
+        // Stage 3 (input half): the encode/decode gate, then candidate
+        // assembly and input construction. The decode itself runs in
+        // `decode_batch`.
         Self::gate(guard, Stage::EncodeDecode)?;
         let t0 = Instant::now();
         let input = {
@@ -419,14 +420,13 @@ impl Pipeline {
         Ok(PreparedRequest { db, input, hypotheses: Vec::new(), timings })
     }
 
-    /// Decodes a batch of prepared requests — possibly from different
-    /// serving clients — in one fused pass at the configured beam width
-    /// ([`ValueNetModel::predict_batch`]; width 1 is greedy), stamping each
-    /// request's hypotheses and adding the decode wall time to each request's
-    /// `encoder_decoder` timing (every co-batched request experiences the
-    /// full batch decode as latency). Each request's hypotheses are
-    /// bit-identical to decoding it alone, so a lone in-flight request is
-    /// simply a batch of one.
+    /// Decodes a batch of prepared requests in one fused pass at the
+    /// configured beam width ([`ValueNetModel::predict_batch`]; width 1 is
+    /// greedy), stamping each request's hypotheses and adding the decode
+    /// wall time to each request's `encoder_decoder` timing (each request in
+    /// the batch waits for the whole pass). Each request's hypotheses are
+    /// bit-identical to decoding it alone, so a lone request is simply a
+    /// batch of one.
     pub fn decode_batch(&self, batch: &mut [&mut PreparedRequest<'_>]) {
         if batch.is_empty() {
             return;
@@ -467,7 +467,12 @@ impl Pipeline {
             input.candidates.iter().map(ResolvedValue::new).collect();
         let mut chosen: Option<ChosenHypothesis> = None;
         Self::gate(guard, Stage::PostProcess)?;
-        for actions in &hypotheses {
+        for (i, actions) in hypotheses.iter().enumerate() {
+            if i > 0 {
+                // The gate above opened post-processing once; the request
+                // trace charges each later lowering to it too.
+                valuenet_obs::trace::enter_stage(Stage::PostProcess.label());
+            }
             let t0 = Instant::now();
             let (semql, sql) = {
                 let _s = valuenet_obs::span("pipeline.post_processing");

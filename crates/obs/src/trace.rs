@@ -101,8 +101,8 @@ pub struct RequestTrace {
     pub stages: Vec<StageEvent>,
     /// Per-attempt records, in order.
     pub attempts: Vec<AttemptTrace>,
-    /// Decode-batch cohort size of the last attempt that reached the neural
-    /// decode (1 = decoded alone, 0 = never reached the decode).
+    /// Requests in the neural decode of the last attempt that got past it:
+    /// 1 once an attempt has, 0 if none did.
     pub batch_size: u32,
 }
 

@@ -14,6 +14,15 @@
 //!                               worker respawns itself
 //! ```
 //!
+//! A worker attempt is one request through
+//! [`Pipeline::try_translate_guarded`] under one `catch_unwind`. Its stage
+//! guard fires injected faults and checks the deadline at every gate; a
+//! degraded retry runs the whole call under
+//! [`ValueNetModel::with_scalar_fallback`]. The decoder can search several
+//! requests in one pass ([`Pipeline::decode_batch`]), but the engine does
+//! not co-batch them: on `serve_decode` a shared decode cost the same per
+//! request and lowered throughput (DESIGN.md §15).
+//!
 //! Robustness invariants the fault harness asserts:
 //!
 //! * **Shed, don't stall** — a full queue rejects immediately with a typed
@@ -37,7 +46,7 @@ use std::time::{Duration, Instant};
 use crate::admission::{AdmissionPolicy, Deadline, QuarantinePolicy, RetryPolicy};
 use crate::fault::FaultSpec;
 use crate::protocol::{ErrorKind, Response, ServeError, Translated, TraceSummary};
-use valuenet_core::{Pipeline, PipelineError, PreparedRequest, Stage, StageTimings, ValueNetModel};
+use valuenet_core::{Pipeline, PipelineError, Stage, StageTimings, ValueNetModel};
 use valuenet_obs::json::Json;
 use valuenet_obs::trace::{install_ctx, AttemptTrace, RequestTrace, SpanCtx};
 use valuenet_obs::{percentile_from_counts, AtomicBuckets, FlightRecorder, SloPolicy};
@@ -80,14 +89,6 @@ pub struct ServeConfig {
     pub flight_capacity: usize,
     /// Service-level objectives evaluated by the `stats` verb.
     pub slo: SloPolicy,
-    /// Cross-request batching window in µs (`0` = decode every request
-    /// alone, the pre-batching behaviour). With a window, a worker that
-    /// dequeues a request keeps collecting concurrently queued requests for
-    /// up to this long and decodes them in one fused pass.
-    pub batch_window_us: u64,
-    /// Most requests a single decode batch may carry; reaching it flushes
-    /// the batch before the window expires.
-    pub batch_max: usize,
 }
 
 impl Default for ServeConfig {
@@ -102,8 +103,6 @@ impl Default for ServeConfig {
             allow_fault_injection: false,
             flight_capacity: 256,
             slo: SloPolicy::default(),
-            batch_window_us: 0,
-            batch_max: 8,
         }
     }
 }
@@ -192,13 +191,6 @@ pub struct EngineStats {
     total: AtomicBuckets,
     queue_wait: AtomicBuckets,
     stage_hists: [AtomicBuckets; Stage::ALL.len()],
-    // Cross-request batching (all zero while batching is disabled; degraded
-    // scalar retries decode alone and are not counted as batches).
-    batches: AtomicU64,
-    batch_members: AtomicU64,
-    batch_window_flushes: AtomicU64,
-    batch_size_flushes: AtomicU64,
-    batch_occupancy: AtomicBuckets,
 }
 
 impl EngineStats {
@@ -221,11 +213,6 @@ impl EngineStats {
             total: AtomicBuckets::new(),
             queue_wait: AtomicBuckets::new(),
             stage_hists: std::array::from_fn(|_| AtomicBuckets::new()),
-            batches: AtomicU64::new(0),
-            batch_members: AtomicU64::new(0),
-            batch_window_flushes: AtomicU64::new(0),
-            batch_size_flushes: AtomicU64::new(0),
-            batch_occupancy: AtomicBuckets::new(),
         }
     }
 
@@ -292,31 +279,6 @@ impl EngineStats {
         self.quarantined.load(Ordering::Relaxed)
     }
 
-    /// Number of decode batches formed (0 while batching is disabled).
-    pub fn batches(&self) -> u64 {
-        self.batches.load(Ordering::Relaxed)
-    }
-
-    /// Total requests carried by those batches; `batch_members / batches`
-    /// is the mean batch occupancy.
-    pub fn batch_members(&self) -> u64 {
-        self.batch_members.load(Ordering::Relaxed)
-    }
-
-    /// Bucket counts of the batch-occupancy histogram (obs bucket layout —
-    /// feed to `valuenet_obs::percentile_from_counts`).
-    pub fn batch_occupancy_counts(&self) -> Vec<u64> {
-        self.batch_occupancy.counts()
-    }
-
-    fn record_batch(&self, occupancy: usize, size_flush: bool) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.batch_members.fetch_add(occupancy as u64, Ordering::Relaxed);
-        self.batch_occupancy.record(occupancy as u64);
-        let c = if size_flush { &self.batch_size_flushes } else { &self.batch_window_flushes };
-        c.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// A coherent copy of every monotonic counter and histogram — the unit
     /// of the `stats` verb's snapshot-and-diff delta windows.
     fn window(&self) -> StatsWindow {
@@ -338,11 +300,6 @@ impl EngineStats {
             total: self.total.counts(),
             queue_wait: self.queue_wait.counts(),
             stages: self.stage_hists.iter().map(AtomicBuckets::counts).collect(),
-            batches: self.batches.load(Ordering::Relaxed),
-            batch_members: self.batch_members.load(Ordering::Relaxed),
-            batch_window_flushes: self.batch_window_flushes.load(Ordering::Relaxed),
-            batch_size_flushes: self.batch_size_flushes.load(Ordering::Relaxed),
-            batch_occupancy: self.batch_occupancy.counts(),
         }
     }
 }
@@ -369,11 +326,6 @@ struct StatsWindow {
     total: Vec<u64>,
     queue_wait: Vec<u64>,
     stages: Vec<Vec<u64>>,
-    batches: u64,
-    batch_members: u64,
-    batch_window_flushes: u64,
-    batch_size_flushes: u64,
-    batch_occupancy: Vec<u64>,
 }
 
 impl StatsWindow {
@@ -410,11 +362,6 @@ impl StatsWindow {
                 .enumerate()
                 .map(|(i, s)| sub_vec(s, base.stages.get(i).map_or(&[][..], Vec::as_slice)))
                 .collect(),
-            batches: sub(self.batches, base.batches),
-            batch_members: sub(self.batch_members, base.batch_members),
-            batch_window_flushes: sub(self.batch_window_flushes, base.batch_window_flushes),
-            batch_size_flushes: sub(self.batch_size_flushes, base.batch_size_flushes),
-            batch_occupancy: sub_vec(&self.batch_occupancy, &base.batch_occupancy),
         }
     }
 }
@@ -426,15 +373,6 @@ struct Shared {
     epoch: Instant,
     q: Mutex<QueueState>,
     cond: Condvar,
-    /// Batch token: with a batching window configured, the holder runs
-    /// [`next_batch`] *and* the decode, so exactly one batch is in flight at
-    /// a time. Arrivals accumulate in the queue while the current batch
-    /// computes and the next batch fills instantly from the backlog, instead
-    /// of the stream being sharded into fragments by however many workers
-    /// were idle at that moment (which also thrashes the cache with
-    /// concurrent decode tapes). Extra workers exist to absorb panics —
-    /// a replacement takes the token over from a dead holder.
-    assembler: Mutex<()>,
     stats: EngineStats,
     /// Retained request traces (the `trace` verb's source of truth).
     flight: FlightRecorder,
@@ -473,7 +411,6 @@ impl Engine {
                 spawned_total: 0,
             }),
             cond: Condvar::new(),
-            assembler: Mutex::new(()),
             stats: EngineStats::new(),
             flight: FlightRecorder::new(cfg.flight_capacity.max(2)),
             flight_dump: std::env::var("OBS_FLIGHT_DUMP").ok().filter(|s| !s.is_empty()),
@@ -505,6 +442,11 @@ impl Engine {
     /// Currently queued (not yet dequeued) requests.
     pub fn queue_depth(&self) -> usize {
         self.shared.q.lock().unwrap().jobs.len()
+    }
+
+    /// The configuration the engine was started with.
+    pub fn config(&self) -> &ServeConfig {
+        &self.shared.cfg
     }
 
     /// Serving counters and histograms.
@@ -686,32 +628,6 @@ impl Engine {
             ("latency_us", Json::Obj(
                 latencies.into_iter().map(|(k, v)| (k.to_string(), v)).collect(),
             )),
-            (
-                "batching",
-                Json::obj(vec![
-                    ("window_us", Json::Int(sh.cfg.batch_window_us as i64)),
-                    ("batch_max", Json::Int(sh.cfg.batch_max as i64)),
-                    ("batches", int(win.batches)),
-                    ("members", int(win.batch_members)),
-                    ("window_flushes", int(win.batch_window_flushes)),
-                    ("size_flushes", int(win.batch_size_flushes)),
-                    (
-                        "occupancy",
-                        Json::obj(vec![
-                            (
-                                "mean",
-                                Json::Num(if win.batches == 0 {
-                                    0.0
-                                } else {
-                                    win.batch_members as f64 / win.batches as f64
-                                }),
-                            ),
-                            ("p50", Json::Num(percentile_from_counts(&win.batch_occupancy, 0.50))),
-                            ("p99", Json::Num(percentile_from_counts(&win.batch_occupancy, 0.99))),
-                        ]),
-                    ),
-                ]),
-            ),
             ("slo", slo.to_json(&sh.cfg.slo, None)),
             (
                 "flight",
@@ -808,157 +724,14 @@ fn spawn_worker(shared: &Arc<Shared>) {
         .expect("failed to spawn serve worker");
 }
 
-/// Runs batches until shutdown (returns `false`) or a caught panic
-/// (returns `true`; the caller respawns a replacement and lets this thread
-/// die, so any thread-local state the panic may have wedged is discarded).
+/// Runs one attempt per dequeued job until shutdown (returns `false`) or a
+/// caught panic (returns `true`; the caller respawns a replacement and lets
+/// this thread die, so any thread-local state the panic may have wedged is
+/// discarded).
 fn worker_loop(sh: &Arc<Shared>) -> bool {
-    if sh.cfg.batch_window_us > 0 {
-        // One batch in flight at a time: the token holder runs assembly *and*
-        // decode, and keeps the token for its whole life, so one worker with
-        // warm thread-local state (decode tape, packed-weight cache) processes
-        // every batch instead of the stream being sharded into fragments — or
-        // decoded on rotating cold threads — by however many workers were idle
-        // at that moment. Arrivals accumulate in the queue while the current
-        // batch computes, and the next batch then fills straight from the
-        // backlog; the window is only ever waited out when load is light. The
-        // other workers sleep here until the holder dies (panic or shutdown)
-        // and one of them takes over. (A poisoned token just means the holder
-        // panicked mid-batch; batch state lives in the queue, so it is always
-        // safe to take over.)
-        let _token = sh.assembler.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            let Some(jobs) = next_batch(sh) else { return false };
-            if process_batch(sh, jobs) {
-                return true;
-            }
-        }
-    }
-    loop {
-        let Some(jobs) = next_batch(sh) else { return false };
-        if process_batch(sh, jobs) {
-            return true;
-        }
-    }
-}
-
-/// One batch member mid-flight: its job, the queue wait recorded at
-/// dequeue, the attempt's ambient trace context (kept installed-on-demand
-/// across all three phases so the open `encode_decode` stage spans the
-/// shared decode), and — between the prepare and finish phases — its
-/// prepared request.
-struct Member<'a> {
-    job: Job,
-    queue_wait_us: u64,
-    ctx: Option<SpanCtx>,
-    prepared: Option<PreparedRequest<'a>>,
-}
-
-/// Drains the member's pending stage events into its trace (closing any
-/// open stage). Call only when the attempt is over — settling or requeueing
-/// — never between phases.
-fn flush_ctx(job: &mut Job, ctx: &Option<SpanCtx>) {
-    if let (Some(trace), Some(ctx)) = (job.trace.as_mut(), ctx.as_ref()) {
-        trace.stages.extend(ctx.take_events());
-    }
-}
-
-/// Returns an unprocessed co-batched member to the *front* of the queue
-/// after another member panicked the worker: no reply has been sent, so the
-/// request simply gets re-dispatched (and re-decoded) by a healthy worker.
-/// Its own retry budget is untouched — it did nothing wrong.
-fn requeue_innocent(sh: &Shared, mut member: Member<'_>) {
-    flush_ctx(&mut member.job, &member.ctx);
-    member.prepared = None;
-    member.job.enqueued_us = us_since(sh.epoch);
-    let mut q = sh.q.lock().unwrap();
-    q.jobs.push_front(member.job);
-    drop(q);
-    sh.cond.notify_all();
-}
-
-/// Completes a member: stamps latency and the trace digest, records stats,
-/// replies.
-fn settle_ok(sh: &Shared, mut member: Member<'_>, mut body: Box<Translated>) {
-    let latency = us_since(sh.epoch).saturating_sub(member.job.submitted_us);
-    body.latency_us = latency;
-    sh.stats.total.record(latency);
-    sh.stats.completed.fetch_add(1, Ordering::Relaxed);
-    if body.degraded {
-        sh.stats.degraded_completions.fetch_add(1, Ordering::Relaxed);
-    }
-    record_attempt(&mut member.job, member.queue_wait_us, "ok", "");
-    body.trace = finish_trace(sh, &mut member.job, "completed");
-    let _ = member.job.reply.send(Response::Translated { id: member.job.id, body });
-}
-
-/// Rejects a member with a typed error.
-fn settle_error(sh: &Shared, member: &mut Member<'_>, err: ServeError) {
-    let label = if err.kind == ErrorKind::DeadlineExceeded { "deadline" } else { "error" };
-    record_attempt(&mut member.job, member.queue_wait_us, label, &err.detail);
-    reject_job(sh, &mut member.job, err.kind, err.detail);
-}
-
-/// Handles a member whose attempt panicked the worker: retry on the
-/// degraded scalar path with backoff, or quarantine/fail when the budget is
-/// spent. `count_event` attributes the underlying thread-panic to exactly
-/// one member when a shared decode takes several members down together,
-/// keeping `worker_panics == worker_respawns`.
-fn settle_panic(sh: &Shared, mut member: Member<'_>, msg: String, count_event: bool) {
-    if count_event {
-        OBS_WORKER_PANICS.add(1);
-        sh.stats.worker_panics.fetch_add(1, Ordering::Relaxed);
-    }
-    let job = &mut member.job;
-    record_attempt(job, member.queue_wait_us, "panic", &msg);
-    if let Some(t) = job.trace.as_mut() {
-        // Prefer the injected-fault attribution from admission;
-        // a real (uninjected) panic attributes to its message.
-        t.fault.get_or_insert(msg);
-    }
-    job.panics += 1;
-    if sh.cfg.quarantine.quarantined(job.panics) {
-        let detail = format!("request killed {} workers", job.panics);
-        reject_job(sh, job, ErrorKind::Quarantined, detail);
-    } else if sh.cfg.retry.allows_retry(job.panics) {
-        sh.stats.retries.fetch_add(1, Ordering::Relaxed);
-        job.degraded = true;
-        job.not_before_ms =
-            ms_since(sh.epoch).saturating_add(sh.cfg.retry.backoff_ms(job.panics));
-        job.enqueued_us = us_since(sh.epoch);
-        let mut q = sh.q.lock().unwrap();
-        // Retries bypass admission: the request already holds its slot,
-        // shedding it now would break at-most-once accounting.
-        q.jobs.push_back(member.job);
-        drop(q);
-        sh.cond.notify_all();
-    } else {
-        reject_job(sh, job, ErrorKind::Internal, "retry budget exhausted".into());
-    }
-}
-
-/// Processes one assembled batch through three phases — per-member prepare
-/// (stage gates, faults, deadlines), one shared decode, per-member finish —
-/// and settles every member exactly once. Returns `true` when a panic was
-/// caught and the worker thread must be replaced.
-///
-/// Fault isolation: every injected fault fires at a stage gate, and all
-/// stage gates run in the per-member prepare/finish phases, each under its
-/// own `catch_unwind` — so a faulted member can never poison a co-batched
-/// request's *result*. On any caught panic the batch is abandoned the way
-/// the single-request engine abandons its job: the panicking member is
-/// settled (retry/quarantine), unfinished co-batched members go back to the
-/// queue front for a healthy worker, and this thread dies (its thread-local
-/// state may be wedged).
-fn process_batch(sh: &Arc<Shared>, jobs: Vec<Job>) -> bool {
-    let mut pending: VecDeque<Job> = jobs.into();
-    let mut members: Vec<Member<'_>> = Vec::with_capacity(pending.len());
-
-    // Phase A: per-member admission-to-prepared, each under its own
-    // catch_unwind with its own trace context installed.
-    while let Some(mut job) = pending.pop_front() {
-        let now_ms = ms_since(sh.epoch);
+    while let Some(mut job) = next_job(sh) {
         let queue_wait_us = us_since(sh.epoch).saturating_sub(job.enqueued_us);
-        if job.deadline.expired(now_ms) {
+        if job.deadline.expired(ms_since(sh.epoch)) {
             // Spent its budget in the queue: answer without running a stage.
             record_attempt(&mut job, queue_wait_us, "deadline", "deadline expired in queue");
             reject_job(sh, &mut job, ErrorKind::DeadlineExceeded, "deadline expired in queue".into());
@@ -969,103 +742,79 @@ fn process_batch(sh: &Arc<Shared>, jobs: Vec<Job>) -> bool {
         // whose buffer is shared (Arc) with this scope — a panic unwinding
         // the attempt cannot lose them, and the guard uninstalls either way.
         let ctx = job.trace.as_ref().map(|t| SpanCtx::new(t.trace_id, job.panics));
+        let mut decoded = false;
         let outcome = {
             let _span = valuenet_obs::span("serve.request");
             let _ctx_guard = ctx.as_ref().map(install_ctx);
-            catch_unwind(AssertUnwindSafe(|| prepare_attempt(sh, &job)))
+            catch_unwind(AssertUnwindSafe(|| attempt(sh, &job, &mut decoded)))
         };
-        let mut member = Member { job, queue_wait_us, ctx, prepared: None };
-        match outcome {
-            Ok(Ok(prepared)) => {
-                member.prepared = Some(prepared);
-                members.push(member);
+        if let (Some(t), Some(ctx)) = (job.trace.as_mut(), &ctx) {
+            t.stages.extend(ctx.take_events());
+            if decoded {
+                t.batch_size = 1;
             }
+        }
+        match outcome {
+            Ok(Ok(body)) => settle_ok(sh, job, queue_wait_us, body),
             Ok(Err(err)) => {
-                flush_ctx(&mut member.job, &member.ctx);
-                settle_error(sh, &mut member, err);
+                let label = if err.kind == ErrorKind::DeadlineExceeded { "deadline" } else { "error" };
+                record_attempt(&mut job, queue_wait_us, label, &err.detail);
+                reject_job(sh, &mut job, err.kind, err.detail);
             }
             Err(panic) => {
-                flush_ctx(&mut member.job, &member.ctx);
-                settle_panic(sh, member, panic_message(panic.as_ref()), true);
-                for m in members {
-                    requeue_innocent(sh, m);
-                }
-                for job in pending {
-                    let m = Member { job, queue_wait_us: 0, ctx: None, prepared: None };
-                    requeue_innocent(sh, m);
-                }
-                return true;
-            }
-        }
-    }
-    if members.is_empty() {
-        return false;
-    }
-
-    // Phase B: one fused decode over every prepared member. No stage gate
-    // runs here, so injected faults cannot fire; a (real) panic takes every
-    // member to the retry path together. The open `encode_decode` stage in
-    // each member's context spans this phase — each request's trace charges
-    // it the full shared decode, which is the latency it experienced.
-    // Stamp the decode cohort size on every member that got this far —
-    // including degraded singletons and the window-0 path, where it records
-    // that the request decoded alone (1). 0 means the attempt never
-    // reached the neural decode.
-    let n = members.len();
-    for m in &mut members {
-        if let Some(t) = m.job.trace.as_mut() {
-            t.batch_size = n as u32;
-        }
-    }
-    let degraded = members[0].job.degraded;
-    let outcome = {
-        let _span = valuenet_obs::span("serve.batch");
-        catch_unwind(AssertUnwindSafe(|| {
-            let mut refs: Vec<&mut PreparedRequest<'_>> =
-                members.iter_mut().filter_map(|m| m.prepared.as_mut()).collect();
-            let mut run = || sh.pipeline.decode_batch(&mut refs);
-            if degraded {
-                // Degraded retries decode alone (next_batch never co-batches
-                // them) on the scalar tape — the PR 6 degradation ladder.
-                ValueNetModel::with_scalar_fallback(run)
-            } else {
-                run()
-            }
-        }))
-    };
-    if let Err(panic) = outcome {
-        let msg = panic_message(panic.as_ref());
-        for (i, mut m) in members.into_iter().enumerate() {
-            flush_ctx(&mut m.job, &m.ctx);
-            settle_panic(sh, m, msg.clone(), i == 0);
-        }
-        return true;
-    }
-
-    // Phase C: per-member lowering, execution-guided selection and reply,
-    // again each under its own catch_unwind and trace context.
-    let mut rest = members.into_iter();
-    while let Some(mut member) = rest.next() {
-        let prepared = member.prepared.take().expect("prepared in phase A");
-        let outcome = {
-            let _span = valuenet_obs::span("serve.request");
-            let _ctx_guard = member.ctx.as_ref().map(install_ctx);
-            catch_unwind(AssertUnwindSafe(|| finish_attempt(sh, &member.job, prepared)))
-        };
-        flush_ctx(&mut member.job, &member.ctx);
-        match outcome {
-            Ok(Ok(body)) => settle_ok(sh, member, body),
-            Ok(Err(err)) => settle_error(sh, &mut member, err),
-            Err(panic) => {
-                settle_panic(sh, member, panic_message(panic.as_ref()), true);
-                for m in rest {
-                    requeue_innocent(sh, m);
-                }
+                settle_panic(sh, job, queue_wait_us, panic_message(panic.as_ref()));
                 return true;
             }
         }
     }
     false
+}
+
+/// Completes a job: stamps latency and the trace digest, records stats,
+/// replies.
+fn settle_ok(sh: &Shared, mut job: Job, queue_wait_us: u64, mut body: Box<Translated>) {
+    let latency = us_since(sh.epoch).saturating_sub(job.submitted_us);
+    body.latency_us = latency;
+    sh.stats.total.record(latency);
+    sh.stats.completed.fetch_add(1, Ordering::Relaxed);
+    if body.degraded {
+        sh.stats.degraded_completions.fetch_add(1, Ordering::Relaxed);
+    }
+    record_attempt(&mut job, queue_wait_us, "ok", "");
+    body.trace = finish_trace(sh, &mut job, "completed");
+    let _ = job.reply.send(Response::Translated { id: job.id, body });
+}
+
+/// Handles a job whose attempt panicked the worker: retry on the degraded
+/// scalar path with backoff, or quarantine/fail when the budget is spent.
+fn settle_panic(sh: &Shared, mut job: Job, queue_wait_us: u64, msg: String) {
+    OBS_WORKER_PANICS.add(1);
+    sh.stats.worker_panics.fetch_add(1, Ordering::Relaxed);
+    record_attempt(&mut job, queue_wait_us, "panic", &msg);
+    if let Some(t) = job.trace.as_mut() {
+        // Prefer the injected-fault attribution from admission;
+        // a real (uninjected) panic attributes to its message.
+        t.fault.get_or_insert(msg);
+    }
+    job.panics += 1;
+    if sh.cfg.quarantine.quarantined(job.panics) {
+        let detail = format!("request killed {} workers", job.panics);
+        reject_job(sh, &mut job, ErrorKind::Quarantined, detail);
+    } else if sh.cfg.retry.allows_retry(job.panics) {
+        sh.stats.retries.fetch_add(1, Ordering::Relaxed);
+        job.degraded = true;
+        job.not_before_ms =
+            ms_since(sh.epoch).saturating_add(sh.cfg.retry.backoff_ms(job.panics));
+        job.enqueued_us = us_since(sh.epoch);
+        let mut q = sh.q.lock().unwrap();
+        // Retries bypass admission: the request already holds its slot,
+        // shedding it now would break at-most-once accounting.
+        q.jobs.push_back(job);
+        drop(q);
+        sh.cond.notify_all();
+    } else {
+        reject_job(sh, &mut job, ErrorKind::Internal, "retry budget exhausted".into());
+    }
 }
 
 /// Best-effort text of a caught panic payload.
@@ -1145,74 +894,6 @@ fn next_job(sh: &Arc<Shared>) -> Option<Job> {
     }
 }
 
-/// Assembles the next decode batch: the first job comes from the blocking
-/// dequeue; with a batching window configured, up to `batch_max − 1` more
-/// eligible requests are collected for at most `batch_window_us` — a
-/// bounded latency spend that buys kernel-level throughput. The batch also
-/// flushes early on quiescence (no eligible arrival for a quarter of the
-/// window), so the full window is only ever waited out while jobs keep
-/// trickling in. Degraded scalar retries always decode alone, and a zero
-/// window reduces to the unbatched engine.
-fn next_batch(sh: &Arc<Shared>) -> Option<Vec<Job>> {
-    let first = next_job(sh)?;
-    let window_us = sh.cfg.batch_window_us;
-    let max = sh.cfg.batch_max.max(1);
-    if window_us == 0 {
-        return Some(vec![first]);
-    }
-    if max == 1 || first.degraded {
-        if !first.degraded {
-            sh.stats.record_batch(1, true);
-        }
-        return Some(vec![first]);
-    }
-    let mut batch = vec![first];
-    let flush_at = Instant::now() + Duration::from_micros(window_us);
-    // Quiescence flush: co-batchable arrivals come in bursts (replies
-    // releasing blocked clients, a dispatcher tick). Once no eligible job
-    // has arrived for a fraction of the window, more arrivals inside the
-    // budget are unlikely, and waiting out the rest of the window would be
-    // pure added latency — worse, on a saturated host it is dead time no
-    // other request can use. The window stays the hard upper bound.
-    let idle = Duration::from_micros((window_us / 4).max(1));
-    let mut idle_at = Instant::now() + idle;
-    let mut q = sh.q.lock().unwrap();
-    let size_flush = loop {
-        if q.shutting_down {
-            break false;
-        }
-        let now = ms_since(sh.epoch);
-        let before = batch.len();
-        while batch.len() < max {
-            // FIFO among eligible co-batchable jobs; degraded retries are
-            // left for a solo dequeue.
-            let Some(pos) = q.jobs.iter().position(|j| j.not_before_ms <= now && !j.degraded)
-            else {
-                break;
-            };
-            if let Some(j) = q.jobs.remove(pos) {
-                batch.push(j);
-            }
-        }
-        if batch.len() >= max {
-            break true;
-        }
-        let now = Instant::now();
-        if batch.len() > before {
-            idle_at = now + idle;
-        }
-        let deadline = flush_at.min(idle_at);
-        if now >= deadline {
-            break false;
-        }
-        let (guard, _) = sh.cond.wait_timeout(q, deadline - now).unwrap();
-        q = guard;
-    };
-    drop(q);
-    sh.stats.record_batch(batch.len(), size_flush);
-    Some(batch)
-}
-
 /// Maps a typed pipeline failure to the protocol taxonomy. `deadline_hit`
 /// distinguishes a guard abort caused by an expired deadline from any other
 /// abort.
@@ -1240,89 +921,59 @@ fn map_pipeline_error(e: PipelineError, deadline_hit: bool) -> ServeError {
     }
 }
 
-/// Builds the per-request stage guard — injected fault directives plus the
-/// deadline check at every stage boundary — as local bindings (`guard` and
-/// the named deadline flag), shared by the prepare and finish halves of an
-/// attempt.
-macro_rules! stage_guard {
-    ($sh:expr, $job:expr, $guard:ident, $deadline_hit:ident) => {
-        let deadline = $job.deadline;
-        let epoch = $sh.epoch;
-        let fault = $job.fault;
-        let panics_so_far = $job.panics;
-        let mut $deadline_hit = false;
-        let mut $guard = |stage: Stage| -> bool {
-            if let Some(f) = &fault {
-                if f.delay_stage == Some(stage) && f.delay_ms > 0 {
-                    std::thread::sleep(Duration::from_millis(f.delay_ms));
-                }
-                if f.panic_stage == Some(stage) && panics_so_far < f.panic_times {
-                    panic!("injected fault: panic entering {}", stage.label());
-                }
-            }
-            if deadline.expired(ms_since(epoch)) {
-                $deadline_hit = true;
-                return false;
-            }
-            true
-        };
-    };
-}
-
-/// The front half of a translation attempt: every stage through input
-/// assembly, with injected faults and deadline checks at the stage gates.
-fn prepare_attempt<'a>(sh: &'a Shared, job: &Job) -> Result<PreparedRequest<'a>, ServeError> {
+/// One translation attempt: the whole pipeline under a stage guard that
+/// fires injected faults and checks the deadline at every stage gate. The
+/// guard sets `decoded` on reaching [`Stage::PostProcess`], which only
+/// follows the neural decode. A degraded retry runs on the scalar tape.
+fn attempt(sh: &Shared, job: &Job, decoded: &mut bool) -> Result<Box<Translated>, ServeError> {
     let db = sh.dbs.get(&job.db).expect("db checked at submit");
-    stage_guard!(sh, job, guard, deadline_hit);
-    let res = sh.pipeline.prepare_guarded(db, &job.question, job.gold_values.as_deref(), &mut guard);
-    res.map_err(|e| map_pipeline_error(e, deadline_hit))
-}
-
-/// The back half of a translation attempt: SemQL lowering, execution-guided
-/// selection and response assembly over the decoded hypotheses.
-fn finish_attempt(
-    sh: &Shared,
-    job: &Job,
-    prepared: PreparedRequest<'_>,
-) -> Result<Box<Translated>, ServeError> {
-    stage_guard!(sh, job, guard, deadline_hit);
-    let res = sh.pipeline.finish_guarded(prepared, &mut guard);
-    match res {
-        Ok(p) => {
-            let sql = match &p.sql {
-                Some(s) => s.to_string(),
-                None => {
-                    return Err(ServeError::new(
-                        ErrorKind::TranslateFailed,
-                        "no executable SQL synthesized",
-                    ))
-                }
-            };
-            let values = p
-                .selected_values()
-                .map_err(|e| ServeError::new(ErrorKind::Internal, e.to_string()))?;
-            let (rows, ordered) = match &p.result {
-                Some(rs) => (
-                    rs.rows
-                        .iter()
-                        .map(|r| r.iter().map(|d| d.to_string()).collect())
-                        .collect(),
-                    rs.ordered,
-                ),
-                None => (Vec::new(), false),
-            };
-            sh.stats.record_stages(&p.timings);
-            Ok(Box::new(Translated {
-                sql,
-                rows,
-                ordered,
-                values,
-                latency_us: 0, // stamped by the worker loop
-                retries: job.panics,
-                degraded: job.degraded,
-                trace: None, // stamped by the worker loop
-            }))
+    let mut deadline_hit = false;
+    let mut guard = |stage: Stage| -> bool {
+        *decoded |= stage == Stage::PostProcess;
+        if let Some(f) = &job.fault {
+            if f.delay_stage == Some(stage) && f.delay_ms > 0 {
+                std::thread::sleep(Duration::from_millis(f.delay_ms));
+            }
+            if f.panic_stage == Some(stage) && job.panics < f.panic_times {
+                panic!("injected fault: panic entering {}", stage.label());
+            }
         }
-        Err(e) => Err(map_pipeline_error(e, deadline_hit)),
-    }
+        if job.deadline.expired(ms_since(sh.epoch)) {
+            deadline_hit = true;
+            return false;
+        }
+        true
+    };
+    let mut run = || {
+        sh.pipeline.try_translate_guarded(db, &job.question, job.gold_values.as_deref(), &mut guard)
+    };
+    let res = if job.degraded { ValueNetModel::with_scalar_fallback(run) } else { run() };
+    let p = res.map_err(|e| map_pipeline_error(e, deadline_hit))?;
+    let Some(sql) = &p.sql else {
+        return Err(ServeError::new(ErrorKind::TranslateFailed, "no executable SQL synthesized"));
+    };
+    let values = p
+        .selected_values()
+        .map_err(|e| ServeError::new(ErrorKind::Internal, e.to_string()))?;
+    let (rows, ordered) = match &p.result {
+        Some(rs) => (
+            rs.rows
+                .iter()
+                .map(|r| r.iter().map(|d| d.to_string()).collect())
+                .collect(),
+            rs.ordered,
+        ),
+        None => (Vec::new(), false),
+    };
+    sh.stats.record_stages(&p.timings);
+    Ok(Box::new(Translated {
+        sql: sql.to_string(),
+        rows,
+        ordered,
+        values,
+        latency_us: 0, // stamped by the worker loop
+        retries: job.panics,
+        degraded: job.degraded,
+        trace: None, // stamped by the worker loop
+    }))
 }

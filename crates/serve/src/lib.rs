@@ -12,16 +12,18 @@
 //!   again at every pipeline stage boundary (preprocess → value lookup →
 //!   encode/decode → post-process → execute), so an expired request stops
 //!   consuming compute mid-flight.
-//! * **Panic isolation** ([`engine`]) — each attempt runs under
-//!   `catch_unwind`; a panicking worker is replaced and the request
-//!   retries with capped exponential backoff on a degraded (scalar,
-//!   non-packed, non-quantized) inference path. A request that kills two
-//!   workers is *quarantined* — one poisoned input cannot take the pool
-//!   down.
+//! * **Panic isolation** ([`engine`]) — a worker runs one request per
+//!   attempt, the whole pipeline under one `catch_unwind`; a panicking
+//!   worker is replaced and the request retries with capped exponential
+//!   backoff on a degraded (scalar, non-packed, non-quantized) inference
+//!   path. A request that kills two workers is *quarantined* — one
+//!   poisoned input cannot take the pool down.
 //! * **A line-delimited JSON protocol** ([`protocol`], [`server`]) over a
 //!   Unix domain socket, with a closed error taxonomy and a `stats` verb
 //!   exposing queue depth, shed/panic/deadline counters and per-stage
-//!   latency percentiles. Malformed frames are answered, not fatal.
+//!   latency percentiles. Malformed frames are answered, not fatal, and a
+//!   frame is bounded in bytes, so no client can make the server buffer
+//!   without limit.
 //! * **Deterministic fault injection** ([`fault`]) — requests may carry a
 //!   [`FaultSpec`] (panic at stage N times / delay a stage) when the
 //!   server opts in, which is how `vn-fuzz --serve` replays seeded fault
@@ -40,4 +42,4 @@ pub use admission::{AdmissionPolicy, Deadline, QuarantinePolicy, RetryPolicy};
 pub use engine::{Engine, EngineStats, ServeConfig, TranslateJob};
 pub use fault::FaultSpec;
 pub use protocol::{ErrorKind, Request, Response, ServeError, TraceSummary, Translated};
-pub use server::{serve_unix, translate_frame, verb_frame, Client};
+pub use server::{max_frame_bytes, serve_unix, translate_frame, verb_frame, Client};

@@ -114,8 +114,8 @@ pub struct TraceSummary {
     pub queue_wait_us: u64,
     /// Worker attempts the request took (1 = no retries).
     pub attempts: u32,
-    /// Decode-batch cohort size of the attempt that produced the reply
-    /// (1 = decoded alone, 0 = the request never reached the decode).
+    /// Requests in the neural decode of the last attempt that got past it
+    /// (1; 0 = no attempt got past the decode).
     pub batch_size: u32,
     /// Total duration per stage label, aggregated across attempts, in
     /// first-execution order.

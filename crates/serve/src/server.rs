@@ -3,17 +3,19 @@
 //! One accept loop, one thread per connection, one request per line, one
 //! response line per request. Malformed frames get a typed `bad_request`
 //! response on the same connection — a broken client cannot wedge the
-//! server. The `shutdown` verb acknowledges, stops accepting, drains the
-//! engine and removes the socket file.
+//! server. A frame longer than [`max_frame_bytes`] gets a `bad_request`
+//! and its connection is closed, so no client can make the server buffer
+//! without limit. The `shutdown` verb acknowledges, stops accepting, drains
+//! the engine and removes the socket file.
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use crate::engine::{Engine, TranslateJob};
-use crate::protocol::{Request, Response, ServeError};
+use crate::protocol::{ErrorKind, Request, Response, ServeError};
 use valuenet_obs::json::Json;
 
 struct ServerState {
@@ -69,15 +71,52 @@ fn best_effort_id(line: &str) -> Option<i64> {
     }
 }
 
+/// Longest JSON encoding of one question character: a character outside
+/// the Basic Multilingual Plane escaped as a `\uXXXX\uXXXX` pair.
+const FRAME_BYTES_PER_CHAR: usize = 12;
+/// Room in a frame for everything besides the question: id, verb,
+/// database name, gold values and fault directives.
+const FRAME_ENVELOPE_BYTES: usize = 64 * 1024;
+
+/// The longest frame the server reads, in bytes without the newline: the
+/// longest accepted question at its widest JSON encoding, plus the
+/// envelope.
+pub fn max_frame_bytes(max_question_chars: usize) -> usize {
+    max_question_chars.saturating_mul(FRAME_BYTES_PER_CHAR).saturating_add(FRAME_ENVELOPE_BYTES)
+}
+
 fn handle_conn(st: &ServerState, stream: UnixStream) -> std::io::Result<()> {
-    let reader = BufReader::new(stream.try_clone()?);
+    let limit = max_frame_bytes(st.engine.config().max_question_chars);
+    let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
-    for line in reader.lines() {
-        let line = line?;
+    let mut frame = Vec::new();
+    loop {
+        frame.clear();
+        // Reading one byte past the bound tells an over-long frame from one
+        // that fits exactly.
+        let n = (&mut reader).take(limit as u64 + 1).read_until(b'\n', &mut frame)?;
+        if n == 0 {
+            return Ok(());
+        }
+        if frame.last() == Some(&b'\n') {
+            frame.pop();
+            if frame.last() == Some(&b'\r') {
+                frame.pop();
+            }
+        } else if frame.len() > limit {
+            let error =
+                ServeError::new(ErrorKind::BadRequest, format!("frame exceeds {limit} bytes"));
+            writeln!(writer, "{}", Response::Error { id: None, error, trace: None }.render())?;
+            writer.flush()?;
+            // Close without reading the rest of the frame.
+            return Ok(());
+        }
+        let line = std::str::from_utf8(&frame)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
         if line.trim().is_empty() {
             continue;
         }
-        let resp = match Request::parse(&line) {
+        let resp = match Request::parse(line) {
             Ok(Request::Translate { id, db, question, deadline_ms, gold_values, fault }) => st
                 .engine
                 .translate_blocking(TranslateJob {
@@ -104,7 +143,7 @@ fn handle_conn(st: &ServerState, stream: UnixStream) -> std::io::Result<()> {
                 return Ok(());
             }
             Err(mut error) => {
-                let id = best_effort_id(&line);
+                let id = best_effort_id(line);
                 // Don't echo megabyte garbage. Cut on a char boundary:
                 // `truncate` panics inside a multi-byte character.
                 error.detail.truncate(error.detail.floor_char_boundary(200));
@@ -114,7 +153,6 @@ fn handle_conn(st: &ServerState, stream: UnixStream) -> std::io::Result<()> {
         writeln!(writer, "{}", resp.render())?;
         writer.flush()?;
     }
-    Ok(())
 }
 
 /// A tiny blocking client for the line protocol — used by the smoke

@@ -129,8 +129,8 @@ fn main() -> ExitCode {
         println!(
             "vn-fuzz --serve: {} cases (seed {}): {} clean ({} bit-identical), \
              {} panics injected ({} recovered, {} quarantined), {} deadline hits, \
-             {} bursts ({} shed), {} malformed frames, {} batched cases \
-             ({} members identical, {} members / {} step batches); \
+             {} bursts ({} shed), {} malformed frames, {} concurrent cases \
+             ({} requests identical); \
              workers {}/{} live, {} panics / {} respawns; {} failures",
             report.cases,
             cfg.seed,
@@ -143,10 +143,8 @@ fn main() -> ExitCode {
             report.bursts,
             report.shed,
             report.malformed,
-            report.batched,
-            report.batched_identical,
-            report.batch_members,
-            report.batches,
+            report.concurrent,
+            report.concurrent_identical,
             report.live_workers,
             report.configured_workers,
             report.worker_panics,

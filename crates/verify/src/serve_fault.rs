@@ -24,22 +24,16 @@
 //!   rejection) with no deadlock.
 //! * **malformed** — protocol garbage on the wire; the server must answer
 //!   `bad_request` and the same connection must keep working.
-//! * **batched-concurrent** — several clean requests fired at once so the
-//!   engine's batch window merges their decodes into shared step batches;
-//!   every member must still be bit-identical to its solo single-process
-//!   reference. A seeded fraction adds a member that panics mid-batch: the
-//!   co-batched members must complete clean (no retries, not degraded)
-//!   while the faulty one recovers on the degraded path — decoding alone,
-//!   never inside a shared batch.
-//!
-//! The engine under test runs with cross-request batching *enabled*
-//! (a 2 ms window), so every family above also exercises the batched
-//! dispatch path.
+//! * **concurrent** — several clean requests fired at once, so both
+//!   workers translate side by side; every one must still be bit-identical
+//!   to its single-process reference. A seeded fraction adds a request that
+//!   panics its worker: the clean requests must complete clean (no
+//!   retries, not degraded) while the faulty one recovers on the degraded
+//!   path.
 //!
 //! After the cases, the harness asserts the pool leaked nothing: live
 //! workers equal the configured count, every caught panic has a matching
-//! respawn, and the queue is empty — and that the run formed at least one
-//! genuinely shared batch.
+//! respawn, and the queue is empty.
 
 use std::path::PathBuf;
 use std::time::Duration;
@@ -94,15 +88,10 @@ pub struct ServeFuzzReport {
     pub shed: u64,
     /// Malformed frames answered with `bad_request`.
     pub malformed: usize,
-    /// Batched-concurrent cases fired.
-    pub batched: usize,
-    /// Co-batched members verified bit-identical to their solo reference.
-    pub batched_identical: usize,
-    /// Decode step batches the engine formed across the run.
-    pub batches: u64,
-    /// Total members across those batches (> `batches` iff requests were
-    /// ever genuinely co-batched).
-    pub batch_members: u64,
+    /// Concurrent cases fired.
+    pub concurrent: usize,
+    /// Concurrent clean requests verified bit-identical to their reference.
+    pub concurrent_identical: usize,
     /// Responses whose trace digest was verified complete (id, attempts,
     /// per-stage totals).
     pub traced: usize,
@@ -137,10 +126,8 @@ impl ServeFuzzReport {
             ("bursts", Json::Int(self.bursts as i64)),
             ("shed", Json::Int(self.shed as i64)),
             ("malformed", Json::Int(self.malformed as i64)),
-            ("batched", Json::Int(self.batched as i64)),
-            ("batched_identical", Json::Int(self.batched_identical as i64)),
-            ("batches", Json::Int(self.batches as i64)),
-            ("batch_members", Json::Int(self.batch_members as i64)),
+            ("concurrent", Json::Int(self.concurrent as i64)),
+            ("concurrent_identical", Json::Int(self.concurrent_identical as i64)),
             ("traced", Json::Int(self.traced as i64)),
             ("worker_panics", Json::Int(self.worker_panics as i64)),
             ("worker_respawns", Json::Int(self.worker_respawns as i64)),
@@ -156,12 +143,6 @@ impl ServeFuzzReport {
 /// pool.
 const WORKERS: usize = 2;
 const QUEUE_CAPACITY: usize = 4;
-/// Batch window of the engine under test. Wide enough (2 ms) that the
-/// batched-concurrent family's near-simultaneous submits reliably land in
-/// one assembly window on a loaded CI host.
-const BATCH_WINDOW_US: u64 = 2_000;
-/// At most a full queue's worth of members per step batch.
-const BATCH_MAX: usize = QUEUE_CAPACITY;
 /// Stages whose guard gate is reached on every translation (`Execute` only
 /// runs when a hypothesis survives lowering, so it would make
 /// deadline/panic cases model-dependent).
@@ -211,8 +192,6 @@ impl ServeFixture {
                 workers: WORKERS,
                 queue_capacity: QUEUE_CAPACITY,
                 allow_fault_injection: true,
-                batch_window_us: BATCH_WINDOW_US,
-                batch_max: BATCH_MAX,
                 retry: RetryPolicy { max_retries: 2, base_ms: 5, cap_ms: 20 },
                 quarantine: QuarantinePolicy { max_worker_kills: 2 },
                 ..ServeConfig::default()
@@ -297,18 +276,6 @@ impl ServeFixture {
         }
         if pick(&["queue", "depth"]) != 0 {
             report.failures.push((0, "queue not drained after run".into()));
-        }
-        report.batches = pick(&["batching", "batches"]);
-        report.batch_members = pick(&["batching", "members"]);
-        if report.batched > 0 && report.batch_members <= report.batches {
-            report.failures.push((
-                0,
-                format!(
-                    "batching never co-batched concurrent requests: \
-                     {} members across {} batches",
-                    report.batch_members, report.batches
-                ),
-            ));
         }
         let _ = client.roundtrip(&verb_frame(-2, "shutdown"));
         let _ = self.server.join().expect("server thread panicked");
@@ -619,17 +586,10 @@ pub fn run_serve_case(fx: &ServeFixture, report: &mut ServeFuzzReport, seed: u64
                         }),
                     );
                     let mut client = fx.client();
-                    let h = std::thread::spawn(move || client.roundtrip(&frame));
-                    // Stagger the parks well past the batch window so each
-                    // worker's assembly window closes on a singleton and it
-                    // stalls in the injected delay — were both parks
-                    // submitted together, one worker would co-batch them
-                    // and the other would keep draining the queue.
-                    std::thread::sleep(Duration::from_millis(25));
-                    h
+                    std::thread::spawn(move || client.roundtrip(&frame))
                 })
                 .collect();
-            std::thread::sleep(Duration::from_millis(15)); // workers pick them up
+            std::thread::sleep(Duration::from_millis(40)); // workers pick them up
             let burst = QUEUE_CAPACITY + 4;
             let others: Vec<_> = (0..burst)
                 .map(|b| {
@@ -687,15 +647,14 @@ pub fn run_serve_case(fx: &ServeFixture, report: &mut ServeFuzzReport, seed: u64
             report.shed += shed_here;
             Ok(format!("burst: {shed_here}/{burst} shed, all answered"))
         }
-        // -------------------------------- batched-concurrent: co-batched identity
+        // ------------------------------------------ concurrent: side-by-side identity
         80..=89 => {
-            report.batched += 1;
-            // Two or three clean requests fired simultaneously so the batch
-            // window co-batches their decodes; each must be bit-identical to
-            // its solo reference. Members may repeat a question — identical
-            // requests sharing a step batch is a valid (and likely) shape.
+            report.concurrent += 1;
+            // Two or three clean requests fired simultaneously, so both
+            // workers translate at once; each must be bit-identical to its
+            // reference. Requests may repeat a question.
             let k = rng.gen_range(2..=3usize);
-            let mut members = Vec::with_capacity(k);
+            let mut requests = Vec::with_capacity(k);
             for m in 0..k {
                 let idx = rng.gen_range(0..n_all);
                 let s = if idx < n_train {
@@ -707,11 +666,11 @@ pub fn run_serve_case(fx: &ServeFixture, report: &mut ServeFuzzReport, seed: u64
                 let expect = fx
                     .reference
                     .try_translate(mdb, &s.question, Some(&s.values))
-                    .map_err(|e| format!("reference failed on batch member {m}: {e}"))?;
-                members.push((mdb.schema().db_id.clone(), s, expect));
+                    .map_err(|e| format!("reference failed on concurrent request {m}: {e}"))?;
+                requests.push((mdb.schema().db_id.clone(), s, expect));
             }
-            // A seeded 40% of cases add a member that panics mid-batch at a
-            // seeded stage: its abort must not leak into the members above.
+            // A seeded 40% of cases add a request that panics its worker at
+            // a seeded stage: the panic must not leak into the requests above.
             let panic_stage = (rng.gen_range(0..10u32) < 4)
                 .then(|| ALLOWED_PANIC_STAGES[rng.gen_range(0..ALLOWED_PANIC_STAGES.len())]);
 
@@ -732,7 +691,7 @@ pub fn run_serve_case(fx: &ServeFixture, report: &mut ServeFuzzReport, seed: u64
                 let mut client = fx.client();
                 std::thread::spawn(move || client.roundtrip(&frame))
             });
-            let handles: Vec<_> = members
+            let handles: Vec<_> = requests
                 .iter()
                 .enumerate()
                 .map(|(m, (db_id, s, _))| {
@@ -749,37 +708,37 @@ pub fn run_serve_case(fx: &ServeFixture, report: &mut ServeFuzzReport, seed: u64
                 })
                 .collect();
 
-            // Co-batched members: bit-identical, untouched by the co-member
-            // panic — no retries, not degraded, answered exactly once.
-            for (m, (h, (_, _, expect))) in handles.into_iter().zip(&members).enumerate() {
+            // Clean requests: bit-identical, untouched by the other
+            // request's panic — no retries, not degraded, answered once.
+            for (m, (h, (_, _, expect))) in handles.into_iter().zip(&requests).enumerate() {
                 let resp = h
                     .join()
-                    .map_err(|_| "batched client thread panicked".to_string())?
-                    .map_err(|e| format!("batched member {m} roundtrip failed: {e}"))?;
+                    .map_err(|_| "concurrent client thread panicked".to_string())?
+                    .map_err(|e| format!("concurrent request {m} roundtrip failed: {e}"))?;
                 match (expect.sql.as_ref(), resp) {
                     (Some(_), Response::Translated { body, .. }) => {
                         if body.degraded || body.retries != 0 {
                             return Err(format!(
-                                "co-batched member {m} caught a co-member's fault \
+                                "concurrent request {m} caught another request's fault \
                                  (retries {}, degraded {})",
                                 body.retries, body.degraded
                             ));
                         }
-                        check_trace(body.trace.as_ref(), 1, "batched member")?;
+                        check_trace(body.trace.as_ref(), 1, "concurrent request")?;
                         report.traced += 1;
-                        check_identical(expect, &body, &format!("batched member {m}"))?;
-                        report.batched_identical += 1;
+                        check_identical(expect, &body, &format!("concurrent request {m}"))?;
+                        report.concurrent_identical += 1;
                     }
                     (None, Response::Error { error, trace, .. })
                         if error.kind == ErrorKind::TranslateFailed =>
                     {
-                        check_trace(trace.as_ref(), 1, "batched member translate_failed")?;
+                        check_trace(trace.as_ref(), 1, "concurrent request translate_failed")?;
                         report.traced += 1;
-                        report.batched_identical += 1;
+                        report.concurrent_identical += 1;
                     }
                     (gold, got) => {
                         return Err(format!(
-                            "batched member {m} outcome mismatch: reference sql {:?}, \
+                            "concurrent request {m} outcome mismatch: reference sql {:?}, \
                              served {:?}",
                             gold.map(|s| s.to_string()),
                             got
@@ -788,18 +747,17 @@ pub fn run_serve_case(fx: &ServeFixture, report: &mut ServeFuzzReport, seed: u64
                 }
             }
 
-            // The faulty member recovers on the degraded path — and its
-            // final decode must have run alone, never in a shared batch.
+            // The faulty request recovers on the degraded path.
             if let Some(h) = fault_handle {
                 let resp = h
                     .join()
-                    .map_err(|_| "mid-batch panic client thread panicked".to_string())?
-                    .map_err(|e| format!("mid-batch panic roundtrip failed: {e}"))?;
+                    .map_err(|_| "faulty client thread panicked".to_string())?
+                    .map_err(|e| format!("faulty request roundtrip failed: {e}"))?;
                 let trace = match resp {
                     Response::Translated { body, .. } => {
                         if body.retries == 0 || !body.degraded {
                             return Err(format!(
-                                "mid-batch panic answered without degraded retry \
+                                "faulty request answered without degraded retry \
                                  (retries {}, degraded {})",
                                 body.retries, body.degraded
                             ));
@@ -811,26 +769,18 @@ pub fn run_serve_case(fx: &ServeFixture, report: &mut ServeFuzzReport, seed: u64
                     {
                         trace
                     }
-                    other => {
-                        return Err(format!("mid-batch panic not recovered: {other:?}"))
-                    }
+                    other => return Err(format!("faulty request not recovered: {other:?}")),
                 };
-                check_trace(trace.as_ref(), 2, "mid-batch panic")?;
+                check_trace(trace.as_ref(), 2, "faulty request")?;
                 report.traced += 1;
-                let batch_size = trace.map(|t| t.batch_size).unwrap_or(0);
-                if batch_size != 1 {
-                    return Err(format!(
-                        "degraded retry decoded in a shared batch of {batch_size}"
-                    ));
-                }
                 report.recovered += 1;
             }
             Ok(match panic_stage {
                 Some(stage) => format!(
-                    "batched: {k} co-batched identical, mid-batch panic at {} isolated",
+                    "concurrent: {k} identical, panic at {} isolated",
                     stage.label()
                 ),
-                None => format!("batched: {k} co-batched identical"),
+                None => format!("concurrent: {k} identical"),
             })
         }
         // ----------------------------------------------- malformed protocol

@@ -55,6 +55,16 @@ fn arg_usize(args: &[String], name: &str, default: usize) -> usize {
     arg_usize_opt(args, name).unwrap_or(default)
 }
 
+/// [`arg_usize`] for a count that must be at least 1.
+fn arg_positive(args: &[String], name: &str, default: usize) -> usize {
+    let n = arg_usize(args, name, default);
+    if n == 0 {
+        eprintln!("error: {name} must be at least 1, got 0");
+        std::process::exit(2);
+    }
+    n
+}
+
 /// The value modes `train --mode` accepts, by name.
 fn mode_named(name: &str) -> Option<ValueMode> {
     match name {
@@ -223,27 +233,22 @@ fn cmd_repl(args: &[String]) {
 fn cmd_serve(args: &[String]) {
     use valuenet::serve::{serve_unix, Engine, ServeConfig};
     let socket = arg(args, "--socket").unwrap_or_else(|| "valuenet.sock".to_string());
-    let (pipeline, corpus) = load_model(args);
     let defaults = ServeConfig::default();
     let cfg = ServeConfig {
-        workers: arg_usize(args, "--workers", defaults.workers),
-        queue_capacity: arg_usize(args, "--queue", defaults.queue_capacity),
+        workers: arg_positive(args, "--workers", defaults.workers),
+        queue_capacity: arg_positive(args, "--queue", defaults.queue_capacity),
         default_deadline_ms: arg_usize(args, "--deadline-ms", 0) as u64,
         allow_fault_injection: args.iter().any(|a| a == "--allow-faults"),
-        batch_window_us: arg_usize(args, "--batch-window", defaults.batch_window_us as usize)
-            as u64,
-        batch_max: arg_usize(args, "--batch-max", defaults.batch_max),
         ..defaults
     };
+    let (pipeline, corpus) = load_model(args);
     let engine = Engine::start(pipeline, corpus.databases, cfg);
     eprintln!(
-        "serving {} databases on {socket} ({} workers, queue {}, batch window {}µs × {}); \
+        "serving {} databases on {socket} ({} workers, queue {}); \
          send {{\"verb\":\"shutdown\"}} to stop",
         engine.database_names().len(),
         cfg.workers,
-        cfg.queue_capacity,
-        cfg.batch_window_us,
-        cfg.batch_max
+        cfg.queue_capacity
     );
     serve_unix(engine, std::path::Path::new(&socket))
         .unwrap_or_else(|e| fatal(&format!("serve failed: {e}")));
@@ -297,7 +302,6 @@ fn main() {
                  \x20 repl  --model model.jsonl [--quantized] --db <db_id>\n\
                  \x20 serve --model model.jsonl --socket valuenet.sock [--quantized]\n\
                  \x20       [--workers N] [--queue N] [--deadline-ms N] [--allow-faults]\n\
-                 \x20       [--batch-window US] [--batch-max N]\n\
                  \x20 dbs   [--seed N]"
             );
             std::process::exit(2);

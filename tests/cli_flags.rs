@@ -21,6 +21,15 @@ fn malformed_numeric_flag_fails_loudly() {
 
     let out = cli(&["dbs", "--seed"]);
     assert_eq!(out.status.code(), Some(2), "a flag without its value must fail");
+
+    // A server without workers, or with no queue slot, is refused before
+    // the model loads.
+    for flag in ["--workers", "--queue"] {
+        let out = cli(&["serve", flag, "0"]);
+        assert_eq!(out.status.code(), Some(2), "serve {flag} 0 must exit with status 2");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(flag), "stderr must name the flag: {stderr}");
+    }
 }
 
 #[test]
