@@ -2,17 +2,46 @@
 //!
 //! [`PackedMatrix`] stores a `k×m` weight matrix in panel-major order: the
 //! columns are split into panels of [`NR`] = 8, and each panel holds its `k`
-//! rows contiguously (`k × NR` values, zero-padded in the last panel). A
-//! row-times-matrix product then walks each panel top to bottom with one
-//! 8-lane accumulator — unit-stride loads, no per-call re-packing, and the
-//! panel width matches the AVX2 register width.
+//! rows contiguously (`k × NR` values, zero-padded in the last panel). The
+//! panel width matches the AVX2 register width, and a panel is read top to
+//! bottom with unit-stride loads and no per-call re-packing. The buffer is
+//! 32-byte aligned, so no panel-row load straddles two cache lines. The
+//! allocator alone guarantees 16 bytes, and where a buffer lands depends on
+//! which thread packed it first, so the tiles' speed would otherwise vary
+//! from one process to the next.
+//!
+//! **Register tiles (AVX2).** The AVX2 product computes a tile of `R`
+//! activation rows × `P` panels at once, one 8-lane accumulator per
+//! (row, panel) pair. Each step `l` loads one row of every panel in the
+//! tile and broadcasts `a[i][l]` once per row, so each load and each
+//! broadcast feeds several multiply-adds, and `R·P` independent add chains
+//! hide the add latency. The shape depends on the rows left:
+//!
+//! | rows left | tile  | accumulators |
+//! |-----------|-------|--------------|
+//! | ≥ 4       | 4 × 2 | 8            |
+//! | 3         | 3 × 2 | 6            |
+//! | 2         | 2 × 4 | 8            |
+//! | 1         | 1 × 8 | 8            |
+//!
+//! Panels left over after the last full tile of a row block go through
+//! narrower tiles with the same row count (widths 4, 2, 1). The 1 × 8 tile
+//! needs 8 accumulators plus its 8 panel rows; each row is used once, so the
+//! loads fold into the multiplies and the tile fits in 16 ymm registers.
+//! A single row runs 1 × 8, not 1 × 2: two chains are too few to hide the
+//! add latency (DESIGN.md §12 has the measurements), and one row is the
+//! first beam step, greedy decoding and every `item_in` and `init_h`
+//! product. The scalar and SSE2 tiers fold one panel at a time
+//! (`panel_dot_f32`).
 //!
 //! **Bit-identity.** Each output element is the same strict ascending fold
 //! over the shared dimension as [`Tensor::matmul`]'s blocked kernel — one
-//! multiply and one add per step, starting from 0 — so the packed product is
-//! bit-identical to the unpacked one (and to the scalar kernel) for every
-//! input. The zero padding never reaches the output: padded lanes accumulate
-//! `a·0` into columns that are simply not copied out.
+//! multiply and one add per step, starting from +0.0 — so the packed
+//! product is bit-identical to the unpacked one (and to the scalar kernel)
+//! for every input. A tile only changes which independent outputs are in
+//! flight together, never the order of one output's fold. The zero padding
+//! never reaches the output: padded lanes accumulate `a·0` into columns
+//! that are simply not copied out.
 //!
 //! [`QuantizedMatrix`] is the weight-only int8 form: one per-tensor scale
 //! (`max|w| / 127`), symmetric round-to-nearest quantization, f32
@@ -23,18 +52,26 @@
 //! every optimizer step.
 
 use crate::simd::{self, SimdLevel};
+use crate::tensor::record_matmul;
 use crate::Tensor;
 
 /// Panel width of the packed layout (AVX2 register width in f32 lanes).
 pub const NR: usize = 8;
+
+/// One row of a panel: [`NR`] lanes, aligned to their own 32-byte size.
+#[derive(Debug, Clone, Copy, Default)]
+#[repr(C, align(32))]
+struct PanelRow([f32; NR]);
+
+const _: () = assert!(std::mem::size_of::<PanelRow>() == NR * std::mem::size_of::<f32>());
 
 /// A `k×m` weight matrix re-laid-out into column panels of [`NR`].
 #[derive(Debug, Clone)]
 pub struct PackedMatrix {
     k: usize,
     m: usize,
-    /// `ceil(m/NR)` panels, each `k × NR` values, row-major inside a panel.
-    panels: Vec<f32>,
+    /// `ceil(m/NR)` panels, each `k` rows of `NR` values.
+    panels: Vec<PanelRow>,
 }
 
 impl PackedMatrix {
@@ -45,14 +82,12 @@ impl PackedMatrix {
     pub fn pack(data: &[f32], k: usize, m: usize) -> Self {
         assert_eq!(data.len(), k * m, "PackedMatrix::pack: buffer is not {k}x{m}");
         let pc = m.div_ceil(NR);
-        let mut panels = vec![0.0f32; k * pc * NR];
+        let mut panels = vec![PanelRow::default(); k * pc];
         for p in 0..pc {
             let j0 = p * NR;
             let w = NR.min(m - j0);
-            let base = p * k * NR;
             for l in 0..k {
-                panels[base + l * NR..base + l * NR + w]
-                    .copy_from_slice(&data[l * m + j0..l * m + j0 + w]);
+                panels[p * k + l].0[..w].copy_from_slice(&data[l * m + j0..l * m + j0 + w]);
             }
         }
         PackedMatrix { k, m, panels }
@@ -73,14 +108,19 @@ impl PackedMatrix {
         self.m
     }
 
-    /// The raw panel buffer (used to derive the quantized form).
+    /// The panel buffer as `ceil(m/NR)·k·NR` values, 32-byte aligned.
     pub(crate) fn panels(&self) -> &[f32] {
-        &self.panels
+        let len = self.panels.len() * NR;
+        // SAFETY: `PanelRow` is `repr(C)` over `[f32; NR]` with no padding
+        // (its size is asserted above), so the rows are `len` contiguous,
+        // initialised f32s, borrowed for the lifetime of `&self`.
+        unsafe { std::slice::from_raw_parts(self.panels.as_ptr().cast::<f32>(), len) }
     }
 
-    /// `a @ self` at the process-wide SIMD level.
+    /// `a @ self` at the process-wide SIMD level, counted in the
+    /// `tensor.matmul.*` kernel metrics like [`Tensor::matmul`].
     pub fn matmul(&self, a: &Tensor) -> Tensor {
-        self.matmul_at(simd::level(), a)
+        counted(a.rows(), self.k, self.m, || self.matmul_at(simd::level(), a))
     }
 
     /// `a @ self` at an explicit SIMD level. Bit-identical to
@@ -98,14 +138,24 @@ impl PackedMatrix {
         let (n, k, m) = (a.rows(), self.k, self.m);
         let mut data = crate::pool::take(n * m);
         data.resize(n * m, 0.0);
-        let pc = m.div_ceil(NR);
+        #[cfg(target_arch = "x86_64")]
+        if lvl == SimdLevel::Avx2 {
+            debug_assert!(lvl <= simd::detected_level());
+            // SAFETY: like every `_at` kernel in this crate, callers pass a
+            // level no higher than `simd::detected_level()` (`simd::level`
+            // and `set_level` clamp to it), so the host supports AVX2. The
+            // kernel asserts the buffer lengths it relies on.
+            unsafe { x86::matmul_f32_avx2(a.as_slice(), self.panels(), n, k, m, &mut data) };
+            return Tensor::from_vec(n, m, data);
+        }
+        let (pc, panels) = (m.div_ceil(NR), self.panels());
         for i in 0..n {
             let ar = a.row(i);
             let out_row = &mut data[i * m..(i + 1) * m];
             for p in 0..pc {
                 let j0 = p * NR;
                 let w = NR.min(m - j0);
-                let panel = &self.panels[p * k * NR..(p + 1) * k * NR];
+                let panel = &panels[p * k * NR..(p + 1) * k * NR];
                 let acc = panel_dot_f32(lvl, ar, panel, k);
                 out_row[j0..j0 + w].copy_from_slice(&acc[..w]);
             }
@@ -114,14 +164,24 @@ impl PackedMatrix {
     }
 }
 
+/// Runs `product`, an `n×k @ k×m` matmul, and records it in the
+/// `tensor.matmul.*` counters when observability is enabled.
+fn counted(n: usize, k: usize, m: usize, product: impl FnOnce() -> Tensor) -> Tensor {
+    if !valuenet_obs::enabled() {
+        return product();
+    }
+    let start = valuenet_obs::now_ns();
+    let out = product();
+    record_matmul(n, k, m, start);
+    out
+}
+
 /// One `1×k @ k×NR` panel product: `acc[j] = Σ_l a[l] · panel[l][j]`, strict
 /// ascending fold, one mul + one add per step.
 fn panel_dot_f32(lvl: SimdLevel, a: &[f32], panel: &[f32], k: usize) -> [f32; NR] {
     #[cfg(target_arch = "x86_64")]
-    match lvl {
-        SimdLevel::Avx2 => return unsafe { x86::panel_dot_f32_avx2(a, panel, k) },
-        SimdLevel::Sse2 => return unsafe { x86::panel_dot_f32_sse2(a, panel, k) },
-        SimdLevel::Scalar => {}
+    if lvl == SimdLevel::Sse2 {
+        return unsafe { x86::panel_dot_f32_sse2(a, panel, k) };
     }
     let _ = lvl;
     let mut acc = [0.0f32; NR];
@@ -192,9 +252,10 @@ impl QuantizedMatrix {
         self.scale
     }
 
-    /// `a @ self` at the process-wide SIMD level.
+    /// `a @ self` at the process-wide SIMD level, counted in the
+    /// `tensor.matmul.*` kernel metrics like [`Tensor::matmul`].
     pub fn matmul(&self, a: &Tensor) -> Tensor {
-        self.matmul_at(simd::level(), a)
+        counted(a.rows(), self.k, self.m, || self.matmul_at(simd::level(), a))
     }
 
     /// `a @ self` at an explicit SIMD level: f32 accumulation of
@@ -259,17 +320,138 @@ mod x86 {
     use super::NR;
     use core::arch::x86_64::*;
 
-    /// 8-lane f32 panel fold: `acc = acc + broadcast(a[l]) · panel_row(l)`.
+    /// `out = a @ W` for an `n×k` activation `a` and the panel buffer of a
+    /// `k×m` [`super::PackedMatrix`], as register tiles whose shape depends
+    /// on the rows left (see the module docs).
+    ///
+    /// # Safety
+    /// The host must support AVX2. Panics unless `a.len() == n·k`,
+    /// `panels.len() == ceil(m/NR)·k·NR` and `out.len() == n·m`.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn panel_dot_f32_avx2(a: &[f32], panel: &[f32], k: usize) -> [f32; NR] {
-        let mut acc = _mm256_setzero_ps();
-        for (l, &al) in a[..k].iter().enumerate() {
-            let row = _mm256_loadu_ps(panel.as_ptr().add(l * NR));
-            acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(al), row));
+    pub unsafe fn matmul_f32_avx2(
+        a: &[f32],
+        panels: &[f32],
+        n: usize,
+        k: usize,
+        m: usize,
+        out: &mut [f32],
+    ) {
+        assert!(
+            a.len() == n * k && panels.len() == m.div_ceil(NR) * k * NR && out.len() == n * m,
+            "matmul_f32_avx2: buffers do not match {n}x{k} @ {k}x{m}"
+        );
+        let mut i = 0;
+        while i < n {
+            let rows = (n - i).min(4);
+            match rows {
+                1 => row_block::<1, 8>(a, panels, k, m, i, out),
+                2 => row_block::<2, 4>(a, panels, k, m, i, out),
+                3 => row_block::<3, 2>(a, panels, k, m, i, out),
+                _ => row_block::<4, 2>(a, panels, k, m, i, out),
+            }
+            i += rows;
         }
-        let mut out = [0.0f32; NR];
-        _mm256_storeu_ps(out.as_mut_ptr(), acc);
-        out
+    }
+
+    /// Rows `i0..i0+R` against every panel: full `R × P` tiles, then the
+    /// leftover panels (fewer than `P`) as `R × 4`, `R × 2` and `R × 1`
+    /// tiles.
+    ///
+    /// # Safety
+    /// The host must support AVX2, the buffers must have the lengths
+    /// [`matmul_f32_avx2`] asserts, and `i0 + R <= n`.
+    #[target_feature(enable = "avx2")]
+    unsafe fn row_block<const R: usize, const P: usize>(
+        a: &[f32],
+        panels: &[f32],
+        k: usize,
+        m: usize,
+        i0: usize,
+        out: &mut [f32],
+    ) {
+        let pc = m.div_ceil(NR);
+        let mut p = 0;
+        while p + P <= pc {
+            tile::<R, P>(a, panels, k, m, i0, p, out);
+            p += P;
+        }
+        if P > 4 && pc - p >= 4 {
+            tile::<R, 4>(a, panels, k, m, i0, p, out);
+            p += 4;
+        }
+        if P > 2 && pc - p >= 2 {
+            tile::<R, 2>(a, panels, k, m, i0, p, out);
+            p += 2;
+        }
+        if pc - p == 1 {
+            tile::<R, 1>(a, panels, k, m, i0, p, out);
+            p += 1;
+        }
+        debug_assert_eq!(p, pc);
+    }
+
+    /// One `R × P` register tile: rows `i0..i0+R` of `a` against panels
+    /// `p0..p0+P`, `acc[r][q] = acc[r][q] + broadcast(a[i0+r][l]) ·
+    /// panel_row(p0+q, l)` for ascending `l` from `+0.0`, separate multiply
+    /// and add, then the live columns stored into `out`.
+    ///
+    /// # Safety
+    /// The host must support AVX2, the buffers must have the lengths
+    /// [`matmul_f32_avx2`] asserts, `i0 + R <= n` and
+    /// `p0 + P <= ceil(m/NR)`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn tile<const R: usize, const P: usize>(
+        a: &[f32],
+        panels: &[f32],
+        k: usize,
+        m: usize,
+        i0: usize,
+        p0: usize,
+        out: &mut [f32],
+    ) {
+        debug_assert!(
+            (i0 + R) * k <= a.len() && (i0 + R) * m <= out.len(),
+            "tile rows out of bounds"
+        );
+        debug_assert!((p0 + P) * k * NR <= panels.len(), "tile panels out of bounds");
+        debug_assert!(p0 * NR < m, "tile starts past the last column");
+        // SAFETY: the caller keeps rows `i0..i0+R` inside `a` (`n·k` values)
+        // and `out` (`n·m`) and panels `p0..p0+P` inside the panel buffer
+        // (`ceil(m/NR)·k·NR`), checked by the debug assertions above and by
+        // `matmul_f32_avx2`'s length assertion. So every `ap` read
+        // (`r·k + l < R·k`), every `wp` load (`q·k·NR + l·NR + 8 ≤ P·k·NR`)
+        // and every store (`width ≤ m - j0` columns of row `i0 + r`) stays
+        // in bounds. Loads and stores are unaligned (`loadu`/`storeu`).
+        let ap = a.as_ptr().add(i0 * k);
+        let wp = panels.as_ptr().add(p0 * k * NR);
+        let mut acc = [[_mm256_setzero_ps(); P]; R];
+        for l in 0..k {
+            let mut w = [_mm256_setzero_ps(); P];
+            for (q, wq) in w.iter_mut().enumerate() {
+                *wq = _mm256_loadu_ps(wp.add(q * k * NR + l * NR));
+            }
+            for (r, acc_r) in acc.iter_mut().enumerate() {
+                let av = _mm256_set1_ps(*ap.add(r * k + l));
+                for (acc_rq, &wq) in acc_r.iter_mut().zip(&w) {
+                    *acc_rq = _mm256_add_ps(*acc_rq, _mm256_mul_ps(av, wq));
+                }
+            }
+        }
+        let dst = out.as_mut_ptr().add(i0 * m);
+        for (r, acc_r) in acc.iter().enumerate() {
+            for (q, &acc_rq) in acc_r.iter().enumerate() {
+                let j0 = (p0 + q) * NR;
+                let width = NR.min(m - j0);
+                if width == NR {
+                    _mm256_storeu_ps(dst.add(r * m + j0), acc_rq);
+                } else {
+                    let mut lanes = [0.0f32; NR];
+                    _mm256_storeu_ps(lanes.as_mut_ptr(), acc_rq);
+                    core::ptr::copy_nonoverlapping(lanes.as_ptr(), dst.add(r * m + j0), width);
+                }
+            }
+        }
     }
 
     /// Two 4-lane f32 panel folds covering the 8-wide panel.
@@ -331,6 +513,24 @@ mod tests {
             .into_iter()
             .filter(|&l| l <= detected_level())
             .collect()
+    }
+
+    #[test]
+    fn panel_buffer_is_32_byte_aligned_and_row_major_in_each_panel() {
+        for &(k, m) in &[(1, 1), (3, 5), (7, 8), (13, 17), (112, 46)] {
+            let w = pseudo_tensor(k, m, 5 + k as u64);
+            let packed = PackedMatrix::from_tensor(&w);
+            let panels = packed.panels();
+            assert_eq!(panels.as_ptr() as usize % 32, 0, "{k}x{m}");
+            assert_eq!(panels.len(), m.div_ceil(NR) * k * NR);
+            for l in 0..k {
+                for j in 0..m.div_ceil(NR) * NR {
+                    let got = panels[(j / NR) * k * NR + l * NR + j % NR];
+                    let want = if j < m { w.as_slice()[l * m + j] } else { 0.0 };
+                    assert_eq!(got.to_bits(), want.to_bits(), "{k}x{m} at ({l}, {j})");
+                }
+            }
+        }
     }
 
     #[test]

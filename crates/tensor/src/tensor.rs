@@ -15,7 +15,7 @@ static MATMUL_NANOS: valuenet_obs::Counter = valuenet_obs::Counter::new("tensor.
 /// Records one `n×k @ k×m` kernel invocation that started at `start_ns`.
 /// Callers only reach this when observability is enabled.
 #[cold]
-fn record_matmul(n: usize, k: usize, m: usize, start_ns: u64) {
+pub(crate) fn record_matmul(n: usize, k: usize, m: usize, start_ns: u64) {
     MATMUL_CALLS.add(1);
     MATMUL_FLOPS.add(2 * (n as u64) * (k as u64) * (m as u64));
     MATMUL_BYTES.add(4 * ((n * k) as u64 + (k * m) as u64 + (n * m) as u64));
@@ -190,8 +190,8 @@ impl Tensor {
 
     /// Matrix product `self @ other` via the register-blocked, cache-tiled
     /// kernel ([`block_kernel`]): four output rows are produced per pass so
-    /// every loaded `other` value feeds four FMAs, and columns are tiled so
-    /// the active output block stays L1-resident. See
+    /// every loaded `other` value feeds four multiply-adds, and columns are
+    /// tiled so the active output block stays L1-resident. See
     /// [`Tensor::matmul_naive`] for the reference kernel.
     pub fn matmul(&self, other: &Tensor) -> Tensor {
         assert_eq!(
@@ -392,26 +392,6 @@ impl Tensor {
     }
 }
 
-/// The shared inner kernel behind [`Tensor::matmul`] and
-/// [`Tensor::matmul_transposed_b`]: a standard `n×k @ k×m` row-major product.
-///
-/// Two levels of blocking over the naive i-k-j loop:
-///
-/// * **Register blocking over rows** — four output rows are computed per
-///   pass, so each `b` element loaded in the vectorisable inner axpy feeds
-///   four FMA streams instead of one, quartering the B-panel traffic that
-///   dominates the naive kernel at sizes past L1.
-/// * **Cache tiling over columns** — the column window is capped so the four
-///   active output rows plus the current `b` row stay L1-resident while `p`
-///   sweeps the full depth.
-///
-/// The inner loop keeps the naive kernel's contiguous multiply-accumulate
-/// shape (independent lanes, no reduction chain), which the compiler
-/// auto-vectorises at the baseline target.
-///
-/// `inline(never)`: call overhead is nothing next to the 2·n·k·m-FLOP body,
-/// and one out-of-line copy keeps every `matmul` entry point (instrumented
-/// or not) on the same code, free of per-caller layout/alignment skew.
 /// Narrow-case kernel for [`Tensor::matmul_transposed_b`]: `n×k @ (m×k)ᵀ`
 /// as plain row dots, no transpose pack. Four output columns are produced
 /// per pass — four independent accumulator chains over four contiguous `b`
@@ -461,6 +441,26 @@ fn transposed_a_kernel(a: &[f32], b: &[f32], k: usize, n: usize, m: usize, lvl: 
     out
 }
 
+/// The shared inner kernel behind [`Tensor::matmul`] and
+/// [`Tensor::matmul_transposed_b`]: a standard `n×k @ k×m` row-major product.
+///
+/// Two levels of blocking over the naive i-k-j loop:
+///
+/// * **Register blocking over rows** — four output rows are computed per
+///   pass, so each `b` element loaded in the vectorisable inner axpy feeds
+///   four multiply-adds instead of one, quartering the B-panel traffic that
+///   dominates the naive kernel at sizes past L1.
+/// * **Cache tiling over columns** — the column window is capped so the four
+///   active output rows plus the current `b` row stay L1-resident while `p`
+///   sweeps the full depth.
+///
+/// The inner loop keeps the naive kernel's contiguous multiply-accumulate
+/// shape (independent lanes, no reduction chain), which the compiler
+/// auto-vectorises at the baseline target.
+///
+/// `inline(never)`: call overhead is nothing next to the 2·n·k·m-FLOP body,
+/// and one out-of-line copy keeps every `matmul` entry point (instrumented
+/// or not) on the same code, free of per-caller layout/alignment skew.
 #[inline(never)]
 fn block_kernel(a: &[f32], b: &[f32], n: usize, k: usize, m: usize, lvl: SimdLevel) -> Tensor {
     const MR: usize = 4; // output rows per register block

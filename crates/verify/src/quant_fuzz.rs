@@ -12,9 +12,16 @@
 //!    `0.5 · scale · Σ|a_l|` per output element (each weight is off by at
 //!    most half a quantization step).
 //!
-//! Shapes deliberately cover the decoder's hot case — a single-row
-//! activation (`1×k`) against a wide weight — plus odd, non-lane-multiple
-//! sizes that exercise every tail path.
+//! Shapes (`n×k @ k×m`):
+//!
+//! * every third case pins `n = 1`, the decoder's first beam step and
+//!   greedy shape; otherwise `n` is drawn from `1..=13`, which reaches every
+//!   AVX2 row tile (4, 3, 2 and 1 rows) after one and after two full 4-row
+//!   tiles;
+//! * every fourth case draws the default model's widths, `k` from
+//!   {112, 128, 192} and `m` from {46, 64, 128, 512};
+//! * the rest draw `k` in `1..=40` and `m` in `1..=70`: odd,
+//!   non-lane-multiple sizes that exercise every panel-tail path.
 
 use valuenet_tensor::packed::{PackedMatrix, QuantizedMatrix};
 use valuenet_tensor::simd::{detected_level, SimdLevel};
@@ -51,11 +58,13 @@ fn levels() -> Vec<SimdLevel> {
 /// Runs one seeded case; `None` on success, a failure description otherwise.
 pub fn run_quant_case(seed: u64) -> Option<String> {
     let mut s = seed;
-    // Every third case pins the batch to one row — the beam-step shape the
-    // decoder spends its time in. Sizes straddle the 4/8-lane boundaries.
-    let n = if seed.is_multiple_of(3) { 1 } else { (splitmix(&mut s) % 6 + 1) as usize };
-    let k = (splitmix(&mut s) % 40 + 1) as usize;
-    let m = (splitmix(&mut s) % 70 + 1) as usize;
+    let n = if seed.is_multiple_of(3) { 1 } else { (splitmix(&mut s) % 13 + 1) as usize };
+    let (k, m) = if seed.is_multiple_of(4) {
+        let k = [112, 128, 192][(splitmix(&mut s) % 3) as usize];
+        (k, [46, 64, 128, 512][(splitmix(&mut s) % 4) as usize])
+    } else {
+        ((splitmix(&mut s) % 40 + 1) as usize, (splitmix(&mut s) % 70 + 1) as usize)
+    };
     let a = Tensor::from_vec(n, k, pseudo_data(&mut s, n * k));
     let w = Tensor::from_vec(k, m, pseudo_data(&mut s, k * m));
 
