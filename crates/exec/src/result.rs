@@ -72,20 +72,18 @@ fn sort_rows(rows: &mut [Vec<Datum>]) {
 }
 
 /// Canonical text key for a row, used for DISTINCT, GROUP BY and set
-/// operations. Numeric values canonicalise so `Int(2)` and `Float(2.0)`
-/// coincide, matching SQL value semantics.
+/// operations. A number keys on the bits of its `f64` value, as the hash
+/// join's key does, so two numbers share a key exactly when
+/// [`Datum::sql_eq`] calls them equal: `Int(2)` and `Float(2.0)` coincide,
+/// `-0.0` folds into `0.0`, and numbers that differ in any digit stay
+/// apart. Every NaN shares one key, so NaNs group together like NULLs.
 pub(crate) fn row_key<'d>(row: impl IntoIterator<Item = &'d Datum>) -> String {
-    use std::fmt::Write;
     let mut key = String::new();
     for d in row {
         match d {
             Datum::Null => key.push_str("\u{1}N"),
-            Datum::Int(i) => {
-                let _ = write!(key, "\u{1}n{:.9e}", *i as f64);
-            }
-            Datum::Float(f) => {
-                let _ = write!(key, "\u{1}n{f:.9e}");
-            }
+            Datum::Int(i) => push_number_key(&mut key, *i as f64),
+            Datum::Float(f) => push_number_key(&mut key, *f),
             Datum::Text(s) => {
                 key.push_str("\u{1}t");
                 key.push_str(s);
@@ -93,6 +91,18 @@ pub(crate) fn row_key<'d>(row: impl IntoIterator<Item = &'d Datum>) -> String {
         }
     }
     key
+}
+
+fn push_number_key(key: &mut String, x: f64) {
+    use std::fmt::Write;
+    let bits = if x.is_nan() {
+        f64::NAN.to_bits()
+    } else if x == 0.0 {
+        0
+    } else {
+        x.to_bits()
+    };
+    let _ = write!(key, "\u{1}n{bits:016x}");
 }
 
 impl fmt::Display for ResultSet {
@@ -149,6 +159,10 @@ mod tests {
     #[test]
     fn numeric_coercion_in_keys() {
         assert_eq!(row_key(&[Datum::Int(2)]), row_key(&[Datum::Float(2.0)]));
+        assert_eq!(row_key(&[Datum::Float(-0.0)]), row_key(&[Datum::Float(0.0)]));
+        assert_eq!(row_key(&[Datum::Float(f64::NAN)]), row_key(&[Datum::Float(-f64::NAN)]));
+        assert_ne!(row_key(&[Datum::Int(12345678901)]), row_key(&[Datum::Int(12345678902)]));
+        assert_ne!(row_key(&[Datum::Float(1.0)]), row_key(&[Datum::Float(1.0000000001)]));
         assert_ne!(row_key(&[Datum::Int(2)]), row_key(&[Datum::Text("2".into())]));
         assert_ne!(row_key(&[Datum::Null]), row_key(&[Datum::Text("".into())]));
     }

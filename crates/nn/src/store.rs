@@ -4,16 +4,16 @@
 //! weight matrix can be packed once into the blocked layout of
 //! [`PackedMatrix`] (and optionally quantized to int8 as a
 //! [`QuantizedMatrix`]) so that inference-time matmuls skip both the
-//! per-use tensor clone of [`ParamStore::var`] and the column-gather of the
+//! tape copy that [`ParamStore::var`] makes and the column-gather of the
 //! unpacked kernel. The cache is built lazily under a shared reference (so
 //! concurrent evaluation threads can fill it) and invalidated whenever the
 //! optimiser writes to a parameter.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 use valuenet_tensor::{
-    apply_activation, simd, Activation, Gradients, Graph, PackedMatrix, QuantizedMatrix, Tensor,
-    Var,
+    apply_activation, pool, simd, Activation, Gradients, Graph, PackedMatrix, QuantizedMatrix,
+    Tensor, Var,
 };
 
 /// Handle to a parameter inside a [`ParamStore`].
@@ -61,6 +61,21 @@ impl PackedParam {
     }
 }
 
+/// Source of [`WriteStamp`]s, shared by every store in the process.
+static NEXT_STAMP: AtomicU64 = AtomicU64::new(1);
+
+/// Names one state of a store's weights: drawn fresh from a process-wide
+/// counter when the store is created and on every write, so no two states
+/// of any two stores share a stamp. A tape keys its parameter value leaves
+/// by it (see [`Graph::param_view`]).
+struct WriteStamp(u64);
+
+impl Default for WriteStamp {
+    fn default() -> Self {
+        WriteStamp(NEXT_STAMP.fetch_add(1, Ordering::Relaxed))
+    }
+}
+
 /// Holds every trainable tensor of a model, each tagged with a name and an
 /// optimiser *group* (the paper trains encoder / decoder / connection
 /// parameters with different learning rates).
@@ -71,6 +86,9 @@ pub struct ParamStore {
     packed: RwLock<Vec<Option<Arc<PackedParam>>>>,
     /// When set, the inference helpers use the int8 quantized weights.
     quantized: AtomicBool,
+    /// Renewed by every write, so a tape never reuses a value leaf loaded
+    /// before the write or from another store.
+    stamp: WriteStamp,
 }
 
 impl ParamStore {
@@ -90,6 +108,7 @@ impl ParamStore {
             data: t.as_slice().to_vec(),
             qscale: None,
         });
+        self.stamp = WriteStamp::default();
         ParamId(self.params.len() - 1)
     }
 
@@ -106,6 +125,7 @@ impl ParamStore {
     ) -> ParamId {
         debug_assert_eq!(data.len(), rows * cols, "ParamStore::add_raw: bad shape for {name}");
         self.params.push(ParamEntry { name, group, rows, cols, data, qscale });
+        self.stamp = WriteStamp::default();
         ParamId(self.params.len() - 1)
     }
 
@@ -171,8 +191,10 @@ impl ParamStore {
         self.invalidate(id);
     }
 
-    /// Drops the cached packed/quantized form after a weight update.
+    /// Drops the cached packed/quantized form and renews the write stamp
+    /// after a weight update.
     fn invalidate(&mut self, id: ParamId) {
+        self.stamp = WriteStamp::default();
         self.params[id.0].qscale = None;
         let cache = self.packed.get_mut().unwrap();
         if let Some(slot) = cache.get_mut(id.0) {
@@ -291,10 +313,18 @@ impl ParamStore {
         g.input(t)
     }
 
-    /// Registers the parameter as a node of the autodiff graph so gradients
-    /// flow back to it. The value is copied into the tape.
+    /// Registers one use of the parameter on the autodiff graph so
+    /// gradients flow back to it. The value enters the tape once per tape
+    /// and store state: the first use copies it, through the buffer pool,
+    /// into a value leaf that every later use reads, while each use gets a
+    /// gradient node of its own (see [`Graph::param_view`]).
     pub fn var(&self, g: &mut Graph, id: ParamId) -> Var {
-        g.param(self.get(id), id.0)
+        g.param_view(id.0, self.stamp.0, || {
+            let p = &self.params[id.0];
+            let mut data = pool::take(p.data.len());
+            data.extend_from_slice(&p.data);
+            Tensor::from_vec(p.rows, p.cols, data)
+        })
     }
 
     /// Collects, for each parameter that received a gradient, the summed

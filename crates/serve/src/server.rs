@@ -111,8 +111,12 @@ fn handle_conn(st: &ServerState, stream: UnixStream) -> std::io::Result<()> {
             // Close without reading the rest of the frame.
             return Ok(());
         }
-        let line = std::str::from_utf8(&frame)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+        let Ok(line) = std::str::from_utf8(&frame) else {
+            let error = ServeError::new(ErrorKind::BadRequest, "frame is not valid UTF-8");
+            writeln!(writer, "{}", Response::Error { id: None, error, trace: None }.render())?;
+            writer.flush()?;
+            continue;
+        };
         if line.trim().is_empty() {
             continue;
         }

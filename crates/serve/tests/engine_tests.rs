@@ -633,6 +633,32 @@ fn unix_socket_roundtrip() {
         other => panic!("expected pong, got {other:?}"),
     }
 
+    // A frame that is not valid UTF-8 gets a bad_request with no id, and
+    // the same connection answers the next frame.
+    {
+        let mut raw = UnixStream::connect(&sock).expect("connect");
+        raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut reader = BufReader::new(raw.try_clone().unwrap());
+        raw.write_all(b"{\"id\":5,\"verb\":\"ping\xff\"}\n").unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("a non-UTF-8 frame must be answered");
+        match Response::parse(&line).unwrap() {
+            Response::Error { id, error, .. } => {
+                assert_eq!(id, None);
+                assert_eq!(error.kind, ErrorKind::BadRequest);
+                assert!(error.detail.contains("UTF-8"), "unexpected detail: {error}");
+            }
+            other => panic!("expected bad_request, got {other:?}"),
+        }
+        raw.write_all(format!("{}\n", verb_frame(6, "ping").render()).as_bytes()).unwrap();
+        line.clear();
+        reader.read_line(&mut line).expect("the connection must stay open");
+        match Response::parse(&line).unwrap() {
+            Response::Pong { id } => assert_eq!(id, Some(6)),
+            other => panic!("expected pong, got {other:?}"),
+        }
+    }
+
     // One byte past the frame bound, with no newline: a typed bad_request
     // naming the bound, and that connection is closed. A fresh connection
     // still gets its pong.

@@ -42,12 +42,25 @@ pub enum Activation {
 }
 
 /// Handle to a node in a [`Graph`].
+///
+/// A handle names two nodes: the one its gradient flows to and the one
+/// that holds its value. They are the same node everywhere except at a
+/// parameter view ([`Graph::param_view`]), whose value is the parameter's
+/// one value leaf on the tape and whose gradient goes to a use node of its
+/// own.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Var(usize);
+pub struct Var {
+    grad: u32,
+    val: u32,
+}
+
+/// Marks a parameter with no value leaf on the tape yet.
+const NO_LEAF: u32 = u32::MAX;
 
 /// The recorded operation of a node. Operands are stored as [`Var`]s.
 enum Op {
-    /// Constant input or trainable parameter (leaf).
+    /// Constant input, trainable parameter, or one of a parameter view's
+    /// two nodes: the value leaf and a use node (see [`Graph::param_view`]).
     Leaf,
     Add(Var, Var),
     /// `[n,d] + [1,d]` — broadcast the single row over all rows.
@@ -116,14 +129,14 @@ pub struct Gradients {
 impl Gradients {
     /// Gradient of the loss with respect to node `v`, if it was computed.
     pub fn for_var(&self, v: Var) -> Option<&Tensor> {
-        self.by_node.get(v.0).and_then(|g| g.as_ref())
+        self.by_node.get(v.grad as usize).and_then(|g| g.as_ref())
     }
 
     /// Gradient for the parameter registered under `param_id`.
     ///
-    /// If the same parameter was used through several [`Graph::param`] nodes,
-    /// their gradients are summed (in tape order, so the accumulation is
-    /// deterministic).
+    /// If the same parameter was used through several [`Graph::param`] or
+    /// [`Graph::param_view`] nodes, their gradients are summed (in tape
+    /// order, so the accumulation is deterministic).
     pub fn for_param(&self, param_id: usize) -> Option<Tensor> {
         let start = self.params.partition_point(|&(pid, _)| pid < param_id);
         let mut acc: Option<Tensor> = None;
@@ -155,12 +168,17 @@ impl Gradients {
 pub struct Graph {
     nodes: Vec<Node>,
     inference: bool,
+    /// Value leaf of each parameter loaded by [`Graph::param_view`], indexed
+    /// by parameter id (`NO_LEAF` when not loaded). Valid for the store
+    /// write stamp `leaf_stamp`; [`Graph::reset`] clears it.
+    leaves: Vec<u32>,
+    leaf_stamp: u64,
 }
 
 impl Graph {
     /// Creates an empty tape.
     pub fn new() -> Self {
-        Graph { nodes: Vec::new(), inference: false }
+        Self::default()
     }
 
     /// Marks this tape as inference-only. Layers then bypass the tape for
@@ -184,6 +202,7 @@ impl Graph {
     /// long-lived graph (see `trainer.rs`).
     pub fn reset(&mut self) {
         self.nodes.clear();
+        self.leaves.clear();
     }
 
     /// Number of recorded nodes.
@@ -198,16 +217,21 @@ impl Graph {
 
     /// The forward value of `v`.
     pub fn value(&self, v: Var) -> &Tensor {
-        &self.nodes[v.0].value
+        &self.nodes[v.val as usize].value
     }
 
     fn push(&mut self, value: Tensor, op: Op, needs_grad: bool, param_id: Option<usize>) -> Var {
+        let i = u32::try_from(self.nodes.len()).expect("Graph: tape exceeds u32::MAX nodes");
         self.nodes.push(Node { value, op, needs_grad, param_id });
-        Var(self.nodes.len() - 1)
+        Var { grad: i, val: i }
+    }
+
+    fn needs_grad(&self, v: Var) -> bool {
+        self.nodes[v.grad as usize].needs_grad
     }
 
     fn any_needs_grad(&self, vars: &[Var]) -> bool {
-        vars.iter().any(|v| self.nodes[v.0].needs_grad)
+        vars.iter().any(|v| self.needs_grad(*v))
     }
 
     /// Registers a constant input (no gradient flows into it).
@@ -215,10 +239,54 @@ impl Graph {
         self.push(t, Op::Leaf, false, None)
     }
 
-    /// Registers a trainable parameter identified by `param_id`. The
-    /// gradient for this node is retrievable via [`Gradients::for_param`].
+    /// Registers a trainable parameter identified by `param_id`, taking `t`
+    /// as this use's own copy of its value. The gradient for this node is
+    /// retrievable via [`Gradients::for_param`]. Training goes through
+    /// [`Graph::param_view`], which loads each parameter once per tape;
+    /// this copy per use is its reference.
     pub fn param(&mut self, t: Tensor, param_id: usize) -> Var {
         self.push(t, Op::Leaf, true, Some(param_id))
+    }
+
+    /// Registers one use of the trainable parameter `param_id`, whose store
+    /// is at write stamp `stamp`.
+    ///
+    /// The parameter's value enters the tape once: the first use since
+    /// [`Graph::reset`] (or since the stamp changed) calls `load` and
+    /// records the result as a value leaf that needs no gradient and
+    /// carries no parameter id. Every use, that one included, gets a node
+    /// of its own that carries `param_id`, holds no value and receives this
+    /// use's gradient. The returned handle reads the leaf and sends its
+    /// gradient to the use node, so forward values, gradients and the
+    /// tape-order sums of [`Gradients::for_param`] are bit-identical to a
+    /// [`Graph::param`] copy per use.
+    ///
+    /// `stamp` must change whenever the values behind a parameter id may
+    /// differ (a weight write, or another store): a tape whose stamp
+    /// differs forgets every leaf it holds, so a later use never reads a
+    /// stale or foreign value. A use recorded before the change keeps the
+    /// leaf it was given.
+    pub fn param_view(
+        &mut self,
+        param_id: usize,
+        stamp: u64,
+        load: impl FnOnce() -> Tensor,
+    ) -> Var {
+        if self.leaf_stamp != stamp {
+            self.leaves.clear();
+            self.leaf_stamp = stamp;
+        }
+        if param_id >= self.leaves.len() {
+            self.leaves.resize(param_id + 1, NO_LEAF);
+        }
+        let mut val = self.leaves[param_id];
+        if val == NO_LEAF {
+            val = self.push(load(), Op::Leaf, false, None).val;
+            self.leaves[param_id] = val;
+        }
+        let no_value = Tensor::from_vec(0, 0, Vec::new());
+        let grad = self.push(no_value, Op::Leaf, true, Some(param_id)).grad;
+        Var { grad, val }
     }
 
     /// Element-wise sum of two same-shape tensors.
@@ -606,9 +674,9 @@ impl Graph {
             self.value(loss).shape()
         );
         let mut grads: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
-        grads[loss.0] = Some(Tensor::scalar(1.0));
+        grads[loss.grad as usize] = Some(Tensor::scalar(1.0));
 
-        for i in (0..=loss.0).rev() {
+        for i in (0..=loss.grad as usize).rev() {
             if !self.nodes[i].needs_grad {
                 continue;
             }
@@ -634,7 +702,7 @@ impl Graph {
     /// gradients of its operands.
     fn accumulate_parents(&self, i: usize, g: &Tensor, grads: &mut [Option<Tensor>]) {
         let add_to = |grads: &mut [Option<Tensor>], v: Var, delta: Tensor| {
-            match &mut grads[v.0] {
+            match &mut grads[v.grad as usize] {
                 Some(acc) => acc.add_assign(&delta),
                 slot @ None => *slot = Some(delta),
             }
@@ -642,18 +710,18 @@ impl Graph {
         match &self.nodes[i].op {
             Op::Leaf => {}
             Op::Add(a, b) => {
-                if self.nodes[a.0].needs_grad {
+                if self.needs_grad(*a) {
                     add_to(grads, *a, g.clone());
                 }
-                if self.nodes[b.0].needs_grad {
+                if self.needs_grad(*b) {
                     add_to(grads, *b, g.clone());
                 }
             }
             Op::AddBroadcastRow(a, b) => {
-                if self.nodes[a.0].needs_grad {
+                if self.needs_grad(*a) {
                     add_to(grads, *a, g.clone());
                 }
-                if self.nodes[b.0].needs_grad {
+                if self.needs_grad(*b) {
                     let mut gb = Tensor::zeros(1, g.cols());
                     for r in 0..g.rows() {
                         for c in 0..g.cols() {
@@ -664,25 +732,25 @@ impl Graph {
                 }
             }
             Op::Sub(a, b) => {
-                if self.nodes[a.0].needs_grad {
+                if self.needs_grad(*a) {
                     add_to(grads, *a, g.clone());
                 }
-                if self.nodes[b.0].needs_grad {
+                if self.needs_grad(*b) {
                     add_to(grads, *b, g.map(|x| -x));
                 }
             }
             Op::Mul(a, b) => {
-                if self.nodes[a.0].needs_grad {
-                    add_to(grads, *a, g.zip(&self.nodes[b.0].value, |gv, bv| gv * bv));
+                if self.needs_grad(*a) {
+                    add_to(grads, *a, g.zip(self.value(*b), |gv, bv| gv * bv));
                 }
-                if self.nodes[b.0].needs_grad {
-                    add_to(grads, *b, g.zip(&self.nodes[a.0].value, |gv, av| gv * av));
+                if self.needs_grad(*b) {
+                    add_to(grads, *b, g.zip(self.value(*a), |gv, av| gv * av));
                 }
             }
             Op::MulBroadcastRow(a, b) => {
-                let tb = &self.nodes[b.0].value;
-                let ta = &self.nodes[a.0].value;
-                if self.nodes[a.0].needs_grad {
+                let tb = self.value(*b);
+                let ta = self.value(*a);
+                if self.needs_grad(*a) {
                     let mut ga = g.clone();
                     for r in 0..ga.rows() {
                         for c in 0..ga.cols() {
@@ -692,7 +760,7 @@ impl Graph {
                     }
                     add_to(grads, *a, ga);
                 }
-                if self.nodes[b.0].needs_grad {
+                if self.needs_grad(*b) {
                     let mut gb = Tensor::zeros(1, g.cols());
                     for r in 0..g.rows() {
                         for c in 0..g.cols() {
@@ -703,7 +771,7 @@ impl Graph {
                 }
             }
             Op::Scale(a, k) => {
-                if self.nodes[a.0].needs_grad {
+                if self.needs_grad(*a) {
                     let k = *k;
                     add_to(grads, *a, g.map(|x| x * k));
                 }
@@ -711,47 +779,47 @@ impl Graph {
             Op::Matmul(a, b) => {
                 // dL/dA = G·Bᵀ and dL/dB = Aᵀ·G, via the transposed-operand
                 // kernels so neither transpose is materialised.
-                if self.nodes[a.0].needs_grad {
-                    add_to(grads, *a, g.matmul_transposed_b(&self.nodes[b.0].value));
+                if self.needs_grad(*a) {
+                    add_to(grads, *a, g.matmul_transposed_b(self.value(*b)));
                 }
-                if self.nodes[b.0].needs_grad {
-                    add_to(grads, *b, self.nodes[a.0].value.matmul_transposed_a(g));
+                if self.needs_grad(*b) {
+                    add_to(grads, *b, self.value(*a).matmul_transposed_a(g));
                 }
             }
             Op::MatmulTransposedB(a, b) => {
                 // Y = A·Bᵀ, so dL/dA = G·B and dL/dB = Gᵀ·A.
-                if self.nodes[a.0].needs_grad {
-                    add_to(grads, *a, g.matmul(&self.nodes[b.0].value));
+                if self.needs_grad(*a) {
+                    add_to(grads, *a, g.matmul(self.value(*b)));
                 }
-                if self.nodes[b.0].needs_grad {
-                    add_to(grads, *b, g.matmul_transposed_a(&self.nodes[a.0].value));
+                if self.needs_grad(*b) {
+                    add_to(grads, *b, g.matmul_transposed_a(self.value(*a)));
                 }
             }
             Op::Transpose(a) => {
-                if self.nodes[a.0].needs_grad {
+                if self.needs_grad(*a) {
                     add_to(grads, *a, g.transpose());
                 }
             }
             Op::Tanh(a) => {
-                if self.nodes[a.0].needs_grad {
+                if self.needs_grad(*a) {
                     let y = &self.nodes[i].value;
                     add_to(grads, *a, g.zip(y, |gv, yv| gv * (1.0 - yv * yv)));
                 }
             }
             Op::Sigmoid(a) => {
-                if self.nodes[a.0].needs_grad {
+                if self.needs_grad(*a) {
                     let y = &self.nodes[i].value;
                     add_to(grads, *a, g.zip(y, |gv, yv| gv * yv * (1.0 - yv)));
                 }
             }
             Op::Relu(a) => {
-                if self.nodes[a.0].needs_grad {
-                    let x = &self.nodes[a.0].value;
+                if self.needs_grad(*a) {
+                    let x = self.value(*a);
                     add_to(grads, *a, g.zip(x, |gv, xv| if xv > 0.0 { gv } else { 0.0 }));
                 }
             }
             Op::SoftmaxRows(a) => {
-                if self.nodes[a.0].needs_grad {
+                if self.needs_grad(*a) {
                     let y = &self.nodes[i].value;
                     let mut gx = Tensor::zeros(y.rows(), y.cols());
                     for r in 0..y.rows() {
@@ -765,7 +833,7 @@ impl Graph {
                 }
             }
             Op::LogSoftmaxRows(a) => {
-                if self.nodes[a.0].needs_grad {
+                if self.needs_grad(*a) {
                     let y = &self.nodes[i].value; // y = log softmax(x)
                     let mut gx = Tensor::zeros(y.rows(), y.cols());
                     for r in 0..y.rows() {
@@ -780,8 +848,8 @@ impl Graph {
             Op::ConcatCols(parts) => {
                 let mut off = 0;
                 for &p in parts {
-                    let cols = self.nodes[p.0].value.cols();
-                    if self.nodes[p.0].needs_grad {
+                    let cols = self.value(p).cols();
+                    if self.needs_grad(p) {
                         let mut data = crate::pool::take(g.rows() * cols);
                         for r in 0..g.rows() {
                             data.extend_from_slice(&g.row(r)[off..off + cols]);
@@ -794,8 +862,8 @@ impl Graph {
             Op::ConcatRows(parts) => {
                 let mut off = 0;
                 for &p in parts {
-                    let rows = self.nodes[p.0].value.rows();
-                    if self.nodes[p.0].needs_grad {
+                    let rows = self.value(p).rows();
+                    if self.needs_grad(p) {
                         let mut data = crate::pool::take(rows * g.cols());
                         data.extend_from_slice(
                             &g.as_slice()[off * g.cols()..(off + rows) * g.cols()],
@@ -806,8 +874,8 @@ impl Graph {
                 }
             }
             Op::SliceCols(a, c0, _c1) => {
-                if self.nodes[a.0].needs_grad {
-                    let src = &self.nodes[a.0].value;
+                if self.needs_grad(*a) {
+                    let src = self.value(*a);
                     let mut ga = Tensor::zeros(src.rows(), src.cols());
                     for r in 0..g.rows() {
                         ga.row_mut(r)[*c0..*c0 + g.cols()].copy_from_slice(g.row(r));
@@ -816,8 +884,8 @@ impl Graph {
                 }
             }
             Op::SliceRows(a, r0, _r1) => {
-                if self.nodes[a.0].needs_grad {
-                    let src = &self.nodes[a.0].value;
+                if self.needs_grad(*a) {
+                    let src = self.value(*a);
                     let mut ga = Tensor::zeros(src.rows(), src.cols());
                     for r in 0..g.rows() {
                         ga.row_mut(r0 + r).copy_from_slice(g.row(r));
@@ -826,22 +894,22 @@ impl Graph {
                 }
             }
             Op::SumAll(a) => {
-                if self.nodes[a.0].needs_grad {
-                    let src = &self.nodes[a.0].value;
+                if self.needs_grad(*a) {
+                    let src = self.value(*a);
                     let gv = g.scalar_value();
                     add_to(grads, *a, Tensor::full(src.rows(), src.cols(), gv));
                 }
             }
             Op::MeanAll(a) => {
-                if self.nodes[a.0].needs_grad {
-                    let src = &self.nodes[a.0].value;
+                if self.needs_grad(*a) {
+                    let src = self.value(*a);
                     let gv = g.scalar_value() / src.len() as f32;
                     add_to(grads, *a, Tensor::full(src.rows(), src.cols(), gv));
                 }
             }
             Op::Gather(table, indices) => {
-                if self.nodes[table.0].needs_grad {
-                    let t = &self.nodes[table.0].value;
+                if self.needs_grad(*table) {
+                    let t = self.value(*table);
                     let mut gt = Tensor::zeros(t.rows(), t.cols());
                     for (r, &idx) in indices.iter().enumerate() {
                         for c in 0..t.cols() {
@@ -852,8 +920,8 @@ impl Graph {
                 }
             }
             Op::NllLoss(lp, targets) => {
-                if self.nodes[lp.0].needs_grad {
-                    let t = &self.nodes[lp.0].value;
+                if self.needs_grad(*lp) {
+                    let t = self.value(*lp);
                     let gv = g.scalar_value() / targets.len() as f32;
                     let mut glp = Tensor::zeros(t.rows(), t.cols());
                     for (r, &c) in targets.iter().enumerate() {
@@ -863,7 +931,7 @@ impl Graph {
                 }
             }
             Op::Dropout(a, mask) => {
-                if self.nodes[a.0].needs_grad {
+                if self.needs_grad(*a) {
                     let mut ga = g.clone();
                     for (x, &m) in ga.as_mut_slice().iter_mut().zip(mask) {
                         *x *= m;
@@ -893,14 +961,14 @@ impl Graph {
                         &dz_owned
                     }
                 };
-                if self.nodes[a.0].needs_grad {
-                    add_to(grads, *a, dz.matmul_transposed_b(&self.nodes[w.0].value));
+                if self.needs_grad(*a) {
+                    add_to(grads, *a, dz.matmul_transposed_b(self.value(*w)));
                 }
-                if self.nodes[w.0].needs_grad {
-                    add_to(grads, *w, self.nodes[a.0].value.matmul_transposed_a(dz));
+                if self.needs_grad(*w) {
+                    add_to(grads, *w, self.value(*a).matmul_transposed_a(dz));
                 }
                 if let Some(b) = bias {
-                    if self.nodes[b.0].needs_grad {
+                    if self.needs_grad(*b) {
                         let mut gb = Tensor::zeros(1, dz.cols());
                         for r in 0..dz.rows() {
                             for c in 0..dz.cols() {
@@ -925,22 +993,22 @@ impl Graph {
                     }
                 }
                 if let Some(m) = mask {
-                    if self.nodes[m.0].needs_grad {
+                    if self.needs_grad(*m) {
                         add_to(grads, *m, gs.clone());
                     }
                 }
                 let k = *scale;
                 let gscaled = gs.map(|x| x * k);
-                if self.nodes[q.0].needs_grad {
-                    add_to(grads, *q, gscaled.matmul(&self.nodes[keys.0].value));
+                if self.needs_grad(*q) {
+                    add_to(grads, *q, gscaled.matmul(self.value(*keys)));
                 }
-                if self.nodes[keys.0].needs_grad {
-                    add_to(grads, *keys, gscaled.matmul_transposed_a(&self.nodes[q.0].value));
+                if self.needs_grad(*keys) {
+                    add_to(grads, *keys, gscaled.matmul_transposed_a(self.value(*q)));
                 }
             }
             Op::LogSoftmaxNll { x, targets, lse } => {
-                if self.nodes[x.0].needs_grad {
-                    let t = &self.nodes[x.0].value;
+                if self.needs_grad(*x) {
+                    let t = self.value(*x);
                     let gv = g.scalar_value() / targets.len() as f32;
                     let mut gx = Tensor::zeros(t.rows(), t.cols());
                     for r in 0..t.rows() {
@@ -961,10 +1029,10 @@ impl Graph {
                 // bit-identical to the unfused chain's cached node values,
                 // and each product below mirrors one unfused backward zip
                 // (mul backward, then sigmoid/tanh backward) term for term.
-                let tz = &self.nodes[z.0].value;
-                let tcp = &self.nodes[c_prev.0].value;
+                let tz = self.value(*z);
+                let tcp = self.value(*c_prev);
                 let (rows, h) = tcp.shape();
-                if self.nodes[z.0].needs_grad {
+                if self.needs_grad(*z) {
                     let mut dz = Tensor::zeros(rows, 4 * h);
                     for r in 0..rows {
                         let zr = tz.row(r);
@@ -985,7 +1053,7 @@ impl Graph {
                     }
                     add_to(grads, *z, dz);
                 }
-                if self.nodes[c_prev.0].needs_grad {
+                if self.needs_grad(*c_prev) {
                     let mut dcp = Tensor::zeros(rows, h);
                     for r in 0..rows {
                         let zr = tz.row(r);
@@ -1000,10 +1068,10 @@ impl Graph {
             }
             Op::LstmOutGate { z, c } => {
                 // g is dL/dh with h = σ(z_o)·tanh(c).
-                let tz = &self.nodes[z.0].value;
-                let tc = &self.nodes[c.0].value;
+                let tz = self.value(*z);
+                let tc = self.value(*c);
                 let (rows, h) = tc.shape();
-                if self.nodes[z.0].needs_grad {
+                if self.needs_grad(*z) {
                     let mut dz = Tensor::zeros(rows, 4 * h);
                     for r in 0..rows {
                         let zr = tz.row(r);
@@ -1018,7 +1086,7 @@ impl Graph {
                     }
                     add_to(grads, *z, dz);
                 }
-                if self.nodes[c.0].needs_grad {
+                if self.needs_grad(*c) {
                     let mut dc = Tensor::zeros(rows, h);
                     for r in 0..rows {
                         let zr = tz.row(r);
@@ -1034,8 +1102,8 @@ impl Graph {
                 }
             }
             Op::LayerNormRows(a, eps) => {
-                if self.nodes[a.0].needs_grad {
-                    let x = &self.nodes[a.0].value;
+                if self.needs_grad(*a) {
+                    let x = self.value(*a);
                     let y = &self.nodes[i].value;
                     let n = x.cols() as f32;
                     let mut gx = Tensor::zeros(x.rows(), x.cols());

@@ -255,21 +255,17 @@ fn execute_plain(db: &Database, stmt: &SelectStmt) -> Result<ResultSet, OracleEr
     Ok(ResultSet { headers, rows, ordered: stmt.is_ordered() })
 }
 
-/// Canonical dedup key: `Int` and `Float` of the same value coincide, as in
-/// SQL value semantics (and the executor's DISTINCT / set operations).
+/// Canonical dedup key: two numbers coincide exactly when `sql_eq` calls
+/// them equal (`Int` and `Float` of the same value, `-0.0` and `0.0`), as in
+/// SQL value semantics (and the executor's DISTINCT / set operations), so a
+/// number keys on its full `f64` bit pattern. All NaNs share one key.
 fn canonical_key(row: &[Datum]) -> String {
     let mut key = String::with_capacity(row.len() * 8);
     for d in row {
         match d {
             Datum::Null => key.push_str("\u{1}N"),
-            Datum::Int(i) => {
-                key.push_str("\u{1}n");
-                key.push_str(&format!("{:.9e}", *i as f64));
-            }
-            Datum::Float(f) => {
-                key.push_str("\u{1}n");
-                key.push_str(&format!("{f:.9e}"));
-            }
+            Datum::Int(i) => push_number(&mut key, *i as f64),
+            Datum::Float(f) => push_number(&mut key, *f),
             Datum::Text(s) => {
                 key.push_str("\u{1}t");
                 key.push_str(s);
@@ -277,6 +273,18 @@ fn canonical_key(row: &[Datum]) -> String {
         }
     }
     key
+}
+
+fn push_number(key: &mut String, x: f64) {
+    let canonical = if x.is_nan() {
+        f64::NAN
+    } else if x == 0.0 {
+        0.0
+    } else {
+        x
+    };
+    key.push_str("\u{1}n");
+    key.push_str(&format!("{:016x}", canonical.to_bits()));
 }
 
 fn truthy(d: &Datum) -> bool {

@@ -5,7 +5,8 @@
 //! tables is connected and SemQL lowering can always build a join tree.
 //! Tables are populated with rows that deliberately include the awkward
 //! cases: NULLs in payload columns, floats alongside integers in `Number`
-//! columns, dangling foreign keys, duplicated values and empty tables.
+//! columns, numbers that only full-precision keys tell apart (and `-0.0`),
+//! dangling foreign keys, duplicated values and empty tables.
 
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -17,6 +18,18 @@ use valuenet_storage::{Database, Datum};
 /// literal escaping in the printer/parser round trip.
 pub const TEXT_POOL: &[&str] =
     &["red", "green", "blue", "alpha", "beta", "new york", "o'hara"];
+
+/// Numbers that share a ten-significant-digit key with a neighbour
+/// (`12345678901` with `12345678902`, `1.0000000001` with `1`) or differ
+/// from one only in sign (`-0.0` with `0`), so DISTINCT, GROUP BY and set
+/// operations meet values that only full-precision keys keep apart or
+/// together.
+const NEAR_NUMBERS: &[Datum] = &[
+    Datum::Int(12345678901),
+    Datum::Int(12345678902),
+    Datum::Float(1.0000000001),
+    Datum::Float(-0.0),
+];
 
 /// Date-like values for `Time` columns (compared as text).
 const TIME_POOL: &[&str] = &["2019-01-01", "2020-06-15", "2021-12-31"];
@@ -120,7 +133,9 @@ fn gen_datum(rng: &mut SmallRng, ty: ColumnType) -> Datum {
     }
     match ty {
         ColumnType::Number => {
-            if rng.gen_range(0..5) == 0 {
+            if rng.gen_range(0..20) == 0 {
+                NEAR_NUMBERS[rng.gen_range(0..NEAR_NUMBERS.len())].clone()
+            } else if rng.gen_range(0..5) == 0 {
                 Datum::Float(rng.gen_range(0..20) as f64 / 2.0)
             } else {
                 Datum::Int(rng.gen_range(0..10))

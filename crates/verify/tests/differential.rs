@@ -120,3 +120,53 @@ fn hash_join_keys_agree_with_sql_equality() {
         assert_eq!(got.rows, want.rows, "executor and oracle differ on {left:?} against {right:?}");
     }
 }
+
+/// DISTINCT, GROUP BY, `count(DISTINCT …)` and set operations must key
+/// numbers by `Datum::sql_eq` as well: apart at full precision, `Int` with
+/// `Float` of the same value, `-0.0` with `0.0`.
+#[test]
+fn grouping_keys_agree_with_sql_equality() {
+    let values = [
+        Datum::Int(12345678901),
+        Datum::Int(12345678902),
+        Datum::Float(1.0),
+        Datum::Float(1.0000000001),
+        Datum::Int(2),
+        Datum::Float(2.0),
+        Datum::Float(-0.0),
+        Datum::Float(0.0),
+    ];
+    let mut classes: Vec<&Datum> = Vec::new();
+    for v in &values {
+        if !classes.iter().any(|c| c.sql_eq(v)) {
+            classes.push(v);
+        }
+    }
+    assert_eq!(classes.len(), 6, "sql_eq's groups");
+
+    let schema = SchemaBuilder::new("keys")
+        .table("t", &[("id", ColumnType::Number), ("v", ColumnType::Number)])
+        .build();
+    let rows = values.iter().enumerate().map(|(i, v)| vec![Datum::Int(i as i64), v.clone()]);
+    let db = Database::with_rows(schema, vec![rows.collect()]);
+    let groups = |rs: &valuenet_exec::ResultSet, counted: bool| {
+        if counted {
+            rs.rows[0][0].as_number().unwrap() as usize
+        } else {
+            rs.rows.len()
+        }
+    };
+    for (sql, counted) in [
+        ("SELECT DISTINCT v FROM t", false),
+        ("SELECT count(DISTINCT v) FROM t", true),
+        ("SELECT v, count(*) FROM t GROUP BY v", false),
+        ("SELECT v FROM t UNION SELECT v FROM t", false),
+        ("SELECT v FROM t INTERSECT SELECT v FROM t", false),
+    ] {
+        let stmt = parse_select(sql).unwrap();
+        let got = execute(&db, &stmt).unwrap();
+        let want = reference_execute(&db, &stmt).unwrap();
+        assert_eq!(groups(&got, counted), classes.len(), "executor: {sql}");
+        assert_eq!(groups(&want, counted), classes.len(), "oracle: {sql}");
+    }
+}
