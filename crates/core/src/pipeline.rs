@@ -51,6 +51,17 @@ impl Stage {
             Stage::Execute => "execute",
         }
     }
+
+    /// The obs span covering the stage, under `pipeline.translate`.
+    fn span_name(self) -> &'static str {
+        match self {
+            Stage::Preprocess => "pipeline.pre_processing",
+            Stage::ValueLookup => "pipeline.value_lookup",
+            Stage::EncodeDecode => "pipeline.encode_decode",
+            Stage::PostProcess => "pipeline.post_processing",
+            Stage::Execute => "pipeline.execution",
+        }
+    }
 }
 
 /// A typed translation failure. A serving front-end must be able to turn
@@ -121,7 +132,9 @@ impl ValueMode {
     }
 }
 
-/// Wall-clock duration of each pipeline stage (paper Table II rows).
+/// Wall-clock duration of each pipeline stage (paper Table II rows). A
+/// stage runs from its boundary to the next one, its guard included, so the
+/// five rows add up to the whole translation.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StageTimings {
     /// Tokenisation + question/schema hints.
@@ -144,6 +157,67 @@ impl StageTimings {
             + self.encoder_decoder
             + self.post_processing
             + self.query_execution
+    }
+
+    fn slot(&mut self, stage: Stage) -> &mut Duration {
+        match stage {
+            Stage::Preprocess => &mut self.pre_processing,
+            Stage::ValueLookup => &mut self.value_lookup,
+            Stage::EncodeDecode => &mut self.encoder_decoder,
+            Stage::PostProcess => &mut self.post_processing,
+            Stage::Execute => &mut self.query_execution,
+        }
+    }
+}
+
+/// The one stage clock of a [`Pipeline::prepare_guarded`] or
+/// [`Pipeline::finish_guarded`] call: each stage boundary reads the clock
+/// once and feeds that reading to [`StageTimings`], the stage's
+/// `pipeline.<stage>` span and the ambient request trace, so Table II, the
+/// span tree and the serving trace cover the same intervals.
+struct StageClock<'g> {
+    guard: &'g mut dyn FnMut(Stage) -> bool,
+    timings: StageTimings,
+    /// The stage being timed, its start (a `valuenet_obs::now_ns` reading)
+    /// and its span, which dropping the clock (an abort) closes.
+    open: Option<(Stage, u64, valuenet_obs::Span)>,
+}
+
+impl StageClock<'_> {
+    /// Closes the open stage and enters `stage`, stamping the request trace
+    /// before anything runs in it. Re-entries without a guard stop here.
+    fn enter(&mut self, stage: Stage) {
+        let now = self.close();
+        self.open = Some((stage, now, valuenet_obs::span_at(stage.span_name(), now)));
+        valuenet_obs::trace::enter_stage(stage.label(), now);
+    }
+
+    /// [`StageClock::enter`], then the guard, so injected faults, deadline
+    /// aborts and the guard's own time are charged to the stage entered.
+    fn gate(&mut self, stage: Stage) -> Result<(), PipelineError> {
+        self.enter(stage);
+        if (self.guard)(stage) {
+            Ok(())
+        } else {
+            Err(PipelineError::Aborted { stage })
+        }
+    }
+
+    /// Reads the clock and closes the open stage (before the next span
+    /// opens: spans are LIFO on each thread). Returns the reading.
+    fn close(&mut self) -> u64 {
+        let now = valuenet_obs::now_ns();
+        if let Some((stage, start, span)) = self.open.take() {
+            *self.timings.slot(stage) += Duration::from_nanos(now.saturating_sub(start));
+            span.close_at(now);
+        }
+        now
+    }
+
+    /// Closes the last stage: no span outlives the call.
+    fn finish(mut self) -> StageTimings {
+        self.close();
+        self.timings
     }
 }
 
@@ -338,22 +412,6 @@ impl Pipeline {
         self.finish_guarded(prepared, guard)
     }
 
-    /// Consults the stage guard with `stage`, stamping the ambient request
-    /// trace (if one is installed — serving path only) *before* the guard
-    /// runs, so injected faults and deadline aborts attribute to the stage
-    /// being entered.
-    fn gate(
-        guard: &mut dyn FnMut(Stage) -> bool,
-        stage: Stage,
-    ) -> Result<(), PipelineError> {
-        valuenet_obs::trace::enter_stage(stage.label());
-        if guard(stage) {
-            Ok(())
-        } else {
-            Err(PipelineError::Aborted { stage })
-        }
-    }
-
     /// The per-request front half of [`Pipeline::try_translate_guarded`]:
     /// pre-processing, value lookup and model-input assembly, through the
     /// [`Stage::EncodeDecode`] gate but *not* the decode itself. The
@@ -371,53 +429,33 @@ impl Pipeline {
         if self.mode == ValueMode::Light && gold_values.is_none() {
             return Err(PipelineError::MissingGoldValues);
         }
-        let mut timings = StageTimings::default();
+        let mut clock = StageClock { guard, timings: StageTimings::default(), open: None };
 
         // Stage 1a: tokenisation (pre-processing).
-        Self::gate(guard, Stage::Preprocess)?;
-        let t0 = Instant::now();
-        let tokens = {
-            let _s = valuenet_obs::span("pipeline.pre_processing");
-            tokenize_question(question)
-        };
-        timings.pre_processing += t0.elapsed();
+        clock.gate(Stage::Preprocess)?;
+        let tokens = tokenize_question(question);
 
         // Stage 2: value extraction + candidate generation + validation
         // ("Value lookup" in Table II — dominated by database lookups).
-        Self::gate(guard, Stage::ValueLookup)?;
-        let t0 = Instant::now();
-        let candidates = {
-            let _s = valuenet_obs::span("pipeline.value_lookup");
-            let extracted = self.ner.extract(question, &tokens);
-            generate_candidates(&extracted, &tokens, db, &self.cand_cfg)
-        };
-        timings.value_lookup += t0.elapsed();
+        clock.gate(Stage::ValueLookup)?;
+        let extracted = self.ner.extract(question, &tokens);
+        let candidates = generate_candidates(&extracted, &tokens, db, &self.cand_cfg);
 
-        // Stage 1b: hint classification (needs the candidates for the
-        // value-candidate-match class). No gate here, but the request trace
-        // charges it to pre-processing, as `StageTimings` does.
-        valuenet_obs::trace::enter_stage(Stage::Preprocess.label());
-        let t0 = Instant::now();
-        let pre = {
-            let _s = valuenet_obs::span("pipeline.pre_processing");
-            let qh = question_hints(&tokens, db);
-            let sh = schema_hints(&tokens, db, &candidates);
-            Preprocessed { tokens, question_hints: qh, schema_hints: sh, candidates }
-        };
-        timings.pre_processing += t0.elapsed();
+        // Stage 1b, without a gate: hint classification (needs the
+        // candidates for the value-candidate-match class).
+        clock.enter(Stage::Preprocess);
+        let qh = question_hints(&tokens, db);
+        let sh = schema_hints(&tokens, db, &candidates);
+        let pre = Preprocessed { tokens, question_hints: qh, schema_hints: sh, candidates };
 
         // Stage 3 (input half): the encode/decode gate, then candidate
         // assembly and input construction. The decode itself runs in
         // `decode_batch`.
-        Self::gate(guard, Stage::EncodeDecode)?;
-        let t0 = Instant::now();
-        let input = {
-            let _s = valuenet_obs::span("pipeline.encode_decode");
-            let cands = assemble_candidates(db, &pre, self.mode, gold_values, false);
-            build_input_opts(db, &pre, &cands, &self.model.vocab, self.model.input_options())
-        };
-        timings.encoder_decoder += t0.elapsed();
-        Ok(PreparedRequest { db, input, hypotheses: Vec::new(), timings })
+        clock.gate(Stage::EncodeDecode)?;
+        let cands = assemble_candidates(db, &pre, self.mode, gold_values, false);
+        let input =
+            build_input_opts(db, &pre, &cands, &self.model.vocab, self.model.input_options());
+        Ok(PreparedRequest { db, input, hypotheses: Vec::new(), timings: clock.finish() })
     }
 
     /// Decodes a batch of prepared requests in one fused pass at the
@@ -457,39 +495,29 @@ impl Pipeline {
         prepared: PreparedRequest<'_>,
         guard: &mut dyn FnMut(Stage) -> bool,
     ) -> Result<Prediction, PipelineError> {
-        let PreparedRequest { db, input, hypotheses, mut timings } = prepared;
+        let PreparedRequest { db, input, hypotheses, timings } = prepared;
+        let mut clock = StageClock { guard, timings, open: None };
         // Stages 4 + 5: lower each hypothesis (best first) and keep the
         // first whose SQL executes — execution-guided selection. With a
         // greedy decode there is exactly one hypothesis, so this reduces to
         // the paper's deterministic post-processing.
+        clock.gate(Stage::PostProcess)?;
         let graph = SchemaGraph::new(db.schema());
         let resolved: Vec<ResolvedValue> =
             input.candidates.iter().map(ResolvedValue::new).collect();
         let mut chosen: Option<ChosenHypothesis> = None;
-        Self::gate(guard, Stage::PostProcess)?;
         for (i, actions) in hypotheses.iter().enumerate() {
             if i > 0 {
-                // The gate above opened post-processing once; the request
-                // trace charges each later lowering to it too.
-                valuenet_obs::trace::enter_stage(Stage::PostProcess.label());
+                // The gate above opened post-processing once; each later
+                // lowering re-enters it.
+                clock.enter(Stage::PostProcess);
             }
-            let t0 = Instant::now();
-            let (semql, sql) = {
-                let _s = valuenet_obs::span("pipeline.post_processing");
-                let semql = actions_to_ast(actions).ok();
-                let sql = semql
-                    .as_ref()
-                    .and_then(|tree| to_sql(tree, db.schema(), &graph, &resolved).ok());
-                (semql, sql)
-            };
-            timings.post_processing += t0.elapsed();
-            Self::gate(guard, Stage::Execute)?;
-            let t0 = Instant::now();
-            let result = {
-                let _s = valuenet_obs::span("pipeline.execution");
-                sql.as_ref().and_then(|stmt| execute(db, stmt).ok())
-            };
-            timings.query_execution += t0.elapsed();
+            let semql = actions_to_ast(actions).ok();
+            let sql = semql
+                .as_ref()
+                .and_then(|tree| to_sql(tree, db.schema(), &graph, &resolved).ok());
+            clock.gate(Stage::Execute)?;
+            let result = sql.as_ref().and_then(|stmt| execute(db, stmt).ok());
             let executed = result.is_some();
             if let Some(tree) = semql {
                 if chosen.is_none() || executed {
@@ -500,6 +528,7 @@ impl Pipeline {
                 break;
             }
         }
+        let timings = clock.finish();
 
         Ok(match chosen {
             Some((actions, semql, sql, result)) => Prediction {

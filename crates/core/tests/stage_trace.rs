@@ -1,26 +1,37 @@
 //! A request trace charges each stretch of a translation to the stage
 //! `StageTimings` charges it to: hint classification to pre-processing,
-//! and the lowering of every hypothesis to post-processing.
+//! the lowering of every hypothesis to post-processing, and a guard to the
+//! stage it guards. The stage clock closes its last stage before it
+//! returns, so prepared requests hold no open span.
 
-use valuenet_core::{ModelConfig, Pipeline, ValueMode, ValueNetModel, Vocab};
-use valuenet_dataset::{generate, CorpusConfig};
+use std::time::Duration;
+use valuenet_core::{ModelConfig, Pipeline, Stage, ValueMode, ValueNetModel, Vocab};
+use valuenet_dataset::{generate, Corpus, CorpusConfig};
 use valuenet_obs::trace::{install_ctx, SpanCtx, TraceId};
 use valuenet_preprocess::StatisticalNer;
 
-#[test]
-fn trace_stages_match_stage_timings() {
-    let corpus = generate(&CorpusConfig {
+fn corpus() -> Corpus {
+    generate(&CorpusConfig {
         seed: 11,
         train_size: 24,
         dev_size: 24,
         rows_per_table: 10,
         ..CorpusConfig::default()
-    });
+    })
+}
+
+/// Untrained at beam width 4: most hypotheses fail to lower, so the
+/// selection loop lowers several of them.
+fn pipeline(corpus: &Corpus) -> Pipeline {
     let vocab = Vocab::build(corpus.train.iter().map(|s| s.question.as_str()));
-    // Untrained at beam width 4: most hypotheses fail to lower, so the
-    // selection loop lowers several of them.
     let model = ValueNetModel::new(ModelConfig { beam_width: 4, ..ModelConfig::tiny() }, vocab, 7);
-    let pipeline = Pipeline::new(model, ValueMode::Light, StatisticalNer::new());
+    Pipeline::new(model, ValueMode::Light, StatisticalNer::new())
+}
+
+#[test]
+fn trace_stages_match_stage_timings() {
+    let corpus = corpus();
+    let pipeline = pipeline(&corpus);
 
     let mut several = 0;
     for sample in &corpus.dev {
@@ -42,4 +53,57 @@ fn trace_stages_match_stage_timings() {
         several += usize::from(stages.iter().filter(|s| **s == "execute").count() >= 2);
     }
     assert!(several > 0, "no question lowered two hypotheses; the second check is vacuous");
+}
+
+#[test]
+fn a_guard_is_charged_to_the_stage_it_guards() {
+    let corpus = corpus();
+    let pipeline = pipeline(&corpus);
+    let sample = &corpus.dev[0];
+    let ctx = SpanCtx::new(TraceId::next(), 0);
+    let mut slow_lookup = |stage: Stage| {
+        if stage == Stage::ValueLookup {
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        true
+    };
+    let pred = {
+        let _guard = install_ctx(&ctx);
+        let (db, values) = (corpus.db(sample), Some(&sample.values[..]));
+        pipeline.try_translate_guarded(db, &sample.question, values, &mut slow_lookup)
+    }
+    .expect("light mode with gold values");
+    assert!(
+        pred.timings.value_lookup >= Duration::from_millis(20),
+        "StageTimings left the guard out of value lookup: {:?}",
+        pred.timings
+    );
+    let traced_us: u64 =
+        ctx.take_events().iter().filter(|e| e.stage == "value_lookup").map(|e| e.dur_us).sum();
+    assert!(traced_us >= 20_000, "the trace left the guard out of value lookup: {traced_us} us");
+}
+
+#[test]
+fn prepared_requests_share_a_decode_with_observability_on() {
+    let corpus = corpus();
+    let pipeline = pipeline(&corpus);
+    valuenet_obs::set_enabled(true);
+    let prepare = |s: &valuenet_dataset::Sample| {
+        let guard = &mut |_| true;
+        pipeline.prepare_guarded(corpus.db(s), &s.question, Some(&s.values), guard)
+    };
+    let mut first = prepare(&corpus.dev[0]).expect("light mode with gold values");
+    let mut second = prepare(&corpus.dev[1]).expect("light mode with gold values");
+    pipeline.decode_batch(&mut [&mut first, &mut second]);
+    // Finished in reverse order: a span left open by either call would trip
+    // the span-stack assertion of a debug build here.
+    for request in [second, first] {
+        pipeline.finish_guarded(request, &mut |_| true).expect("no guard declines");
+    }
+    // Called outside `pipeline.translate`, the stage spans are roots (at
+    // least 3: a test on another thread may add some as this one turns
+    // observability on): two input assemblies and the shared decode.
+    let snap = valuenet_obs::snapshot();
+    let decode = snap.spans.iter().find(|s| s.path_string() == "pipeline.encode_decode");
+    assert!(decode.is_some_and(|s| s.count >= 3), "{:?}", snap.spans);
 }

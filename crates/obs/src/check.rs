@@ -93,7 +93,7 @@ fn check_record(record: &Json, report: &mut CheckReport) -> Result<Option<String
         }
         Some("profile") => {
             record.str_field("stack")?;
-            record.field("samples", "a number", Json::as_f64)?;
+            record.field("self_ns", "a non-negative integer", Json::as_u64)?;
             report.profiles += 1;
             Ok(None)
         }
@@ -200,11 +200,14 @@ mod tests {
 
     #[test]
     fn profile_records_validate_shape() {
-        let r = check(&[META, r#"{"type":"profile","stack":"a;b","samples":12}"#]);
+        let r = check(&[META, r#"{"type":"profile","stack":"a;b","self_ns":12}"#]);
         assert!(r.ok(), "{:?}", r.errors);
         assert_eq!(r.profiles, 1);
-        assert!(!check(&[META, r#"{"type":"profile","samples":12}"#]).ok());
+        assert!(!check(&[META, r#"{"type":"profile","self_ns":12}"#]).ok());
         assert!(!check(&[META, r#"{"type":"profile","stack":"a;b"}"#]).ok());
+        // Sampled counts are not self time, and self time is never negative.
+        assert!(!check(&[META, r#"{"type":"profile","stack":"a;b","samples":12}"#]).ok());
+        assert!(!check(&[META, r#"{"type":"profile","stack":"a;b","self_ns":-1}"#]).ok());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Zero-dependency tracing, metrics and profiling for the ValueNet pipeline.
 //!
-//! Three primitives, one registry, three sinks:
+//! Three primitives, one registry, four sinks:
 //!
 //! * **Spans** ([`span`]) — hierarchical wall-clock regions timed with the
 //!   process-wide monotonic clock. Each thread keeps its own span stack and
@@ -27,11 +27,10 @@
 //! | `OBS_JSONL=path` | enable; stream span/counter/histogram/metric events as JSONL |
 //! | `OBS_CHROME_TRACE=path` | enable; write a `chrome://tracing` / Perfetto trace on [`finish`] |
 //! | `OBS_EVENT_CAP=n` | cap raw span events kept in memory (default 1,000,000) |
-//! | `OBS_PROFILE=path` | enable; sample the span stack, write a collapsed-stack report on [`finish`] |
-//! | `OBS_PROFILE_HZ=n` | sampling rate for `OBS_PROFILE` (default 99) |
+//! | `OBS_PROFILE=path` | enable; write each span path's self time as collapsed stacks on [`finish`] ([`collapsed_stacks`]) |
 //!
 //! Observability v2 adds request-scoped primitives on top ([`trace`],
-//! [`flight`], [`slo`], [`profile`], [`check`]) — see `DESIGN.md`
+//! [`flight`], [`slo`], [`check`]) — see `DESIGN.md`
 //! ("Observability" and "Observability v2") for the span taxonomy and the
 //! serving-path trace model.
 
@@ -39,7 +38,6 @@ pub mod check;
 pub mod flight;
 mod hist;
 pub mod json;
-pub mod profile;
 mod sink;
 pub mod slo;
 pub mod trace;
@@ -47,8 +45,8 @@ pub mod trace;
 pub use flight::FlightRecorder;
 pub use hist::{bucket_bounds, bucket_index, percentile_from_counts, AtomicBuckets, NBUCKETS};
 pub use sink::{
-    chrome_trace, jsonl_line, summary, write_run_report, write_run_report_with, DifficultyRow,
-    JsonlWriter, RUN_REPORT_SCHEMA_VERSION,
+    chrome_trace, collapsed_stacks, jsonl_line, summary, write_run_report, write_run_report_with,
+    DifficultyRow, JsonlWriter, RUN_REPORT_SCHEMA_VERSION,
 };
 pub use slo::{SloPolicy, SloReport};
 pub use trace::{RequestTrace, SpanCtx, TraceId};
@@ -78,6 +76,8 @@ pub struct Config {
     pub jsonl: Option<String>,
     /// Write a Chrome-trace JSON file on [`finish`].
     pub chrome_trace: Option<String>,
+    /// Write the collapsed-stack profile ([`collapsed_stacks`]) on [`finish`].
+    pub profile: Option<String>,
     /// Print the human-readable tree summary to stderr on [`finish`].
     pub summary: bool,
     /// Maximum raw span events kept in memory (0 = default 1,000,000).
@@ -124,25 +124,21 @@ pub fn install(cfg: Config) {
     set_enabled(true);
 }
 
-/// Reads `OBS`, `OBS_JSONL`, `OBS_CHROME_TRACE` and `OBS_EVENT_CAP` and
-/// enables observability if any sink is requested. Returns whether
-/// collection is now enabled. Binaries call this once at startup and
-/// [`finish`] once at exit; libraries only instrument.
+/// Reads `OBS`, `OBS_JSONL`, `OBS_CHROME_TRACE`, `OBS_PROFILE` and
+/// `OBS_EVENT_CAP` and enables observability if any sink is requested.
+/// Returns whether collection is now enabled. Binaries call this once at
+/// startup and [`finish`] once at exit; libraries only instrument.
 pub fn init_from_env() -> bool {
-    let jsonl = std::env::var("OBS_JSONL").ok().filter(|s| !s.is_empty());
-    let chrome_trace = std::env::var("OBS_CHROME_TRACE").ok().filter(|s| !s.is_empty());
-    let summary = std::env::var("OBS").map(|v| v != "0").unwrap_or(false)
-        || std::env::var("OBS_SUMMARY").map(|v| v != "0").unwrap_or(false);
+    let path = |var: &str| std::env::var(var).ok().filter(|s| !s.is_empty());
+    let jsonl = path("OBS_JSONL");
+    let chrome_trace = path("OBS_CHROME_TRACE");
+    let profile = path("OBS_PROFILE");
+    let summary = std::env::var("OBS").map(|v| v != "0").unwrap_or(false);
     let event_cap = std::env::var("OBS_EVENT_CAP").ok().and_then(|v| v.parse().ok()).unwrap_or(0);
-    let profile_path = std::env::var("OBS_PROFILE").ok().filter(|s| !s.is_empty());
-    if jsonl.is_none() && chrome_trace.is_none() && !summary && profile_path.is_none() {
+    if jsonl.is_none() && chrome_trace.is_none() && profile.is_none() && !summary {
         return false;
     }
-    install(Config { jsonl, chrome_trace, summary, event_cap });
-    if let Some(path) = profile_path {
-        let hz = std::env::var("OBS_PROFILE_HZ").ok().and_then(|v| v.parse().ok()).unwrap_or(99);
-        profile::start(&path, hz);
-    }
+    install(Config { jsonl, chrome_trace, profile, summary, event_cap });
     true
 }
 
@@ -323,24 +319,33 @@ pub fn flush_thread() {
 // Spans
 // ---------------------------------------------------------------------------
 
-/// An RAII guard timing a region. Created by [`span`]; records on drop.
+/// An RAII guard timing a region. Created by [`span`] or [`span_at`];
+/// records on drop, or at [`Span::close_at`].
 #[must_use = "a span measures the region it is alive for"]
 pub struct Span {
     path: u32,
     name: &'static str,
     start_ns: u64,
     active: bool,
-    /// Whether this span pushed a frame onto the profiler's stack mirror
-    /// (profiling may toggle while the span is open, so pop symmetrically).
-    profiled: bool,
 }
 
 /// Opens a span named `name`, nested under the innermost open span on this
 /// thread. When observability is disabled this is a single atomic load.
 #[inline]
 pub fn span(name: &'static str) -> Span {
+    let mut span = span_at(name, 0);
+    if span.active {
+        span.start_ns = now_ns();
+    }
+    span
+}
+
+/// [`span`] from `start_ns`, a [`now_ns`] reading the caller took, so one
+/// reading can end one region ([`Span::close_at`]) and start the next.
+#[inline]
+pub fn span_at(name: &'static str, start_ns: u64) -> Span {
     if !enabled() {
-        return Span { path: 0, name, start_ns: 0, active: false, profiled: false };
+        return Span { path: 0, name, start_ns: 0, active: false };
     }
     let path = TLS.with(|s| {
         let mut st = s.borrow_mut();
@@ -349,19 +354,22 @@ pub fn span(name: &'static str) -> Span {
         st.stack.push(id);
         id
     });
-    let profiled = profile::push_frame(name);
-    Span { path, name, start_ns: now_ns(), active: true, profiled }
+    Span { path, name, start_ns, active: true }
 }
 
-impl Drop for Span {
-    fn drop(&mut self) {
-        if self.profiled {
-            profile::pop_frame();
+impl Span {
+    /// Ends the span at `end_ns`, a [`now_ns`] reading the caller already
+    /// took, instead of reading the clock on drop.
+    pub fn close_at(mut self, end_ns: u64) {
+        if self.active {
+            self.record(end_ns);
         }
-        if !self.active {
-            return;
-        }
-        let dur_ns = now_ns().saturating_sub(self.start_ns);
+    }
+
+    /// Records the span as ending at `end_ns`; it is inactive afterwards.
+    fn record(&mut self, end_ns: u64) {
+        self.active = false;
+        let dur_ns = end_ns.saturating_sub(self.start_ns);
         TLS.with(|s| {
             let mut st = s.borrow_mut();
             // Pop back to this span: drop order guarantees inner spans closed
@@ -388,6 +396,14 @@ impl Drop for Span {
                 }
             }
         });
+    }
+}
+
+impl Drop for Span {
+    fn drop(&mut self) {
+        if self.active {
+            self.record(now_ns());
+        }
     }
 }
 
@@ -726,26 +742,28 @@ pub fn snapshot() -> Snapshot {
 
 /// Flushes, snapshots, and drives every configured sink: tree summary to
 /// stderr (`OBS=1`), JSONL event stream (`OBS_JSONL`), Chrome trace
-/// (`OBS_CHROME_TRACE`). Returns the snapshot for further processing (e.g.
-/// the run report). Safe to call when disabled (returns an empty snapshot).
+/// (`OBS_CHROME_TRACE`), collapsed-stack profile (`OBS_PROFILE`). All four
+/// read the one snapshot this returns for further processing (e.g. the
+/// run report). Safe to call when disabled (returns an empty snapshot).
 pub fn finish() -> Snapshot {
-    if let Some(path) = profile::stop() {
-        eprintln!("valuenet-obs: collapsed-stack profile written to {path}");
-    }
     let snap = snapshot();
     let cfg = config().clone();
     if cfg.summary {
         eprint!("{}", summary(&snap));
     }
-    if let Some(path) = &cfg.jsonl {
-        if let Err(e) = sink::write_jsonl(path, &snap) {
+    let report = |path: &str, r: std::io::Result<()>| {
+        if let Err(e) = r {
             eprintln!("valuenet-obs: cannot write {path}: {e}");
         }
+    };
+    if let Some(path) = &cfg.jsonl {
+        report(path, sink::write_jsonl(path, &snap));
     }
     if let Some(path) = &cfg.chrome_trace {
-        if let Err(e) = std::fs::write(path, chrome_trace(&snap)) {
-            eprintln!("valuenet-obs: cannot write {path}: {e}");
-        }
+        report(path, std::fs::write(path, chrome_trace(&snap)));
+    }
+    if let Some(path) = &cfg.profile {
+        report(path, sink::write_profile(path, &snap));
     }
     snap
 }

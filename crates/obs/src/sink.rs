@@ -1,5 +1,6 @@
 //! Output sinks: human-readable tree summary, JSONL event stream,
-//! Chrome-trace export, and the structured run report.
+//! Chrome-trace export, collapsed-stack profile, and the structured run
+//! report. Each is a function of one [`Snapshot`].
 //!
 //! ## JSONL format (`OBS_JSONL=path`)
 //!
@@ -20,9 +21,24 @@
 //! The standard `{"traceEvents":[...]}` JSON accepted by `chrome://tracing`
 //! and <https://ui.perfetto.dev>: one complete (`"ph":"X"`) event per span
 //! occurrence, microsecond timestamps, observability thread ids as `tid`.
+//!
+//! ## Collapsed-stack profile (`OBS_PROFILE=path`)
+//!
+//! Flamegraph input: one `a;b;c <self_ns>` line per span path, in the
+//! snapshot's order (sorted by path), where self time is the path's
+//! `total_ns` minus its direct children's, saturating at 0. A `.jsonl` path
+//! gets a `meta` record (`stream:"profile"`, `unit:"ns"`), then one
+//! `type:"profile"` record (`stack`, `self_ns`) per path. Each thread's
+//! spans start their own stacks: a `valuenet-par` or serve worker's spans
+//! are roots, not children of the span that handed them the work. So a
+//! parent's self time includes its wait for the workers, and with k threads
+//! busy the self times add up to as much as k × the wall time. Spans still
+//! open, and threads not yet merged, when the snapshot is taken are not
+//! counted.
 
 use crate::json::Json;
 use crate::{Snapshot, SpanStat};
+use std::collections::HashMap;
 use std::io::{BufWriter, Write};
 
 /// Version stamp written into every JSONL stream and run report. Bump when
@@ -166,6 +182,52 @@ pub fn chrome_trace(snap: &Snapshot) -> String {
         ("displayTimeUnit", Json::Str("ms".into())),
     ])
     .render()
+}
+
+// ---------------------------------------------------------------------------
+// Collapsed-stack profile
+// ---------------------------------------------------------------------------
+
+/// The snapshot as collapsed stacks: `(a;b;c, self_ns)` per span path, in
+/// the snapshot's order (see the module doc for self time and threads).
+pub fn collapsed_stacks(snap: &Snapshot) -> Vec<(String, u64)> {
+    let mut child_ns: HashMap<&[String], u64> = HashMap::new();
+    for s in &snap.spans {
+        if let Some((_, parent)) = s.path.split_last() {
+            *child_ns.entry(parent).or_default() += s.total_ns;
+        }
+    }
+    snap.spans
+        .iter()
+        .map(|s| {
+            let children = child_ns.get(s.path.as_slice()).copied().unwrap_or(0);
+            (s.path.join(";"), s.total_ns.saturating_sub(children))
+        })
+        .collect()
+}
+
+/// Writes [`collapsed_stacks`]: `type:"profile"` JSONL when `path` ends in
+/// `.jsonl`, `stack self_ns` text lines otherwise.
+pub(crate) fn write_profile(path: &str, snap: &Snapshot) -> std::io::Result<()> {
+    let rows = collapsed_stacks(snap);
+    if !path.ends_with(".jsonl") {
+        let text: String = rows.iter().map(|(stack, ns)| format!("{stack} {ns}\n")).collect();
+        return std::fs::write(path, text);
+    }
+    let mut w = JsonlWriter::create(path)?;
+    w.write(Json::obj(vec![
+        ("type", Json::Str("meta".into())),
+        ("stream", Json::Str("profile".into())),
+        ("unit", Json::Str("ns".into())),
+    ]))?;
+    for (stack, self_ns) in rows {
+        w.write(Json::obj(vec![
+            ("type", Json::Str("profile".into())),
+            ("stack", Json::Str(stack)),
+            ("self_ns", Json::uint(self_ns)),
+        ]))?;
+    }
+    w.finish()
 }
 
 // ---------------------------------------------------------------------------

@@ -5,11 +5,12 @@
 //! queue, worker attempts, retries and the reply path. Per-stage timing is
 //! collected through an ambient [`SpanCtx`]: the worker installs the
 //! context for the duration of one attempt ([`install_ctx`]) and the
-//! pipeline reports every stage-gate crossing ([`enter_stage`]) without
-//! knowing anything about the engine. Because the context's event buffer
-//! sits behind an `Arc<Mutex<…>>` shared with the queued job, the recorded
-//! stages survive a worker panic — the respawned worker's degraded retry
-//! appends to the same trace.
+//! pipeline reports every stage boundary ([`enter_stage`], with the same
+//! clock reading it times the stage by) without knowing anything about the
+//! engine. Because the context's event buffer sits behind an
+//! `Arc<Mutex<…>>` shared with the queued job, the recorded stages survive
+//! a worker panic — the respawned worker's degraded retry appends to the
+//! same trace.
 //!
 //! When no context is installed (training, evaluation, plain library use)
 //! [`enter_stage`] is one relaxed atomic load — the same discipline as the
@@ -253,19 +254,12 @@ impl SpanCtx {
     }
 
     /// Closes the open stage (attributing elapsed time to it) and opens
-    /// `stage`. Called by the pipeline at every stage gate.
-    pub fn enter_stage(&self, stage: &'static str) {
-        let now = now_us();
+    /// `stage` at `now_ns`, a [`crate::now_ns`] reading. Called by the
+    /// pipeline at every stage boundary.
+    pub fn enter_stage(&self, stage: &'static str, now_ns: u64) {
+        let now = now_ns / 1_000;
         let mut inner = lock_inner(&self.inner);
-        let attempt = inner.attempt;
-        if let Some((prev, start)) = inner.open.take() {
-            inner.events.push(StageEvent {
-                stage: prev,
-                attempt,
-                start_us: start,
-                dur_us: now.saturating_sub(start),
-            });
-        }
+        inner.close(now);
         inner.open = Some((stage, now));
     }
 
@@ -274,16 +268,18 @@ impl SpanCtx {
     pub fn take_events(&self) -> Vec<StageEvent> {
         let now = now_us();
         let mut inner = lock_inner(&self.inner);
-        let attempt = inner.attempt;
-        if let Some((prev, start)) = inner.open.take() {
-            inner.events.push(StageEvent {
-                stage: prev,
-                attempt,
-                start_us: start,
-                dur_us: now.saturating_sub(start),
-            });
-        }
+        inner.close(now);
         std::mem::take(&mut inner.events)
+    }
+}
+
+impl CtxInner {
+    /// Records the open stage, if any, as ending at `now` (µs).
+    fn close(&mut self, now: u64) {
+        if let Some((stage, start)) = self.open.take() {
+            let dur_us = now.saturating_sub(start);
+            self.events.push(StageEvent { stage, attempt: self.attempt, start_us: start, dur_us });
+        }
     }
 }
 
@@ -322,16 +318,17 @@ pub fn install_ctx(ctx: &SpanCtx) -> CtxGuard {
     CtxGuard { _private: () }
 }
 
-/// Reports a stage-gate crossing to the ambient context, if one is
-/// installed on this thread. One relaxed atomic load otherwise.
+/// Reports a stage boundary crossed at `now_ns` (a [`crate::now_ns`]
+/// reading) to the ambient context, if one is installed on this thread.
+/// One relaxed atomic load otherwise.
 #[inline]
-pub fn enter_stage(stage: &'static str) {
+pub fn enter_stage(stage: &'static str, now_ns: u64) {
     if ACTIVE_CTXS.load(Ordering::Relaxed) == 0 {
         return;
     }
     CURRENT.with(|c| {
         if let Some(ctx) = c.borrow().as_ref() {
-            ctx.enter_stage(stage);
+            ctx.enter_stage(stage, now_ns);
         }
     });
 }
@@ -359,9 +356,9 @@ mod tests {
     #[test]
     fn stage_events_partition_the_attempt() {
         let ctx = SpanCtx::new(TraceId::next(), 0);
-        ctx.enter_stage("preprocess");
-        ctx.enter_stage("value_lookup");
-        ctx.enter_stage("execute");
+        ctx.enter_stage("preprocess", crate::now_ns());
+        ctx.enter_stage("value_lookup", crate::now_ns());
+        ctx.enter_stage("execute", crate::now_ns());
         let events = ctx.take_events();
         assert_eq!(
             events.iter().map(|e| e.stage).collect::<Vec<_>>(),
@@ -379,16 +376,16 @@ mod tests {
     #[test]
     fn ambient_context_routes_to_installed_ctx_only() {
         assert_eq!(current_trace_id(), None);
-        enter_stage("ignored"); // no ctx installed: must be a no-op
+        enter_stage("ignored", crate::now_ns()); // no ctx installed: must be a no-op
         let ctx = SpanCtx::new(TraceId::next(), 1);
         {
             let _g = install_ctx(&ctx);
             assert_eq!(current_trace_id(), Some(ctx.trace_id()));
-            enter_stage("preprocess");
-            enter_stage("execute");
+            enter_stage("preprocess", crate::now_ns());
+            enter_stage("execute", crate::now_ns());
         }
         assert_eq!(current_trace_id(), None);
-        enter_stage("also_ignored");
+        enter_stage("also_ignored", crate::now_ns());
         let events = ctx.take_events();
         assert_eq!(events.len(), 2);
         assert!(events.iter().all(|e| e.attempt == 1));

@@ -86,6 +86,53 @@ fn nested_spans_aggregate_by_path() {
     assert!(snap.spans[0].total_ns >= snap.spans[1].total_ns);
 }
 
+/// `OBS_PROFILE` writes the registry's exact self time from `finish`'s
+/// snapshot: one row per snapshot path, a `par_map` worker's spans under
+/// their own root, every root's subtree of self times adding up to the
+/// root's total, and JSONL that `vn-obs-check` accepts.
+#[test]
+fn profile_is_the_exact_self_time_of_every_path() {
+    let _g = isolated();
+    let path = std::env::temp_dir().join(format!("vn_obs_profile_{}.jsonl", std::process::id()));
+    let path = path.to_str().unwrap().to_string();
+    obs::install(obs::Config { profile: Some(path.clone()), ..obs::Config::default() });
+    obs::reset();
+    let spin = || (0..20_000u64).fold(0, |a, x| std::hint::black_box(a ^ x));
+    {
+        let _outer = obs::span("prof.outer");
+        {
+            let _a = obs::span("prof.a");
+            let _leaf = obs::span("prof.leaf");
+            spin();
+        }
+        valuenet_par::par_map(&[1u64, 2, 3, 4], 2, |_, _| {
+            let _w = obs::span("prof.worker");
+            let _i = obs::span("prof.inner");
+            spin()
+        });
+        spin();
+    }
+    let snap = obs::finish();
+    let rows = obs::collapsed_stacks(&snap);
+    let stacks: Vec<&str> = rows.iter().map(|(stack, _)| stack.as_str()).collect();
+    let paths: Vec<String> = snap.spans.iter().map(|s| s.path.join(";")).collect();
+    assert_eq!(stacks, paths, "one row per snapshot path, in its order");
+    let want = "prof.outer prof.outer;prof.a prof.outer;prof.a;prof.leaf \
+                prof.worker prof.worker;prof.inner";
+    assert_eq!(stacks, want.split_whitespace().collect::<Vec<_>>(), "a worker is its own root");
+    for root in snap.spans.iter().filter(|s| s.depth() == 0) {
+        let (name, prefix) = (&root.path[0], format!("{};", root.path[0]));
+        let in_subtree = |stack: &str| stack == name || stack.starts_with(&prefix);
+        let subtree: u64 = rows.iter().filter(|(s, _)| in_subtree(s)).map(|(_, ns)| ns).sum();
+        assert_eq!(subtree, root.total_ns, "root {name}");
+    }
+    let text = std::fs::read_to_string(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    let report = obs::check::check_stream(&path, &text, &[]);
+    assert!(report.ok(), "{:?}", report.errors);
+    assert_eq!(report.profiles, rows.len());
+}
+
 /// The same span name under different parents is a different path.
 #[test]
 fn same_name_under_different_parents_is_distinct() {
@@ -137,6 +184,7 @@ fn jsonl_round_trips() {
     obs::install(obs::Config {
         jsonl: Some(path_str.clone()),
         chrome_trace: None,
+        profile: None,
         summary: false,
         event_cap: 0,
     });
@@ -206,6 +254,7 @@ fn chrome_trace_is_valid_json() {
     obs::install(obs::Config {
         jsonl: None,
         chrome_trace: Some("/nonexistent/unused-trace.json".into()),
+        profile: None,
         summary: false,
         event_cap: 0,
     });

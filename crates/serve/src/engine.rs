@@ -716,6 +716,9 @@ fn spawn_worker(shared: &Arc<Shared>) {
                 sh.stats.worker_respawns.fetch_add(1, Ordering::Relaxed);
                 spawn_worker(&sh);
             }
+            // Merge this thread's spans before it counts as gone; its TLS
+            // destructor runs after `shutdown()` may have returned.
+            valuenet_obs::flush_thread();
             let mut q = sh.q.lock().unwrap();
             q.live_workers -= 1;
             drop(q);

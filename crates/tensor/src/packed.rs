@@ -143,7 +143,7 @@ impl PackedMatrix {
             debug_assert!(lvl <= simd::detected_level());
             // SAFETY: like every `_at` kernel in this crate, callers pass a
             // level no higher than `simd::detected_level()` (`simd::level`
-            // and `set_level` clamp to it), so the host supports AVX2. The
+            // clamps `VN_SIMD` to it), so the host supports AVX2. The
             // kernel asserts the buffer lengths it relies on.
             unsafe { x86::matmul_f32_avx2(a.as_slice(), self.panels(), n, k, m, &mut data) };
             return Tensor::from_vec(n, m, data);

@@ -19,13 +19,11 @@
 //!   the same element.
 //!
 //! The active level is chosen once per process from
-//! [`is_x86_feature_detected!`], can be capped with `VN_SIMD=scalar|sse2|avx2`
-//! (for baseline measurements), and can be switched at runtime with
-//! [`set_level`] (clamped to what the CPU supports) for in-process benchmark
-//! arms. Because all levels are bit-identical, flipping the level is always
-//! safe — it only changes speed.
+//! [`is_x86_feature_detected!`] and can be capped with
+//! `VN_SIMD=scalar|sse2|avx2` (clamped to what the CPU supports), the one
+//! way to pin a tier. Because all levels are bit-identical, the pin only
+//! changes speed.
 
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
 /// Instruction-set tier a kernel runs at.
@@ -49,15 +47,6 @@ impl SimdLevel {
             SimdLevel::Avx2 => "avx2",
         }
     }
-
-    fn from_u8(v: u8) -> Option<SimdLevel> {
-        match v {
-            0 => Some(SimdLevel::Scalar),
-            1 => Some(SimdLevel::Sse2),
-            2 => Some(SimdLevel::Avx2),
-            _ => None,
-        }
-    }
 }
 
 /// Widest level the running CPU supports.
@@ -77,45 +66,26 @@ pub fn detected_level() -> SimdLevel {
     })
 }
 
-/// Active level; `u8::MAX` means "not initialised yet".
-static LEVEL: AtomicU8 = AtomicU8::new(u8::MAX);
-
-fn init_level() -> SimdLevel {
-    let detected = detected_level();
-    let level = match std::env::var("VN_SIMD") {
-        Ok(v) => match v.to_ascii_lowercase().as_str() {
-            "scalar" | "none" | "off" | "0" => SimdLevel::Scalar,
-            "sse2" | "sse" => SimdLevel::Sse2,
-            "avx2" | "avx" => SimdLevel::Avx2,
-            other => {
-                eprintln!("VN_SIMD: unknown level {other:?}, using detected");
-                detected
-            }
-        },
-        Err(_) => detected,
-    };
-    level.min(detected)
-}
-
-/// The level every dispatching kernel uses right now.
+/// The level every dispatching kernel uses: `VN_SIMD`, read once per
+/// process and clamped to [`detected_level`].
 pub fn level() -> SimdLevel {
-    match SimdLevel::from_u8(LEVEL.load(Ordering::Relaxed)) {
-        Some(l) => l,
-        None => {
-            let l = init_level();
-            LEVEL.store(l as u8, Ordering::Relaxed);
-            l
-        }
-    }
-}
-
-/// Sets the active level (clamped to what the CPU supports) and returns the
-/// level actually installed. Used by benchmarks to time scalar/SSE2/AVX2
-/// arms in one process; results are bit-identical at every level.
-pub fn set_level(l: SimdLevel) -> SimdLevel {
-    let clamped = l.min(detected_level());
-    LEVEL.store(clamped as u8, Ordering::Relaxed);
-    clamped
+    static LEVEL: OnceLock<SimdLevel> = OnceLock::new();
+    *LEVEL.get_or_init(|| {
+        let detected = detected_level();
+        let level = match std::env::var("VN_SIMD") {
+            Ok(v) => match v.to_ascii_lowercase().as_str() {
+                "scalar" | "none" | "off" | "0" => SimdLevel::Scalar,
+                "sse2" | "sse" => SimdLevel::Sse2,
+                "avx2" | "avx" => SimdLevel::Avx2,
+                other => {
+                    eprintln!("VN_SIMD: unknown level {other:?}, using detected");
+                    detected
+                }
+            },
+            Err(_) => detected,
+        };
+        level.min(detected)
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1059,13 +1029,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn set_level_clamps_to_detected() {
-        let before = level();
-        let got = set_level(SimdLevel::Avx2);
-        assert!(got <= detected_level());
-        set_level(before);
     }
 }

@@ -1,16 +1,10 @@
 //! Command-line interface: train a ValueNet model, save it, evaluate it,
 //! and translate questions against the corpus databases.
 //!
-//! ```text
-//! valuenet-cli train --out model.jsonl [--mode light|full] [--train 2000]
-//!                    [--dev 300] [--epochs 8] [--seed 42] [--threads N]
-//!                    [--save-quant model.int8.jsonl]
-//! valuenet-cli eval  --model model.jsonl [--threads N] [--quantized]
-//! valuenet-cli ask   --model model.jsonl [--quantized] --db student_pets "How many pets ...?"
-//! valuenet-cli repl  --model model.jsonl [--quantized] --db student_pets
-//! valuenet-cli serve --model model.jsonl [--quantized] --socket valuenet.sock [--workers N]
-//! valuenet-cli dbs   [--seed 42]
-//! ```
+//! Run it without arguments for the usage. Each subcommand accepts only its
+//! own flags: an unknown flag exits with status 2, naming it, before any
+//! work. `ask`'s question is its one positional argument, wherever it sits
+//! among the flags.
 //!
 //! The model file is one checkpoint (`valuenet::nn::checkpoint`): the
 //! weights, f32 or (`--save-quant`) int8, plus a meta record carrying the
@@ -31,6 +25,59 @@ use valuenet::eval::ExecOutcome;
 use valuenet::nn::{read_checkpoint, CheckpointError, CheckpointFormat};
 use valuenet::obs::json::Json;
 use valuenet::preprocess::StatisticalNer;
+
+/// The flags a subcommand accepts. Every list has `--threads`, which
+/// `main` applies to every subcommand.
+fn flags_of(cmd: &str) -> Option<&'static [&'static str]> {
+    Some(match cmd {
+        "train" => &[
+            "--out", "--mode", "--train", "--dev", "--epochs", "--seed", "--rows", "--save-quant",
+            "--threads",
+        ],
+        "eval" => &["--model", "--quantized", "--threads"],
+        "ask" | "repl" => &["--model", "--quantized", "--db", "--threads"],
+        "serve" => &[
+            "--model", "--quantized", "--socket", "--workers", "--queue", "--deadline-ms",
+            "--allow-faults", "--threads",
+        ],
+        "dbs" => &["--seed", "--rows", "--threads"],
+        _ => return None,
+    })
+}
+
+/// Checks every flag in `args` against `flags` and returns the positional
+/// arguments. An unknown flag exits with status 2, naming it. Every flag but
+/// the two switches takes a value.
+fn positionals<'a>(cmd: &str, args: &'a [String], flags: &[&str]) -> Vec<&'a str> {
+    let mut out = Vec::new();
+    let mut it = args.iter().map(String::as_str);
+    while let Some(a) = it.next() {
+        if !a.starts_with("--") {
+            out.push(a);
+        } else if !flags.contains(&a) {
+            eprintln!("error: unknown flag {a} for `{cmd}`");
+            std::process::exit(2);
+        } else if !matches!(a, "--quantized" | "--allow-faults") {
+            it.next();
+        }
+    }
+    out
+}
+
+fn usage() -> ! {
+    eprintln!(
+        "usage: valuenet-cli <train|eval|ask|repl|serve|dbs> [options] [--threads N]\n\
+         \x20 train --out model.jsonl [--mode light|full] [--train N] [--dev N] [--epochs N] [--seed N]\n\
+         \x20       [--rows N] [--threads N] [--save-quant model.int8.jsonl]\n\
+         \x20 eval  --model model.jsonl [--threads N] [--quantized]\n\
+         \x20 ask   --model model.jsonl [--quantized] --db <db_id> \"question\"\n\
+         \x20 repl  --model model.jsonl [--quantized] --db <db_id>\n\
+         \x20 serve --model model.jsonl --socket valuenet.sock [--quantized]\n\
+         \x20       [--workers N] [--queue N] [--deadline-ms N] [--allow-faults]\n\
+         \x20 dbs   [--seed N] [--rows N]"
+    );
+    std::process::exit(2);
+}
 
 fn arg(args: &[String], name: &str) -> Option<String> {
     args.iter().position(|a| a == name).and_then(|i| args.get(i + 1).cloned())
@@ -198,16 +245,10 @@ fn translate_one(pipeline: &Pipeline, corpus: &Corpus, db_id: &str, question: &s
     }
 }
 
-fn cmd_ask(args: &[String]) {
+fn cmd_ask(args: &[String], question: &str) {
     let db_id = arg(args, "--db").unwrap_or_else(|| fatal("--db is required"));
-    let question = args
-        .iter()
-        .skip_while(|a| *a != "--db")
-        .nth(2)
-        .cloned()
-        .unwrap_or_else(|| fatal("question text is required"));
     let (pipeline, corpus) = load_model(args);
-    translate_one(&pipeline, &corpus, &db_id, &question);
+    translate_one(&pipeline, &corpus, &db_id, question);
 }
 
 fn cmd_repl(args: &[String]) {
@@ -277,35 +318,31 @@ fn cmd_dbs(args: &[String]) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let Some((cmd, args)) = args.split_first() else { usage() };
+    let Some(flags) = flags_of(cmd) else { usage() };
+    let positional = positionals(cmd, args, flags);
+    // `ask` takes its question; no other subcommand takes a positional.
+    let wanted = usize::from(cmd == "ask");
+    if positional.len() != wanted {
+        eprintln!("error: `{cmd}` takes {wanted} argument(s) besides flags, got {positional:?}");
+        std::process::exit(2);
+    }
     // Make --threads the process-wide default so every fan-out (training,
     // evaluation) respects it even where no explicit count is plumbed.
-    if let Some(t) = arg_usize_opt(&args, "--threads") {
+    if let Some(t) = arg_usize_opt(args, "--threads") {
         valuenet::par::set_threads(t);
     }
     // Observability is opt-in via environment: OBS=1 prints a span/counter
     // summary on exit; OBS_JSONL / OBS_CHROME_TRACE stream or trace the run.
     valuenet::obs::init_from_env();
-    match args.first().map(String::as_str) {
-        Some("train") => cmd_train(&args[1..]),
-        Some("eval") => cmd_eval(&args[1..]),
-        Some("ask") => cmd_ask(&args[1..]),
-        Some("repl") => cmd_repl(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("dbs") => cmd_dbs(&args[1..]),
-        _ => {
-            eprintln!(
-                "usage: valuenet-cli <train|eval|ask|repl|serve|dbs> [options]\n\
-                 \x20 train --out model.jsonl [--mode light|full] [--train N] [--dev N] [--epochs N] [--seed N] [--threads N]\n\
-                 \x20       [--save-quant model.int8.jsonl]\n\
-                 \x20 eval  --model model.jsonl [--threads N] [--quantized]\n\
-                 \x20 ask   --model model.jsonl [--quantized] --db <db_id> \"question\"\n\
-                 \x20 repl  --model model.jsonl [--quantized] --db <db_id>\n\
-                 \x20 serve --model model.jsonl --socket valuenet.sock [--quantized]\n\
-                 \x20       [--workers N] [--queue N] [--deadline-ms N] [--allow-faults]\n\
-                 \x20 dbs   [--seed N]"
-            );
-            std::process::exit(2);
-        }
+    match cmd.as_str() {
+        "train" => cmd_train(args),
+        "eval" => cmd_eval(args),
+        "ask" => cmd_ask(args, positional[0]),
+        "repl" => cmd_repl(args),
+        "serve" => cmd_serve(args),
+        "dbs" => cmd_dbs(args),
+        _ => usage(),
     }
     valuenet::obs::finish();
 }

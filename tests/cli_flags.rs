@@ -1,5 +1,6 @@
 //! The CLI rejects malformed numeric flags instead of silently using their
-//! defaults, and a model file restores exactly what `train` wrote or fails
+//! defaults, and flags its subcommand does not take instead of dropping
+//! them; and a model file restores exactly what `train` wrote or fails
 //! loudly.
 
 use std::process::Command;
@@ -23,12 +24,20 @@ fn malformed_numeric_flag_fails_loudly() {
     assert_eq!(out.status.code(), Some(2), "a flag without its value must fail");
 
     // A server without workers, or with no queue slot, is refused before
-    // the model loads.
-    for flag in ["--workers", "--queue"] {
-        let out = cli(&["serve", flag, "0"]);
-        assert_eq!(out.status.code(), Some(2), "serve {flag} 0 must exit with status 2");
+    // the model loads; so are a misspelt flag and one the engine no longer
+    // has.
+    let bad = [
+        ["serve", "--workers", "0"],
+        ["serve", "--queue", "0"],
+        ["dbs", "--sed", "7"],
+        ["serve", "--batch-window", "1000"],
+    ];
+    for args in bad {
+        let out = cli(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?} must exit with status 2");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains(flag), "stderr must name the flag: {stderr}");
+        assert!(stderr.contains(args[1]), "stderr must name the flag: {stderr}");
+        assert!(out.stdout.is_empty(), "nothing may run on a bad flag");
     }
 }
 
@@ -37,6 +46,23 @@ fn well_formed_numeric_flag_still_works() {
     let out = cli(&["dbs", "--seed", "7"]);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     assert!(String::from_utf8_lossy(&out.stdout).contains("tables"));
+}
+
+#[test]
+fn ask_question_is_its_one_positional_argument() {
+    let path = train_tiny("ask", "7");
+    let question = "How many pets are older than 3?";
+    let db = ["--db", "student_pets"];
+    let documented = cli(&["ask", "--model", &path, "--quantized", db[0], db[1], question]);
+    let flag_after_db = cli(&["ask", "--model", &path, db[0], db[1], "--quantized", question]);
+    std::fs::remove_file(&path).ok();
+    assert!(documented.status.success(), "{}", String::from_utf8_lossy(&documented.stderr));
+    assert!(!documented.stdout.is_empty());
+    assert_eq!(
+        String::from_utf8_lossy(&flag_after_db.stdout),
+        String::from_utf8_lossy(&documented.stdout),
+        "a flag after --db must not be taken for the question"
+    );
 }
 
 /// `train` on a five-question corpus, no epochs, into a fresh model file.
