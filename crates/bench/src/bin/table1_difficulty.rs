@@ -14,9 +14,7 @@
 //! * `run_report.json` (path overridable via `OBS_REPORT`) — the structured
 //!   run report joining per-difficulty Execution Accuracy with the
 //!   per-stage latency distribution of the run (train + eval spans,
-//!   counters, per-epoch metrics), plus a `quantized_execution_accuracy`
-//!   section comparing a second dev sweep with int8 weight-only quantized
-//!   inference against the f32 run, per difficulty and overall;
+//!   counters, per-epoch metrics);
 //! * optionally a Chrome trace / JSONL event stream via the standard
 //!   `OBS_CHROME_TRACE` / `OBS_JSONL` variables.
 
@@ -24,7 +22,6 @@ use valuenet_bench::{evaluate, BenchConfig};
 use valuenet_core::{train, ModelConfig, ValueMode};
 use valuenet_dataset::generate;
 use valuenet_eval::{Difficulty, TextTable};
-use valuenet_obs::json::Json;
 use valuenet_obs::DifficultyRow;
 
 fn main() {
@@ -76,62 +73,12 @@ fn main() {
         eprintln!("cannot write results_table1.txt: {e}");
     }
 
-    // Second dev sweep with int8 weight-only quantized inference: the paper
-    // metric must survive quantization, so the report records the
-    // per-difficulty delta against the f32 run above.
-    eprintln!("re-evaluating with int8 quantized inference...");
-    pipeline.model.params.set_quantized(true);
-    let qstats = evaluate(&pipeline, &corpus, &corpus.dev);
-    pipeline.model.params.set_quantized(false);
-    let q_by_diff = qstats.by_difficulty();
-    let quant_rows: Vec<Json> = Difficulty::ALL
-        .iter()
-        .map(|d| {
-            let (qc, qt) = q_by_diff.get(d).copied().unwrap_or((0, 0));
-            let (fc, ft) = by_diff.get(d).copied().unwrap_or((0, 0));
-            let acc = |c: usize, t: usize| {
-                if t > 0 { Json::Num(c as f64 / t as f64) } else { Json::Null }
-            };
-            let delta = if qt > 0 && ft > 0 {
-                Json::Num(qc as f64 / qt as f64 - fc as f64 / ft as f64)
-            } else {
-                Json::Null
-            };
-            Json::obj(vec![
-                ("difficulty", Json::Str(d.label().to_string())),
-                ("correct", Json::Int(qc as i64)),
-                ("total", Json::Int(qt as i64)),
-                ("accuracy", acc(qc, qt)),
-                ("delta_vs_f32", delta),
-            ])
-        })
-        .collect();
-    let q_overall = qstats.execution_accuracy();
-    let f_overall = stats.execution_accuracy();
-    eprintln!(
-        "quantized: {:.1}% execution accuracy (f32 {:.1}%, delta {:+.2} points)",
-        100.0 * q_overall,
-        100.0 * f_overall,
-        100.0 * (q_overall - f_overall)
-    );
-    let quantized_section = Json::obj(vec![
-        ("format", Json::Str("int8".into())),
-        ("overall", Json::Num(q_overall)),
-        ("overall_delta_vs_f32", Json::Num(q_overall - f_overall)),
-        ("by_difficulty", Json::Arr(quant_rows)),
-    ]);
-
     // Drive the sinks, then join the accuracy table with the per-stage
     // latency snapshot of this exact run.
     let snap = valuenet_obs::finish();
     let report_path =
         std::env::var("OBS_REPORT").unwrap_or_else(|_| "run_report.json".to_string());
-    match valuenet_obs::write_run_report_with(
-        &report_path,
-        &rows,
-        &snap,
-        vec![("quantized_execution_accuracy".to_string(), quantized_section)],
-    ) {
+    match valuenet_obs::write_run_report(&report_path, &rows, &snap) {
         Ok(()) => eprintln!("run report written to {report_path}"),
         Err(e) => eprintln!("cannot write {report_path}: {e}"),
     }

@@ -6,9 +6,7 @@ use crate::input::{InputOptions, ModelInput};
 use crate::vocab::Vocab;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use valuenet_nn::{
-    read_checkpoint, write_checkpoint, Checkpoint, CheckpointError, CheckpointFormat, ParamStore,
-};
+use valuenet_nn::{read_checkpoint, write_checkpoint, Checkpoint, CheckpointError, ParamStore};
 use valuenet_obs::json::Json;
 use valuenet_semql::Action;
 use valuenet_tensor::{Graph, Var};
@@ -139,7 +137,7 @@ impl ModelConfig {
 
 thread_local! {
     /// When set, inference runs on a fresh scalar tape (no packed weights,
-    /// no int8, no recycled tape) — see [`ValueNetModel::with_scalar_fallback`].
+    /// no recycled tape) — see [`ValueNetModel::with_scalar_fallback`].
     static FORCE_SCALAR: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
@@ -203,11 +201,10 @@ impl ValueNetModel {
 
     /// Runs `f` with this thread forced onto the scalar tape path:
     /// [`ValueNetModel::predict`] / [`ValueNetModel::predict_beam`] inside
-    /// `f` use a fresh non-inference tape, bypassing the packed-weight and
-    /// int8 caches entirely. This is the serving engine's degradation
-    /// ladder — when a packed/quantized kernel panics, the request is
-    /// retried once on this path before failing. The flag is restored even
-    /// if `f` unwinds.
+    /// `f` use a fresh non-inference tape, bypassing the packed-weight cache
+    /// entirely. This is the serving engine's degradation ladder — when a
+    /// packed kernel panics, the request is retried once on this path
+    /// before failing. The flag is restored even if `f` unwinds.
     pub fn with_scalar_fallback<R>(f: impl FnOnce() -> R) -> R {
         struct Restore(bool);
         impl Drop for Restore {
@@ -228,8 +225,7 @@ impl ValueNetModel {
     /// Runs `f` on a thread-local recycled tape (capacity and, through the
     /// buffer pool, every tensor from the previous query survive). Under
     /// [`ValueNetModel::with_scalar_fallback`] it runs on a fresh
-    /// non-inference tape instead, bypassing every packed/quantized fast
-    /// path.
+    /// non-inference tape instead, bypassing every packed fast path.
     fn with_inference_tape<R>(f: impl FnOnce(&mut Graph) -> R) -> R {
         if !Self::scalar_fallback_active() {
             thread_local! {
@@ -239,8 +235,8 @@ impl ValueNetModel {
                 let mut g = tape.borrow_mut();
                 g.reset();
                 // Inference tape: layers may evaluate parameter applications
-                // off-tape against the packed-weight cache (bit-identical on
-                // the f32 path; int8 when the store is set quantized).
+                // off-tape against the packed-weight cache (bit-identical to
+                // the tape).
                 g.set_inference(true);
                 f(&mut g)
             })
@@ -337,19 +333,15 @@ impl ValueNetModel {
         Ok(())
     }
 
-    /// The model file: checkpoint text in `format` whose meta record carries
-    /// the `config` and `vocab` fields and then `extra`.
+    /// The model file: checkpoint text whose meta record carries the
+    /// `config` and `vocab` fields and then `extra`.
     ///
     /// # Errors
     /// [`CheckpointError::NonFinite`] when a weight is NaN or infinite.
-    pub fn to_checkpoint(
-        &self,
-        format: CheckpointFormat,
-        extra: Vec<(&str, Json)>,
-    ) -> Result<String, CheckpointError> {
+    pub fn to_checkpoint(&self, extra: Vec<(&str, Json)>) -> Result<String, CheckpointError> {
         let mut meta = vec![("config", self.config.to_json()), ("vocab", self.vocab.to_json())];
         meta.extend(extra);
-        write_checkpoint(&self.params, format, meta)
+        write_checkpoint(&self.params, meta)
     }
 
     /// Rebuilds the model a checkpoint describes: its `config` and `vocab`
@@ -367,17 +359,16 @@ impl ValueNetModel {
         Ok(model)
     }
 
-    /// The f32 model file with no extra fields (see
+    /// The model file with no extra fields (see
     /// [`ValueNetModel::to_checkpoint`]).
     ///
     /// # Panics
     /// When a weight is NaN or infinite; such a model cannot be saved.
     pub fn to_json(&self) -> String {
-        self.to_checkpoint(CheckpointFormat::F32, Vec::new())
-            .unwrap_or_else(|e| panic!("model cannot be saved: {e}"))
+        self.to_checkpoint(Vec::new()).unwrap_or_else(|e| panic!("model cannot be saved: {e}"))
     }
 
-    /// Restores a model from model-file text in either format (see
+    /// Restores a model from model-file text (see
     /// [`ValueNetModel::from_checkpoint`]).
     pub fn from_json(text: &str) -> Result<Self, CheckpointError> {
         Self::from_checkpoint(read_checkpoint(text)?)
@@ -396,18 +387,15 @@ mod tests {
     #[test]
     fn model_file_reloads_bit_identically_and_resaves_byte_identically() {
         let m = tiny_model();
-        let back = ValueNetModel::from_json(&m.to_json()).unwrap();
+        let text = m.to_json();
+        let back = ValueNetModel::from_json(&text).unwrap();
         assert_eq!(back.config.to_json(), m.config.to_json());
         assert_eq!(back.vocab.to_json(), m.vocab.to_json());
         let bits = |ps: &ParamStore| -> Vec<u32> {
             ps.ids().flat_map(|id| ps.data(id)).map(|v| v.to_bits()).collect()
         };
         assert_eq!(bits(&back.params), bits(&m.params), "weights changed on reload");
-        for format in [CheckpointFormat::F32, CheckpointFormat::Int8] {
-            let text = m.to_checkpoint(format, Vec::new()).unwrap();
-            let back = ValueNetModel::from_json(&text).unwrap();
-            assert_eq!(back.to_checkpoint(format, Vec::new()).unwrap(), text, "{format:?}");
-        }
+        assert_eq!(back.to_json(), text, "the reloaded model saves different bytes");
     }
 
     #[test]

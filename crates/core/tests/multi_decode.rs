@@ -9,9 +9,8 @@
 //!   `decode_beam_unbatched` oracle on that request alone (actions and `f32`
 //!   score bits), at widths 1 (greedy), 2 and 4,
 //! * the model-level `predict_batch` at widths 1 and 4 reproduces `predict`
-//!   and `predict_beam` per input across all kernel tiers of the
-//!   degradation ladder (SIMD+fused packed weights, int8 quantized, forced
-//!   scalar),
+//!   and `predict_beam` per input across both rungs of the degradation
+//!   ladder (SIMD+fused packed weights, forced scalar),
 //! * a step budget no derivation fits in leaves every co-batched request
 //!   without hypotheses, and `predict` reports it as an error.
 
@@ -190,10 +189,6 @@ fn predict_batch_matches_lone_predictions_across_kernel_tiers() {
 
     // Default tier: SIMD + fused graph ops + packed weights.
     run_tier("default");
-
-    model.params.set_quantized(true);
-    run_tier("int8");
-    model.params.set_quantized(false);
 
     // The degradation ladder's last rung — the engine only ever runs this
     // tier on singleton batches, but the identity must hold regardless.

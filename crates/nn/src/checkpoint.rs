@@ -17,18 +17,15 @@
 //! hands back untouched. [`write_checkpoint`] and [`read_checkpoint`] work
 //! on text, so callers choose where it lives.
 //!
-//! The `int8` format stores each tensor as a per-tensor `scale` plus integer
-//! codes in `qdata`; loading dequantizes to f32 and *preserves the scale* in
-//! the store, so re-quantizing at inference time reproduces the exact codes
-//! (see `DESIGN.md`, "SIMD & quantization"). The trailing `checkpoint_end`
-//! record guards against truncated files; every failure mode surfaces as a
-//! typed [`CheckpointError`], never a panic.
+//! `format` is always `f32`: weights are stored at full precision, and a file
+//! declaring any other format is [`CheckpointError::Corrupt`]. The trailing
+//! `checkpoint_end` record guards against truncated files; every failure
+//! mode surfaces as a typed [`CheckpointError`], never a panic.
 
 use crate::ParamStore;
 use std::fmt;
 use valuenet_obs::json::Json;
 use valuenet_obs::jsonl_line;
-use valuenet_tensor::packed::{quant_scale, quantize_one};
 
 /// Version of the checkpoint record layout. Bump on incompatible change.
 /// Version 2 carries the caller's fields in the meta record.
@@ -38,24 +35,6 @@ pub const CHECKPOINT_VERSION: i64 = 2;
 /// not reuse these names.
 const RESERVED: [&str; 6] =
     ["schema_version", "type", "checkpoint_version", "format", "params", "weights"];
-
-/// How the weights are stored on disk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CheckpointFormat {
-    /// Full-precision weights (`data` array of f32).
-    F32,
-    /// Per-tensor int8 codes plus a scale (`qdata` + `scale`).
-    Int8,
-}
-
-impl CheckpointFormat {
-    fn tag(self) -> &'static str {
-        match self {
-            CheckpointFormat::F32 => "f32",
-            CheckpointFormat::Int8 => "int8",
-        }
-    }
-}
 
 /// Why a checkpoint failed to save or load.
 #[derive(Debug)]
@@ -101,10 +80,8 @@ impl From<std::io::Error> for CheckpointError {
 
 /// A checkpoint read back by [`read_checkpoint`].
 pub struct Checkpoint {
-    /// The restored parameters (int8 files dequantized, scales preserved).
+    /// The restored parameters.
     pub params: ParamStore,
-    /// How the weights were stored.
-    pub format: CheckpointFormat,
     /// The caller's meta fields, as an object in file order.
     pub meta: Json,
 }
@@ -125,31 +102,20 @@ impl Checkpoint {
     }
 }
 
-/// Member `key` of `rec` as an array, each element read through `read`.
-fn values(
-    rec: &Json,
-    key: &str,
-    expected: &str,
-    read: impl Fn(&Json) -> Option<f32>,
-) -> Result<Vec<f32>, String> {
-    rec.field(key, expected, |v| v.as_arr()?.iter().map(read).collect())
-}
-
 fn push_line(out: &mut String, record: Json) {
     out.push_str(&jsonl_line(record));
     out.push('\n');
 }
 
-/// Renders every parameter of `ps` as checkpoint text in `format`, with
-/// `meta` appended to the meta record. The same store and meta always give
-/// the same bytes: f32 weights use the shortest round-trip rendering, so
-/// [`read_checkpoint`] restores them bit for bit.
+/// Renders every parameter of `ps` as checkpoint text, with `meta` appended
+/// to the meta record. The same store and meta always give the same bytes:
+/// weights use the shortest round-trip rendering, so [`read_checkpoint`]
+/// restores them bit for bit.
 ///
 /// # Errors
 /// [`CheckpointError::NonFinite`] for the first NaN or infinite weight.
 pub fn write_checkpoint(
     ps: &ParamStore,
-    format: CheckpointFormat,
     meta: Vec<(&str, Json)>,
 ) -> Result<String, CheckpointError> {
     debug_assert!(meta.iter().all(|(k, _)| !RESERVED.contains(k)), "meta reuses a reserved field");
@@ -157,7 +123,7 @@ pub fn write_checkpoint(
     let mut head = vec![
         ("type", Json::Str("checkpoint_meta".into())),
         ("checkpoint_version", Json::Int(CHECKPOINT_VERSION)),
-        ("format", Json::Str(format.tag().into())),
+        ("format", Json::Str("f32".into())),
         ("params", Json::uint(ps.len() as u64)),
         ("weights", Json::uint(ps.num_weights() as u64)),
     ];
@@ -173,25 +139,15 @@ pub fn write_checkpoint(
             )));
         }
         let (rows, cols) = ps.shape(id);
-        let mut rec = vec![
+        let rec = Json::obj(vec![
             ("type", Json::Str("checkpoint_param".into())),
             ("name", Json::Str(ps.name(id).into())),
             ("group", Json::uint(ps.group(id) as u64)),
             ("rows", Json::uint(rows as u64)),
             ("cols", Json::uint(cols as u64)),
-        ];
-        match format {
-            CheckpointFormat::F32 => {
-                rec.push(("data", Json::Arr(data.iter().map(|&v| Json::Num(v as f64)).collect())));
-            }
-            CheckpointFormat::Int8 => {
-                let scale = ps.qscale(id).unwrap_or_else(|| quant_scale(data));
-                rec.push(("scale", Json::Num(scale as f64)));
-                let codes = data.iter().map(|&v| Json::Int(quantize_one(v, scale) as i64));
-                rec.push(("qdata", Json::Arr(codes.collect())));
-            }
-        }
-        push_line(&mut out, Json::obj(rec));
+            ("data", Json::Arr(data.iter().map(|&v| Json::Num(v as f64)).collect())),
+        ]);
+        push_line(&mut out, rec);
     }
     push_line(
         &mut out,
@@ -207,7 +163,7 @@ pub fn write_checkpoint(
 /// time. Malformed input yields a typed error, never a panic.
 pub fn read_checkpoint(text: &str) -> Result<Checkpoint, CheckpointError> {
     let mut ps = ParamStore::new();
-    let mut head: Option<(CheckpointFormat, usize, Json)> = None;
+    let mut head: Option<(usize, Json)> = None;
     let mut ended = false;
     for (i, line) in text.lines().enumerate() {
         let lineno = i + 1;
@@ -235,53 +191,39 @@ pub fn read_checkpoint(text: &str) -> Result<Checkpoint, CheckpointError> {
                         )))
                     }
                 }
-                let format = match rec.str_field("format").map_err(corrupt)? {
-                    "f32" => CheckpointFormat::F32,
-                    "int8" => CheckpointFormat::Int8,
-                    other => return Err(corrupt(format!("unknown format `{other}`"))),
-                };
+                let format = rec.str_field("format").map_err(corrupt)?;
+                if format != "f32" {
+                    return Err(corrupt(format!("unknown format `{format}`")));
+                }
                 let declared = rec.usize_field("params").map_err(corrupt)?;
                 if let Json::Obj(entries) = &mut rec {
                     entries.retain(|(k, _)| !RESERVED.contains(&k.as_str()));
                 }
-                head = Some((format, declared, rec));
+                head = Some((declared, rec));
             }
             "checkpoint_param" => {
-                let Some((format, ..)) = head else {
+                if head.is_none() {
                     return Err(corrupt("checkpoint_param before checkpoint_meta".into()));
-                };
+                }
                 let name = rec.str_field("name").map_err(corrupt)?.to_string();
                 let group = rec.usize_field("group").map_err(corrupt)?;
                 let rows = rec.usize_field("rows").map_err(corrupt)?;
                 let cols = rec.usize_field("cols").map_err(corrupt)?;
-                let (data, qscale) = match format {
-                    CheckpointFormat::F32 => {
-                        let weight = |v: &Json| Some(v.as_f64()? as f32);
-                        let expected = "an array of numbers";
-                        (values(&rec, "data", expected, weight).map_err(corrupt)?, None)
-                    }
-                    CheckpointFormat::Int8 => {
-                        let scale =
-                            rec.field("scale", "a number", Json::as_f64).map_err(corrupt)? as f32;
-                        let code = |v: &Json| match v {
-                            Json::Int(q) if (-127..=127).contains(q) => Some(*q as f32 * scale),
-                            _ => None,
-                        };
-                        let expected = "an array of integers in -127..=127";
-                        (values(&rec, "qdata", expected, code).map_err(corrupt)?, Some(scale))
-                    }
-                };
+                let weights =
+                    |v: &Json| v.as_arr()?.iter().map(|w| Some(w.as_f64()? as f32)).collect();
+                let data: Vec<f32> =
+                    rec.field("data", "an array of numbers", weights).map_err(corrupt)?;
                 if Some(data.len()) != rows.checked_mul(cols) {
                     return Err(corrupt(format!(
                         "`{name}` declares {rows}x{cols} but carries {} values",
                         data.len()
                     )));
                 }
-                ps.add_raw(name, group, rows, cols, data, qscale);
+                ps.add_raw(name, group, rows, cols, data);
             }
             "checkpoint_end" => {
                 let n = rec.usize_field("params").map_err(corrupt)?;
-                let declared = head.as_ref().map_or(0, |h| h.1);
+                let declared = head.as_ref().map_or(0, |h| h.0);
                 if n != ps.len() || n != declared {
                     return Err(CheckpointError::Truncated(format!(
                         "end record declares {n} params, read {} of {declared}",
@@ -293,7 +235,7 @@ pub fn read_checkpoint(text: &str) -> Result<Checkpoint, CheckpointError> {
             other => return Err(corrupt(format!("unknown record type `{other}`"))),
         }
     }
-    let (format, declared, meta) = head.ok_or_else(|| {
+    let (declared, meta) = head.ok_or_else(|| {
         CheckpointError::Truncated("file has no checkpoint_meta record".to_string())
     })?;
     if !ended {
@@ -302,5 +244,5 @@ pub fn read_checkpoint(text: &str) -> Result<Checkpoint, CheckpointError> {
             ps.len()
         )));
     }
-    Ok(Checkpoint { params: ps, format, meta })
+    Ok(Checkpoint { params: ps, meta })
 }

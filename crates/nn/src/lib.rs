@@ -52,13 +52,12 @@ mod store;
 pub use adam::{Adam, AdamConfig};
 pub use attention::{padding_mask, FeedForward, LayerNorm, MultiHeadAttention, TransformerBlock};
 pub use checkpoint::{
-    read_checkpoint, write_checkpoint, Checkpoint, CheckpointError, CheckpointFormat,
-    CHECKPOINT_VERSION,
+    read_checkpoint, write_checkpoint, Checkpoint, CheckpointError, CHECKPOINT_VERSION,
 };
 pub use init::Initializer;
 pub use linear::{Embedding, Linear};
 pub use lstm::{BiLstm, Lstm, LstmCell, LstmState};
-pub use store::{PackedParam, ParamId, ParamStore};
+pub use store::{ParamId, ParamStore};
 
 /// Samples an inverted-dropout mask of `len` entries with drop probability
 /// `p`: each entry is `0.0` with probability `p`, otherwise `1/(1-p)`.

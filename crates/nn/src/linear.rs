@@ -54,8 +54,8 @@ impl Linear {
     /// Applies the layer followed by `act`, as one fused
     /// [`Graph::matmul_bias_act`] node (matmul, bias broadcast and
     /// activation in a single pass over the output). On an inference tape
-    /// the layer instead runs off-tape against the store's packed (or int8
-    /// quantized) weights — bit-identical on the f32 path.
+    /// the layer instead runs off-tape against the store's packed weights,
+    /// bit-identically.
     pub fn forward_act(&self, g: &mut Graph, ps: &ParamStore, x: Var, act: Activation) -> Var {
         debug_assert_eq!(g.value(x).cols(), self.in_dim, "Linear: input dim mismatch");
         if g.inference_mode() {

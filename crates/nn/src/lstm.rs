@@ -95,9 +95,8 @@ impl LstmCell {
             "LstmCell: input/state batch mismatch"
         );
         if g.inference_mode() {
-            // Off-tape path: packed (or int8 quantized) weight matmuls, same
-            // summation order as the tape ops, so f32 results are
-            // bit-identical.
+            // Off-tape path: packed weight matmuls, same summation order as
+            // the tape ops, so the results are bit-identical.
             let z = ps.lstm_preact(g, x, state.h, self.wx, self.wh, self.b);
             let (h_t, c_t) = valuenet_tensor::lstm_gates_eval(&z, g.value(state.c));
             let c = g.input(c_t);

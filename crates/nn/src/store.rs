@@ -2,18 +2,16 @@
 //!
 //! Besides the raw `f32` buffers, the store owns the *inference cache*: each
 //! weight matrix can be packed once into the blocked layout of
-//! [`PackedMatrix`] (and optionally quantized to int8 as a
-//! [`QuantizedMatrix`]) so that inference-time matmuls skip both the
-//! tape copy that [`ParamStore::var`] makes and the column-gather of the
-//! unpacked kernel. The cache is built lazily under a shared reference (so
+//! [`PackedMatrix`] so that inference-time matmuls skip both the tape copy
+//! that [`ParamStore::var`] makes and the column-gather of the unpacked
+//! kernel. The cache is built lazily under a shared reference (so
 //! concurrent evaluation threads can fill it) and invalidated whenever the
 //! optimiser writes to a parameter.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, RwLock};
 use valuenet_tensor::{
-    apply_activation, pool, simd, Activation, Gradients, Graph, PackedMatrix, QuantizedMatrix,
-    Tensor, Var,
+    apply_activation, pool, simd, Activation, Gradients, Graph, PackedMatrix, Tensor, Var,
 };
 
 /// Handle to a parameter inside a [`ParamStore`].
@@ -33,32 +31,6 @@ struct ParamEntry {
     rows: usize,
     cols: usize,
     data: Vec<f32>,
-    /// Quantization scale carried over from an int8 checkpoint, if this
-    /// parameter was loaded from one. Re-quantizing with the preserved scale
-    /// is lossless (the dequantized values round back to the same codes);
-    /// cleared on any weight update.
-    qscale: Option<f32>,
-}
-
-/// One parameter's inference-time form: the blocked f32 packing plus a
-/// lazily built int8 quantization of it.
-pub struct PackedParam {
-    packed: PackedMatrix,
-    quant: OnceLock<QuantizedMatrix>,
-    qscale: Option<f32>,
-}
-
-impl PackedParam {
-    /// The blocked f32 packing (bit-identical matmuls to the unpacked kernel).
-    pub fn matrix(&self) -> &PackedMatrix {
-        &self.packed
-    }
-
-    /// The int8 quantization, built on first use. Uses the checkpoint's
-    /// preserved scale when one is available.
-    pub fn quantized(&self) -> &QuantizedMatrix {
-        self.quant.get_or_init(|| QuantizedMatrix::from_packed(&self.packed, self.qscale))
-    }
 }
 
 /// Source of [`WriteStamp`]s, shared by every store in the process.
@@ -82,10 +54,8 @@ impl Default for WriteStamp {
 #[derive(Default)]
 pub struct ParamStore {
     params: Vec<ParamEntry>,
-    /// Lazily built packed/quantized forms, indexed like `params`.
-    packed: RwLock<Vec<Option<Arc<PackedParam>>>>,
-    /// When set, the inference helpers use the int8 quantized weights.
-    quantized: AtomicBool,
+    /// Lazily built packed forms, indexed like `params`.
+    packed: RwLock<Vec<Option<Arc<PackedMatrix>>>>,
     /// Renewed by every write, so a tape never reuses a value leaf loaded
     /// before the write or from another store.
     stamp: WriteStamp,
@@ -106,7 +76,6 @@ impl ParamStore {
             rows,
             cols,
             data: t.as_slice().to_vec(),
-            qscale: None,
         });
         self.stamp = WriteStamp::default();
         ParamId(self.params.len() - 1)
@@ -121,10 +90,9 @@ impl ParamStore {
         rows: usize,
         cols: usize,
         data: Vec<f32>,
-        qscale: Option<f32>,
     ) -> ParamId {
         debug_assert_eq!(data.len(), rows * cols, "ParamStore::add_raw: bad shape for {name}");
-        self.params.push(ParamEntry { name, group, rows, cols, data, qscale });
+        self.params.push(ParamEntry { name, group, rows, cols, data });
         self.stamp = WriteStamp::default();
         ParamId(self.params.len() - 1)
     }
@@ -171,12 +139,6 @@ impl ParamStore {
         (p.rows, p.cols)
     }
 
-    /// The preserved int8 quantization scale, if this parameter was loaded
-    /// from a quantized checkpoint and has not been updated since.
-    pub fn qscale(&self, id: ParamId) -> Option<f32> {
-        self.params[id.0].qscale
-    }
-
     /// Overwrites a parameter value (used by the optimiser).
     pub fn set(&mut self, id: ParamId, t: &Tensor) {
         let p = &mut self.params[id.0];
@@ -191,21 +153,20 @@ impl ParamStore {
         self.invalidate(id);
     }
 
-    /// Drops the cached packed/quantized form and renews the write stamp
-    /// after a weight update.
+    /// Drops the cached packed form and renews the write stamp after a
+    /// weight update.
     fn invalidate(&mut self, id: ParamId) {
         self.stamp = WriteStamp::default();
-        self.params[id.0].qscale = None;
         let cache = self.packed.get_mut().unwrap();
         if let Some(slot) = cache.get_mut(id.0) {
             *slot = None;
         }
     }
 
-    /// The packed (and lazily quantized) form of a parameter, building and
-    /// caching it on first use. Callable under a shared reference so
-    /// concurrent inference threads share one packing.
-    pub fn packed_param(&self, id: ParamId) -> Arc<PackedParam> {
+    /// The packed form of a parameter, building and caching it on first
+    /// use. Callable under a shared reference so concurrent inference
+    /// threads share one packing.
+    pub fn packed_param(&self, id: ParamId) -> Arc<PackedMatrix> {
         {
             let cache = self.packed.read().unwrap();
             if let Some(Some(p)) = cache.get(id.0) {
@@ -213,11 +174,7 @@ impl ParamStore {
             }
         }
         let e = &self.params[id.0];
-        let built = Arc::new(PackedParam {
-            packed: PackedMatrix::pack(&e.data, e.rows, e.cols),
-            quant: OnceLock::new(),
-            qscale: e.qscale,
-        });
+        let built = Arc::new(PackedMatrix::pack(&e.data, e.rows, e.cols));
         let mut cache = self.packed.write().unwrap();
         if cache.len() < self.params.len() {
             cache.resize(self.params.len(), None);
@@ -231,20 +188,9 @@ impl ParamStore {
         }
     }
 
-    /// Selects between f32 packed weights and int8 quantized weights for the
-    /// inference helpers. Training is unaffected (it never reads the cache).
-    pub fn set_quantized(&self, on: bool) {
-        self.quantized.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether the inference helpers use int8 quantized weights.
-    pub fn quantized(&self) -> bool {
-        self.quantized.load(Ordering::Relaxed)
-    }
-
     /// Inference-path dense layer: `act(x W + b)` computed off-tape with the
-    /// packed (or quantized) weights. Bit-identical to the fused
-    /// [`Graph::matmul_bias_act`] training node on the f32 path.
+    /// packed weights. Bit-identical to the fused
+    /// [`Graph::matmul_bias_act`] training node.
     pub fn forward_linear(
         &self,
         g: &mut Graph,
@@ -255,9 +201,7 @@ impl ParamStore {
     ) -> Var {
         let out = {
             let xt = g.value(x);
-            let wp = self.packed_param(w);
-            let mut out =
-                if self.quantized() { wp.quantized().matmul(xt) } else { wp.matrix().matmul(xt) };
+            let mut out = self.packed_param(w).matmul(xt);
             if let Some(b) = b {
                 let bias = self.data(b);
                 let lvl = simd::level();
@@ -271,9 +215,9 @@ impl ParamStore {
         g.input(out)
     }
 
-    /// Inference-path LSTM pre-activation: `x Wx + h Wh + b` with packed (or
-    /// quantized) weights, summed in the same order as the tape path
-    /// (`(zx + zh) + b`), so the f32 result is bit-identical.
+    /// Inference-path LSTM pre-activation: `x Wx + h Wh + b` with packed
+    /// weights, summed in the same order as the tape path (`(zx + zh) + b`),
+    /// so the result is bit-identical.
     pub fn lstm_preact(
         &self,
         g: &Graph,
@@ -283,13 +227,8 @@ impl ParamStore {
         wh: ParamId,
         b: ParamId,
     ) -> Tensor {
-        let xt = g.value(x);
-        let ht = g.value(h);
-        let px = self.packed_param(wx);
-        let ph = self.packed_param(wh);
-        let quant = self.quantized();
-        let mut z = if quant { px.quantized().matmul(xt) } else { px.matrix().matmul(xt) };
-        let zh = if quant { ph.quantized().matmul(ht) } else { ph.matrix().matmul(ht) };
+        let mut z = self.packed_param(wx).matmul(g.value(x));
+        let zh = self.packed_param(wh).matmul(g.value(h));
         let lvl = simd::level();
         simd::add_assign_at(lvl, z.as_mut_slice(), zh.as_slice());
         let bias = self.data(b);
@@ -386,14 +325,14 @@ mod tests {
         let id = ps.add("w", 0, w.clone());
         let x = Tensor::from_vec(2, 3, vec![0.5, -1.0, 2.0, 0.25, 3.0, -0.75]);
         let want = x.matmul(&w);
-        let got = ps.packed_param(id).matrix().matmul(&x);
+        let got = ps.packed_param(id).matmul(&x);
         assert_eq!(want.as_slice(), got.as_slice());
         // Same Arc on the second lookup.
         assert!(Arc::ptr_eq(&ps.packed_param(id), &ps.packed_param(id)));
         // A weight update drops the cached packing.
         let w2 = Tensor::from_vec(3, 5, vec![1.0; 15]);
         ps.set(id, &w2);
-        let got2 = ps.packed_param(id).matrix().matmul(&x);
+        let got2 = ps.packed_param(id).matmul(&x);
         assert_eq!(x.matmul(&w2).as_slice(), got2.as_slice());
     }
 

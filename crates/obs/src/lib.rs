@@ -45,8 +45,8 @@ pub mod trace;
 pub use flight::FlightRecorder;
 pub use hist::{bucket_bounds, bucket_index, percentile_from_counts, AtomicBuckets, NBUCKETS};
 pub use sink::{
-    chrome_trace, collapsed_stacks, jsonl_line, summary, write_run_report, write_run_report_with,
-    DifficultyRow, JsonlWriter, RUN_REPORT_SCHEMA_VERSION,
+    chrome_trace, collapsed_stacks, jsonl_line, summary, write_run_report, DifficultyRow,
+    JsonlWriter, RUN_REPORT_SCHEMA_VERSION,
 };
 pub use slo::{SloPolicy, SloReport};
 pub use trace::{RequestTrace, SpanCtx, TraceId};

@@ -439,19 +439,3 @@ pub fn write_run_report(
 ) -> std::io::Result<()> {
     std::fs::write(path, run_report(rows, snap).render())
 }
-
-/// Like [`write_run_report`], but appends caller-provided top-level sections
-/// to the report object — e.g. the quantized-inference accuracy comparison
-/// that `table1_difficulty` produces next to the f32 run.
-pub fn write_run_report_with(
-    path: &str,
-    rows: &[DifficultyRow],
-    snap: &Snapshot,
-    extra: Vec<(String, Json)>,
-) -> std::io::Result<()> {
-    let mut report = run_report(rows, snap);
-    if let Json::Obj(fields) = &mut report {
-        fields.extend(extra);
-    }
-    std::fs::write(path, report.render())
-}

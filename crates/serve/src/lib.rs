@@ -15,9 +15,9 @@
 //! * **Panic isolation** ([`engine`]) — a worker runs one request per
 //!   attempt, the whole pipeline under one `catch_unwind`; a panicking
 //!   worker is replaced and the request retries with capped exponential
-//!   backoff on a degraded (scalar, non-packed, non-quantized) inference
-//!   path. A request that kills two workers is *quarantined* — one
-//!   poisoned input cannot take the pool down.
+//!   backoff on a degraded (scalar, non-packed) inference path. A
+//!   request that kills two workers is *quarantined* — one poisoned
+//!   input cannot take the pool down.
 //! * **A line-delimited JSON protocol** ([`protocol`], [`server`]) over a
 //!   Unix domain socket, with a closed error taxonomy and a `stats` verb
 //!   exposing queue depth, shed/panic/deadline counters and per-stage

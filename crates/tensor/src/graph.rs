@@ -182,8 +182,8 @@ impl Graph {
     }
 
     /// Marks this tape as inference-only. Layers then bypass the tape for
-    /// parameter applications (pre-packed / quantized weight kernels
-    /// feeding [`Graph::input`] leaves) since no backward pass will run.
+    /// parameter applications (pre-packed weight kernels feeding
+    /// [`Graph::input`] leaves) since no backward pass will run.
     /// Training tapes never set this, so training stays on the recorded
     /// f32 path.
     pub fn set_inference(&mut self, on: bool) {

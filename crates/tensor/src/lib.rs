@@ -44,6 +44,6 @@ pub mod simd;
 mod tensor;
 
 pub use graph::{apply_activation, lstm_gates_eval, Activation, Gradients, Graph, Var};
-pub use packed::{PackedMatrix, QuantizedMatrix};
+pub use packed::PackedMatrix;
 pub use simd::SimdLevel;
 pub use tensor::Tensor;

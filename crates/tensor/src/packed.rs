@@ -1,4 +1,4 @@
-//! Pre-packed and int8-quantized weight matrices for the inference path.
+//! Pre-packed weight matrices for the inference path.
 //!
 //! [`PackedMatrix`] stores a `k×m` weight matrix in panel-major order: the
 //! columns are split into panels of [`NR`] = 8, and each panel holds its `k`
@@ -43,13 +43,8 @@
 //! never reaches the output: padded lanes accumulate `a·0` into columns
 //! that are simply not copied out.
 //!
-//! [`QuantizedMatrix`] is the weight-only int8 form: one per-tensor scale
-//! (`max|w| / 127`), symmetric round-to-nearest quantization, f32
-//! activations and f32 accumulation of `a[l] · q[l]`, with the scale applied
-//! once at the accumulator — so the only error versus f32 is the weight
-//! rounding, bounded per element by `scale/2 · Σ|a[l]|`. Training never sees
-//! either type; they are built lazily from the f32 store and invalidated on
-//! every optimizer step.
+//! Training never sees the packed form: it is built lazily from the f32
+//! store and invalidated on every optimizer step.
 
 use crate::simd::{self, SimdLevel};
 use crate::tensor::record_matmul;
@@ -120,7 +115,12 @@ impl PackedMatrix {
     /// `a @ self` at the process-wide SIMD level, counted in the
     /// `tensor.matmul.*` kernel metrics like [`Tensor::matmul`].
     pub fn matmul(&self, a: &Tensor) -> Tensor {
-        counted(a.rows(), self.k, self.m, || self.matmul_at(simd::level(), a))
+        let start = valuenet_obs::enabled().then(valuenet_obs::now_ns);
+        let out = self.matmul_at(simd::level(), a);
+        if let Some(s) = start {
+            record_matmul(a.rows(), self.k, self.m, s);
+        }
+        out
     }
 
     /// `a @ self` at an explicit SIMD level. Bit-identical to
@@ -164,18 +164,6 @@ impl PackedMatrix {
     }
 }
 
-/// Runs `product`, an `n×k @ k×m` matmul, and records it in the
-/// `tensor.matmul.*` counters when observability is enabled.
-fn counted(n: usize, k: usize, m: usize, product: impl FnOnce() -> Tensor) -> Tensor {
-    if !valuenet_obs::enabled() {
-        return product();
-    }
-    let start = valuenet_obs::now_ns();
-    let out = product();
-    record_matmul(n, k, m, start);
-    out
-}
-
 /// One `1×k @ k×NR` panel product: `acc[j] = Σ_l a[l] · panel[l][j]`, strict
 /// ascending fold, one mul + one add per step.
 fn panel_dot_f32(lvl: SimdLevel, a: &[f32], panel: &[f32], k: usize) -> [f32; NR] {
@@ -191,126 +179,6 @@ fn panel_dot_f32(lvl: SimdLevel, a: &[f32], panel: &[f32], k: usize) -> [f32; NR
         for j in 0..NR {
             acc[j] += av * row[j];
         }
-    }
-    acc
-}
-
-/// Weight-only int8 quantization of a packed matrix: symmetric per-tensor
-/// scale, values in `[-127, 127]`.
-#[derive(Debug, Clone)]
-pub struct QuantizedMatrix {
-    k: usize,
-    m: usize,
-    scale: f32,
-    /// Same panel layout as [`PackedMatrix`], one byte per value.
-    panels: Vec<i8>,
-}
-
-/// The symmetric per-tensor scale for a buffer: `max|x| / 127`, or `1.0`
-/// for an all-zero (or non-finite) buffer so dequantization stays exact.
-pub fn quant_scale(data: &[f32]) -> f32 {
-    let max_abs = data.iter().fold(0.0f32, |acc, &x| acc.max(x.abs()));
-    if max_abs > 0.0 && max_abs.is_finite() {
-        max_abs / 127.0
-    } else {
-        1.0
-    }
-}
-
-/// Quantizes one value: round-to-nearest of `x / scale`, clamped to ±127.
-pub fn quantize_one(x: f32, scale: f32) -> i8 {
-    (x / scale).round().clamp(-127.0, 127.0) as i8
-}
-
-impl QuantizedMatrix {
-    /// Quantizes an already-packed matrix. When `scale_override` is given
-    /// (a checkpoint-preserved scale), it is used verbatim — re-quantizing a
-    /// dequantized store with its own scale is then lossless.
-    pub fn from_packed(p: &PackedMatrix, scale_override: Option<f32>) -> Self {
-        let scale = scale_override.unwrap_or_else(|| quant_scale(p.panels()));
-        let panels = p.panels().iter().map(|&x| quantize_one(x, scale)).collect();
-        QuantizedMatrix { k: p.k, m: p.m, scale, panels }
-    }
-
-    /// Quantizes a row-major `k×m` buffer.
-    pub fn quantize(data: &[f32], k: usize, m: usize, scale_override: Option<f32>) -> Self {
-        Self::from_packed(&PackedMatrix::pack(data, k, m), scale_override)
-    }
-
-    /// Shared dimension (`k`).
-    pub fn rows(&self) -> usize {
-        self.k
-    }
-
-    /// Output dimension (`m`).
-    pub fn cols(&self) -> usize {
-        self.m
-    }
-
-    /// The per-tensor scale.
-    pub fn scale(&self) -> f32 {
-        self.scale
-    }
-
-    /// `a @ self` at the process-wide SIMD level, counted in the
-    /// `tensor.matmul.*` kernel metrics like [`Tensor::matmul`].
-    pub fn matmul(&self, a: &Tensor) -> Tensor {
-        counted(a.rows(), self.k, self.m, || self.matmul_at(simd::level(), a))
-    }
-
-    /// `a @ self` at an explicit SIMD level: f32 accumulation of
-    /// `a[l] · (q[l] as f32)` in ascending order, one multiply by the scale
-    /// at the accumulator. Bit-identical across levels.
-    pub fn matmul_at(&self, lvl: SimdLevel, a: &Tensor) -> Tensor {
-        assert_eq!(
-            a.cols(),
-            self.k,
-            "QuantizedMatrix::matmul: {}x{} @ {}x{}",
-            a.rows(),
-            a.cols(),
-            self.k,
-            self.m
-        );
-        let (n, k, m) = (a.rows(), self.k, self.m);
-        let mut data = crate::pool::take(n * m);
-        data.resize(n * m, 0.0);
-        let pc = m.div_ceil(NR);
-        for i in 0..n {
-            let ar = a.row(i);
-            let out_row = &mut data[i * m..(i + 1) * m];
-            for p in 0..pc {
-                let j0 = p * NR;
-                let w = NR.min(m - j0);
-                let panel = &self.panels[p * k * NR..(p + 1) * k * NR];
-                let acc = panel_dot_i8(lvl, ar, panel, k, self.scale);
-                out_row[j0..j0 + w].copy_from_slice(&acc[..w]);
-            }
-        }
-        Tensor::from_vec(n, m, data)
-    }
-}
-
-/// One int8 panel product: `acc[j] = scale · Σ_l a[l] · (q[l][j] as f32)`.
-/// The int8→f32 conversion is exact, the fold is ascending with separate
-/// mul/add, and the scale is applied once at the end. The SSE2 tier reuses
-/// the scalar body (the 8-byte sign-extend needs SSE4.1+; the scalar loop
-/// already auto-vectorizes acceptably there).
-fn panel_dot_i8(lvl: SimdLevel, a: &[f32], panel: &[i8], k: usize, scale: f32) -> [f32; NR] {
-    #[cfg(target_arch = "x86_64")]
-    if lvl == SimdLevel::Avx2 {
-        return unsafe { x86::panel_dot_i8_avx2(a, panel, k, scale) };
-    }
-    let _ = lvl;
-    let mut acc = [0.0f32; NR];
-    for l in 0..k {
-        let av = a[l];
-        let row = &panel[l * NR..(l + 1) * NR];
-        for j in 0..NR {
-            acc[j] += av * (row[j] as f32);
-        }
-    }
-    for v in acc.iter_mut() {
-        *v *= scale;
     }
     acc
 }
@@ -470,24 +338,6 @@ mod x86 {
         _mm_storeu_ps(out.as_mut_ptr().add(4), hi);
         out
     }
-
-    /// 8-lane int8 panel fold: sign-extend 8 bytes to i32, convert to f32
-    /// (both exact), then the same mul/add fold; scale applied once at the
-    /// end per lane, matching the scalar body.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn panel_dot_i8_avx2(a: &[f32], panel: &[i8], k: usize, scale: f32) -> [f32; NR] {
-        let mut acc = _mm256_setzero_ps();
-        for (l, &al) in a[..k].iter().enumerate() {
-            let q8 = _mm_loadl_epi64(panel.as_ptr().add(l * NR) as *const __m128i);
-            let q32 = _mm256_cvtepi8_epi32(q8);
-            let qf = _mm256_cvtepi32_ps(q32);
-            acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(al), qf));
-        }
-        acc = _mm256_mul_ps(acc, _mm256_set1_ps(scale));
-        let mut out = [0.0f32; NR];
-        _mm256_storeu_ps(out.as_mut_ptr(), acc);
-        out
-    }
 }
 
 #[cfg(test)]
@@ -549,55 +399,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn quantized_matmul_bit_identical_across_levels_and_bounded() {
-        for &(n, k, m) in &[(1, 8, 8), (2, 7, 9), (4, 16, 24), (1, 64, 30)] {
-            let a = pseudo_tensor(n, k, 5 + k as u64);
-            let w = pseudo_tensor(k, m, 29 + m as u64);
-            let q = QuantizedMatrix::quantize(w.as_slice(), k, m, None);
-            let scalar = q.matmul_at(SimdLevel::Scalar, &a);
-            for lvl in levels() {
-                let got = q.matmul_at(lvl, &a);
-                for (x, y) in got.as_slice().iter().zip(scalar.as_slice()) {
-                    assert_eq!(x.to_bits(), y.to_bits(), "{n}x{k}x{m} at {lvl:?}");
-                }
-            }
-            // Error budget: per element |q_out - f_out| <= scale/2 · Σ|a_l|
-            // (weight rounding) plus accumulation slack.
-            let f = a.matmul(&w);
-            for i in 0..n {
-                let sum_abs: f32 = a.row(i).iter().map(|x| x.abs()).sum();
-                let budget = 0.5 * q.scale() * sum_abs * 1.01 + 1e-5;
-                for j in 0..m {
-                    let d = (scalar.get(i, j) - f.get(i, j)).abs();
-                    assert!(d <= budget, "{n}x{k}x{m} [{i},{j}]: |Δ|={d} > {budget}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn requantize_with_preserved_scale_is_lossless() {
-        let w = pseudo_tensor(9, 13, 99);
-        let q = QuantizedMatrix::quantize(w.as_slice(), 9, 13, None);
-        // Dequantize (what a checkpoint load does) …
-        let deq: Vec<f32> = w
-            .as_slice()
-            .iter()
-            .map(|&x| quantize_one(x, q.scale()) as f32 * q.scale())
-            .collect();
-        // … then re-quantize with the preserved scale: must give back the
-        // same integers.
-        let q2 = QuantizedMatrix::quantize(&deq, 9, 13, Some(q.scale()));
-        assert_eq!(q.scale().to_bits(), q2.scale().to_bits());
-        assert_eq!(q.panels, q2.panels);
-    }
-
-    #[test]
-    fn quant_scale_guards_zero() {
-        assert_eq!(quant_scale(&[0.0, -0.0]), 1.0);
-        assert_eq!(quant_scale(&[]), 1.0);
     }
 }

@@ -6,7 +6,7 @@
 //! expression tree, one multiply and one add per step — is identical between
 //! the scalar body and each SIMD body, so the results are bit-identical for
 //! every input, and the scalar path stays the proptest oracle (the same
-//! discipline as the fused kernels, see DESIGN.md "SIMD & quantization").
+//! discipline as the fused kernels, see DESIGN.md "SIMD & packed weights").
 //!
 //! Two rules keep that promise honest:
 //!

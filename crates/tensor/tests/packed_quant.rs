@@ -1,21 +1,13 @@
-//! Property tests for the pre-packed f32 layout and the int8 weight-only
-//! quantized kernel.
+//! Property tests for the pre-packed f32 layout.
 //!
-//! * Packing is a pure layout change: `PackedMatrix::matmul` must be
-//!   **bit-identical** to the row-major blocked matmul at every SIMD tier —
-//!   for random shapes up to 13 rows (every row remainder after one and two
-//!   full 4-row AVX2 tiles), at the default model's products, and on
-//!   ±0.0, NaN, ±∞ and subnormal inputs.
-//! * Quantization changes the weights, not the arithmetic discipline: the
-//!   int8 kernel must be bit-identical *across tiers*, and its error
-//!   against the f32 oracle must stay inside the analytic budget
-//!   `0.5 · scale · Σ|a_l|` per output element (each weight is off by at
-//!   most half a quantization step).
-//! * Re-quantizing a dequantized store with its preserved scale is
-//!   lossless — the invariant the int8 checkpoint round trip relies on.
+//! Packing is a pure layout change: `PackedMatrix::matmul` must be
+//! **bit-identical** to the row-major blocked matmul at every SIMD tier —
+//! for random shapes up to 13 rows (every row remainder after one and two
+//! full 4-row AVX2 tiles), at the default model's products, and on ±0.0,
+//! NaN, ±∞ and subnormal inputs.
 
 use proptest::prelude::*;
-use valuenet_tensor::packed::{quant_scale, quantize_one, PackedMatrix, QuantizedMatrix};
+use valuenet_tensor::packed::PackedMatrix;
 use valuenet_tensor::simd::{self, SimdLevel};
 use valuenet_tensor::Tensor;
 
@@ -159,70 +151,5 @@ proptest! {
                 &format!("packed {} ({n}x{k}x{m})", lvl.name()),
             );
         }
-    }
-
-    /// The int8 kernel is bit-identical across tiers and within the
-    /// half-step error budget of the f32 oracle.
-    #[test]
-    fn quantized_matmul_levels_agree_and_bound_error(
-        (n, k, m) in (1usize..7, 1usize..40, 1usize..40),
-        seed in 0u64..1000,
-    ) {
-        let n = batch(n, seed);
-        let a = pseudo_tensor(n, k, seed.wrapping_mul(3));
-        let w = pseudo_tensor(k, m, seed.wrapping_mul(5) ^ 0xD00D);
-        let quant = QuantizedMatrix::quantize(w.as_slice(), k, m, None);
-        let reference = quant.matmul_at(SimdLevel::Scalar, &a);
-        for lvl in levels() {
-            assert_bits_eq(
-                quant.matmul_at(lvl, &a).as_slice(),
-                reference.as_slice(),
-                &format!("quantized {} ({n}x{k}x{m})", lvl.name()),
-            );
-        }
-
-        let oracle = a.matmul_with_level(&w, SimdLevel::Scalar);
-        let scale = quant.scale();
-        for i in 0..n {
-            // Half a quantization step per weight, summed over the fold,
-            // plus 1% + epsilon headroom for the accumulation rounding.
-            let budget: f32 =
-                a.row(i).iter().map(|v| v.abs()).sum::<f32>() * 0.5 * scale * 1.01 + 1e-5;
-            for j in 0..m {
-                let err = (reference.get(i, j) - oracle.get(i, j)).abs();
-                prop_assert!(
-                    err <= budget,
-                    "quantized error {} exceeds budget {} at ({},{}) ({}x{}x{}, scale {})",
-                    err, budget, i, j, n, k, m, scale
-                );
-            }
-        }
-    }
-
-    /// Quantize → dequantize → re-quantize with the preserved scale
-    /// reproduces the exact same codes: matmul outputs are bit-identical.
-    /// This is what makes the int8 checkpoint round trip idempotent.
-    #[test]
-    fn requantize_with_preserved_scale_is_lossless(
-        (k, m) in (1usize..30, 1usize..30),
-        seed in 0u64..1000,
-    ) {
-        let w = pseudo_tensor(k, m, seed ^ 0xC0DE);
-        let scale = quant_scale(w.as_slice());
-        let dequant: Vec<f32> = w
-            .as_slice()
-            .iter()
-            .map(|&x| quantize_one(x, scale) as f32 * scale)
-            .collect();
-        let original = QuantizedMatrix::quantize(w.as_slice(), k, m, None);
-        let requant = QuantizedMatrix::quantize(&dequant, k, m, Some(scale));
-        prop_assert_eq!(original.scale().to_bits(), requant.scale().to_bits());
-
-        let a = pseudo_tensor(2, k, seed ^ 0xABBA);
-        assert_bits_eq(
-            requant.matmul_at(SimdLevel::Scalar, &a).as_slice(),
-            original.matmul_at(SimdLevel::Scalar, &a).as_slice(),
-            "requantized matmul",
-        );
     }
 }

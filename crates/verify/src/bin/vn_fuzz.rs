@@ -2,13 +2,13 @@
 //!
 //! ```text
 //! vn-fuzz [--cases N] [--seed S] [--replay CASE_SEED] [--inject-divergence]
-//!         [--fail-log PATH] [--quant N] [--lookup N] [--serve N]
+//!         [--fail-log PATH] [--kernel N] [--lookup N] [--serve N]
 //!         [--serve-replay CASE_SEED] [--report PATH]
 //! ```
 //!
-//! `--quant N` switches to kernel mode: `N` seeded cases fuzz the packed and
-//! int8-quantized matmul kernels against their scalar oracles
-//! (`valuenet_verify::quant_fuzz`) instead of the SQL executor.
+//! `--kernel N` switches to kernel mode: `N` seeded cases fuzz the packed
+//! matmul kernel against its scalar oracle at every SIMD level
+//! (`valuenet_verify::kernel_fuzz`) instead of the SQL executor.
 //!
 //! `--lookup N` switches to lookup mode: `N` seeded cases compare the
 //! inverted index's similarity search with a scan that has no blocking, and
@@ -42,7 +42,7 @@ fn main() -> ExitCode {
     let mut cfg = FuzzConfig { cases: 1000, seed: 42, inject_divergence: false };
     let mut replay: Option<u64> = None;
     let mut fail_log: Option<String> = None;
-    let mut quant: Option<usize> = None;
+    let mut kernel: Option<usize> = None;
     let mut lookup: Option<usize> = None;
     let mut serve: Option<usize> = None;
     let mut serve_replay: Option<u64> = None;
@@ -68,8 +68,8 @@ fn main() -> ExitCode {
             }
             "--inject-divergence" => cfg.inject_divergence = true,
             "--fail-log" => fail_log = Some(take("a path")),
-            "--quant" => {
-                quant = Some(parse_num(&take("a case count")) as usize);
+            "--kernel" => {
+                kernel = Some(parse_num(&take("a case count")) as usize);
             }
             "--lookup" => {
                 lookup = Some(parse_num(&take("a case count")) as usize);
@@ -84,7 +84,7 @@ fn main() -> ExitCode {
             "--help" | "-h" => {
                 eprintln!(
                     "usage: vn-fuzz [--cases N] [--seed S] [--replay CASE_SEED] \
-                     [--inject-divergence] [--fail-log PATH] [--quant N] \
+                     [--inject-divergence] [--fail-log PATH] [--kernel N] \
                      [--lookup N] [--serve N] [--serve-replay CASE_SEED] [--report PATH]"
                 );
                 return ExitCode::SUCCESS;
@@ -167,12 +167,12 @@ fn main() -> ExitCode {
         return if report.passed() { ExitCode::SUCCESS } else { ExitCode::FAILURE };
     }
 
-    if let Some(cases) = quant {
-        // Kernel mode: fuzz the packed / int8 matmul kernels against their
-        // scalar oracles instead of the SQL executor.
-        let report = valuenet_verify::run_quant_fuzz(cases, cfg.seed);
+    if let Some(cases) = kernel {
+        // Kernel mode: fuzz the packed matmul kernel against its scalar
+        // oracle instead of the SQL executor.
+        let report = valuenet_verify::run_kernel_fuzz(cases, cfg.seed);
         println!(
-            "vn-fuzz --quant: {} kernel cases (seed {}): {} failures",
+            "vn-fuzz --kernel: {} kernel cases (seed {}): {} failures",
             report.cases,
             cfg.seed,
             report.failures.len()

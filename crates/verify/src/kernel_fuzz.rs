@@ -1,16 +1,9 @@
-//! Deterministic fuzz harness for the packed and int8-quantized matmul
-//! kernels.
+//! Deterministic fuzz harness for the packed inference matmul kernel.
 //!
 //! Each case derives a matrix shape and contents from its seed (the same
-//! SplitMix64 discipline as [`crate::fuzz`]) and checks three invariants:
-//!
-//! 1. the packed f32 kernel is **bit-identical** to the scalar blocked
-//!    matmul at every SIMD level the host supports;
-//! 2. the quantized kernel is **bit-identical across SIMD levels** (the AVX2
-//!    int8 path must match its scalar reference exactly);
-//! 3. the quantized result stays within the analytic error budget
-//!    `0.5 · scale · Σ|a_l|` per output element (each weight is off by at
-//!    most half a quantization step).
+//! SplitMix64 discipline as [`crate::fuzz`]) and checks that the packed
+//! kernel is **bit-identical** to the scalar blocked matmul at every SIMD
+//! level the host supports.
 //!
 //! Shapes (`n×k @ k×m`):
 //!
@@ -23,12 +16,12 @@
 //! * the rest draw `k` in `1..=40` and `m` in `1..=70`: odd,
 //!   non-lane-multiple sizes that exercise every panel-tail path.
 
-use valuenet_tensor::packed::{PackedMatrix, QuantizedMatrix};
+use valuenet_tensor::packed::PackedMatrix;
 use valuenet_tensor::simd::{detected_level, SimdLevel};
 use valuenet_tensor::Tensor;
 
-/// Outcome of a [`run_quant_fuzz`] sweep.
-pub struct QuantFuzzReport {
+/// Outcome of a [`run_kernel_fuzz`] sweep.
+pub struct KernelFuzzReport {
     /// Cases executed.
     pub cases: usize,
     /// Human-readable description of each failing case, with its seed.
@@ -56,7 +49,7 @@ fn levels() -> Vec<SimdLevel> {
 }
 
 /// Runs one seeded case; `None` on success, a failure description otherwise.
-pub fn run_quant_case(seed: u64) -> Option<String> {
+pub fn run_kernel_case(seed: u64) -> Option<String> {
     let mut s = seed;
     let n = if seed.is_multiple_of(3) { 1 } else { (splitmix(&mut s) % 13 + 1) as usize };
     let (k, m) = if seed.is_multiple_of(4) {
@@ -80,52 +73,27 @@ pub fn run_quant_case(seed: u64) -> Option<String> {
         }
     }
 
-    let quant = QuantizedMatrix::quantize(w.as_slice(), k, m, None);
-    let q_ref = quant.matmul_at(SimdLevel::Scalar, &a);
-    for lvl in levels() {
-        let got = quant.matmul_at(lvl, &a);
-        if got.as_slice().iter().zip(q_ref.as_slice()).any(|(x, y)| x.to_bits() != y.to_bits()) {
-            return Some(format!(
-                "quantized matmul not bit-identical across levels at {} ({n}x{k} @ {k}x{m})",
-                lvl.name()
-            ));
-        }
-    }
-
-    let scale = quant.scale();
-    for i in 0..n {
-        let budget: f32 =
-            a.row(i).iter().map(|v| v.abs()).sum::<f32>() * 0.5 * scale * 1.01 + 1e-5;
-        for j in 0..m {
-            let err = (q_ref.get(i, j) - oracle.get(i, j)).abs();
-            if err > budget {
-                return Some(format!(
-                    "quantized error {err} exceeds budget {budget} at ({i},{j}) \
-                     ({n}x{k} @ {k}x{m}, scale {scale})"
-                ));
-            }
-        }
-    }
     None
 }
 
-static QUANT_AGREE: valuenet_obs::Counter = valuenet_obs::Counter::new("fuzz.quant.agree");
-static QUANT_DIVERGE: valuenet_obs::Counter = valuenet_obs::Counter::new("fuzz.quant.divergence");
+static KERNEL_AGREE: valuenet_obs::Counter = valuenet_obs::Counter::new("fuzz.kernel.agree");
+static KERNEL_DIVERGE: valuenet_obs::Counter =
+    valuenet_obs::Counter::new("fuzz.kernel.divergence");
 
-/// Runs `cases` seeded quantization cases derived from `seed`.
-pub fn run_quant_fuzz(cases: usize, seed: u64) -> QuantFuzzReport {
-    let _span = valuenet_obs::span("fuzz.quant");
+/// Runs `cases` seeded kernel cases derived from `seed`.
+pub fn run_kernel_fuzz(cases: usize, seed: u64) -> KernelFuzzReport {
+    let _span = valuenet_obs::span("fuzz.kernel");
     let mut failures = Vec::new();
     for i in 0..cases {
         let case_seed = crate::case_seed(seed, i as u64);
-        if let Some(desc) = run_quant_case(case_seed) {
-            QUANT_DIVERGE.add(1);
+        if let Some(desc) = run_kernel_case(case_seed) {
+            KERNEL_DIVERGE.add(1);
             failures.push((case_seed, desc));
         } else {
-            QUANT_AGREE.add(1);
+            KERNEL_AGREE.add(1);
         }
     }
-    QuantFuzzReport { cases, failures }
+    KernelFuzzReport { cases, failures }
 }
 
 #[cfg(test)]
@@ -133,8 +101,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn quant_fuzz_smoke_is_clean() {
-        let report = run_quant_fuzz(64, 42);
+    fn kernel_fuzz_smoke_is_clean() {
+        let report = run_kernel_fuzz(64, 42);
         assert_eq!(report.cases, 64);
         assert!(
             report.failures.is_empty(),
@@ -149,7 +117,7 @@ mod tests {
         // must at least be stable across runs for --replay-style debugging).
         for i in 0..8 {
             let seed = crate::case_seed(7, i);
-            assert_eq!(run_quant_case(seed).is_none(), run_quant_case(seed).is_none());
+            assert_eq!(run_kernel_case(seed).is_none(), run_kernel_case(seed).is_none());
         }
     }
 }

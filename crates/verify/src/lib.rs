@@ -20,6 +20,8 @@
 //! * [`fuzz`] ties the generators and the oracle into deterministic seed
 //!   streams with bit-identical `--replay`, and [`shrink`] greedily
 //!   minimises failing cases before they are reported.
+//! * [`kernel_fuzz`] checks the packed inference matmul against the scalar
+//!   blocked matmul, bit for bit, at every SIMD level the host supports.
 //! * [`lookup_fuzz`] checks the inverted index's blocked similarity search
 //!   against a scan with no blocking, and the executor's LIKE matcher
 //!   against the oracle's recursive one, on seeded random strings.
@@ -30,14 +32,15 @@
 //!   responses versus the single-process pipeline.
 //!
 //! The `vn-fuzz` binary is a thin CLI over [`fuzz::run_fuzz`] (and, with
-//! `--serve N`, over [`serve_fault::run_serve_fuzz`]; with `--lookup N`,
-//! over [`lookup_fuzz::run_lookup_fuzz`]).
+//! `--serve N`, over [`serve_fault::run_serve_fuzz`]; with `--kernel N`,
+//! over [`kernel_fuzz::run_kernel_fuzz`]; with `--lookup N`, over
+//! [`lookup_fuzz::run_lookup_fuzz`]).
 
 pub mod fuzz;
 pub mod gradcheck;
+pub mod kernel_fuzz;
 pub mod lookup_fuzz;
 pub mod oracle;
-pub mod quant_fuzz;
 pub mod schema_gen;
 pub mod serve_fault;
 pub mod shrink;
@@ -47,8 +50,8 @@ pub use fuzz::{case_seed, run_case, run_fuzz, CaseOutcome, FuzzConfig, FuzzRepor
 pub use serve_fault::{
     run_serve_case, run_serve_fuzz, ServeFixture, ServeFuzzConfig, ServeFuzzReport,
 };
-pub use quant_fuzz::{run_quant_case, run_quant_fuzz, QuantFuzzReport};
 pub use gradcheck::{grad_check, GradCheckConfig, GradReport};
+pub use kernel_fuzz::{run_kernel_case, run_kernel_fuzz, KernelFuzzReport};
 pub use lookup_fuzz::{gen_lookup_case, reference_find_similar, run_lookup_fuzz};
 pub use oracle::{reference_execute, reference_like_match, OracleError};
 pub use schema_gen::gen_database;

@@ -2,15 +2,14 @@
 //! and translate questions against the corpus databases.
 //!
 //! Run it without arguments for the usage. Each subcommand accepts only its
-//! own flags: an unknown flag exits with status 2, naming it, before any
-//! work. `ask`'s question is its one positional argument, wherever it sits
-//! among the flags.
+//! own flags, each at most once: an unknown or repeated flag exits with
+//! status 2, naming it, before any work. `ask`'s question is its one
+//! positional argument, wherever it sits among the flags.
 //!
-//! The model file is one checkpoint (`valuenet::nn::checkpoint`): the
-//! weights, f32 or (`--save-quant`) int8, plus a meta record carrying the
-//! model config and vocabulary, the trained NER, the value mode and the
-//! corpus config, so `--model` alone restores the pipeline and regenerates
-//! the corpus from its seed.
+//! The model file is one checkpoint (`valuenet::nn::checkpoint`): the f32
+//! weights plus a meta record carrying the model config and vocabulary, the
+//! trained NER, the value mode and the corpus config, so `--model` alone
+//! restores the pipeline and regenerates the corpus from its seed.
 //!
 //! `--threads N` caps the worker threads used by training and evaluation
 //! (default: all available cores). Results are bit-identical for any value —
@@ -22,7 +21,7 @@ use valuenet::core::{
 };
 use valuenet::dataset::{generate, Corpus, CorpusConfig};
 use valuenet::eval::ExecOutcome;
-use valuenet::nn::{read_checkpoint, CheckpointError, CheckpointFormat};
+use valuenet::nn::{read_checkpoint, CheckpointError};
 use valuenet::obs::json::Json;
 use valuenet::preprocess::StatisticalNer;
 
@@ -31,14 +30,13 @@ use valuenet::preprocess::StatisticalNer;
 fn flags_of(cmd: &str) -> Option<&'static [&'static str]> {
     Some(match cmd {
         "train" => &[
-            "--out", "--mode", "--train", "--dev", "--epochs", "--seed", "--rows", "--save-quant",
-            "--threads",
+            "--out", "--mode", "--train", "--dev", "--epochs", "--seed", "--rows", "--threads",
         ],
-        "eval" => &["--model", "--quantized", "--threads"],
-        "ask" | "repl" => &["--model", "--quantized", "--db", "--threads"],
+        "eval" => &["--model", "--threads"],
+        "ask" | "repl" => &["--model", "--db", "--threads"],
         "serve" => &[
-            "--model", "--quantized", "--socket", "--workers", "--queue", "--deadline-ms",
-            "--allow-faults", "--threads",
+            "--model", "--socket", "--workers", "--queue", "--deadline-ms", "--allow-faults",
+            "--threads",
         ],
         "dbs" => &["--seed", "--rows", "--threads"],
         _ => return None,
@@ -46,18 +44,27 @@ fn flags_of(cmd: &str) -> Option<&'static [&'static str]> {
 }
 
 /// Checks every flag in `args` against `flags` and returns the positional
-/// arguments. An unknown flag exits with status 2, naming it. Every flag but
-/// the two switches takes a value.
+/// arguments. An unknown flag, or one given twice, exits with status 2,
+/// naming it. Every flag but the `--allow-faults` switch takes a value.
 fn positionals<'a>(cmd: &str, args: &'a [String], flags: &[&str]) -> Vec<&'a str> {
     let mut out = Vec::new();
+    let mut seen: Vec<&str> = Vec::new();
     let mut it = args.iter().map(String::as_str);
     while let Some(a) = it.next() {
         if !a.starts_with("--") {
             out.push(a);
-        } else if !flags.contains(&a) {
+            continue;
+        }
+        if !flags.contains(&a) {
             eprintln!("error: unknown flag {a} for `{cmd}`");
             std::process::exit(2);
-        } else if !matches!(a, "--quantized" | "--allow-faults") {
+        }
+        if seen.contains(&a) {
+            eprintln!("error: flag {a} given twice for `{cmd}`");
+            std::process::exit(2);
+        }
+        seen.push(a);
+        if a != "--allow-faults" {
             it.next();
         }
     }
@@ -68,11 +75,11 @@ fn usage() -> ! {
     eprintln!(
         "usage: valuenet-cli <train|eval|ask|repl|serve|dbs> [options] [--threads N]\n\
          \x20 train --out model.jsonl [--mode light|full] [--train N] [--dev N] [--epochs N] [--seed N]\n\
-         \x20       [--rows N] [--threads N] [--save-quant model.int8.jsonl]\n\
-         \x20 eval  --model model.jsonl [--threads N] [--quantized]\n\
-         \x20 ask   --model model.jsonl [--quantized] --db <db_id> \"question\"\n\
-         \x20 repl  --model model.jsonl [--quantized] --db <db_id>\n\
-         \x20 serve --model model.jsonl --socket valuenet.sock [--quantized]\n\
+         \x20       [--rows N] [--threads N]\n\
+         \x20 eval  --model model.jsonl [--threads N]\n\
+         \x20 ask   --model model.jsonl --db <db_id> \"question\"\n\
+         \x20 repl  --model model.jsonl --db <db_id>\n\
+         \x20 serve --model model.jsonl --socket valuenet.sock\n\
          \x20       [--workers N] [--queue N] [--deadline-ms N] [--allow-faults]\n\
          \x20 dbs   [--seed N] [--rows N]"
     );
@@ -122,8 +129,8 @@ fn mode_named(name: &str) -> Option<ValueMode> {
 }
 
 /// Restores the pipeline a model file describes and the corpus config it
-/// was trained on. Reads either weight format.
-fn read_model(path: &str) -> Result<(Pipeline, CorpusConfig, CheckpointFormat), CheckpointError> {
+/// was trained on.
+fn read_model(path: &str) -> Result<(Pipeline, CorpusConfig), CheckpointError> {
     let ck = read_checkpoint(&std::fs::read_to_string(path)?)?;
     let ner = ck.meta_field("ner", StatisticalNer::from_json)?;
     let mode = ck.meta_field("mode", |v| {
@@ -131,22 +138,17 @@ fn read_model(path: &str) -> Result<(Pipeline, CorpusConfig, CheckpointFormat), 
         mode_named(name).ok_or_else(|| format!("unknown mode `{name}` (expected light|full)"))
     })?;
     let corpus = ck.meta_field("corpus", CorpusConfig::from_json)?;
-    let format = ck.format;
     let model = ValueNetModel::from_checkpoint(ck)?;
-    Ok((Pipeline::new(model, mode, ner), corpus, format))
+    Ok((Pipeline::new(model, mode, ner), corpus))
 }
 
 /// [`read_model`] for the `--model` flag, then the corpus regenerated from
-/// the stored seed; `--quantized` switches inference to int8 weights.
+/// the stored seed.
 fn load_model(args: &[String]) -> (Pipeline, Corpus) {
     let path = arg(args, "--model").unwrap_or_else(|| fatal("--model is required"));
-    let (pipeline, corpus_cfg, format) =
+    let (pipeline, corpus_cfg) =
         read_model(&path).unwrap_or_else(|e| fatal(&format!("cannot load {path}: {e}")));
-    eprintln!("loaded {format:?} model from {path}");
-    if args.iter().any(|a| a == "--quantized") {
-        pipeline.model.params.set_quantized(true);
-        eprintln!("running with int8 quantized weights");
-    }
+    eprintln!("loaded model from {path}");
     eprintln!("regenerating corpus (seed {})...", corpus_cfg.seed);
     (pipeline, generate(&corpus_cfg))
 }
@@ -187,23 +189,17 @@ fn cmd_train(args: &[String]) {
         report.skipped_samples,
         report.epoch_losses.last().copied().unwrap_or(f32::NAN)
     );
-    let save = |path: &str, format: CheckpointFormat| {
-        let extra = vec![
-            ("ner", pipeline.ner.to_json()),
-            ("mode", Json::Str(mode_name.clone())),
-            ("corpus", corpus_cfg.to_json()),
-        ];
-        let text = pipeline
-            .model
-            .to_checkpoint(format, extra)
-            .unwrap_or_else(|e| fatal(&format!("cannot save {path}: {e}")));
-        std::fs::write(path, text).unwrap_or_else(|e| fatal(&format!("cannot write {path}: {e}")));
-        println!("saved {format:?} model to {path}");
-    };
-    save(&out, CheckpointFormat::F32);
-    if let Some(path) = arg(args, "--save-quant") {
-        save(&path, CheckpointFormat::Int8);
-    }
+    let extra = vec![
+        ("ner", pipeline.ner.to_json()),
+        ("mode", Json::Str(mode_name)),
+        ("corpus", corpus_cfg.to_json()),
+    ];
+    let text = pipeline
+        .model
+        .to_checkpoint(extra)
+        .unwrap_or_else(|e| fatal(&format!("cannot save {out}: {e}")));
+    std::fs::write(&out, text).unwrap_or_else(|e| fatal(&format!("cannot write {out}: {e}")));
+    println!("saved model to {out}");
 }
 
 fn cmd_eval(args: &[String]) {

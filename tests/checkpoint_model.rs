@@ -1,15 +1,14 @@
 //! End-to-end checkpoint integration: a trained model written as a model
 //! file and read back into a model must be indistinguishable from the original —
 //! bit-identical parameters and identical greedy and beam-4 predictions —
-//! and the packed/quantized inference paths must not change what the f32
-//! model predicts.
+//! and the packed inference path must not change what the model predicts.
 
 use valuenet::core::{
     assemble_candidates, build_input_opts, train, ModelConfig, ModelInput, TrainConfig, ValueMode,
     ValueNetModel,
 };
 use valuenet::dataset::{generate, Corpus, CorpusConfig};
-use valuenet::nn::{read_checkpoint, Checkpoint, CheckpointFormat};
+use valuenet::nn::{read_checkpoint, Checkpoint};
 use valuenet::preprocess::preprocess;
 
 fn small_corpus() -> Corpus {
@@ -54,14 +53,11 @@ fn f32_checkpoint_restores_params_and_predictions() {
     let (mut pipeline, corpus) = trained();
     let inputs = dev_inputs(&pipeline, &corpus);
 
-    let text =
-        pipeline.model.to_checkpoint(CheckpointFormat::F32, Vec::new()).expect("checkpoint saves");
+    let text = pipeline.model.to_checkpoint(Vec::new()).expect("checkpoint saves");
     let greedy_before: Vec<_> = inputs.iter().map(|i| pipeline.model.predict(i)).collect();
     let beam_before: Vec<_> = inputs.iter().map(|i| pipeline.model.predict_beam(i)).collect();
 
-    let Checkpoint { params: restored, format, .. } =
-        read_checkpoint(&text).expect("checkpoint loads");
-    assert_eq!(format, CheckpointFormat::F32);
+    let Checkpoint { params: restored, .. } = read_checkpoint(&text).expect("checkpoint loads");
 
     // Every tensor must come back bit-identical before it goes anywhere
     // near the model.
@@ -102,30 +98,5 @@ fn packed_inference_path_matches_tape_path() {
             oracle.first().map(|h| &h.0),
             "batched beam diverged from the unbatched oracle"
         );
-    }
-}
-
-#[test]
-fn quantized_checkpoint_round_trips_and_predicts_deterministically() {
-    let (mut pipeline, corpus) = trained();
-    let inputs = dev_inputs(&pipeline, &corpus);
-
-    let text = pipeline
-        .model
-        .to_checkpoint(CheckpointFormat::Int8, Vec::new())
-        .expect("int8 checkpoint saves");
-    let Checkpoint { params: restored, format, .. } =
-        read_checkpoint(&text).expect("int8 checkpoint loads");
-    assert_eq!(format, CheckpointFormat::Int8);
-    pipeline.model.load_params(restored).expect("int8 params load into the model");
-
-    // Quantized inference must be deterministic: two sweeps over the same
-    // inputs give identical hypotheses and bit-identical scores.
-    pipeline.model.params.set_quantized(true);
-    let first: Vec<_> = inputs.iter().map(|i| pipeline.model.predict_beam(i)).collect();
-    let second: Vec<_> = inputs.iter().map(|i| pipeline.model.predict_beam(i)).collect();
-    pipeline.model.params.set_quantized(false);
-    for (a, b) in first.iter().zip(&second) {
-        assert_eq!(a, b, "quantized beam search is not deterministic");
     }
 }

@@ -1,7 +1,7 @@
 //! The CLI rejects malformed numeric flags instead of silently using their
-//! defaults, and flags its subcommand does not take instead of dropping
-//! them; and a model file restores exactly what `train` wrote or fails
-//! loudly.
+//! defaults, flags its subcommand does not take instead of dropping them,
+//! and a flag given twice instead of keeping one value; and a model file
+//! restores exactly what `train` wrote or fails loudly.
 
 use std::process::Command;
 
@@ -24,19 +24,24 @@ fn malformed_numeric_flag_fails_loudly() {
     assert_eq!(out.status.code(), Some(2), "a flag without its value must fail");
 
     // A server without workers, or with no queue slot, is refused before
-    // the model loads; so are a misspelt flag and one the engine no longer
-    // has.
-    let bad = [
-        ["serve", "--workers", "0"],
-        ["serve", "--queue", "0"],
-        ["dbs", "--sed", "7"],
-        ["serve", "--batch-window", "1000"],
+    // the model loads; so are a misspelt flag, flags the CLI no longer has
+    // (the int8 model file and its inference switch among them), and a
+    // flag given twice, whose two values cannot both hold.
+    let bad: [&[&str]; 7] = [
+        &["serve", "--workers", "0"],
+        &["serve", "--queue", "0"],
+        &["dbs", "--sed", "7"],
+        &["serve", "--batch-window", "1000"],
+        &["eval", "--model", "model.jsonl", "--quantized"],
+        &["train", "--save-quant", "x"],
+        &["dbs", "--rows", "5", "--rows", "7"],
     ];
     for args in bad {
-        let out = cli(&args);
+        let out = cli(args);
         assert_eq!(out.status.code(), Some(2), "{args:?} must exit with status 2");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains(args[1]), "stderr must name the flag: {stderr}");
+        let flag = args.iter().rev().find(|a| a.starts_with("--")).unwrap();
+        assert!(stderr.contains(flag), "stderr must name {flag}: {stderr}");
         assert!(out.stdout.is_empty(), "nothing may run on a bad flag");
     }
 }
@@ -53,8 +58,8 @@ fn ask_question_is_its_one_positional_argument() {
     let path = train_tiny("ask", "7");
     let question = "How many pets are older than 3?";
     let db = ["--db", "student_pets"];
-    let documented = cli(&["ask", "--model", &path, "--quantized", db[0], db[1], question]);
-    let flag_after_db = cli(&["ask", "--model", &path, db[0], db[1], "--quantized", question]);
+    let documented = cli(&["ask", "--model", &path, "--threads", "1", db[0], db[1], question]);
+    let flag_after_db = cli(&["ask", "--model", &path, db[0], db[1], "--threads", "1", question]);
     std::fs::remove_file(&path).ok();
     assert!(documented.status.success(), "{}", String::from_utf8_lossy(&documented.stderr));
     assert!(!documented.stdout.is_empty());
