@@ -36,6 +36,15 @@
 //! single-node ops ([`Graph::matmul_bias_act`], [`Graph::attn_softmax`],
 //! [`Graph::log_softmax_nll`], [`Graph::lstm_gates`]). See `DESIGN.md`,
 //! "Memory & kernel fusion".
+//!
+//! # Unsafe code
+//!
+//! This is the workspace's one crate with `unsafe` code: the AVX2
+//! intrinsic kernels and the aligned panel buffer. Every unsafe operation
+//! sits in its own `unsafe` block with a `// SAFETY:` comment, which the
+//! lints below enforce.
+
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
 
 mod graph;
 pub mod packed;

@@ -31,8 +31,12 @@
 //! A single row runs 1 × 8, not 1 × 2: two chains are too few to hide the
 //! add latency (DESIGN.md §12 has the measurements), and one row is the
 //! first beam step, greedy decoding and every `item_in` and `init_h`
-//! product. The scalar and SSE2 tiers fold one panel at a time
-//! (`panel_dot_f32`).
+//! product. The tiles are intrinsics, because the compiler does not derive
+//! a register tile from a loop nest.
+//!
+//! **Scalar tier.** The scalar tier folds one panel at a time
+//! (`panel_dot`), reading the panel as rows of `NR` lanes, so the compiler
+//! vectorizes the fold with the baseline target's 128-bit lanes.
 //!
 //! **Bit-identity.** Each output element is the same strict ascending fold
 //! over the shared dimension as [`Tensor::matmul`]'s blocked kernel — one
@@ -139,15 +143,12 @@ impl PackedMatrix {
         let mut data = crate::pool::take(n * m);
         data.resize(n * m, 0.0);
         #[cfg(target_arch = "x86_64")]
-        if lvl == SimdLevel::Avx2 {
-            debug_assert!(lvl <= simd::detected_level());
-            // SAFETY: like every `_at` kernel in this crate, callers pass a
-            // level no higher than `simd::detected_level()` (`simd::level`
-            // clamps `VN_SIMD` to it), so the host supports AVX2. The
-            // kernel asserts the buffer lengths it relies on.
+        if simd::avx2_enabled(lvl) {
+            // SAFETY: `avx2_enabled` checked that the host supports AVX2.
             unsafe { x86::matmul_f32_avx2(a.as_slice(), self.panels(), n, k, m, &mut data) };
             return Tensor::from_vec(n, m, data);
         }
+        let _ = lvl;
         let (pc, panels) = (m.div_ceil(NR), self.panels());
         for i in 0..n {
             let ar = a.row(i);
@@ -155,8 +156,7 @@ impl PackedMatrix {
             for p in 0..pc {
                 let j0 = p * NR;
                 let w = NR.min(m - j0);
-                let panel = &panels[p * k * NR..(p + 1) * k * NR];
-                let acc = panel_dot_f32(lvl, ar, panel, k);
+                let acc = panel_dot(ar, &panels[p * k * NR..(p + 1) * k * NR]);
                 out_row[j0..j0 + w].copy_from_slice(&acc[..w]);
             }
         }
@@ -165,19 +165,15 @@ impl PackedMatrix {
 }
 
 /// One `1×k @ k×NR` panel product: `acc[j] = Σ_l a[l] · panel[l][j]`, strict
-/// ascending fold, one mul + one add per step.
-fn panel_dot_f32(lvl: SimdLevel, a: &[f32], panel: &[f32], k: usize) -> [f32; NR] {
-    #[cfg(target_arch = "x86_64")]
-    if lvl == SimdLevel::Sse2 {
-        return unsafe { x86::panel_dot_f32_sse2(a, panel, k) };
-    }
-    let _ = lvl;
+/// ascending fold from +0.0, one mul + one add per step. The panel is read
+/// as `k` rows of exactly `NR` lanes, so the fold over a row has a length
+/// the compiler can see and vectorizes.
+fn panel_dot(a: &[f32], panel: &[f32]) -> [f32; NR] {
+    let (rows, _) = panel.as_chunks::<NR>();
     let mut acc = [0.0f32; NR];
-    for l in 0..k {
-        let av = a[l];
-        let row = &panel[l * NR..(l + 1) * NR];
-        for j in 0..NR {
-            acc[j] += av * row[j];
+    for (&av, row) in a.iter().zip(rows) {
+        for (acc_j, &w) in acc.iter_mut().zip(row) {
+            *acc_j += av * w;
         }
     }
     acc
@@ -192,11 +188,11 @@ mod x86 {
     /// `k×m` [`super::PackedMatrix`], as register tiles whose shape depends
     /// on the rows left (see the module docs).
     ///
-    /// # Safety
-    /// The host must support AVX2. Panics unless `a.len() == n·k`,
-    /// `panels.len() == ceil(m/NR)·k·NR` and `out.len() == n·m`.
+    /// # Panics
+    /// Panics unless `a.len() == n·k`, `panels.len() == ceil(m/NR)·k·NR`
+    /// and `out.len() == n·m` (checked by each tile).
     #[target_feature(enable = "avx2")]
-    pub unsafe fn matmul_f32_avx2(
+    pub fn matmul_f32_avx2(
         a: &[f32],
         panels: &[f32],
         n: usize,
@@ -205,7 +201,7 @@ mod x86 {
         out: &mut [f32],
     ) {
         assert!(
-            a.len() == n * k && panels.len() == m.div_ceil(NR) * k * NR && out.len() == n * m,
+            a.len() == n * k && out.len() == n * m,
             "matmul_f32_avx2: buffers do not match {n}x{k} @ {k}x{m}"
         );
         let mut i = 0;
@@ -224,12 +220,8 @@ mod x86 {
     /// Rows `i0..i0+R` against every panel: full `R × P` tiles, then the
     /// leftover panels (fewer than `P`) as `R × 4`, `R × 2` and `R × 1`
     /// tiles.
-    ///
-    /// # Safety
-    /// The host must support AVX2, the buffers must have the lengths
-    /// [`matmul_f32_avx2`] asserts, and `i0 + R <= n`.
     #[target_feature(enable = "avx2")]
-    unsafe fn row_block<const R: usize, const P: usize>(
+    fn row_block<const R: usize, const P: usize>(
         a: &[f32],
         panels: &[f32],
         k: usize,
@@ -258,18 +250,18 @@ mod x86 {
         debug_assert_eq!(p, pc);
     }
 
-    /// One `R × P` register tile: rows `i0..i0+R` of `a` against panels
-    /// `p0..p0+P`, `acc[r][q] = acc[r][q] + broadcast(a[i0+r][l]) ·
-    /// panel_row(p0+q, l)` for ascending `l` from `+0.0`, separate multiply
-    /// and add, then the live columns stored into `out`.
+    /// One `R × P` register tile: rows `i0..i0+R` of the `·×k` activation
+    /// `a` against panels `p0..p0+P` of the `k×m` panel buffer,
+    /// `acc[r][q] = acc[r][q] + broadcast(a[i0+r][l]) · panel_row(p0+q, l)`
+    /// for ascending `l` from `+0.0`, separate multiply and add, then the
+    /// live columns stored into the `·×m` output.
     ///
-    /// # Safety
-    /// The host must support AVX2, the buffers must have the lengths
-    /// [`matmul_f32_avx2`] asserts, `i0 + R <= n` and
-    /// `p0 + P <= ceil(m/NR)`.
+    /// # Panics
+    /// Panics unless rows `i0..i0+R` lie inside `a` and `out`, the panel
+    /// buffer is `ceil(m/NR)·k·NR` long and `p0 + P <= ceil(m/NR)`.
     #[target_feature(enable = "avx2")]
     #[inline]
-    unsafe fn tile<const R: usize, const P: usize>(
+    fn tile<const R: usize, const P: usize>(
         a: &[f32],
         panels: &[f32],
         k: usize,
@@ -278,65 +270,50 @@ mod x86 {
         p0: usize,
         out: &mut [f32],
     ) {
-        debug_assert!(
+        let pc = m.div_ceil(NR);
+        assert!(
             (i0 + R) * k <= a.len() && (i0 + R) * m <= out.len(),
             "tile rows out of bounds"
         );
-        debug_assert!((p0 + P) * k * NR <= panels.len(), "tile panels out of bounds");
-        debug_assert!(p0 * NR < m, "tile starts past the last column");
-        // SAFETY: the caller keeps rows `i0..i0+R` inside `a` (`n·k` values)
-        // and `out` (`n·m`) and panels `p0..p0+P` inside the panel buffer
-        // (`ceil(m/NR)·k·NR`), checked by the debug assertions above and by
-        // `matmul_f32_avx2`'s length assertion. So every `ap` read
-        // (`r·k + l < R·k`), every `wp` load (`q·k·NR + l·NR + 8 ≤ P·k·NR`)
-        // and every store (`width ≤ m - j0` columns of row `i0 + r`) stays
-        // in bounds. Loads and stores are unaligned (`loadu`/`storeu`).
-        let ap = a.as_ptr().add(i0 * k);
-        let wp = panels.as_ptr().add(p0 * k * NR);
-        let mut acc = [[_mm256_setzero_ps(); P]; R];
-        for l in 0..k {
-            let mut w = [_mm256_setzero_ps(); P];
-            for (q, wq) in w.iter_mut().enumerate() {
-                *wq = _mm256_loadu_ps(wp.add(q * k * NR + l * NR));
+        assert!(panels.len() == pc * k * NR && p0 + P <= pc, "tile panels out of bounds");
+        // SAFETY: by the assertions above, rows `i0..i0+R` lie inside `a`
+        // and `out`, and panels `p0..p0+P` inside the panel buffer, each
+        // of which has a live column (`j0 = (p0+q)·NR < m`). So every `ap`
+        // read (`r·k + l < R·k`), every `wp` load
+        // (`q·k·NR + l·NR + NR ≤ P·k·NR`) and every store (`width ≤ m - j0`
+        // columns of row `i0 + r`) stays in bounds. Loads and stores are
+        // unaligned (`loadu`/`storeu`).
+        unsafe {
+            let ap = a.as_ptr().add(i0 * k);
+            let wp = panels.as_ptr().add(p0 * k * NR);
+            let mut acc = [[_mm256_setzero_ps(); P]; R];
+            for l in 0..k {
+                let mut w = [_mm256_setzero_ps(); P];
+                for (q, wq) in w.iter_mut().enumerate() {
+                    *wq = _mm256_loadu_ps(wp.add(q * k * NR + l * NR));
+                }
+                for (r, acc_r) in acc.iter_mut().enumerate() {
+                    let av = _mm256_set1_ps(*ap.add(r * k + l));
+                    for (acc_rq, &wq) in acc_r.iter_mut().zip(&w) {
+                        *acc_rq = _mm256_add_ps(*acc_rq, _mm256_mul_ps(av, wq));
+                    }
+                }
             }
-            for (r, acc_r) in acc.iter_mut().enumerate() {
-                let av = _mm256_set1_ps(*ap.add(r * k + l));
-                for (acc_rq, &wq) in acc_r.iter_mut().zip(&w) {
-                    *acc_rq = _mm256_add_ps(*acc_rq, _mm256_mul_ps(av, wq));
+            let dst = out.as_mut_ptr().add(i0 * m);
+            for (r, acc_r) in acc.iter().enumerate() {
+                for (q, &acc_rq) in acc_r.iter().enumerate() {
+                    let j0 = (p0 + q) * NR;
+                    let width = NR.min(m - j0);
+                    if width == NR {
+                        _mm256_storeu_ps(dst.add(r * m + j0), acc_rq);
+                    } else {
+                        let mut lanes = [0.0f32; NR];
+                        _mm256_storeu_ps(lanes.as_mut_ptr(), acc_rq);
+                        core::ptr::copy_nonoverlapping(lanes.as_ptr(), dst.add(r * m + j0), width);
+                    }
                 }
             }
         }
-        let dst = out.as_mut_ptr().add(i0 * m);
-        for (r, acc_r) in acc.iter().enumerate() {
-            for (q, &acc_rq) in acc_r.iter().enumerate() {
-                let j0 = (p0 + q) * NR;
-                let width = NR.min(m - j0);
-                if width == NR {
-                    _mm256_storeu_ps(dst.add(r * m + j0), acc_rq);
-                } else {
-                    let mut lanes = [0.0f32; NR];
-                    _mm256_storeu_ps(lanes.as_mut_ptr(), acc_rq);
-                    core::ptr::copy_nonoverlapping(lanes.as_ptr(), dst.add(r * m + j0), width);
-                }
-            }
-        }
-    }
-
-    /// Two 4-lane f32 panel folds covering the 8-wide panel.
-    pub unsafe fn panel_dot_f32_sse2(a: &[f32], panel: &[f32], k: usize) -> [f32; NR] {
-        let mut lo = _mm_setzero_ps();
-        let mut hi = _mm_setzero_ps();
-        for (l, &al) in a[..k].iter().enumerate() {
-            let av = _mm_set1_ps(al);
-            let rl = _mm_loadu_ps(panel.as_ptr().add(l * NR));
-            let rh = _mm_loadu_ps(panel.as_ptr().add(l * NR + 4));
-            lo = _mm_add_ps(lo, _mm_mul_ps(av, rl));
-            hi = _mm_add_ps(hi, _mm_mul_ps(av, rh));
-        }
-        let mut out = [0.0f32; NR];
-        _mm_storeu_ps(out.as_mut_ptr(), lo);
-        _mm_storeu_ps(out.as_mut_ptr().add(4), hi);
-        out
     }
 }
 
@@ -359,7 +336,7 @@ mod tests {
     }
 
     fn levels() -> Vec<SimdLevel> {
-        [SimdLevel::Scalar, SimdLevel::Sse2, SimdLevel::Avx2]
+        [SimdLevel::Scalar, SimdLevel::Avx2]
             .into_iter()
             .filter(|&l| l <= detected_level())
             .collect()

@@ -361,12 +361,11 @@ impl Tensor {
         Tensor { data, rows: self.rows, cols: self.cols }
     }
 
-    /// In-place element-wise accumulation `self += other`.
+    /// In-place element-wise accumulation `self += other`, through
+    /// [`simd::add_assign`] at the process-wide level.
     pub fn add_assign(&mut self, other: &Tensor) {
         assert_eq!(self.shape(), other.shape(), "add_assign: shape mismatch");
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
-            *a += b;
-        }
+        simd::add_assign(&mut self.data, &other.data);
     }
 
     /// Sum of all elements.

@@ -12,7 +12,7 @@ use valuenet_tensor::simd::{self, SimdLevel};
 use valuenet_tensor::Tensor;
 
 fn levels() -> Vec<SimdLevel> {
-    [SimdLevel::Scalar, SimdLevel::Sse2, SimdLevel::Avx2]
+    [SimdLevel::Scalar, SimdLevel::Avx2]
         .into_iter()
         .filter(|&l| l <= simd::detected_level())
         .collect()

@@ -20,7 +20,7 @@ const DIM: std::ops::Range<usize> = 1..12;
 
 /// The levels this host can actually run, scalar first.
 fn levels() -> Vec<SimdLevel> {
-    [SimdLevel::Scalar, SimdLevel::Sse2, SimdLevel::Avx2]
+    [SimdLevel::Scalar, SimdLevel::Avx2]
         .into_iter()
         .filter(|&l| l <= simd::detected_level())
         .collect()
@@ -56,6 +56,52 @@ fn pseudo_vec(n: usize, seed: u64) -> Vec<f32> {
 
 fn pseudo_tensor(rows: usize, cols: usize, seed: u64) -> Tensor {
     Tensor::from_vec(rows, cols, pseudo_vec(rows * cols, seed))
+}
+
+/// True when `f` panics.
+fn panics(f: impl FnOnce()) -> bool {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).is_err()
+}
+
+/// Every `_at` dispatcher with two or more operands, and
+/// `PackedMatrix::matmul_at`, panics on a short operand at every level the
+/// host has, instead of reading or writing past its end.
+#[test]
+fn short_operands_panic_at_every_level() {
+    let (long, short) = (vec![1.0f32; 16], vec![1.0f32; 2]);
+    let packed = valuenet_tensor::PackedMatrix::from_tensor(&pseudo_tensor(16, 9, 1));
+    for lvl in levels() {
+        let (l, s) = (|| long.clone(), || short.clone());
+        let must_panic = |what: &str, case: &dyn Fn()| {
+            assert!(panics(case), "{what} at {} must panic", lvl.name());
+        };
+        must_panic("axpy, short b", &|| simd::axpy_at(lvl, &mut l(), 1.0, &short));
+        must_panic("axpy, short out", &|| simd::axpy_at(lvl, &mut s(), 1.0, &long));
+        must_panic("axpy4, short b", &|| {
+            simd::axpy4_at(lvl, &mut l(), &mut l(), &mut l(), &mut l(), 1.0, 2.0, 3.0, 4.0, &short)
+        });
+        must_panic("axpy4, short row", &|| {
+            simd::axpy4_at(lvl, &mut l(), &mut l(), &mut l(), &mut s(), 1.0, 2.0, 3.0, 4.0, &long)
+        });
+        must_panic("axpy4_shared, short b3", &|| {
+            simd::axpy4_shared_at(lvl, &mut l(), 1.0, 2.0, 3.0, 4.0, &long, &long, &long, &short)
+        });
+        must_panic("dot_rows, short x", &|| {
+            simd::dot_rows_at(lvl, &short, &long, 8, 2, &mut Vec::new())
+        });
+        must_panic("dot_rows, short b", &|| {
+            simd::dot_rows_at(lvl, &long[..2], &long, 2, 9, &mut Vec::new())
+        });
+        must_panic("add_assign, short src", &|| simd::add_assign_at(lvl, &mut l(), &short));
+        must_panic("add_assign, short dst", &|| simd::add_assign_at(lvl, &mut s(), &long));
+        must_panic("mul2_add, short d", &|| {
+            simd::mul2_add_at(lvl, &mut l(), &long, &long, &long, &short)
+        });
+        must_panic("mul, short b", &|| simd::mul_at(lvl, &mut l(), &long, &short));
+        must_panic("packed matmul, short activation rows", &|| {
+            drop(packed.matmul_at(lvl, &pseudo_tensor(3, 2, 2)))
+        });
+    }
 }
 
 proptest! {

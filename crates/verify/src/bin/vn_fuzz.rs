@@ -23,6 +23,10 @@
 //! results into an existing `run_report.json` as a
 //! `serve_fault_injection` section.
 //!
+//! The modes (`--kernel`, `--lookup`, `--serve`, `--serve-replay` and
+//! `--replay`) exclude each other: given two of them, or any flag twice,
+//! `vn-fuzz` exits with status 2 and names the flags before it runs a case.
+//!
 //! Runs `N` executor-vs-oracle cases derived from `S` (see
 //! `valuenet_verify::fuzz`). Exits non-zero if any case diverges, printing a
 //! shrunk reproducer per failure; `--replay` re-runs a single case seed (as
@@ -48,8 +52,14 @@ fn main() -> ExitCode {
     let mut serve_replay: Option<u64> = None;
     let mut report_path: Option<String> = None;
 
+    let mut seen: Vec<String> = Vec::new();
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
+        if seen.contains(&arg) {
+            eprintln!("error: flag {arg} given twice");
+            return ExitCode::from(2);
+        }
+        seen.push(arg.clone());
         let mut take = |what: &str| {
             argv.next().unwrap_or_else(|| {
                 eprintln!("{arg} requires {what}");
@@ -94,6 +104,15 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         }
+    }
+
+    let modes: Vec<&str> = ["--kernel", "--lookup", "--serve", "--serve-replay", "--replay"]
+        .into_iter()
+        .filter(|m| seen.iter().any(|a| a == m))
+        .collect();
+    if modes.len() > 1 {
+        eprintln!("error: {} select different fuzz modes; give one", modes.join(" and "));
+        return ExitCode::from(2);
     }
 
     if let Some(seed) = serve_replay {

@@ -1,9 +1,15 @@
-//! Deterministic fuzz harness for the packed inference matmul kernel.
+//! Deterministic fuzz harness for the matmul kernels.
 //!
 //! Each case derives a matrix shape and contents from its seed (the same
-//! SplitMix64 discipline as [`crate::fuzz`]) and checks that the packed
-//! kernel is **bit-identical** to the scalar blocked matmul at every SIMD
-//! level the host supports.
+//! SplitMix64 discipline as [`crate::fuzz`]) and checks two kernel
+//! families **bit for bit** at every SIMD level the host supports:
+//!
+//! * **packed**: the packed inference matmul against the scalar blocked
+//!   matmul;
+//! * **tape**: `Tensor::{matmul, matmul_transposed_b,
+//!   matmul_transposed_a}_with_level` against the same product at the
+//!   scalar level, and `matmul` and the narrow `matmul_transposed_b` also
+//!   against `matmul_naive`, whose fold order they share.
 //!
 //! Shapes (`n×k @ k×m`):
 //!
@@ -12,9 +18,11 @@
 //!   AVX2 row tile (4, 3, 2 and 1 rows) after one and after two full 4-row
 //!   tiles;
 //! * every fourth case draws the default model's widths, `k` from
-//!   {112, 128, 192} and `m` from {46, 64, 128, 512};
+//!   {112, 128, 192, 512} and `m` from {46, 64, 112, 128, 512}, which run
+//!   the compiler-vectorized main loops of the tape kernels at full width;
 //! * the rest draw `k` in `1..=40` and `m` in `1..=70`: odd,
-//!   non-lane-multiple sizes that exercise every panel-tail path.
+//!   non-lane-multiple sizes that exercise every tail path, about half of
+//!   them 32 columns or wider.
 
 use valuenet_tensor::packed::PackedMatrix;
 use valuenet_tensor::simd::{detected_level, SimdLevel};
@@ -42,7 +50,7 @@ fn pseudo_data(state: &mut u64, n: usize) -> Vec<f32> {
 
 fn levels() -> Vec<SimdLevel> {
     let top = detected_level();
-    [SimdLevel::Scalar, SimdLevel::Sse2, SimdLevel::Avx2]
+    [SimdLevel::Scalar, SimdLevel::Avx2]
         .into_iter()
         .filter(|&l| l <= top)
         .collect()
@@ -53,23 +61,48 @@ pub fn run_kernel_case(seed: u64) -> Option<String> {
     let mut s = seed;
     let n = if seed.is_multiple_of(3) { 1 } else { (splitmix(&mut s) % 13 + 1) as usize };
     let (k, m) = if seed.is_multiple_of(4) {
-        let k = [112, 128, 192][(splitmix(&mut s) % 3) as usize];
-        (k, [46, 64, 128, 512][(splitmix(&mut s) % 4) as usize])
+        let k = [112, 128, 192, 512][(splitmix(&mut s) % 4) as usize];
+        (k, [46, 64, 112, 128, 512][(splitmix(&mut s) % 5) as usize])
     } else {
         ((splitmix(&mut s) % 40 + 1) as usize, (splitmix(&mut s) % 70 + 1) as usize)
     };
     let a = Tensor::from_vec(n, k, pseudo_data(&mut s, n * k));
     let w = Tensor::from_vec(k, m, pseudo_data(&mut s, k * m));
+    let shape = format!("{n}x{k} @ {k}x{m}");
+    let diverges = |got: &Tensor, want: &Tensor| {
+        got.as_slice().iter().zip(want.as_slice()).any(|(x, y)| x.to_bits() != y.to_bits())
+    };
 
     let oracle = a.matmul_with_level(&w, SimdLevel::Scalar);
     let packed = PackedMatrix::from_tensor(&w);
     for lvl in levels() {
-        let got = packed.matmul_at(lvl, &a);
-        if got.as_slice().iter().zip(oracle.as_slice()).any(|(x, y)| x.to_bits() != y.to_bits()) {
+        if diverges(&packed.matmul_at(lvl, &a), &oracle) {
             return Some(format!(
-                "packed f32 matmul diverges from scalar oracle at {} ({n}x{k} @ {k}x{m})",
+                "packed f32 matmul diverges from scalar oracle at {} ({shape})",
                 lvl.name()
             ));
+        }
+    }
+
+    // `a @ w` three ways: directly, as `a @ (wᵀ)ᵀ` and as `(aᵀ)ᵀ @ w`.
+    let naive = a.matmul_naive(&w);
+    let (wt, at) = (w.transpose(), a.transpose());
+    let scalar_ta = at.matmul_transposed_a_with_level(&w, SimdLevel::Scalar);
+    for lvl in levels() {
+        let tb = a.matmul_transposed_b_with_level(&wt, lvl);
+        let ta = at.matmul_transposed_a_with_level(&w, lvl);
+        let checks = [
+            ("matmul", a.matmul_with_level(&w, lvl), &naive, "matmul_naive"),
+            ("matmul_transposed_b", tb, &naive, "matmul_naive"),
+            ("matmul_transposed_a", ta, &scalar_ta, "scalar"),
+        ];
+        for (kernel, got, want, oracle) in checks {
+            if diverges(&got, want) {
+                return Some(format!(
+                    "tape {kernel} diverges from the {oracle} oracle at {} ({shape})",
+                    lvl.name()
+                ));
+            }
         }
     }
 
