@@ -13,6 +13,10 @@
 //! | `VN_SEEDS` | independent runs to average (Fig. 10) | 3 |
 //! | `VN_SEED` | base RNG seed | 42 |
 //! | `VN_THREADS` | worker threads (0 = all cores); results are identical for any value | 0 |
+//!
+//! A variable that is set but is not a non-negative integer (`VN_TRAIN=7k`,
+//! or empty) stops the binary with status 2, naming it, rather than run at
+//! the default scale.
 
 use valuenet_dataset::CorpusConfig;
 
@@ -33,13 +37,21 @@ pub struct BenchConfig {
     pub seeds: usize,
     /// Base seed.
     pub seed: u64,
-    /// Surface-difficulty weights (Easy/Medium/Hard/Extra-hard); override
-    /// with `VN_HARD=1` to bias towards the harder classes.
-    pub surface_weights: [u32; 4],
+}
+
+/// The value of a `VN_*` variable: `default` when it is unset, an error
+/// naming it when it is set to anything but a non-negative integer.
+fn parse_env_usize(name: &str, value: Option<&str>, default: usize) -> Result<usize, String> {
+    let Some(v) = value else { return Ok(default) };
+    v.parse().map_err(|_| format!("{name} must be a non-negative integer, got {v:?}"))
 }
 
 fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
+    let value = std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
+    parse_env_usize(name, value.as_deref(), default).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    })
 }
 
 impl BenchConfig {
@@ -52,11 +64,6 @@ impl BenchConfig {
             epochs: env_usize("VN_EPOCHS", 6),
             seeds: env_usize("VN_SEEDS", 3),
             seed: env_usize("VN_SEED", 42) as u64,
-            surface_weights: if std::env::var("VN_HARD").is_ok() {
-                [25, 25, 30, 20]
-            } else {
-                valuenet_dataset::DEFAULT_SURFACE_WEIGHTS
-            },
         }
     }
 
@@ -67,7 +74,7 @@ impl BenchConfig {
             train_size: self.train_size,
             dev_size: self.dev_size,
             rows_per_table: self.rows_per_table,
-            surface_weights: self.surface_weights,
+            surface_weights: valuenet_dataset::DEFAULT_SURFACE_WEIGHTS,
         }
     }
 
@@ -91,4 +98,20 @@ pub fn mean_std(xs: &[f64]) -> (f64, f64) {
     let mean = xs.iter().sum::<f64>() / xs.len() as f64;
     let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / xs.len() as f64;
     (mean, var.sqrt())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_env_usize;
+
+    #[test]
+    fn vn_variables_parse_or_name_themselves() {
+        assert_eq!(parse_env_usize("VN_TRAIN", None, 1800), Ok(1800));
+        assert_eq!(parse_env_usize("VN_TRAIN", Some("7000"), 1800), Ok(7000));
+        assert_eq!(parse_env_usize("VN_SEEDS", Some("0"), 3), Ok(0));
+        for bad in ["7k", "", " 60", "-1", "1.5"] {
+            let err = parse_env_usize("VN_TRAIN", Some(bad), 1800).unwrap_err();
+            assert!(err.contains("VN_TRAIN"), "{bad:?}: error must name the variable: {err}");
+        }
+    }
 }

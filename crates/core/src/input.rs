@@ -171,11 +171,6 @@ pub fn build_input_opts(
     }
 }
 
-/// The candidate texts of an input (the `V`-pointer target list).
-pub fn candidate_texts(input: &ModelInput) -> &[String] {
-    &input.candidates
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

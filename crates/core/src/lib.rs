@@ -38,7 +38,7 @@ pub use decoder::Decoder;
 pub use encoder::{Encoder, Encodings};
 pub use evaluate::{evaluate, evaluate_with_threads, EvalStats, SampleEval};
 pub use heuristic::HeuristicBaseline;
-pub use input::{build_input, build_input_opts, candidate_texts, InputOptions, ItemTokens, ModelInput};
+pub use input::{build_input, build_input_opts, InputOptions, ItemTokens, ModelInput};
 pub use model::{ModelConfig, ValueNetModel};
 pub use pipeline::{
     assemble_candidates, Pipeline, PipelineError, PreparedRequest, Prediction, Stage,

@@ -136,9 +136,9 @@ impl ModelConfig {
 }
 
 thread_local! {
-    /// When set, inference runs on a fresh scalar tape (no packed weights,
-    /// no recycled tape) — see [`ValueNetModel::with_scalar_fallback`].
-    static FORCE_SCALAR: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    /// When set, inference runs on a fresh tape (no packed weights, no
+    /// recycled tape) — see [`ValueNetModel::with_tape_fallback`].
+    static FRESH_TAPE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
 /// The complete ValueNet neural model.
@@ -199,35 +199,30 @@ impl ValueNetModel {
         self.decoder.loss(g, &self.params, &enc, gold_actions)
     }
 
-    /// Runs `f` with this thread forced onto the scalar tape path:
+    /// Runs `f` with this thread's inference on a fresh tape:
     /// [`ValueNetModel::predict`] / [`ValueNetModel::predict_beam`] inside
-    /// `f` use a fresh non-inference tape, bypassing the packed-weight cache
-    /// entirely. This is the serving engine's degradation ladder — when a
-    /// packed kernel panics, the request is retried once on this path
-    /// before failing. The flag is restored even if `f` unwinds.
-    pub fn with_scalar_fallback<R>(f: impl FnOnce() -> R) -> R {
+    /// `f` use a new non-inference tape instead of the recycled one, and so
+    /// bypass the packed-weight cache. Kernels still dispatch at
+    /// `simd::level()`. This is the serving engine's degraded retry: a
+    /// request whose attempt killed a worker runs once more on this path
+    /// before it is quarantined. The flag is restored even if `f` unwinds.
+    pub fn with_tape_fallback<R>(f: impl FnOnce() -> R) -> R {
         struct Restore(bool);
         impl Drop for Restore {
             fn drop(&mut self) {
-                FORCE_SCALAR.with(|c| c.set(self.0));
+                FRESH_TAPE.with(|c| c.set(self.0));
             }
         }
-        let _restore = FORCE_SCALAR.with(|c| Restore(c.replace(true)));
+        let _restore = FRESH_TAPE.with(|c| Restore(c.replace(true)));
         f()
-    }
-
-    /// Whether [`ValueNetModel::with_scalar_fallback`] is active on this
-    /// thread.
-    pub fn scalar_fallback_active() -> bool {
-        FORCE_SCALAR.with(|c| c.get())
     }
 
     /// Runs `f` on a thread-local recycled tape (capacity and, through the
     /// buffer pool, every tensor from the previous query survive). Under
-    /// [`ValueNetModel::with_scalar_fallback`] it runs on a fresh
+    /// [`ValueNetModel::with_tape_fallback`] it runs on a fresh
     /// non-inference tape instead, bypassing every packed fast path.
     fn with_inference_tape<R>(f: impl FnOnce(&mut Graph) -> R) -> R {
-        if !Self::scalar_fallback_active() {
+        if !FRESH_TAPE.with(std::cell::Cell::get) {
             thread_local! {
                 static TAPE: std::cell::RefCell<Graph> = std::cell::RefCell::new(Graph::new());
             }

@@ -1,7 +1,6 @@
 //! The end-to-end NL-to-SQL pipeline (paper Fig. 5) with per-stage timing
 //! (paper Table II).
 
-use crate::heuristic::HeuristicBaseline;
 use crate::input::build_input_opts;
 use crate::model::ValueNetModel;
 use std::time::{Duration, Instant};
@@ -548,10 +547,5 @@ impl Pipeline {
                 timings,
             },
         })
-    }
-
-    /// The rule-based baseline sharing this pipeline's pre-processing.
-    pub fn heuristic_baseline(&self) -> HeuristicBaseline {
-        HeuristicBaseline::new()
     }
 }

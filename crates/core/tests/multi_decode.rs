@@ -190,9 +190,10 @@ fn predict_batch_matches_lone_predictions_across_kernel_tiers() {
     // Default tier: SIMD + fused graph ops + packed weights.
     run_tier("default");
 
-    // The degradation ladder's last rung — the engine only ever runs this
-    // tier on singleton batches, but the identity must hold regardless.
-    ValueNetModel::with_scalar_fallback(|| run_tier("scalar"));
+    // The serving engine's degraded retry: a fresh tape, no packed weights.
+    // The engine only runs it on singleton batches, but the identity must
+    // hold regardless.
+    ValueNetModel::with_tape_fallback(|| run_tier("fresh tape"));
 }
 
 #[test]

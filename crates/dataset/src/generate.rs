@@ -77,18 +77,6 @@ impl CorpusConfig {
         })
     }
 
-    /// The paper-scale configuration: 7,000 train / 1,034 dev questions
-    /// (Spider's split sizes).
-    pub fn paper_scale() -> Self {
-        CorpusConfig {
-            seed: 42,
-            train_size: 7000,
-            dev_size: 1034,
-            rows_per_table: 30,
-            surface_weights: DEFAULT_SURFACE_WEIGHTS,
-        }
-    }
-
     /// A tiny configuration for fast tests.
     pub fn tiny() -> Self {
         CorpusConfig {

@@ -2,7 +2,7 @@
 //!
 //! The recorder keeps the last N [`RequestTrace`]s in two rings: a *clean*
 //! ring for completed requests and a *pinned* ring for terminal failures
-//! (panic, quarantine, deadline miss, retry exhaustion). Routing by outcome
+//! (panic, quarantine, deadline miss). Routing by outcome
 //! is the pinning policy: a flood of healthy traffic can only ever evict
 //! other healthy traces — the request that killed a worker five minutes ago
 //! is still there when someone asks, no matter how busy the server has been

@@ -108,17 +108,11 @@ impl SloPolicy {
 }
 
 impl SloReport {
-    /// The `stats`-verb / JSONL form. With `name` set this is a standalone
-    /// `type:"slo"` record (benchmark artifacts); embedded in `stats` the
-    /// discriminator is carried anyway and is harmless.
-    pub fn to_json(&self, policy: &SloPolicy, name: Option<&str>) -> Json {
-        let mut fields = vec![("type", Json::Str("slo".into()))];
-        let name_owned;
-        if let Some(n) = name {
-            name_owned = n.to_string();
-            fields.push(("name", Json::Str(name_owned)));
-        }
-        fields.extend(vec![
+    /// The `stats`-verb form: a `type:"slo"` record, which
+    /// [`check_slo_record`] reads.
+    pub fn to_json(&self, policy: &SloPolicy) -> Json {
+        Json::obj(vec![
+            ("type", Json::Str("slo".into())),
             ("window", Json::Str(self.window.clone())),
             ("objectives", policy.to_json()),
             ("total", Json::Int(self.total as i64)),
@@ -128,8 +122,7 @@ impl SloReport {
             ("fast_fraction", Json::Num(self.fast_fraction)),
             ("latency_burn", Json::Num(self.latency_burn)),
             ("breached", Json::Bool(self.breached)),
-        ]);
-        Json::obj(fields)
+        ])
     }
 }
 
@@ -214,11 +207,11 @@ mod tests {
     #[test]
     fn slo_record_round_trips_through_checker() {
         let p = SloPolicy::default();
-        let good = p.evaluate("cumulative", 100, 100, &[]).to_json(&p, Some("arm"));
+        let good = p.evaluate("cumulative", 100, 100, &[]).to_json(&p);
         let (name, a, l) = check_slo_record(&good, 1.0).unwrap();
-        assert_eq!(name, "arm");
+        assert_eq!(name, "slo");
         assert_eq!((a, l), (0.0, 0.0));
-        let bad = p.evaluate("cumulative", 90, 100, &[]).to_json(&p, Some("arm"));
+        let bad = p.evaluate("cumulative", 90, 100, &[]).to_json(&p);
         assert!(check_slo_record(&bad, 1.0).is_err());
         assert!(check_slo_record(&bad, 100.0).is_ok());
         assert!(check_slo_record(&Json::obj(vec![]), 1.0).is_err());

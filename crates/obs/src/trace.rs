@@ -67,7 +67,8 @@ pub struct StageEvent {
 pub struct AttemptTrace {
     /// Attempt index (0 = first attempt).
     pub attempt: u32,
-    /// Whether the attempt ran on the scalar degradation path.
+    /// Whether the attempt was the degraded retry (a fresh tape, no packed
+    /// weights).
     pub degraded: bool,
     /// Queue wait before this attempt (dispatch − enqueue), µs.
     pub queue_wait_us: u64,

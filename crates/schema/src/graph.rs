@@ -67,11 +67,6 @@ impl SchemaGraph {
         SchemaGraph { adj }
     }
 
-    /// Number of tables.
-    pub fn num_tables(&self) -> usize {
-        self.adj.len()
-    }
-
     /// Direct FK neighbours of a table.
     pub fn neighbors(&self, t: TableId) -> &[(TableId, ColumnId, ColumnId)] {
         &self.adj[t.0]

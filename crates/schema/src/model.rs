@@ -133,11 +133,6 @@ impl DbSchema {
         self.tables[table.0].columns.iter().copied().find(|&c| self.columns[c.0].is_primary)
     }
 
-    /// Number of real (non-`*`) columns.
-    pub fn num_real_columns(&self) -> usize {
-        self.columns.len().saturating_sub(1)
-    }
-
     /// Qualified name `table.column` for diagnostics.
     pub fn qualified(&self, col: ColumnId) -> String {
         let c = &self.columns[col.0];

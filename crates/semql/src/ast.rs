@@ -64,29 +64,6 @@ impl QueryR {
         QueryR { select, order: None, superlative: None, filter: None }
     }
 
-    /// Tables referenced directly by this query (not by nested queries).
-    pub fn own_tables(&self) -> Vec<TableId> {
-        let mut out = Vec::new();
-        let mut push = |t: TableId| {
-            if !out.contains(&t) {
-                out.push(t);
-            }
-        };
-        for a in &self.select.aggs {
-            push(a.table);
-        }
-        if let Some(o) = &self.order {
-            push(o.agg.table);
-        }
-        if let Some(s) = &self.superlative {
-            push(s.agg.table);
-        }
-        if let Some(f) = &self.filter {
-            f.collect_tables(&mut out);
-        }
-        out
-    }
-
     fn collect_value_refs(&self, out: &mut Vec<ValueRef>) {
         if let Some(s) = &self.superlative {
             out.push(s.limit);
@@ -94,13 +71,6 @@ impl QueryR {
         if let Some(f) = &self.filter {
             f.collect_value_refs(out);
         }
-    }
-
-    /// Whether this query (including nested ones) uses any value.
-    pub fn uses_values(&self) -> bool {
-        let mut refs = Vec::new();
-        self.collect_value_refs(&mut refs);
-        !refs.is_empty()
     }
 }
 
@@ -232,25 +202,6 @@ pub enum Filter {
 }
 
 impl Filter {
-    fn collect_tables(&self, out: &mut Vec<TableId>) {
-        let push = |t: TableId, out: &mut Vec<TableId>| {
-            if !out.contains(&t) {
-                out.push(t);
-            }
-        };
-        match self {
-            Filter::And(a, b) | Filter::Or(a, b) => {
-                a.collect_tables(out);
-                b.collect_tables(out);
-            }
-            Filter::Cmp { agg, .. }
-            | Filter::CmpNested { agg, .. }
-            | Filter::Between { agg, .. }
-            | Filter::Like { agg, .. }
-            | Filter::In { agg, .. } => push(agg.table, out),
-        }
-    }
-
     fn collect_value_refs(&self, out: &mut Vec<ValueRef>) {
         match self {
             Filter::And(a, b) | Filter::Or(a, b) => {

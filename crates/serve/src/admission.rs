@@ -1,4 +1,4 @@
-//! Pure admission-control, deadline and retry arithmetic.
+//! Pure admission-control and deadline arithmetic.
 //!
 //! Everything here is clock-free and socket-free: times are absolute
 //! milliseconds on the engine's monotonic epoch, supplied by the caller.
@@ -60,48 +60,6 @@ impl Deadline {
     }
 }
 
-/// Exponential retry backoff with a cap: attempt `n` (1-based) waits
-/// `min(cap, base * 2^(n-1))` milliseconds before re-entering the queue.
-#[derive(Debug, Clone, Copy)]
-pub struct RetryPolicy {
-    /// Maximum retry attempts after the first try.
-    pub max_retries: u32,
-    /// First backoff delay.
-    pub base_ms: u64,
-    /// Backoff ceiling.
-    pub cap_ms: u64,
-}
-
-impl RetryPolicy {
-    /// Backoff before retry attempt `attempt` (1-based). Saturates at
-    /// `cap_ms` — the doubling must not overflow for large attempt numbers.
-    pub fn backoff_ms(&self, attempt: u32) -> u64 {
-        let shift = attempt.saturating_sub(1).min(63);
-        let factor = 1u64.checked_shl(shift).unwrap_or(u64::MAX);
-        self.base_ms.saturating_mul(factor).min(self.cap_ms)
-    }
-
-    /// Whether another retry is allowed after `attempts` tries so far.
-    pub fn allows_retry(&self, attempts: u32) -> bool {
-        attempts <= self.max_retries
-    }
-}
-
-/// Poisoned-request quarantine: a request whose processing has killed
-/// `max_worker_kills` workers is rejected instead of being retried forever.
-#[derive(Debug, Clone, Copy)]
-pub struct QuarantinePolicy {
-    /// Worker panics a single request may cause before it is rejected.
-    pub max_worker_kills: u32,
-}
-
-impl QuarantinePolicy {
-    /// Whether a request that has panicked `panics` workers is quarantined.
-    pub fn quarantined(&self, panics: u32) -> bool {
-        panics >= self.max_worker_kills
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,37 +102,5 @@ mod tests {
         assert_eq!(d, Deadline::NONE);
         assert!(!d.expired(u64::MAX));
         assert_eq!(d.remaining_ms(u64::MAX), None);
-    }
-
-    #[test]
-    fn backoff_sequence_doubles_then_caps() {
-        let p = RetryPolicy { max_retries: 10, base_ms: 10, cap_ms: 100 };
-        let seq: Vec<u64> = (1..=7).map(|a| p.backoff_ms(a)).collect();
-        assert_eq!(seq, vec![10, 20, 40, 80, 100, 100, 100]);
-    }
-
-    #[test]
-    fn backoff_is_overflow_safe() {
-        let p = RetryPolicy { max_retries: u32::MAX, base_ms: u64::MAX / 2, cap_ms: u64::MAX };
-        // 2^200 * base must saturate, not wrap.
-        assert_eq!(p.backoff_ms(200), u64::MAX);
-        assert_eq!(p.backoff_ms(u32::MAX), u64::MAX);
-    }
-
-    #[test]
-    fn retry_budget_counts_attempts() {
-        let p = RetryPolicy { max_retries: 2, base_ms: 1, cap_ms: 1 };
-        assert!(p.allows_retry(1));
-        assert!(p.allows_retry(2));
-        assert!(!p.allows_retry(3));
-    }
-
-    #[test]
-    fn quarantine_after_two_worker_kills() {
-        let q = QuarantinePolicy { max_worker_kills: 2 };
-        assert!(!q.quarantined(0));
-        assert!(!q.quarantined(1));
-        assert!(q.quarantined(2));
-        assert!(q.quarantined(3));
     }
 }

@@ -7,18 +7,19 @@
 //! submit ──admission──▶ queue ──dequeue──▶ worker attempt ──▶ reply
 //!            │(shed)      │(deadline)        │catch_unwind
 //!            ▼            ▼                  ▼panic
-//!         Overload   DeadlineExceeded   quarantine? ──yes──▶ Quarantined
+//!         Overload   DeadlineExceeded   second kill? ──yes──▶ Quarantined
 //!                                          │no
 //!                                          ▼
-//!                               backoff + requeue (degraded scalar path),
-//!                               worker respawns itself
+//!                               10 ms backoff + requeue (degraded: fresh
+//!                               tape), worker respawns itself
 //! ```
 //!
 //! A worker attempt is one request through
 //! [`Pipeline::try_translate_guarded`] under one `catch_unwind`. Its stage
 //! guard fires injected faults and checks the deadline at every gate; a
 //! degraded retry runs the whole call under
-//! [`ValueNetModel::with_scalar_fallback`]. The decoder can search several
+//! [`ValueNetModel::with_tape_fallback`], which swaps the recycled tape and
+//! the packed-weight cache for a fresh tape. The decoder can search several
 //! requests in one pass ([`Pipeline::decode_batch`]), but the engine does
 //! not co-batch them: on `serve_decode` a shared decode cost the same per
 //! request and lowered throughput (DESIGN.md §15).
@@ -30,10 +31,10 @@
 //! * **Deadlines are enforced at dequeue and at every pipeline stage
 //!   boundary** (via [`Pipeline::try_translate_guarded`]), so an expired
 //!   request never occupies a worker for a full translation.
-//! * **Panic isolation** — a worker panic (injected or real) is caught,
-//!   the worker thread is replaced, and the request either retries with
-//!   exponential backoff on the scalar degradation path or — after
-//!   [`QuarantinePolicy::max_worker_kills`] kills — is quarantined.
+//! * **Panic isolation** — a worker panic (injected or real) is caught and
+//!   the worker thread is replaced. The first kill requeues the request
+//!   once, degraded, after a fixed 10 ms backoff (`RETRY_BACKOFF_MS`); the
+//!   second quarantines it.
 //! * **Every admitted request is answered exactly once**; workers only
 //!   exit on shutdown or panic-respawn, so no job is silently dropped.
 
@@ -43,7 +44,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::admission::{AdmissionPolicy, Deadline, QuarantinePolicy, RetryPolicy};
+use crate::admission::{AdmissionPolicy, Deadline};
 use crate::fault::FaultSpec;
 use crate::protocol::{ErrorKind, Response, ServeError, Translated, TraceSummary};
 use valuenet_core::{Pipeline, PipelineError, Stage, StageTimings, ValueNetModel};
@@ -56,17 +57,17 @@ use valuenet_storage::Database;
 /// to suppress the default panic banner for isolated (caught) panics.
 const WORKER_PREFIX: &str = "vn-serve-worker";
 
-// Tracing mirrors of the always-on engine stats: when the obs layer is
-// enabled (OBS=1 / OBS_JSONL), shed/deadline/panic totals appear in the
-// span summary and each attempt runs under a `serve.request` span.
-static OBS_SHED: valuenet_obs::Counter = valuenet_obs::Counter::new("serve.shed");
-static OBS_DEADLINE_MISSED: valuenet_obs::Counter =
-    valuenet_obs::Counter::new("serve.deadline_missed");
-static OBS_WORKER_PANICS: valuenet_obs::Counter =
-    valuenet_obs::Counter::new("serve.worker_panics");
-static OBS_QUARANTINED: valuenet_obs::Counter = valuenet_obs::Counter::new("serve.quarantined");
+/// Longest accepted question, in characters.
+pub(crate) const MAX_QUESTION_CHARS: usize = 8192;
 
-/// Engine tuning knobs.
+/// Delay before a request whose attempt killed a worker re-enters the
+/// queue for its one degraded retry.
+const RETRY_BACKOFF_MS: u64 = 10;
+
+/// Retained request traces, split between clean and terminal-failure rings.
+const FLIGHT_CAPACITY: usize = 256;
+
+/// The settings `valuenet_cli serve` exposes.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
     /// Worker threads.
@@ -76,19 +77,8 @@ pub struct ServeConfig {
     /// Default per-request deadline budget in milliseconds (`0` = none);
     /// requests may override it.
     pub default_deadline_ms: u64,
-    /// Longest accepted question, in characters.
-    pub max_question_chars: usize,
-    /// Retry/backoff policy for panicked requests.
-    pub retry: RetryPolicy,
-    /// Poisoned-request quarantine policy.
-    pub quarantine: QuarantinePolicy,
     /// Whether requests may carry [`FaultSpec`] directives (harness only).
     pub allow_fault_injection: bool,
-    /// Flight-recorder capacity (retained request traces, split between
-    /// clean and terminal-failure rings).
-    pub flight_capacity: usize,
-    /// Service-level objectives evaluated by the `stats` verb.
-    pub slo: SloPolicy,
 }
 
 impl Default for ServeConfig {
@@ -97,12 +87,7 @@ impl Default for ServeConfig {
             workers: 4,
             queue_capacity: 64,
             default_deadline_ms: 0,
-            max_question_chars: 8192,
-            retry: RetryPolicy { max_retries: 2, base_ms: 10, cap_ms: 200 },
-            quarantine: QuarantinePolicy { max_worker_kills: 2 },
             allow_fault_injection: false,
-            flight_capacity: 256,
-            slo: SloPolicy::default(),
         }
     }
 }
@@ -142,7 +127,8 @@ struct Job {
     not_before_ms: u64,
     /// Worker panics this request has caused so far.
     panics: u32,
-    /// Whether the next attempt runs on the scalar degradation path.
+    /// Whether the next attempt is the degraded retry (a fresh tape, no
+    /// packed weights).
     degraded: bool,
     /// The request's trace, carried across retries so stage events from a
     /// panicked attempt and its degraded retry land in one span tree.
@@ -171,6 +157,7 @@ fn latency_json(counts: &[u64]) -> Json {
 
 /// Always-on serving counters and per-stage latency histograms, surfaced by
 /// the protocol's `stats` verb.
+#[derive(Default)]
 pub struct EngineStats {
     submitted: AtomicU64,
     completed: AtomicU64,
@@ -178,15 +165,8 @@ pub struct EngineStats {
     degraded_completions: AtomicU64,
     worker_panics: AtomicU64,
     worker_respawns: AtomicU64,
-    // Rejections, by taxonomy class.
-    shed: AtomicU64,
-    bad_request: AtomicU64,
-    unknown_db: AtomicU64,
-    deadline_missed: AtomicU64,
-    translate_failed: AtomicU64,
-    quarantined: AtomicU64,
-    internal: AtomicU64,
-    shutting_down: AtomicU64,
+    /// Rejections, indexed by `ErrorKind as usize`.
+    rejections: [AtomicU64; ErrorKind::ALL.len()],
     // Latencies (µs).
     total: AtomicBuckets,
     queue_wait: AtomicBuckets,
@@ -194,46 +174,8 @@ pub struct EngineStats {
 }
 
 impl EngineStats {
-    fn new() -> Self {
-        EngineStats {
-            submitted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
-            degraded_completions: AtomicU64::new(0),
-            worker_panics: AtomicU64::new(0),
-            worker_respawns: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            bad_request: AtomicU64::new(0),
-            unknown_db: AtomicU64::new(0),
-            deadline_missed: AtomicU64::new(0),
-            translate_failed: AtomicU64::new(0),
-            quarantined: AtomicU64::new(0),
-            internal: AtomicU64::new(0),
-            shutting_down: AtomicU64::new(0),
-            total: AtomicBuckets::new(),
-            queue_wait: AtomicBuckets::new(),
-            stage_hists: std::array::from_fn(|_| AtomicBuckets::new()),
-        }
-    }
-
     fn count_rejection(&self, kind: ErrorKind) {
-        match kind {
-            ErrorKind::Overload => OBS_SHED.add(1),
-            ErrorKind::DeadlineExceeded => OBS_DEADLINE_MISSED.add(1),
-            ErrorKind::Quarantined => OBS_QUARANTINED.add(1),
-            _ => {}
-        }
-        let c = match kind {
-            ErrorKind::Overload => &self.shed,
-            ErrorKind::BadRequest => &self.bad_request,
-            ErrorKind::UnknownDb => &self.unknown_db,
-            ErrorKind::DeadlineExceeded => &self.deadline_missed,
-            ErrorKind::TranslateFailed => &self.translate_failed,
-            ErrorKind::Quarantined => &self.quarantined,
-            ErrorKind::Internal => &self.internal,
-            ErrorKind::ShuttingDown => &self.shutting_down,
-        };
-        c.fetch_add(1, Ordering::Relaxed);
+        self.rejections[kind as usize].fetch_add(1, Ordering::Relaxed);
     }
 
     fn record_stages(&self, t: &StageTimings) {
@@ -249,9 +191,10 @@ impl EngineStats {
         }
     }
 
-    /// Number of requests shed by admission control.
-    pub fn shed(&self) -> u64 {
-        self.shed.load(Ordering::Relaxed)
+    /// Number of requests rejected with `kind` (shed by admission control
+    /// for [`ErrorKind::Overload`]).
+    pub fn rejected(&self, kind: ErrorKind) -> u64 {
+        self.rejections[kind as usize].load(Ordering::Relaxed)
     }
 
     /// Number of worker panics caught (injected or real).
@@ -264,39 +207,18 @@ impl EngineStats {
         self.worker_respawns.load(Ordering::Relaxed)
     }
 
-    /// Number of requests answered successfully.
-    pub fn completed(&self) -> u64 {
-        self.completed.load(Ordering::Relaxed)
-    }
-
-    /// Number of deadline rejections (queued or mid-pipeline).
-    pub fn deadline_missed(&self) -> u64 {
-        self.deadline_missed.load(Ordering::Relaxed)
-    }
-
-    /// Number of quarantined (poisoned) requests.
-    pub fn quarantined(&self) -> u64 {
-        self.quarantined.load(Ordering::Relaxed)
-    }
-
     /// A coherent copy of every monotonic counter and histogram — the unit
     /// of the `stats` verb's snapshot-and-diff delta windows.
     fn window(&self) -> StatsWindow {
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
         StatsWindow {
-            submitted: self.submitted.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
-            degraded_completions: self.degraded_completions.load(Ordering::Relaxed),
-            worker_panics: self.worker_panics.load(Ordering::Relaxed),
-            worker_respawns: self.worker_respawns.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
-            bad_request: self.bad_request.load(Ordering::Relaxed),
-            unknown_db: self.unknown_db.load(Ordering::Relaxed),
-            deadline_missed: self.deadline_missed.load(Ordering::Relaxed),
-            translate_failed: self.translate_failed.load(Ordering::Relaxed),
-            quarantined: self.quarantined.load(Ordering::Relaxed),
-            internal: self.internal.load(Ordering::Relaxed),
-            shutting_down: self.shutting_down.load(Ordering::Relaxed),
+            submitted: load(&self.submitted),
+            completed: load(&self.completed),
+            retries: load(&self.retries),
+            degraded_completions: load(&self.degraded_completions),
+            worker_panics: load(&self.worker_panics),
+            worker_respawns: load(&self.worker_respawns),
+            rejections: self.rejections.each_ref().map(load),
             total: self.total.counts(),
             queue_wait: self.queue_wait.counts(),
             stages: self.stage_hists.iter().map(AtomicBuckets::counts).collect(),
@@ -315,14 +237,7 @@ struct StatsWindow {
     degraded_completions: u64,
     worker_panics: u64,
     worker_respawns: u64,
-    shed: u64,
-    bad_request: u64,
-    unknown_db: u64,
-    deadline_missed: u64,
-    translate_failed: u64,
-    quarantined: u64,
-    internal: u64,
-    shutting_down: u64,
+    rejections: [u64; ErrorKind::ALL.len()],
     total: Vec<u64>,
     queue_wait: Vec<u64>,
     stages: Vec<Vec<u64>>,
@@ -346,14 +261,7 @@ impl StatsWindow {
             degraded_completions: sub(self.degraded_completions, base.degraded_completions),
             worker_panics: sub(self.worker_panics, base.worker_panics),
             worker_respawns: sub(self.worker_respawns, base.worker_respawns),
-            shed: sub(self.shed, base.shed),
-            bad_request: sub(self.bad_request, base.bad_request),
-            unknown_db: sub(self.unknown_db, base.unknown_db),
-            deadline_missed: sub(self.deadline_missed, base.deadline_missed),
-            translate_failed: sub(self.translate_failed, base.translate_failed),
-            quarantined: sub(self.quarantined, base.quarantined),
-            internal: sub(self.internal, base.internal),
-            shutting_down: sub(self.shutting_down, base.shutting_down),
+            rejections: std::array::from_fn(|i| sub(self.rejections[i], base.rejections[i])),
             total: sub_vec(&self.total, &base.total),
             queue_wait: sub_vec(&self.queue_wait, &base.queue_wait),
             stages: self
@@ -411,8 +319,8 @@ impl Engine {
                 spawned_total: 0,
             }),
             cond: Condvar::new(),
-            stats: EngineStats::new(),
-            flight: FlightRecorder::new(cfg.flight_capacity.max(2)),
+            stats: EngineStats::default(),
+            flight: FlightRecorder::new(FLIGHT_CAPACITY),
             flight_dump: std::env::var("OBS_FLIGHT_DUMP").ok().filter(|s| !s.is_empty()),
             stats_base: Mutex::new(StatsWindow::default()),
         });
@@ -437,16 +345,6 @@ impl Engine {
     /// Currently live worker threads.
     pub fn live_workers(&self) -> usize {
         self.shared.q.lock().unwrap().live_workers
-    }
-
-    /// Currently queued (not yet dequeued) requests.
-    pub fn queue_depth(&self) -> usize {
-        self.shared.q.lock().unwrap().jobs.len()
-    }
-
-    /// The configuration the engine was started with.
-    pub fn config(&self) -> &ServeConfig {
-        &self.shared.cfg
     }
 
     /// Serving counters and histograms.
@@ -478,10 +376,10 @@ impl Engine {
         if req.question.trim().is_empty() {
             return reject(ErrorKind::BadRequest, "empty question".into());
         }
-        if req.question.chars().count() > sh.cfg.max_question_chars {
+        if req.question.chars().count() > MAX_QUESTION_CHARS {
             return reject(
                 ErrorKind::BadRequest,
-                format!("question exceeds {} characters", sh.cfg.max_question_chars),
+                format!("question exceeds {MAX_QUESTION_CHARS} characters"),
             );
         }
         if !sh.dbs.contains_key(&req.db) {
@@ -582,9 +480,19 @@ impl Engine {
         }
         // SLO eligibility: the server's own failures burn the budget; client
         // errors (bad_request, unknown_db) and orderly shutdown do not.
-        let good = win.completed + win.translate_failed;
-        let bad = win.shed + win.deadline_missed + win.quarantined + win.internal;
-        let slo = sh.cfg.slo.evaluate(window_label, good, good + bad, &win.total);
+        let rejected = |kind: ErrorKind| win.rejections[kind as usize];
+        let good = win.completed + rejected(ErrorKind::TranslateFailed);
+        let bad: u64 = [
+            ErrorKind::Overload,
+            ErrorKind::DeadlineExceeded,
+            ErrorKind::Quarantined,
+            ErrorKind::Internal,
+        ]
+        .into_iter()
+        .map(rejected)
+        .sum();
+        let slo_policy = SloPolicy::default();
+        let slo = slo_policy.evaluate(window_label, good, good + bad, &win.total);
         Json::obj(vec![
             ("window", Json::Str(window_label.into())),
             (
@@ -612,28 +520,16 @@ impl Engine {
                     ("degraded_completions", int(win.degraded_completions)),
                 ]),
             ),
-            (
-                "rejections",
-                Json::obj(vec![
-                    ("overload", int(win.shed)),
-                    ("bad_request", int(win.bad_request)),
-                    ("unknown_db", int(win.unknown_db)),
-                    ("deadline_exceeded", int(win.deadline_missed)),
-                    ("translate_failed", int(win.translate_failed)),
-                    ("quarantined", int(win.quarantined)),
-                    ("internal", int(win.internal)),
-                    ("shutting_down", int(win.shutting_down)),
-                ]),
-            ),
+            ("rejections", Json::obj(ErrorKind::ALL.map(|k| (k.label(), int(rejected(k)))).into())),
             ("latency_us", Json::Obj(
                 latencies.into_iter().map(|(k, v)| (k.to_string(), v)).collect(),
             )),
-            ("slo", slo.to_json(&sh.cfg.slo, None)),
+            ("slo", slo.to_json(&slo_policy)),
             (
                 "flight",
                 Json::obj(vec![
                     ("recorded", Json::Int(sh.flight.recorded() as i64)),
-                    ("capacity", Json::Int(sh.cfg.flight_capacity as i64)),
+                    ("capacity", Json::Int(FLIGHT_CAPACITY as i64)),
                 ]),
             ),
         ])
@@ -788,10 +684,10 @@ fn settle_ok(sh: &Shared, mut job: Job, queue_wait_us: u64, mut body: Box<Transl
     let _ = job.reply.send(Response::Translated { id: job.id, body });
 }
 
-/// Handles a job whose attempt panicked the worker: retry on the degraded
-/// scalar path with backoff, or quarantine/fail when the budget is spent.
+/// Handles a job whose attempt panicked the worker: the first kill requeues
+/// it for one degraded retry after [`RETRY_BACKOFF_MS`], the second (the
+/// degraded retry's) quarantines it.
 fn settle_panic(sh: &Shared, mut job: Job, queue_wait_us: u64, msg: String) {
-    OBS_WORKER_PANICS.add(1);
     sh.stats.worker_panics.fetch_add(1, Ordering::Relaxed);
     record_attempt(&mut job, queue_wait_us, "panic", &msg);
     if let Some(t) = job.trace.as_mut() {
@@ -800,24 +696,21 @@ fn settle_panic(sh: &Shared, mut job: Job, queue_wait_us: u64, msg: String) {
         t.fault.get_or_insert(msg);
     }
     job.panics += 1;
-    if sh.cfg.quarantine.quarantined(job.panics) {
+    if job.degraded {
         let detail = format!("request killed {} workers", job.panics);
         reject_job(sh, &mut job, ErrorKind::Quarantined, detail);
-    } else if sh.cfg.retry.allows_retry(job.panics) {
-        sh.stats.retries.fetch_add(1, Ordering::Relaxed);
-        job.degraded = true;
-        job.not_before_ms =
-            ms_since(sh.epoch).saturating_add(sh.cfg.retry.backoff_ms(job.panics));
-        job.enqueued_us = us_since(sh.epoch);
-        let mut q = sh.q.lock().unwrap();
-        // Retries bypass admission: the request already holds its slot,
-        // shedding it now would break at-most-once accounting.
-        q.jobs.push_back(job);
-        drop(q);
-        sh.cond.notify_all();
-    } else {
-        reject_job(sh, &mut job, ErrorKind::Internal, "retry budget exhausted".into());
+        return;
     }
+    sh.stats.retries.fetch_add(1, Ordering::Relaxed);
+    job.degraded = true;
+    job.not_before_ms = ms_since(sh.epoch) + RETRY_BACKOFF_MS;
+    job.enqueued_us = us_since(sh.epoch);
+    let mut q = sh.q.lock().unwrap();
+    // Retries bypass admission: the request already holds its slot,
+    // shedding it now would break at-most-once accounting.
+    q.jobs.push_back(job);
+    drop(q);
+    sh.cond.notify_all();
 }
 
 /// Best-effort text of a caught panic payload.
@@ -927,7 +820,7 @@ fn map_pipeline_error(e: PipelineError, deadline_hit: bool) -> ServeError {
 /// One translation attempt: the whole pipeline under a stage guard that
 /// fires injected faults and checks the deadline at every stage gate. The
 /// guard sets `decoded` on reaching [`Stage::PostProcess`], which only
-/// follows the neural decode. A degraded retry runs on the scalar tape.
+/// follows the neural decode. A degraded retry runs on a fresh tape.
 fn attempt(sh: &Shared, job: &Job, decoded: &mut bool) -> Result<Box<Translated>, ServeError> {
     let db = sh.dbs.get(&job.db).expect("db checked at submit");
     let mut deadline_hit = false;
@@ -950,7 +843,7 @@ fn attempt(sh: &Shared, job: &Job, decoded: &mut bool) -> Result<Box<Translated>
     let mut run = || {
         sh.pipeline.try_translate_guarded(db, &job.question, job.gold_values.as_deref(), &mut guard)
     };
-    let res = if job.degraded { ValueNetModel::with_scalar_fallback(run) } else { run() };
+    let res = if job.degraded { ValueNetModel::with_tape_fallback(run) } else { run() };
     let p = res.map_err(|e| map_pipeline_error(e, deadline_hit))?;
     let Some(sql) = &p.sql else {
         return Err(ServeError::new(ErrorKind::TranslateFailed, "no executable SQL synthesized"));

@@ -14,16 +14,17 @@
 //!   consuming compute mid-flight.
 //! * **Panic isolation** ([`engine`]) — a worker runs one request per
 //!   attempt, the whole pipeline under one `catch_unwind`; a panicking
-//!   worker is replaced and the request retries with capped exponential
-//!   backoff on a degraded (scalar, non-packed) inference path. A
-//!   request that kills two workers is *quarantined* — one poisoned
-//!   input cannot take the pool down.
+//!   worker is replaced and the request is requeued once, after a fixed
+//!   10 ms backoff, for a degraded retry on a fresh inference tape (no
+//!   recycled tape, no packed weights). A request that kills a second
+//!   worker is *quarantined* — one poisoned input cannot take the pool
+//!   down.
 //! * **A line-delimited JSON protocol** ([`protocol`], [`server`]) over a
 //!   Unix domain socket, with a closed error taxonomy and a `stats` verb
-//!   exposing queue depth, shed/panic/deadline counters and per-stage
-//!   latency percentiles. Malformed frames are answered, not fatal, and a
-//!   frame is bounded in bytes, so no client can make the server buffer
-//!   without limit.
+//!   exposing queue depth, panic counters, one rejection counter per error
+//!   kind and per-stage latency percentiles. Malformed frames are answered,
+//!   not fatal, and a frame is bounded in bytes, so no client can make the
+//!   server buffer without limit.
 //! * **Deterministic fault injection** ([`fault`]) — requests may carry a
 //!   [`FaultSpec`] (panic at stage N times / delay a stage) when the
 //!   server opts in, which is how `vn-fuzz --serve` replays seeded fault
@@ -38,8 +39,8 @@ pub mod fault;
 pub mod protocol;
 pub mod server;
 
-pub use admission::{AdmissionPolicy, Deadline, QuarantinePolicy, RetryPolicy};
+pub use admission::{AdmissionPolicy, Deadline};
 pub use engine::{Engine, EngineStats, ServeConfig, TranslateJob};
 pub use fault::FaultSpec;
 pub use protocol::{ErrorKind, Request, Response, ServeError, TraceSummary, Translated};
-pub use server::{max_frame_bytes, serve_unix, translate_frame, verb_frame, Client};
+pub use server::{serve_unix, translate_frame, verb_frame, Client, MAX_FRAME_BYTES};

@@ -22,31 +22,47 @@ use valuenet_obs::json::Json;
 use valuenet_obs::trace::RequestTrace;
 use valuenet_obs::RUN_REPORT_SCHEMA_VERSION;
 
-/// Typed rejection classes — the protocol's failure taxonomy.
+/// Typed rejection classes — the protocol's failure taxonomy, declared in
+/// [`ErrorKind::ALL`] order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ErrorKind {
+    /// Admission control shed the request (queue at capacity).
+    Overload,
     /// Malformed frame: not JSON, not an object, missing/ill-typed fields,
     /// an unknown verb, or a fault-injection request on a server that does
     /// not allow it.
     BadRequest,
     /// The named database is not registered.
     UnknownDb,
-    /// Admission control shed the request (queue at capacity).
-    Overload,
     /// The per-request deadline expired (in queue or at a stage boundary).
     DeadlineExceeded,
-    /// The request killed too many workers and is quarantined.
-    Quarantined,
     /// The pipeline ran but produced no executable SQL.
     TranslateFailed,
+    /// The request killed two workers (its first attempt and its degraded
+    /// retry) and is quarantined.
+    Quarantined,
+    /// A server-side failure that is not a worker kill (a translation
+    /// aborted for another reason than its deadline, a dangling value
+    /// pointer), or a harness-visible invariant breach (e.g. a reply
+    /// channel that never completed).
+    Internal,
     /// The server is shutting down.
     ShuttingDown,
-    /// Worker-side failure that survived retries, or a harness-visible
-    /// invariant breach (e.g. a reply channel that never completed).
-    Internal,
 }
 
 impl ErrorKind {
+    /// Every kind, in declaration order, so `kind as usize` indexes it.
+    pub const ALL: [ErrorKind; 8] = [
+        ErrorKind::Overload,
+        ErrorKind::BadRequest,
+        ErrorKind::UnknownDb,
+        ErrorKind::DeadlineExceeded,
+        ErrorKind::TranslateFailed,
+        ErrorKind::Quarantined,
+        ErrorKind::Internal,
+        ErrorKind::ShuttingDown,
+    ];
+
     /// Stable wire label.
     pub fn label(self) -> &'static str {
         match self {
@@ -63,18 +79,7 @@ impl ErrorKind {
 
     /// Parses a wire label.
     pub fn from_label(s: &str) -> Option<ErrorKind> {
-        [
-            ErrorKind::BadRequest,
-            ErrorKind::UnknownDb,
-            ErrorKind::Overload,
-            ErrorKind::DeadlineExceeded,
-            ErrorKind::Quarantined,
-            ErrorKind::TranslateFailed,
-            ErrorKind::ShuttingDown,
-            ErrorKind::Internal,
-        ]
-        .into_iter()
-        .find(|k| k.label() == s)
+        ErrorKind::ALL.into_iter().find(|k| k.label() == s)
     }
 }
 
@@ -333,7 +338,8 @@ pub struct Translated {
     pub latency_us: u64,
     /// Retry attempts the request needed.
     pub retries: u32,
-    /// Whether the response was produced on the scalar degradation path.
+    /// Whether the response was produced by the degraded retry (a fresh
+    /// tape, no packed weights) after a worker kill.
     pub degraded: bool,
     /// Per-request trace digest (absent only when the engine was started
     /// with trace recording off).
@@ -381,7 +387,7 @@ pub enum Response {
         /// The rejection.
         error: ServeError,
         /// Per-request trace digest — present for failures of *admitted*
-        /// requests (deadline, quarantine, retry exhaustion); absent for
+        /// requests (deadline, quarantine, translate failure); absent for
         /// synchronous rejections (shed, bad request) that never got a
         /// trace.
         trace: Option<TraceSummary>,
@@ -674,16 +680,8 @@ mod tests {
 
     #[test]
     fn error_kind_labels_round_trip() {
-        for k in [
-            ErrorKind::BadRequest,
-            ErrorKind::UnknownDb,
-            ErrorKind::Overload,
-            ErrorKind::DeadlineExceeded,
-            ErrorKind::Quarantined,
-            ErrorKind::TranslateFailed,
-            ErrorKind::ShuttingDown,
-            ErrorKind::Internal,
-        ] {
+        for (i, k) in ErrorKind::ALL.into_iter().enumerate() {
+            assert_eq!(k as usize, i, "ALL must list {k:?} at its declaration index");
             assert_eq!(ErrorKind::from_label(k.label()), Some(k));
         }
     }

@@ -3,7 +3,7 @@
 //! One accept loop, one thread per connection, one request per line, one
 //! response line per request. Malformed frames get a typed `bad_request`
 //! response on the same connection — a broken client cannot wedge the
-//! server. A frame longer than [`max_frame_bytes`] gets a `bad_request`
+//! server. A frame longer than [`MAX_FRAME_BYTES`] gets a `bad_request`
 //! and its connection is closed, so no client can make the server buffer
 //! without limit. The `shutdown` verb acknowledges, stops accepting, drains
 //! the engine and removes the socket file.
@@ -14,7 +14,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use crate::engine::{Engine, TranslateJob};
+use crate::engine::{Engine, TranslateJob, MAX_QUESTION_CHARS};
 use crate::protocol::{ErrorKind, Request, Response, ServeError};
 use valuenet_obs::json::Json;
 
@@ -81,12 +81,9 @@ const FRAME_ENVELOPE_BYTES: usize = 64 * 1024;
 /// The longest frame the server reads, in bytes without the newline: the
 /// longest accepted question at its widest JSON encoding, plus the
 /// envelope.
-pub fn max_frame_bytes(max_question_chars: usize) -> usize {
-    max_question_chars.saturating_mul(FRAME_BYTES_PER_CHAR).saturating_add(FRAME_ENVELOPE_BYTES)
-}
+pub const MAX_FRAME_BYTES: usize = MAX_QUESTION_CHARS * FRAME_BYTES_PER_CHAR + FRAME_ENVELOPE_BYTES;
 
 fn handle_conn(st: &ServerState, stream: UnixStream) -> std::io::Result<()> {
-    let limit = max_frame_bytes(st.engine.config().max_question_chars);
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
     let mut frame = Vec::new();
@@ -94,7 +91,7 @@ fn handle_conn(st: &ServerState, stream: UnixStream) -> std::io::Result<()> {
         frame.clear();
         // Reading one byte past the bound tells an over-long frame from one
         // that fits exactly.
-        let n = (&mut reader).take(limit as u64 + 1).read_until(b'\n', &mut frame)?;
+        let n = (&mut reader).take(MAX_FRAME_BYTES as u64 + 1).read_until(b'\n', &mut frame)?;
         if n == 0 {
             return Ok(());
         }
@@ -103,9 +100,9 @@ fn handle_conn(st: &ServerState, stream: UnixStream) -> std::io::Result<()> {
             if frame.last() == Some(&b'\r') {
                 frame.pop();
             }
-        } else if frame.len() > limit {
-            let error =
-                ServeError::new(ErrorKind::BadRequest, format!("frame exceeds {limit} bytes"));
+        } else if frame.len() > MAX_FRAME_BYTES {
+            let detail = format!("frame exceeds {MAX_FRAME_BYTES} bytes");
+            let error = ServeError::new(ErrorKind::BadRequest, detail);
             writeln!(writer, "{}", Response::Error { id: None, error, trace: None }.render())?;
             writer.flush()?;
             // Close without reading the rest of the frame.
@@ -252,11 +249,4 @@ pub fn translate_frame(
 /// Builds a bare-verb frame (`stats`, `ping`, `shutdown`).
 pub fn verb_frame(id: i64, verb: &str) -> Json {
     Json::obj(vec![("id", Json::Int(id)), ("verb", Json::Str(verb.into()))])
-}
-
-impl ServeError {
-    /// Maps an I/O-level client failure into the taxonomy (harness use).
-    pub fn from_io(e: &std::io::Error) -> ServeError {
-        ServeError::new(crate::protocol::ErrorKind::Internal, e.to_string())
-    }
 }

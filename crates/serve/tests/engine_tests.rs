@@ -12,8 +12,8 @@ use valuenet_dataset::{generate, Corpus, CorpusConfig};
 use valuenet_obs::json::Json;
 use valuenet_preprocess::StatisticalNer;
 use valuenet_serve::{
-    max_frame_bytes, serve_unix, translate_frame, verb_frame, Client, Engine, ErrorKind,
-    FaultSpec, Response, RetryPolicy, QuarantinePolicy, ServeConfig, TranslateJob,
+    serve_unix, translate_frame, verb_frame, Client, Engine, ErrorKind, FaultSpec, Response,
+    ServeConfig, TranslateJob, MAX_FRAME_BYTES,
 };
 
 fn corpus() -> Corpus {
@@ -49,14 +49,7 @@ fn untrained() -> Pipeline {
 }
 
 fn harness_config(workers: usize, queue_capacity: usize) -> ServeConfig {
-    ServeConfig {
-        workers,
-        queue_capacity,
-        allow_fault_injection: true,
-        retry: RetryPolicy { max_retries: 2, base_ms: 5, cap_ms: 20 },
-        quarantine: QuarantinePolicy { max_worker_kills: 2 },
-        ..ServeConfig::default()
-    }
+    ServeConfig { workers, queue_capacity, allow_fault_injection: true, ..ServeConfig::default() }
 }
 
 fn job(id: i64, db: &str, question: &str, gold: &[String]) -> TranslateJob {
@@ -128,7 +121,7 @@ fn trained_engine_end_to_end() {
     let sample = &ref_corpus.dev[0];
     let db_name = ref_corpus.db(sample).schema().db_id.clone();
 
-    // --- Panic once: retried on the degraded scalar path, worker respawned.
+    // --- Panic once: retried on the degraded fresh-tape path, worker respawned.
     let panics_before = engine.stats().worker_panics();
     let mut j = job(100, &db_name, &sample.question, &sample.values);
     j.fault = Some(FaultSpec {
@@ -139,7 +132,7 @@ fn trained_engine_end_to_end() {
     match engine.translate_blocking(j) {
         Response::Translated { body, .. } => {
             assert_eq!(body.retries, 1);
-            assert!(body.degraded, "retry after panic must take the scalar path");
+            assert!(body.degraded, "retry after panic must be the degraded retry");
             let t = body.trace.expect("response must carry its trace digest");
             assert_eq!(t.attempts, 2, "digest must count the killed attempt");
         }
@@ -157,8 +150,15 @@ fn trained_engine_end_to_end() {
         panic_times: 99,
         ..Default::default()
     });
-    expect_error(engine.translate_blocking(j), ErrorKind::Quarantined);
-    assert_eq!(engine.stats().quarantined(), 1);
+    match engine.translate_blocking(j) {
+        Response::Error { error, trace, .. } => {
+            assert_eq!(error.kind, ErrorKind::Quarantined, "detail: {}", error.detail);
+            let t = trace.expect("quarantine must carry its trace digest");
+            assert_eq!(t.attempts, 2, "the second worker kill quarantines");
+        }
+        other => panic!("expected Quarantined error, got {other:?}"),
+    }
+    assert_eq!(engine.stats().rejected(ErrorKind::Quarantined), 1);
 
     // --- Deadline at a stage boundary: a stalled stage trips it.
     let mut j = job(102, &db_name, &sample.question, &sample.values);
@@ -195,12 +195,12 @@ fn trained_engine_end_to_end() {
         }
     }
     assert!(shed > 0, "bounded queue never shed");
-    assert_eq!(engine.stats().shed(), shed);
+    assert_eq!(engine.stats().rejected(ErrorKind::Overload), shed);
     expect_error(
         doomed_rx.recv().expect("doomed reply"),
         ErrorKind::DeadlineExceeded,
     );
-    assert!(engine.stats().deadline_missed() >= 2);
+    assert!(engine.stats().rejected(ErrorKind::DeadlineExceeded) >= 2);
     assert!(slow_rx.recv().is_ok(), "slow job must still be answered");
     for rx in queued {
         assert!(rx.recv().is_ok(), "queued job must be answered exactly once");
@@ -424,6 +424,34 @@ fn stats_delta_windows_reset_between_reads() {
             s.render()
         );
     }
+    // Every window carries the same counter keys, one rejection counter
+    // per error kind.
+    let keys = |s: &Json, section: &str| -> Vec<String> {
+        match s.get(section) {
+            Some(Json::Obj(entries)) => entries.iter().map(|(k, _)| k.clone()).collect(),
+            other => panic!("no `{section}` object in stats: {other:?}"),
+        }
+    };
+    for s in [&d1, &d2, &cum] {
+        assert_eq!(
+            keys(s, "requests"),
+            ["submitted", "completed", "retries", "degraded_completions"]
+        );
+        assert_eq!(keys(s, "workers"), ["configured", "live", "panics", "respawns"]);
+        assert_eq!(
+            keys(s, "rejections"),
+            [
+                "overload",
+                "bad_request",
+                "unknown_db",
+                "deadline_exceeded",
+                "translate_failed",
+                "quarantined",
+                "internal",
+                "shutting_down",
+            ]
+        );
+    }
     engine.shutdown();
 }
 
@@ -505,8 +533,8 @@ fn served_responses_match_in_process_reference_bitwise() {
     assert_eq!(engine.live_workers(), 0);
 }
 
-/// A panicking request retries on the degraded scalar path while requests
-/// running beside it complete clean, spending none of their retry budget.
+/// A panicking request retries on the degraded fresh-tape path while
+/// requests running beside it complete clean, charged no retry.
 #[test]
 fn panicking_request_retries_degraded_while_concurrent_requests_complete_clean() {
     let c = corpus();
@@ -532,7 +560,7 @@ fn panicking_request_retries_degraded_while_concurrent_requests_complete_clean()
     let summary = match bad_rx.recv().expect("faulty reply") {
         Response::Translated { body, .. } => {
             assert_eq!(body.retries, 1);
-            assert!(body.degraded, "post-panic retry must take the scalar path");
+            assert!(body.degraded, "post-panic retry must be the degraded retry");
             body.trace.expect("trace digest")
         }
         Response::Error { error, trace, .. } => {
@@ -662,7 +690,7 @@ fn unix_socket_roundtrip() {
     // One byte past the frame bound, with no newline: a typed bad_request
     // naming the bound, and that connection is closed. A fresh connection
     // still gets its pong.
-    let bound = max_frame_bytes(ServeConfig::default().max_question_chars);
+    let bound = MAX_FRAME_BYTES;
     {
         let mut raw = UnixStream::connect(&sock).expect("connect");
         raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();

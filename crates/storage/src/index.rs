@@ -187,22 +187,8 @@ impl InvertedIndex {
             .collect()
     }
 
-    /// Distinct values of `column` matching a SQL LIKE `pattern`
-    /// (case-insensitive). Used e.g. by the month heuristic (`8/%`).
-    pub fn find_like(&self, column: ColumnId, pattern: &str) -> Vec<String> {
-        let pnorm = pattern.to_lowercase();
-        self.distinct
-            .get(column.0)
-            .map(|vals| {
-                vals.iter()
-                    .filter(|v| like_match(&pnorm, &v.to_lowercase()))
-                    .cloned()
-                    .collect()
-            })
-            .unwrap_or_default()
-    }
-
-    /// Distinct values of `column` matching a LIKE pattern, over all columns.
+    /// Distinct values matching a SQL LIKE `pattern` (case-insensitive),
+    /// over all columns. Used e.g. by the month heuristic (`8/%`).
     pub fn find_like_anywhere(&self, pattern: &str) -> Vec<(ColumnId, String)> {
         let pnorm = pattern.to_lowercase();
         let mut out = Vec::new();

@@ -1,9 +1,12 @@
 //! Deterministic differential fuzzer CLI.
 //!
 //! ```text
-//! vn-fuzz [--cases N] [--seed S] [--replay CASE_SEED] [--inject-divergence]
-//!         [--fail-log PATH] [--kernel N] [--lookup N] [--serve N]
-//!         [--serve-replay CASE_SEED] [--report PATH]
+//! vn-fuzz [--cases N] [--seed S] [--fail-log PATH] [--inject-divergence]
+//! vn-fuzz --replay CASE_SEED [--inject-divergence]
+//! vn-fuzz --kernel N [--seed S]
+//! vn-fuzz --lookup N [--seed S]
+//! vn-fuzz --serve N [--seed S] [--report PATH]
+//! vn-fuzz --serve-replay CASE_SEED
 //! ```
 //!
 //! `--kernel N` switches to kernel mode: `N` seeded cases fuzz the packed
@@ -24,7 +27,17 @@
 //! `serve_fault_injection` section.
 //!
 //! The modes (`--kernel`, `--lookup`, `--serve`, `--serve-replay` and
-//! `--replay`) exclude each other: given two of them, or any flag twice,
+//! `--replay`) exclude each other, and each reads only its own flags:
+//!
+//! | mode | other flags it reads |
+//! |---|---|
+//! | executor (no mode flag) | `--cases --seed --fail-log --inject-divergence` |
+//! | `--replay` | `--inject-divergence` |
+//! | `--kernel`, `--lookup` | `--seed` |
+//! | `--serve` | `--seed --report` |
+//! | `--serve-replay` | none |
+//!
+//! Given two modes, a flag its mode would ignore, or any flag twice,
 //! `vn-fuzz` exits with status 2 and names the flags before it runs a case.
 //!
 //! Runs `N` executor-vs-oracle cases derived from `S` (see
@@ -37,6 +50,18 @@
 use std::process::ExitCode;
 
 use valuenet_verify::{run_case, run_fuzz, CaseOutcome, FuzzConfig};
+
+/// Each mode flag with the other flags that mode reads.
+const MODES: [(&str, &[&str]); 5] = [
+    ("--kernel", &["--seed"]),
+    ("--lookup", &["--seed"]),
+    ("--serve", &["--seed", "--report"]),
+    ("--serve-replay", &[]),
+    ("--replay", &["--inject-divergence"]),
+];
+
+/// The flags the executor fuzz (no mode flag) reads.
+const EXECUTOR_FLAGS: &[&str] = &["--cases", "--seed", "--fail-log", "--inject-divergence"];
 
 fn main() -> ExitCode {
     // Per-case spans and the fuzz.* outcome counters flow through
@@ -93,9 +118,13 @@ fn main() -> ExitCode {
             "--report" => report_path = Some(take("a path")),
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: vn-fuzz [--cases N] [--seed S] [--replay CASE_SEED] \
-                     [--inject-divergence] [--fail-log PATH] [--kernel N] \
-                     [--lookup N] [--serve N] [--serve-replay CASE_SEED] [--report PATH]"
+                    "usage: vn-fuzz [--cases N] [--seed S] [--fail-log PATH] \
+                     [--inject-divergence]\n\
+                     \x20      vn-fuzz --replay CASE_SEED [--inject-divergence]\n\
+                     \x20      vn-fuzz --kernel N [--seed S]\n\
+                     \x20      vn-fuzz --lookup N [--seed S]\n\
+                     \x20      vn-fuzz --serve N [--seed S] [--report PATH]\n\
+                     \x20      vn-fuzz --serve-replay CASE_SEED"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -106,12 +135,18 @@ fn main() -> ExitCode {
         }
     }
 
-    let modes: Vec<&str> = ["--kernel", "--lookup", "--serve", "--serve-replay", "--replay"]
-        .into_iter()
-        .filter(|m| seen.iter().any(|a| a == m))
-        .collect();
+    let modes: Vec<(&str, &[&str])> =
+        MODES.into_iter().filter(|(m, _)| seen.iter().any(|a| a == m)).collect();
     if modes.len() > 1 {
-        eprintln!("error: {} select different fuzz modes; give one", modes.join(" and "));
+        let names: Vec<&str> = modes.iter().map(|(m, _)| *m).collect();
+        eprintln!("error: {} select different fuzz modes; give one", names.join(" and "));
+        return ExitCode::from(2);
+    }
+    let (mode, reads) = modes.first().copied().unwrap_or(("the executor fuzz", EXECUTOR_FLAGS));
+    let ignored: Vec<&str> =
+        seen.iter().map(String::as_str).filter(|a| *a != mode && !reads.contains(a)).collect();
+    if !ignored.is_empty() {
+        eprintln!("error: {mode} does not read {}", ignored.join(", "));
         return ExitCode::from(2);
     }
 

@@ -44,8 +44,8 @@ use valuenet_core::{train, ModelConfig, Pipeline, Stage, TrainConfig, ValueMode}
 use valuenet_dataset::{generate, Corpus, CorpusConfig};
 use valuenet_obs::json::Json;
 use valuenet_serve::{
-    serve_unix, translate_frame, verb_frame, Client, Engine, ErrorKind, FaultSpec,
-    QuarantinePolicy, Response, RetryPolicy, ServeConfig, TraceSummary, Translated,
+    serve_unix, translate_frame, verb_frame, Client, Engine, ErrorKind, FaultSpec, Response,
+    ServeConfig, TraceSummary, Translated,
 };
 
 use crate::fuzz::case_seed;
@@ -192,8 +192,6 @@ impl ServeFixture {
                 workers: WORKERS,
                 queue_capacity: QUEUE_CAPACITY,
                 allow_fault_injection: true,
-                retry: RetryPolicy { max_retries: 2, base_ms: 5, cap_ms: 20 },
-                quarantine: QuarantinePolicy { max_worker_kills: 2 },
                 ..ServeConfig::default()
             },
         );

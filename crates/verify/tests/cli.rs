@@ -1,6 +1,6 @@
 //! `vn-fuzz` refuses flag combinations it would otherwise drop: two fuzz
-//! modes, or one flag given twice, exit with status 2 and name the flags
-//! before any case runs.
+//! modes, a flag the chosen mode does not read, or one flag given twice,
+//! exit with status 2 and name the flags before any case runs.
 
 use std::process::{Command, Output};
 
@@ -10,12 +10,26 @@ fn vn_fuzz(args: &[&str]) -> Output {
 
 #[test]
 fn conflicting_or_repeated_flags_exit_2_before_any_case() {
-    let bad: [(&[&str], &[&str]); 5] = [
+    let bad: [(&[&str], &[&str]); 12] = [
         (&["--kernel", "10", "--lookup", "10", "--seed", "1"], &["--kernel", "--lookup"]),
         (&["--lookup", "3", "--serve", "3"], &["--lookup", "--serve"]),
         (&["--replay", "5", "--serve-replay", "5"], &["--replay", "--serve-replay"]),
         (&["--kernel", "2", "--replay", "9"], &["--kernel", "--replay"]),
         (&["--seed", "1", "--seed", "2", "--kernel", "1"], &["--seed"]),
+        // Flags the chosen mode would ignore, one mode at a time.
+        (
+            &[
+                "--kernel", "3", "--cases", "99", "--report", "r.json", "--fail-log", "f.txt",
+                "--inject-divergence",
+            ],
+            &["--cases", "--report", "--fail-log", "--inject-divergence"],
+        ),
+        (&["--cases", "5", "--report", "r.json"], &["--report"]),
+        (&["--replay", "5", "--seed", "1"], &["--seed"]),
+        (&["--kernel", "2", "--fail-log", "f.txt"], &["--fail-log"]),
+        (&["--lookup", "3", "--cases", "9"], &["--cases"]),
+        (&["--serve", "3", "--inject-divergence"], &["--inject-divergence"]),
+        (&["--serve-replay", "5", "--seed", "1"], &["--seed"]),
     ];
     for (args, named) in bad {
         let out = vn_fuzz(args);

@@ -276,7 +276,6 @@ fn cmd_serve(args: &[String]) {
         queue_capacity: arg_positive(args, "--queue", defaults.queue_capacity),
         default_deadline_ms: arg_usize(args, "--deadline-ms", 0) as u64,
         allow_fault_injection: args.iter().any(|a| a == "--allow-faults"),
-        ..defaults
     };
     let (pipeline, corpus) = load_model(args);
     let engine = Engine::start(pipeline, corpus.databases, cfg);

@@ -14,7 +14,9 @@
 //! ```
 //!
 //! `--slo-out` writes the final cumulative `stats` payload to a file so CI
-//! can gate the smoke run with `vn-slo-check`.
+//! can gate the smoke run with `vn-slo-check`. An unknown flag, a flag
+//! given twice or without its value, or a count that is not a non-negative
+//! integer exits with status 2, naming the flag, before it connects.
 //!
 //! The corpus parameters must match the served model file's so the
 //! driver regenerates the same databases and question set.
@@ -26,12 +28,45 @@ use valuenet::dataset::{generate, CorpusConfig};
 use valuenet::obs::json::Json;
 use valuenet::serve::{translate_frame, verb_frame, Client, ErrorKind, FaultSpec, Response};
 
+/// The flags `vn_serve_smoke` takes; each takes a value.
+const FLAGS: [&str; 7] =
+    ["--socket", "--seed", "--train", "--dev", "--rows", "--requests", "--slo-out"];
+
 fn arg(args: &[String], name: &str) -> Option<String> {
     args.iter().position(|a| a == name).and_then(|i| args.get(i + 1).cloned())
 }
 
+fn usage_error(msg: &str) -> ! {
+    eprintln!("vn_serve_smoke: {msg}");
+    std::process::exit(2);
+}
+
+/// Refuses an argument that is not one of [`FLAGS`], a flag given twice and
+/// a flag without its value.
+fn check_flags(args: &[String]) {
+    let mut seen: Vec<&str> = Vec::new();
+    let mut it = args.iter().map(String::as_str);
+    while let Some(a) = it.next() {
+        if !FLAGS.contains(&a) {
+            usage_error(&format!("unknown argument {a}"));
+        }
+        if seen.contains(&a) {
+            usage_error(&format!("flag {a} given twice"));
+        }
+        seen.push(a);
+        if it.next().is_none() {
+            usage_error(&format!("flag {a} needs a value"));
+        }
+    }
+}
+
 fn arg_usize(args: &[String], name: &str, default: usize) -> usize {
-    arg(args, name).and_then(|v| v.parse().ok()).unwrap_or(default)
+    match arg(args, name) {
+        None => default,
+        Some(v) => v.parse().unwrap_or_else(|_| {
+            usage_error(&format!("{name} expects a non-negative integer, got {v:?}"))
+        }),
+    }
 }
 
 fn fail(msg: &str) -> ! {
@@ -41,6 +76,7 @@ fn fail(msg: &str) -> ! {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    check_flags(&args);
     let socket = arg(&args, "--socket").unwrap_or_else(|| "valuenet.sock".to_string());
     let requests = arg_usize(&args, "--requests", 12);
     let corpus = generate(&CorpusConfig {

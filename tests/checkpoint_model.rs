@@ -90,7 +90,7 @@ fn packed_inference_path_matches_tape_path() {
     let (pipeline, corpus) = trained();
     for input in &dev_inputs(&pipeline, &corpus) {
         let oracle = pipeline.model.predict_beam_unbatched(input);
-        let tape = ValueNetModel::with_scalar_fallback(|| pipeline.model.predict_beam(input));
+        let tape = ValueNetModel::with_tape_fallback(|| pipeline.model.predict_beam(input));
         let packed = pipeline.model.predict_beam(input);
         assert_eq!(tape, packed, "packed inference diverged from the tape path");
         assert_eq!(

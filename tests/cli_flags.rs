@@ -1,7 +1,8 @@
-//! The CLI rejects malformed numeric flags instead of silently using their
-//! defaults, flags its subcommand does not take instead of dropping them,
-//! and a flag given twice instead of keeping one value; and a model file
-//! restores exactly what `train` wrote or fails loudly.
+//! The CLI and `vn_serve_smoke` reject malformed numeric flags
+//! instead of silently using their defaults, flags they do not take
+//! instead of dropping them, and a flag given twice instead of keeping one
+//! value; and a model file restores exactly what `train` wrote or fails
+//! loudly.
 
 use std::process::Command;
 
@@ -43,6 +44,29 @@ fn malformed_numeric_flag_fails_loudly() {
         let flag = args.iter().rev().find(|a| a.starts_with("--")).unwrap();
         assert!(stderr.contains(flag), "stderr must name {flag}: {stderr}");
         assert!(out.stdout.is_empty(), "nothing may run on a bad flag");
+    }
+}
+
+#[test]
+fn serve_smoke_refuses_bad_flags_before_it_connects() {
+    // No server listens on this socket: a smoke run that got past its flags
+    // would retry the connect for a minute and then fail with status 1.
+    let sock = std::env::temp_dir().join(format!("vn-smoke-none-{}.sock", std::process::id()));
+    let sock = sock.to_str().expect("temp path is UTF-8");
+    let bad: [(&[&str], &str); 3] = [
+        (&["--socket", sock, "--request", "3"], "--request"),
+        (&["--socket", sock, "--rows", "5", "--rows", "7"], "--rows"),
+        (&["--socket", sock, "--requests", "abc"], "--requests"),
+    ];
+    for (args, flag) in bad {
+        let out = Command::new(env!("CARGO_BIN_EXE_vn_serve_smoke"))
+            .args(args)
+            .output()
+            .expect("vn_serve_smoke runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?} must exit with status 2");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(flag), "stderr must name {flag}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}: nothing may run on a bad flag");
     }
 }
 
