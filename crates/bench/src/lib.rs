@@ -83,7 +83,6 @@ impl BenchConfig {
         valuenet_core::TrainConfig {
             epochs: self.epochs,
             seed: self.seed + seed_offset,
-            verbose: std::env::var("VN_VERBOSE").is_ok(),
             threads: env_usize("VN_THREADS", 0),
             ..Default::default()
         }

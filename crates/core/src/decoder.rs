@@ -23,11 +23,7 @@ static CHOICE_COLUMN: valuenet_obs::Counter = valuenet_obs::Counter::new("decode
 static CHOICE_TABLE: valuenet_obs::Counter = valuenet_obs::Counter::new("decode.choice.table");
 static CHOICE_VALUE: valuenet_obs::Counter = valuenet_obs::Counter::new("decode.choice.value");
 
-/// Scored expansions for each live beam of one request: `None` until the
-/// beam's pointer head (or sketch scorer) has filled its slot this step.
-type BeamChoices = Vec<Option<Vec<(Action, f32)>>>;
-
-/// One live beam hypothesis (shared by the batched and unbatched search).
+/// One live beam hypothesis.
 struct BeamHyp {
     ts: TransitionSystem,
     state: LstmState,
@@ -122,12 +118,29 @@ impl Decoder {
         LstmState { h, c }
     }
 
-    /// One LSTM + attention step for one hypothesis. Returns the new state
-    /// and the feature row `[1, hidden + d]`.
+    /// The empty derivation every search starts from.
+    fn start(&self, g: &mut Graph, ps: &ParamStore, enc: &Encodings) -> BeamHyp {
+        let prev_emb = self.action_emb.forward(g, ps, &[0]);
+        let state = self.init_state(g, ps, enc);
+        BeamHyp {
+            ts: TransitionSystem::new(),
+            state,
+            prev_emb,
+            prev_ctx: enc.pooled,
+            actions: Vec::new(),
+            score: 0.0,
+        }
+    }
+
+    /// One LSTM + attention step over `B` stacked hypothesis rows: all of a
+    /// request's live hypotheses in [`Decoder::decode`], one row in
+    /// [`Decoder::loss`] and the per-hypothesis oracle. Returns the new
+    /// state, the attention context `[B, d]` (the next step's `prev_ctx`)
+    /// and the feature rows `[B, hidden + d]` the heads score.
     ///
-    /// Used by the teacher-forced [`Decoder::loss`] and the per-hypothesis
-    /// oracle; [`Decoder::step_multi`] is its row-batched counterpart for
-    /// [`Decoder::decode`].
+    /// The LSTM cell and the fused attention compute each output row
+    /// independently in a fixed order, so a row's bits do not depend on
+    /// which other rows share the step.
     fn step(
         &self,
         g: &mut Graph,
@@ -136,7 +149,7 @@ impl Decoder {
         prev_emb: Var,
         prev_ctx: Var,
         state: LstmState,
-    ) -> (LstmState, Var) {
+    ) -> (LstmState, Var, Var) {
         let x = g.concat_cols(&[prev_emb, prev_ctx]);
         let state = self.cell.step(g, ps, x, state);
         // Fused attention over the question encodings (score + scale +
@@ -145,7 +158,7 @@ impl Decoder {
         let attn = g.attn_softmax(q, enc.question, 1.0 / (self.d as f32).sqrt(), None);
         let ctx = g.matmul(attn, enc.question);
         let f = g.concat_cols(&[state.h, ctx]);
-        (state, f)
+        (state, ctx, f)
     }
 
     /// Sketch-action indices legal at the current frontier, additionally
@@ -187,52 +200,46 @@ impl Decoder {
         }
     }
 
+    /// Sketch-head logits for the feature rows `f`, with every action
+    /// outside row `r`'s `valid[r]` masked out.
     fn masked_sketch_logits(
         &self,
         g: &mut Graph,
         ps: &ParamStore,
         f: Var,
-        valid: &[usize],
+        valid: &[Vec<usize>],
     ) -> Var {
         let logits = self.sketch_head.forward(g, ps, f);
-        let mut mask = Tensor::full(1, SKETCH_VOCAB, -1e9);
-        for &i in valid {
-            mask.set(0, i, 0.0);
+        let mut mask = Tensor::full(valid.len(), SKETCH_VOCAB, -1e9);
+        for (r, row) in valid.iter().enumerate() {
+            for &i in row {
+                mask.set(r, i, 0.0);
+            }
         }
         let m = g.input(mask);
         g.add(logits, m)
     }
 
-    /// The shared-weight half of a pointer head: projects feature rows into
-    /// item-encoding space. Row-batched like every other head, so a
-    /// multi-request decode can push all requests' rows through one pass and
-    /// score each request against its own item matrix afterwards.
-    fn pointer_project(&self, g: &mut Graph, ps: &ParamStore, f: Var, which: NonTerminal) -> Var {
-        match which {
-            NonTerminal::C => self.ptr_col.forward(g, ps, f),
-            NonTerminal::T => self.ptr_tab.forward(g, ps, f),
-            NonTerminal::V => self.ptr_val.forward(g, ps, f),
-            other => unreachable!("pointer_project on {other:?}"),
-        }
-    }
-
-    /// Scores projected feature rows against an item matrix (scaled dot
-    /// product, the second half of [`Decoder::pointer_project`]).
-    fn pointer_score_items(&self, g: &mut Graph, proj: Var, items: Var) -> Var {
-        let raw = g.matmul_transposed_b(proj, items);
-        g.scale(raw, 1.0 / (self.d as f32).sqrt())
-    }
-
+    /// Pointer-network scores of the feature rows `f` over the items the
+    /// `which` frontier points into: the head projects each row into
+    /// item-encoding space, then takes a scaled dot product with every item.
     fn pointer_scores(
         &self,
         g: &mut Graph,
         ps: &ParamStore,
+        enc: &Encodings,
         f: Var,
-        items: Var,
         which: NonTerminal,
     ) -> Var {
-        let proj = self.pointer_project(g, ps, f, which);
-        self.pointer_score_items(g, proj, items)
+        let (head, items) = match which {
+            NonTerminal::C => (&self.ptr_col, enc.columns),
+            NonTerminal::T => (&self.ptr_tab, enc.tables),
+            NonTerminal::V => (&self.ptr_val, enc.values.expect("V pointer without candidates")),
+            other => unreachable!("pointer_scores on {other:?}"),
+        };
+        let proj = head.forward(g, ps, f);
+        let raw = g.matmul_transposed_b(proj, items);
+        g.scale(raw, 1.0 / (self.d as f32).sqrt())
     }
 
     /// Teacher-forced loss over a gold action sequence. Returns a scalar.
@@ -251,26 +258,18 @@ impl Decoder {
         let mut losses = Vec::with_capacity(actions.len());
         for action in actions {
             let frontier = ts.frontier().expect("gold actions exceed derivation");
-            let (next_state, f) = self.step(g, ps, enc, prev_emb, prev_ctx, state);
+            let (next_state, ctx, f) = self.step(g, ps, enc, prev_emb, prev_ctx, state);
             state = next_state;
-            // Keep the attention context for the next input.
-            prev_ctx = g.slice_cols(f, g.value(state.h).cols(), g.value(state.h).cols() + self.d);
-            let loss = match frontier {
-                NonTerminal::C => {
-                    let Action::C(i) = action else { panic!("expected C, got {action:?}") };
-                    let scores = self.pointer_scores(g, ps, f, enc.columns, NonTerminal::C);
+            prev_ctx = ctx;
+            let loss = match (frontier, action) {
+                (NonTerminal::C, Action::C(i))
+                | (NonTerminal::T, Action::T(i))
+                | (NonTerminal::V, Action::V(i)) => {
+                    let scores = self.pointer_scores(g, ps, enc, f, frontier);
                     g.log_softmax_nll(scores, &[*i])
                 }
-                NonTerminal::T => {
-                    let Action::T(i) = action else { panic!("expected T, got {action:?}") };
-                    let scores = self.pointer_scores(g, ps, f, enc.tables, NonTerminal::T);
-                    g.log_softmax_nll(scores, &[*i])
-                }
-                NonTerminal::V => {
-                    let Action::V(i) = action else { panic!("expected V, got {action:?}") };
-                    let values = enc.values.expect("gold V action without candidates");
-                    let scores = self.pointer_scores(g, ps, f, values, NonTerminal::V);
-                    g.log_softmax_nll(scores, &[*i])
+                (NonTerminal::C | NonTerminal::T | NonTerminal::V, _) => {
+                    panic!("expected a {frontier:?} pointer, got {action:?}")
                 }
                 _ => {
                     let idx = action
@@ -278,7 +277,7 @@ impl Decoder {
                         .unwrap_or_else(|| panic!("pointer action at sketch frontier: {action:?}"));
                     let valid = self.valid_sketch(&ts, has_values);
                     debug_assert!(valid.contains(&idx), "gold action masked out: {action:?}");
-                    let logits = self.masked_sketch_logits(g, ps, f, &valid);
+                    let logits = self.masked_sketch_logits(g, ps, f, &[valid]);
                     g.log_softmax_nll(logits, &[idx])
                 }
             };
@@ -291,12 +290,11 @@ impl Decoder {
         g.mean_all(stacked)
     }
 
-    /// Per-hypothesis reference implementation of [`Decoder::decode`] for
-    /// one request.
+    /// Per-hypothesis reference implementation of [`Decoder::decode`].
     ///
-    /// Steps every hypothesis through its own `[1, ·]` LSTM + attention call.
-    /// Kept as the differential oracle for the batched search (the two must
-    /// agree bit-for-bit).
+    /// Steps every hypothesis through its own `[1, ·]` call of
+    /// [`Decoder::step`] and heads. Kept as the differential oracle for the
+    /// stacked search (the two must agree bit-for-bit).
     pub fn decode_beam_unbatched(
         &self,
         g: &mut Graph,
@@ -308,16 +306,7 @@ impl Decoder {
         assert!(beam_width >= 1, "beam width must be at least 1");
         let _span = valuenet_obs::span("decode.beam");
         let has_values = enc.values.is_some();
-        let start = self.action_emb.forward(g, ps, &[0]);
-        let init = self.init_state(g, ps, enc);
-        let mut beams = vec![BeamHyp {
-            ts: TransitionSystem::new(),
-            state: init,
-            prev_emb: start,
-            prev_ctx: enc.pooled,
-            actions: Vec::new(),
-            score: 0.0,
-        }];
+        let mut beams = vec![self.start(g, ps, enc)];
         let mut completed: Vec<(Vec<Action>, f32)> = Vec::new();
         for _ in 0..max_steps {
             if beams.is_empty() {
@@ -327,33 +316,14 @@ impl Decoder {
             let mut expansions: Vec<BeamHyp> = Vec::new();
             for hyp in beams.drain(..) {
                 let frontier = hyp.ts.frontier().expect("incomplete hypotheses only");
-                let (state, f) =
+                let (state, ctx, f) =
                     self.step(g, ps, enc, hyp.prev_emb, hyp.prev_ctx, hyp.state);
-                let hidden = g.value(state.h).cols();
-                let ctx = g.slice_cols(f, hidden, hidden + self.d);
                 // Log-probabilities over the legal actions at this frontier.
                 let choices: Vec<(Action, f32)> = match frontier {
                     NonTerminal::C | NonTerminal::T | NonTerminal::V => {
-                        let items = match frontier {
-                            NonTerminal::C => enc.columns,
-                            NonTerminal::T => enc.tables,
-                            NonTerminal::V => enc.values.expect("masking guarantees candidates"),
-                            _ => unreachable!(),
-                        };
-                        let scores = self.pointer_scores(g, ps, f, items, frontier);
+                        let scores = self.pointer_scores(g, ps, enc, f, frontier);
                         let lp = g.log_softmax_rows(scores);
-                        let row = g.value(lp).row(0).to_vec();
-                        row.into_iter()
-                            .enumerate()
-                            .map(|(i, p)| {
-                                let a = match frontier {
-                                    NonTerminal::C => Action::C(i),
-                                    NonTerminal::T => Action::T(i),
-                                    _ => Action::V(i),
-                                };
-                                (a, p)
-                            })
-                            .collect()
+                        pointer_choices(frontier, g.value(lp).row(0))
                     }
                     _ => {
                         let valid = self.valid_sketch(&hyp.ts, has_values);
@@ -361,13 +331,10 @@ impl Decoder {
                             BEAM_DEAD_ENDS.add(1);
                             continue; // dead hypothesis
                         }
-                        let logits = self.masked_sketch_logits(g, ps, f, &valid);
+                        let logits =
+                            self.masked_sketch_logits(g, ps, f, std::slice::from_ref(&valid));
                         let lp = g.log_softmax_rows(logits);
-                        let row = g.value(lp).row(0);
-                        valid
-                            .iter()
-                            .map(|&i| (Action::from_sketch_index(i), row[i]))
-                            .collect()
+                        sketch_choices(&valid, g.value(lp).row(0))
                     }
                 };
                 let mut ranked = choices;
@@ -416,312 +383,157 @@ impl Decoder {
         rank_completed(completed, beam_width)
     }
 
-    /// One fused LSTM + attention step over rows drawn from *multiple*
-    /// requests. `blocks` lists, in row order, `(enc index, row count)` per
-    /// request; `embs`/`ctxs`/`hs`/`cs` are the flattened per-row inputs.
+    /// Grammar-constrained beam search over one request: the decoder's one
+    /// search loop. `width` 1 is greedy decoding (each step keeps the single
+    /// highest-scoring legal action).
     ///
-    /// The shared-weight kernels (the LSTM gate matmul — the dominant
-    /// per-step cost — and the attention query projection) run once over all
-    /// rows; attention scores and contexts are computed per request against
-    /// that request's own question encodings, so no padding or masking is
-    /// needed. The LSTM cell and the fused attention compute each output row
-    /// independently in a fixed order, so every row is bit-identical to what
-    /// [`Decoder::step`] computes for that hypothesis alone.
-    ///
-    /// Returns the stacked state, the stacked attention contexts and the
-    /// feature matrix `[B_total, hidden + d]`.
-    #[allow(clippy::too_many_arguments)]
-    fn step_multi(
-        &self,
-        g: &mut Graph,
-        ps: &ParamStore,
-        encs: &[Encodings],
-        blocks: &[(usize, usize)],
-        embs: &[Var],
-        ctxs: &[Var],
-        hs: &[Var],
-        cs: &[Var],
-    ) -> (LstmState, Var, Var) {
-        let prev_emb = g.concat_rows(embs);
-        let prev_ctx = g.concat_rows(ctxs);
-        let state = LstmState { h: g.concat_rows(hs), c: g.concat_rows(cs) };
-        let x = g.concat_cols(&[prev_emb, prev_ctx]);
-        let state = self.cell.step(g, ps, x, state);
-        let q_all = self.attn_q.forward(g, ps, state.h);
-        let scale = 1.0 / (self.d as f32).sqrt();
-        let mut ctx_parts = Vec::with_capacity(blocks.len());
-        let mut off = 0usize;
-        for &(ei, n) in blocks {
-            let enc = &encs[ei];
-            let q = if blocks.len() == 1 { q_all } else { g.slice_rows(q_all, off, off + n) };
-            let attn = g.attn_softmax(q, enc.question, scale, None);
-            ctx_parts.push(g.matmul(attn, enc.question));
-            off += n;
-        }
-        let ctx_all = if ctx_parts.len() == 1 { ctx_parts[0] } else { g.concat_rows(&ctx_parts) };
-        let f_all = g.concat_cols(&[state.h, ctx_all]);
-        (state, ctx_all, f_all)
-    }
-
-    /// Grammar-constrained beam search over a batch of requests: the
-    /// decoder's one search loop. `width` 1 is greedy decoding (each step
-    /// keeps the single highest-scoring legal action), and a lone request is
-    /// a batch of one.
-    ///
-    /// Returns, per request in input order, up to `width` completed
-    /// hypotheses, best first (ranked by mean per-action log-probability,
-    /// i.e. length-normalised), each with its summed log-probability. An
-    /// empty list means no hypothesis of that request completed within
-    /// `max_steps`.
+    /// Returns up to `width` completed hypotheses, best first (ranked by
+    /// mean per-action log-probability, i.e. length-normalised), each with
+    /// its summed log-probability. An empty list means no hypothesis
+    /// completed within `max_steps`.
     ///
     /// Beam search is the paper lineage's standard decoding upgrade (IRNet
     /// decodes with beam search); combined with execution-guided selection in
     /// the pipeline it also realises a piece of the paper's future work —
     /// using the database to discard candidates that cannot execute.
     ///
-    /// All live hypotheses of all unfinished requests advance through one
-    /// [`Decoder::step_multi`] pass per search step, and each head (sketch,
-    /// column/table/value pointers) runs its shared-weight projection once
-    /// over every row that needs it across the whole batch. Per-request work
-    /// — attention over the request's question, pointer scores against the
-    /// request's item matrices, expansion, pruning, completion — stays per
-    /// request, so each request terminates independently and drops out of
-    /// later steps. Every kernel computes each output row independently in a
-    /// fixed order, so each request's result is bit-identical to
-    /// [`Decoder::decode_beam_unbatched`] on that request alone, whatever it
-    /// is batched with (pinned by `tests/beam_search.rs` and
-    /// `tests/multi_decode.rs`).
+    /// The live hypotheses are stacked into one [`Decoder::step`] per search
+    /// step, and each head (sketch, column/table/value pointers) runs once
+    /// over the rows at its kind of frontier. Every kernel computes each
+    /// output row independently in a fixed order, so the result is
+    /// bit-identical to [`Decoder::decode_beam_unbatched`] (pinned by
+    /// `tests/beam_search.rs`).
     pub fn decode(
         &self,
         g: &mut Graph,
         ps: &ParamStore,
-        encs: &[Encodings],
+        enc: &Encodings,
         max_steps: usize,
         width: usize,
-    ) -> Vec<Vec<(Vec<Action>, f32)>> {
+    ) -> Vec<(Vec<Action>, f32)> {
         assert!(width >= 1, "beam width must be at least 1");
         let _span = valuenet_obs::span("decode.beam");
-        struct ReqBeam {
-            beams: Vec<BeamHyp>,
-            completed: Vec<(Vec<Action>, f32)>,
-            done: bool,
-        }
-        let mut reqs: Vec<ReqBeam> = encs
-            .iter()
-            .map(|enc| {
-                let start = self.action_emb.forward(g, ps, &[0]);
-                let init = self.init_state(g, ps, enc);
-                ReqBeam {
-                    beams: vec![BeamHyp {
-                        ts: TransitionSystem::new(),
-                        state: init,
-                        prev_emb: start,
-                        prev_ctx: enc.pooled,
-                        actions: Vec::new(),
-                        score: 0.0,
-                    }],
-                    completed: Vec::new(),
-                    done: false,
-                }
-            })
-            .collect();
+        let has_values = enc.values.is_some();
+        let mut beams = vec![self.start(g, ps, enc)];
+        let mut completed: Vec<(Vec<Action>, f32)> = Vec::new();
         for _ in 0..max_steps {
-            for rq in reqs.iter_mut() {
-                if rq.beams.is_empty() {
-                    rq.done = true;
-                }
-            }
-            let active: Vec<usize> =
-                (0..reqs.len()).filter(|&r| !reqs[r].done).collect();
-            if active.is_empty() {
+            if beams.is_empty() {
                 break;
             }
-            BEAM_STEPS.add(active.len() as u64);
-            // Stack every live hypothesis of every unfinished request.
-            let mut blocks: Vec<(usize, usize)> = Vec::with_capacity(active.len());
-            let mut embs = Vec::new();
-            let mut ctxs = Vec::new();
-            let mut hs = Vec::new();
-            let mut cs = Vec::new();
-            for &r in &active {
-                blocks.push((r, reqs[r].beams.len()));
-                for h in &reqs[r].beams {
-                    embs.push(h.prev_emb);
-                    ctxs.push(h.prev_ctx);
-                    hs.push(h.state.h);
-                    cs.push(h.state.c);
-                }
-            }
-            let (state_all, ctx_all, f_all) =
-                self.step_multi(g, ps, encs, &blocks, &embs, &ctxs, &hs, &cs);
-            // Group rows by frontier kind across all requests. Rows of one
-            // request stay contiguous within a kind, so per-request scores
-            // slice out of one shared projection pass.
-            let mut ptr_rows: [Vec<(usize, usize, usize)>; 3] =
-                [Vec::new(), Vec::new(), Vec::new()];
-            let mut sketch_rows: Vec<(usize, usize, usize, Vec<usize>)> = Vec::new();
-            let mut base = 0usize;
-            for &(r, n) in &blocks {
-                let has_values = encs[r].values.is_some();
-                for (li, hyp) in reqs[r].beams.iter().enumerate() {
-                    let gi = base + li;
-                    match hyp.ts.frontier().expect("incomplete hypotheses only") {
-                        NonTerminal::C => ptr_rows[0].push((gi, r, li)),
-                        NonTerminal::T => ptr_rows[1].push((gi, r, li)),
-                        NonTerminal::V => ptr_rows[2].push((gi, r, li)),
-                        _ => {
-                            let valid = self.valid_sketch(&hyp.ts, has_values);
-                            if valid.is_empty() {
-                                BEAM_DEAD_ENDS.add(1);
-                            } else {
-                                sketch_rows.push((gi, r, li, valid));
-                            }
+            BEAM_STEPS.add(1);
+            let mut stack = |pick: fn(&BeamHyp) -> Var| {
+                let rows: Vec<Var> = beams.iter().map(pick).collect();
+                g.concat_rows(&rows)
+            };
+            let prev_emb = stack(|h| h.prev_emb);
+            let prev_ctx = stack(|h| h.prev_ctx);
+            let state = LstmState { h: stack(|h| h.state.h), c: stack(|h| h.state.c) };
+            let (state, ctx, f) = self.step(g, ps, enc, prev_emb, prev_ctx, state);
+            // Group rows by frontier kind, so each head runs once per step.
+            let mut ptr_rows: [Vec<usize>; 3] = Default::default();
+            let (mut sketch_rows, mut sketch_valid) = (Vec::new(), Vec::new());
+            for (i, hyp) in beams.iter().enumerate() {
+                match hyp.ts.frontier().expect("incomplete hypotheses only") {
+                    NonTerminal::C => ptr_rows[0].push(i),
+                    NonTerminal::T => ptr_rows[1].push(i),
+                    NonTerminal::V => ptr_rows[2].push(i),
+                    _ => {
+                        let valid = self.valid_sketch(&hyp.ts, has_values);
+                        if valid.is_empty() {
+                            BEAM_DEAD_ENDS.add(1);
+                        } else {
+                            sketch_rows.push(i);
+                            sketch_valid.push(valid);
                         }
                     }
                 }
-                base += n;
             }
-            let mut choices: Vec<BeamChoices> = reqs
-                .iter()
-                .map(|rq| if rq.done { Vec::new() } else { vec![None; rq.beams.len()] })
-                .collect();
-            for (k, rows) in ptr_rows.iter().enumerate() {
+            // Scored expansions per hypothesis; `None` for a dead end.
+            let mut choices: Vec<Option<Vec<(Action, f32)>>> = vec![None; beams.len()];
+            let pointers = [NonTerminal::C, NonTerminal::T, NonTerminal::V];
+            for (rows, which) in ptr_rows.iter().zip(pointers) {
                 if rows.is_empty() {
                     continue;
                 }
-                let which = [NonTerminal::C, NonTerminal::T, NonTerminal::V][k];
-                let global: Vec<usize> = rows.iter().map(|&(gi, _, _)| gi).collect();
-                let f_k = g.gather_rows(f_all, &global);
-                // One shared-weight projection pass per pointer head …
-                let proj = self.pointer_project(g, ps, f_k, which);
-                // … then scores per request, against its own item matrix.
-                let mut i = 0;
-                while i < rows.len() {
-                    let r = rows[i].1;
-                    let mut j = i;
-                    while j < rows.len() && rows[j].1 == r {
-                        j += 1;
-                    }
-                    let items = match which {
-                        NonTerminal::C => encs[r].columns,
-                        NonTerminal::T => encs[r].tables,
-                        _ => encs[r].values.expect("masking guarantees candidates"),
-                    };
-                    let proj_r = if i == 0 && j == rows.len() {
-                        proj
-                    } else {
-                        g.slice_rows(proj, i, j)
-                    };
-                    let scores = self.pointer_score_items(g, proj_r, items);
-                    let lp = g.log_softmax_rows(scores);
-                    for (jj, &(_, _, li)) in rows[i..j].iter().enumerate() {
-                        let row = g.value(lp).row(jj);
-                        choices[r][li] = Some(
-                            row.iter()
-                                .enumerate()
-                                .map(|(i2, &p)| {
-                                    let a = match which {
-                                        NonTerminal::C => Action::C(i2),
-                                        NonTerminal::T => Action::T(i2),
-                                        _ => Action::V(i2),
-                                    };
-                                    (a, p)
-                                })
-                                .collect(),
-                        );
-                    }
-                    i = j;
+                let f_k = g.gather_rows(f, rows);
+                let scores = self.pointer_scores(g, ps, enc, f_k, which);
+                let lp = g.log_softmax_rows(scores);
+                for (j, &i) in rows.iter().enumerate() {
+                    choices[i] = Some(pointer_choices(which, g.value(lp).row(j)));
                 }
             }
             if !sketch_rows.is_empty() {
-                let global: Vec<usize> = sketch_rows.iter().map(|&(gi, _, _, _)| gi).collect();
-                let f_s = g.gather_rows(f_all, &global);
-                let logits = self.sketch_head.forward(g, ps, f_s);
-                let mut mask = Tensor::full(sketch_rows.len(), SKETCH_VOCAB, -1e9);
-                for (j, (_, _, _, valid)) in sketch_rows.iter().enumerate() {
-                    for &i in valid {
-                        mask.set(j, i, 0.0);
-                    }
-                }
-                let m = g.input(mask);
-                let masked = g.add(logits, m);
-                let lp = g.log_softmax_rows(masked);
-                for (j, (_, r, li, valid)) in sketch_rows.iter().enumerate() {
-                    let row = g.value(lp).row(j);
-                    choices[*r][*li] = Some(
-                        valid.iter().map(|&i| (Action::from_sketch_index(i), row[i])).collect(),
-                    );
+                let f_s = g.gather_rows(f, &sketch_rows);
+                let logits = self.masked_sketch_logits(g, ps, f_s, &sketch_valid);
+                let lp = g.log_softmax_rows(logits);
+                for (j, (&i, valid)) in sketch_rows.iter().zip(&sketch_valid).enumerate() {
+                    choices[i] = Some(sketch_choices(valid, g.value(lp).row(j)));
                 }
             }
-            // Expand, prune and early-exit each request exactly like the
-            // per-hypothesis oracle.
-            let mut base = 0usize;
-            for &(r, n) in &blocks {
-                let rq = &mut reqs[r];
-                let enc = &encs[r];
-                let mut state_rows: Vec<Option<(Var, Var, Var)>> = (0..n).map(|_| None).collect();
-                let mut expansions: Vec<BeamHyp> = Vec::new();
-                for (li, hyp) in rq.beams.drain(..).enumerate() {
-                    let Some(mut ranked) = choices[r][li].take() else { continue };
-                    BEAM_CANDIDATES.record(ranked.len() as u64);
-                    ranked.sort_by(|a, b| {
-                        b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal)
-                    });
-                    for (action, logp) in ranked.into_iter().take(width) {
-                        let mut ts = hyp.ts.clone();
-                        if ts.apply(&action).is_err() {
-                            continue;
-                        }
-                        count_choice(&action);
-                        BEAM_EXPANDED.add(1);
-                        let mut actions = hyp.actions.clone();
-                        actions.push(action);
-                        let score = hyp.score + logp;
-                        if ts.is_complete() {
-                            BEAM_COMPLETED.add(1);
-                            rq.completed.push((actions, score));
-                        } else {
-                            let gi = base + li;
-                            if state_rows[li].is_none() {
-                                state_rows[li] = Some((
-                                    g.slice_rows(state_all.h, gi, gi + 1),
-                                    g.slice_rows(state_all.c, gi, gi + 1),
-                                    g.slice_rows(ctx_all, gi, gi + 1),
-                                ));
-                            }
-                            let (h, c, ctx) = state_rows[li].expect("just inserted");
-                            let prev_emb = self.action_input(g, ps, enc, &action);
-                            expansions.push(BeamHyp {
-                                ts,
-                                state: LstmState { h, c },
-                                prev_emb,
-                                prev_ctx: ctx,
-                                actions,
-                                score,
-                            });
-                        }
+            // Expand, prune and early-exit exactly like the per-hypothesis
+            // oracle.
+            let mut expansions: Vec<BeamHyp> = Vec::new();
+            for (i, (hyp, ranked)) in beams.drain(..).zip(choices).enumerate() {
+                let Some(mut ranked) = ranked else { continue };
+                BEAM_CANDIDATES.record(ranked.len() as u64);
+                ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+                // Row `i` of the stepped state, sliced once for all of its
+                // surviving expansions.
+                let mut row: Option<(LstmState, Var)> = None;
+                for (action, logp) in ranked.into_iter().take(width) {
+                    let mut ts = hyp.ts.clone();
+                    if ts.apply(&action).is_err() {
+                        continue;
+                    }
+                    count_choice(&action);
+                    BEAM_EXPANDED.add(1);
+                    let mut actions = hyp.actions.clone();
+                    actions.push(action);
+                    let score = hyp.score + logp;
+                    if ts.is_complete() {
+                        BEAM_COMPLETED.add(1);
+                        completed.push((actions, score));
+                    } else {
+                        let (state, prev_ctx) = *row.get_or_insert_with(|| {
+                            let h = g.slice_rows(state.h, i, i + 1);
+                            let c = g.slice_rows(state.c, i, i + 1);
+                            (LstmState { h, c }, g.slice_rows(ctx, i, i + 1))
+                        });
+                        let prev_emb = self.action_input(g, ps, enc, &action);
+                        expansions.push(BeamHyp { ts, state, prev_emb, prev_ctx, actions, score });
                     }
                 }
-                expansions.sort_by(|a, b| {
-                    b.score.partial_cmp(&a.score).unwrap_or(std::cmp::Ordering::Equal)
-                });
-                BEAM_PRUNED.add(expansions.len().saturating_sub(width) as u64);
-                expansions.truncate(width);
-                rq.beams = expansions;
-                if rq.completed.len() >= width
-                    && rq
-                        .beams
-                        .iter()
-                        .all(|h| rq.completed.iter().any(|(_, cs)| *cs >= h.score))
-                {
-                    rq.done = true;
-                    rq.beams.clear();
-                }
-                base += n;
+            }
+            expansions
+                .sort_by(|a, b| b.score.partial_cmp(&a.score).unwrap_or(std::cmp::Ordering::Equal));
+            BEAM_PRUNED.add(expansions.len().saturating_sub(width) as u64);
+            expansions.truncate(width);
+            beams = expansions;
+            // Early exit: enough completed hypotheses that beat every open one.
+            if completed.len() >= width
+                && beams.iter().all(|h| completed.iter().any(|(_, cs)| *cs >= h.score))
+            {
+                break;
             }
         }
-        reqs.into_iter().map(|rq| rank_completed(rq.completed, width)).collect()
+        rank_completed(completed, width)
     }
+}
+
+/// A pointer head's log-probability row as `(action, log-probability)`
+/// pairs, one per item.
+fn pointer_choices(which: NonTerminal, row: &[f32]) -> Vec<(Action, f32)> {
+    let action = match which {
+        NonTerminal::C => Action::C,
+        NonTerminal::T => Action::T,
+        _ => Action::V,
+    };
+    row.iter().enumerate().map(|(i, &p)| (action(i), p)).collect()
+}
+
+/// The legal sketch actions of a masked sketch-head log-probability row.
+fn sketch_choices(valid: &[usize], row: &[f32]) -> Vec<(Action, f32)> {
+    valid.iter().map(|&i| (Action::from_sketch_index(i), row[i])).collect()
 }
 
 /// Whether applying this sketch action eventually forces a `V` pointer.

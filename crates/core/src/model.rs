@@ -240,41 +240,33 @@ impl ValueNetModel {
         }
     }
 
-    /// Grammar-constrained prediction for a batch of inputs at beam `width`
-    /// (at least 1; `1` = greedy): every input is encoded on one inference tape, then all
-    /// of them decode together through [`Decoder::decode`], whose live
-    /// hypotheses ride the same fused LSTM/attention/pointer kernels, one
-    /// pass per search step. Returns, per input, up to `width` completed
-    /// action sequences, best first, with their summed log-probabilities;
-    /// each is bit-identical to predicting that input alone.
-    pub fn predict_batch(
-        &self,
-        inputs: &[&ModelInput],
-        width: usize,
-    ) -> Vec<Vec<(Vec<Action>, f32)>> {
+    /// Grammar-constrained prediction at beam `width` (at least 1; `1` =
+    /// greedy): encodes `input` and decodes it through [`Decoder::decode`]
+    /// on this thread's inference tape. Returns up to `width` completed
+    /// action sequences, best first, with their summed log-probabilities.
+    fn decode(&self, input: &ModelInput, width: usize) -> Vec<(Vec<Action>, f32)> {
         Self::with_inference_tape(|g| {
-            let encs: Vec<Encodings> =
-                inputs.iter().map(|input| self.encode(g, input, None)).collect();
-            self.decoder.decode(g, &self.params, &encs, self.config.max_decode_steps, width)
+            let enc = self.encode(g, input, None);
+            self.decoder.decode(g, &self.params, &enc, self.config.max_decode_steps, width)
         })
     }
 
-    /// Greedy grammar-constrained prediction: [`ValueNetModel::predict_batch`]
-    /// at width 1 on a batch of one.
+    /// Greedy grammar-constrained prediction (beam width 1).
     ///
     /// # Errors
     /// When the derivation does not complete within `max_decode_steps`.
     pub fn predict(&self, input: &ModelInput) -> Result<Vec<Action>, String> {
-        let best = self.predict_batch(&[input], 1).remove(0).pop();
+        let best = self.decode(input, 1).pop();
         best.map(|(actions, _)| actions).ok_or_else(|| {
             format!("decoding did not complete within {} steps", self.config.max_decode_steps)
         })
     }
 
-    /// Beam-search prediction: [`ValueNetModel::predict_batch`] at
-    /// `config.beam_width` on a batch of one.
+    /// Beam-search prediction at `config.beam_width`: up to that many
+    /// completed action sequences, best first, with their summed
+    /// log-probabilities.
     pub fn predict_beam(&self, input: &ModelInput) -> Vec<(Vec<Action>, f32)> {
-        self.predict_batch(&[input], self.config.beam_width.max(1)).remove(0)
+        self.decode(input, self.config.beam_width.max(1))
     }
 
     /// Beam-search prediction through the per-hypothesis reference decoder

@@ -224,10 +224,10 @@ impl StageClock<'_> {
 type ChosenHypothesis = (Vec<Action>, SemQl, Option<SelectStmt>, Option<ResultSet>);
 
 /// A request that has run every pipeline stage up to (and including) input
-/// assembly, and is ready for the neural decode. Several prepared requests
-/// can share one decode pass ([`Pipeline::decode_batch`]) before each
-/// finishes independently ([`Pipeline::finish_guarded`]);
-/// [`Pipeline::try_translate_guarded`] runs one as a batch of one.
+/// assembly ([`Pipeline::prepare_guarded`]), and is ready for the neural
+/// decode ([`Pipeline::decode_batch`]) and then lowering and execution
+/// ([`Pipeline::finish_guarded`]); [`Pipeline::try_translate_guarded`] runs
+/// the three for one request.
 pub struct PreparedRequest<'a> {
     db: &'a Database,
     input: crate::input::ModelInput,
@@ -457,29 +457,19 @@ impl Pipeline {
         Ok(PreparedRequest { db, input, hypotheses: Vec::new(), timings: clock.finish() })
     }
 
-    /// Decodes a batch of prepared requests in one fused pass at the
-    /// configured beam width ([`ValueNetModel::predict_batch`]; width 1 is
-    /// greedy), stamping each request's hypotheses and adding the decode
-    /// wall time to each request's `encoder_decoder` timing (each request in
-    /// the batch waits for the whole pass). Each request's hypotheses are
-    /// bit-identical to decoding it alone, so a lone request is simply a
-    /// batch of one.
+    /// Decodes each prepared request in turn at the configured beam width
+    /// ([`ValueNetModel::predict_beam`]; width 1 is greedy), stamping its
+    /// hypotheses and adding its own decode wall time to its
+    /// `encoder_decoder` timing.
     pub fn decode_batch(&self, batch: &mut [&mut PreparedRequest<'_>]) {
-        if batch.is_empty() {
-            return;
-        }
-        let t0 = Instant::now();
-        {
-            let _s = valuenet_obs::span("pipeline.encode_decode");
-            let inputs: Vec<&crate::input::ModelInput> = batch.iter().map(|m| &m.input).collect();
-            let hyps = self.model.predict_batch(&inputs, self.model.config.beam_width.max(1));
-            for (m, h) in batch.iter_mut().zip(hyps) {
-                m.hypotheses = h.into_iter().map(|(a, _)| a).collect();
-            }
-        }
-        let dt = t0.elapsed();
         for m in batch.iter_mut() {
-            m.timings.encoder_decoder += dt;
+            let t0 = Instant::now();
+            {
+                let _s = valuenet_obs::span("pipeline.encode_decode");
+                m.hypotheses =
+                    self.model.predict_beam(&m.input).into_iter().map(|(a, _)| a).collect();
+            }
+            m.timings.encoder_decoder += t0.elapsed();
         }
     }
 

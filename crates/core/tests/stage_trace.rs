@@ -2,11 +2,12 @@
 //! `StageTimings` charges it to: hint classification to pre-processing,
 //! the lowering of every hypothesis to post-processing, and a guard to the
 //! stage it guards. The stage clock closes its last stage before it
-//! returns, so prepared requests hold no open span.
+//! returns, so prepared requests hold no open span, and each member of a
+//! `decode_batch` call finishes as its question would alone.
 
 use std::time::Duration;
-use valuenet_core::{ModelConfig, Pipeline, Stage, ValueMode, ValueNetModel, Vocab};
-use valuenet_dataset::{generate, Corpus, CorpusConfig};
+use valuenet_core::{ModelConfig, Pipeline, Prediction, Stage, ValueMode, ValueNetModel, Vocab};
+use valuenet_dataset::{generate, Corpus, CorpusConfig, Sample};
 use valuenet_obs::trace::{install_ctx, SpanCtx, TraceId};
 use valuenet_preprocess::StatisticalNer;
 
@@ -84,26 +85,41 @@ fn a_guard_is_charged_to_the_stage_it_guards() {
 }
 
 #[test]
-fn prepared_requests_share_a_decode_with_observability_on() {
+fn decode_batch_members_finish_as_lone_translations() {
     let corpus = corpus();
     let pipeline = pipeline(&corpus);
     valuenet_obs::set_enabled(true);
-    let prepare = |s: &valuenet_dataset::Sample| {
+    let sql = |p: &Prediction| p.sql.as_ref().map(ToString::to_string);
+    // Two questions whose lone translation lowers to SQL, so the check below
+    // compares queries rather than two `None`s.
+    let alone: Vec<(&Sample, Option<String>)> = corpus
+        .dev
+        .iter()
+        .map(|s| {
+            let pred = pipeline.try_translate(corpus.db(s), &s.question, Some(&s.values));
+            (s, sql(&pred.expect("light mode with gold values")))
+        })
+        .filter(|(_, sql)| sql.is_some())
+        .take(2)
+        .collect();
+    assert_eq!(alone.len(), 2, "fewer than two dev questions lower to SQL");
+    let prepare = |s: &Sample| {
         let guard = &mut |_| true;
         pipeline.prepare_guarded(corpus.db(s), &s.question, Some(&s.values), guard)
     };
-    let mut first = prepare(&corpus.dev[0]).expect("light mode with gold values");
-    let mut second = prepare(&corpus.dev[1]).expect("light mode with gold values");
+    let mut first = prepare(alone[0].0).expect("light mode with gold values");
+    let mut second = prepare(alone[1].0).expect("light mode with gold values");
     pipeline.decode_batch(&mut [&mut first, &mut second]);
     // Finished in reverse order: a span left open by either call would trip
     // the span-stack assertion of a debug build here.
-    for request in [second, first] {
-        pipeline.finish_guarded(request, &mut |_| true).expect("no guard declines");
+    for (request, (sample, lone)) in [second, first].into_iter().zip([&alone[1], &alone[0]]) {
+        let pred = pipeline.finish_guarded(request, &mut |_| true).expect("no guard declines");
+        assert_eq!(&sql(&pred), lone, "{:?}: member and lone translation differ", sample.question);
     }
     // Called outside `pipeline.translate`, the stage spans are roots (at
-    // least 3: a test on another thread may add some as this one turns
-    // observability on): two input assemblies and the shared decode.
+    // least 4: a test on another thread may add some as this one turns
+    // observability on): two input assemblies and two decodes.
     let snap = valuenet_obs::snapshot();
     let decode = snap.spans.iter().find(|s| s.path_string() == "pipeline.encode_decode");
-    assert!(decode.is_some_and(|s| s.count >= 3), "{:?}", snap.spans);
+    assert!(decode.is_some_and(|s| s.count >= 4), "{:?}", snap.spans);
 }

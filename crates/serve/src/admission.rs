@@ -52,12 +52,6 @@ impl Deadline {
             None => false,
         }
     }
-
-    /// Milliseconds left at `now_ms` (`None` = unbounded, `Some(0)` =
-    /// expired).
-    pub fn remaining_ms(&self, now_ms: u64) -> Option<u64> {
-        self.at_ms.map(|at| at.saturating_sub(now_ms))
-    }
 }
 
 #[cfg(test)]
@@ -82,8 +76,6 @@ mod tests {
         assert!(!d.expired(1249));
         assert!(d.expired(1250));
         assert!(d.expired(u64::MAX));
-        assert_eq!(d.remaining_ms(1100), Some(150));
-        assert_eq!(d.remaining_ms(2000), Some(0));
     }
 
     #[test]
@@ -101,6 +93,5 @@ mod tests {
         let d = Deadline::from_budget(123, 0);
         assert_eq!(d, Deadline::NONE);
         assert!(!d.expired(u64::MAX));
-        assert_eq!(d.remaining_ms(u64::MAX), None);
     }
 }

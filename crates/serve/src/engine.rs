@@ -19,10 +19,10 @@
 //! guard fires injected faults and checks the deadline at every gate; a
 //! degraded retry runs the whole call under
 //! [`ValueNetModel::with_tape_fallback`], which swaps the recycled tape and
-//! the packed-weight cache for a fresh tape. The decoder can search several
-//! requests in one pass ([`Pipeline::decode_batch`]), but the engine does
-//! not co-batch them: on `serve_decode` a shared decode cost the same per
-//! request and lowered throughput (DESIGN.md §15).
+//! the packed-weight cache for a fresh tape. Each request decodes alone:
+//! neither the engine nor the decoder co-batches requests, because on
+//! `serve_decode` a shared decode cost the same per request and lowered
+//! throughput (DESIGN.md §15).
 //!
 //! Robustness invariants the fault harness asserts:
 //!
