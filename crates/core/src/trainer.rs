@@ -253,9 +253,12 @@ pub fn train(
             let passes = valuenet_par::par_map(batch, cfg.threads, |_, &i| {
                 let _sample_span = valuenet_obs::span("train.sample");
                 let sample = &prepared[i];
-                // One tape per worker thread, recycled across samples: the
-                // node vector's capacity (and, via the buffer pool, every
-                // tensor it held) survives from one pass to the next.
+                // One tape per thread, recycled across samples: the node
+                // vector's capacity (and, via the buffer pool, every tensor
+                // it held) survives from one pass to the next on the same
+                // thread. At `threads = 1` that is the whole run; at
+                // `threads >= 2` `par_map` spawns fresh workers for every
+                // batch, so a worker's tape and pool last one batch.
                 thread_local! {
                     static TAPE: std::cell::RefCell<Graph> = std::cell::RefCell::new(Graph::new());
                 }

@@ -266,19 +266,16 @@ impl ParamStore {
         })
     }
 
-    /// Collects, for each parameter that received a gradient, the summed
-    /// gradient tensor. Returned in parameter order.
+    /// The gradient of each parameter that received one, in parameter
+    /// order. [`Graph::backward`] has already summed each parameter's uses,
+    /// so this only hands the sums over under their [`ParamId`]s.
     pub fn collect_grads(&self, grads: &Gradients) -> Vec<(ParamId, Tensor)> {
-        let mut acc: Vec<Option<Tensor>> = vec![None; self.params.len()];
-        for (pid, g) in grads.param_grads() {
-            match &mut acc[pid] {
-                Some(t) => t.add_assign(g),
-                slot @ None => *slot = Some(g.clone()),
-            }
-        }
-        acc.into_iter()
-            .enumerate()
-            .filter_map(|(i, g)| g.map(|g| (ParamId(i), g)))
+        grads
+            .param_grads()
+            .map(|(pid, g)| {
+                assert!(pid < self.params.len(), "collect_grads: parameter {pid} is not in this store");
+                (ParamId(pid), g.clone())
+            })
             .collect()
     }
 

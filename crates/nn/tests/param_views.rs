@@ -1,12 +1,14 @@
 //! Parameter views on the training tape: [`ParamStore::var`] loads each
 //! parameter into one value leaf per tape and gives every use a gradient
 //! node of its own. These tests pin that the views compute exactly what a
-//! copy per use ([`Graph::param`]) computes, that the load happens once per
-//! parameter per tape, and that no use reads a stale or foreign value.
+//! copy per use ([`Graph::param`]) computes, that backward's one sum per
+//! parameter equals the use-by-use gradients added in tape order, that the
+//! load happens once per parameter per tape, and that no use reads a stale
+//! or foreign value.
 
 use std::cell::Cell;
 use valuenet_nn::{ParamId, ParamStore};
-use valuenet_tensor::{Activation, Gradients, Graph, Tensor, Var};
+use valuenet_tensor::{Activation, Graph, Tensor, Var};
 
 fn ramp(rows: usize, cols: usize, k: f32) -> Tensor {
     Tensor::from_vec(rows, cols, (0..rows * cols).map(|i| ((i as f32 + 1.0) * k).sin()).collect())
@@ -77,20 +79,138 @@ fn views_match_a_copy_per_use_bit_for_bit() {
     }
     for id in [p.w, p.b, p.emb] {
         let (v, c) = (grads_v.for_param(id.index()), grads_c.for_param(id.index()));
-        assert_eq!(bits(&v.unwrap()), bits(&c.unwrap()), "for_param({})", ps.name(id));
+        assert_eq!(bits(v.unwrap()), bits(c.unwrap()), "for_param({})", ps.name(id));
     }
-    let seq = |grads: &Gradients| -> Vec<(usize, Vec<u32>)> {
-        grads.param_grads().map(|(id, g)| (id, bits(g))).collect()
-    };
-    let (seq_v, seq_c) = (seq(&grads_v), seq(&grads_c));
-    assert_eq!(seq_v.len(), 7, "one gradient per use");
-    assert_eq!(seq_v, seq_c);
-
     let sums_v = ps.collect_grads(&grads_v);
     let sums_c = ps.collect_grads(&grads_c);
     assert_eq!(sums_v.len(), sums_c.len());
     for ((iv, tv), (ic, tc)) in sums_v.iter().zip(&sums_c) {
         assert_eq!((iv, bits(tv)), (ic, bits(tc)));
+    }
+}
+
+/// The parameters of [`every_kind_of_use`], by index into its store.
+const W: usize = 0;
+const LW: usize = 1;
+const LB: usize = 2;
+const EMB: usize = 3;
+const S: usize = 4;
+const Z: usize = 5;
+const UNREACHED: usize = 6;
+
+fn kinds_store() -> ParamStore {
+    let mut ps = ParamStore::new();
+    for (name, rows, cols, k) in [
+        ("w", 6, 5, 0.37),
+        ("lw", 6, 5, 0.53),
+        ("lb", 1, 5, 1.3),
+        ("emb", 7, 16, 0.71),
+        ("s", 1, 5, 0.9),
+        ("z", 3, 5, 1.7),
+        ("unreached", 5, 5, 0.2),
+    ] {
+        ps.add(name, 0, ramp(rows, cols, k));
+    }
+    ps
+}
+
+/// One forward pass over every kind of parameter use backward folds:
+/// matmul weights at 1, 4, 5 and 9 rows per use, a `matmul_bias_act`
+/// weight and bias, gathers that repeat an index inside one use, one use
+/// feeding both operands of `mul`, a dense use that hands a table −0.0
+/// before a gather of it, and a use that never reaches the loss. `param`
+/// registers a use of parameter `p`. Returns the scalar loss.
+fn every_kind_of_use(g: &mut Graph, param: &mut dyn FnMut(&mut Graph, usize) -> Var) -> Var {
+    fn tanh_sum(g: &mut Graph, v: Var) -> Var {
+        let t = g.tanh(v);
+        g.sum_all(t)
+    }
+    let mut pieces = Vec::new();
+    for (u, rows) in [1, 4, 5, 9].into_iter().enumerate() {
+        let x = g.input(ramp(rows, 6, 0.3 + u as f32));
+        let w = param(g, W);
+        let h = g.matmul(x, w);
+        pieces.push(tanh_sum(g, h));
+    }
+    for (rows, act) in [(3, Activation::Tanh), (1, Activation::Sigmoid)] {
+        let x = g.input(ramp(rows, 6, 0.17 * rows as f32));
+        let (w, b) = (param(g, LW), param(g, LB));
+        let h = g.matmul_bias_act(x, w, Some(b), act);
+        pieces.push(tanh_sum(g, h));
+    }
+    let e1 = param(g, EMB);
+    let x1 = g.gather_rows(e1, &[2, 4, 2, 6]);
+    pieces.push(tanh_sum(g, x1));
+    let e2 = param(g, EMB);
+    let x2 = g.gather_rows(e2, &[4, 0, 4, 4]);
+    let c = g.input(ramp(4, 16, -0.4));
+    let x2 = g.mul(x2, c);
+    pieces.push(tanh_sum(g, x2));
+    let s = param(g, S);
+    let sq = g.mul(s, s);
+    pieces.push(tanh_sum(g, sq));
+    // Upstream 1.0 times −0.0 gives the table a −0.0 gradient everywhere;
+    // the gather after it turns the rows it skips into +0.0, as adding a
+    // zeroed scatter does.
+    let z1 = param(g, Z);
+    let neg_zero = g.input(Tensor::full(3, 5, -0.0));
+    let zz = g.mul(z1, neg_zero);
+    pieces.push(g.sum_all(zz));
+    let z2 = param(g, Z);
+    let z = g.gather_rows(z2, &[1]);
+    pieces.push(tanh_sum(g, z));
+    let unreached = param(g, UNREACHED);
+    let _ = g.tanh(unreached);
+    let mut loss = pieces[0];
+    for &p in &pieces[1..] {
+        loss = g.add(loss, p);
+    }
+    loss
+}
+
+#[test]
+fn each_sum_is_its_uses_added_in_tape_order() {
+    let ps = kinds_store();
+    let ids: Vec<ParamId> = ps.ids().collect();
+    let mut g = Graph::new();
+    let loss = every_kind_of_use(&mut g, &mut |g, p| ps.var(g, ids[p]));
+    let shared = g.backward(loss);
+
+    // The same pass with every use under an id of its own.
+    let mut owner = Vec::new();
+    let mut gd = Graph::new();
+    let loss = every_kind_of_use(&mut gd, &mut |g, p| {
+        owner.push(p);
+        g.param(ps.get(ids[p]), owner.len() - 1)
+    });
+    let distinct = gd.backward(loss);
+
+    for (p, &id) in ids.iter().enumerate() {
+        let mut want: Option<Tensor> = None;
+        for (u, _) in owner.iter().enumerate().filter(|&(_, &q)| q == p) {
+            if let Some(gu) = distinct.for_param(u) {
+                match &mut want {
+                    Some(acc) => acc.add_assign(gu),
+                    None => want = Some(gu.clone()),
+                }
+            }
+        }
+        let got = shared.for_param(p);
+        assert_eq!(got.is_some(), want.is_some(), "{}: gradient present", ps.name(id));
+        if let (Some(got), Some(want)) = (got, want) {
+            assert_eq!(got.shape(), want.shape(), "{}: shape", ps.name(id));
+            assert_eq!(bits(got), bits(&want), "{}: the sum of its uses", ps.name(id));
+        }
+    }
+    assert!(shared.for_param(UNREACHED).is_none(), "a use that misses the loss gets no gradient");
+    let z = shared.for_param(Z).unwrap();
+    assert!(z.as_slice().iter().all(|x| x.to_bits() != (-0.0f32).to_bits()), "the gather cleared −0.0");
+
+    let collected = ps.collect_grads(&shared);
+    let got: Vec<usize> = collected.iter().map(|(id, _)| id.index()).collect();
+    assert_eq!(got, [W, LW, LB, EMB, S, Z], "one gradient per reached parameter, in order");
+    for (id, t) in &collected {
+        assert_eq!(bits(t), bits(shared.for_param(id.index()).unwrap()));
     }
 }
 

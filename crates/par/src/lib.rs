@@ -1,20 +1,19 @@
 //! Deterministic data parallelism on scoped threads.
 //!
-//! The engine fans work out over a fixed worker count and guarantees that the
-//! *observable result is independent of thread count and scheduling*:
+//! [`par_map`] fans work out over a fixed worker count and preserves input
+//! order: the output at index `i` is always `f(i, &items[i])`, regardless of
+//! which worker computed it or when. That order is what makes parallel
+//! results independent of thread count and scheduling: floating-point
+//! addition is not associative, so callers that sum the outputs fold them
+//! **sequentially in input order** on the calling thread (the trainer sums
+//! per-sample gradients this way), never in arrival order, and parallel
+//! runs stay bit-identical to sequential ones.
 //!
-//! * [`par_map`] preserves input order — the output at index `i` is always
-//!   `f(&items[i])`, regardless of which worker computed it.
-//! * [`par_map_reduce`] reduces the mapped values **sequentially in input
-//!   order** on the calling thread. Floating-point addition is not
-//!   associative, so a tree- or arrival-order reduction would make sums
-//!   depend on scheduling; folding in a canonical order makes parallel runs
-//!   bit-identical to sequential ones.
-//!
-//! Workers are plain [`std::thread::scope`] threads claiming fixed
-//! contiguous chunks (no work stealing, no queues, no extra dependencies).
-//! With `threads <= 1` or tiny inputs the closure runs inline on the caller,
-//! so the sequential path *is* the parallel path with one worker.
+//! Workers are plain [`std::thread::scope`] threads, spawned per call, each
+//! claiming one fixed contiguous chunk (no work stealing, no queues, no
+//! extra dependencies). With `threads <= 1` or tiny inputs the closure runs
+//! inline on the caller, so the sequential path *is* the parallel path with
+//! one worker.
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -96,31 +95,13 @@ where
     out
 }
 
-/// Maps `f` over `items` in parallel, then folds the results **sequentially
-/// in input order** with `reduce`, starting from `init`.
-///
-/// Because the reduction order is canonical, the result is bit-identical for
-/// any thread count (including 1), even for non-associative operations such
-/// as floating-point addition.
-pub fn par_map_reduce<T, U, A, F, R>(items: &[T], threads: usize, f: F, init: A, mut reduce: R) -> A
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &T) -> U + Sync,
-    R: FnMut(A, U) -> A,
-{
-    let mapped = par_map(items, threads, f);
-    let mut acc = init;
-    for v in mapped {
-        acc = reduce(acc, v);
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Callers fold the outputs in input order (the trainer's per-sample
+    /// gradient sums), so this order is what keeps their sums
+    /// bit-identical across thread counts.
     #[test]
     fn par_map_preserves_order() {
         let items: Vec<usize> = (0..103).collect();
@@ -130,19 +111,6 @@ mod tests {
                 x * 2
             });
             assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn reduction_is_bit_identical_across_thread_counts() {
-        // Values chosen so that f32 summation order matters.
-        let items: Vec<f32> = (0..1000).map(|i| (i as f32).sin() * 1e3 + 1e-3).collect();
-        let reference =
-            par_map_reduce(&items, 1, |_, &x| x * 1.000_1, 0.0f32, |acc, v| acc + v);
-        for threads in [2, 3, 4, 8] {
-            let sum =
-                par_map_reduce(&items, threads, |_, &x| x * 1.000_1, 0.0f32, |acc, v| acc + v);
-            assert_eq!(sum.to_bits(), reference.to_bits(), "threads = {threads}");
         }
     }
 

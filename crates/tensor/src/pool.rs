@@ -31,9 +31,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 const NUM_BUCKETS: usize = 25;
 /// Per-bucket byte budget; a bucket already holding this much lets further
 /// retiring buffers drop instead. The budget must cover the tape's peak live
-/// tensor count — a whole training step's forward values and gradients
-/// retire at once on `Graph::reset`, and every buffer the budget rejects is
-/// a guaranteed allocator round-trip on the next step.
+/// tensor count — a whole training step's forward values retire at once on
+/// `Graph::reset` (its gradients retire earlier, one by one during the
+/// backward sweep, and the parameter sums when the trainer drops them), and
+/// every buffer the budget rejects is a guaranteed allocator round-trip on
+/// the next step.
 const MAX_BUCKET_BYTES: usize = 1 << 24;
 
 /// Free-list depth cap for a bucket: the byte budget divided by the bucket's

@@ -196,35 +196,75 @@ kernel! {
 }
 
 kernel! {
-    /// `out[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]`
-    /// (left-associated), at an explicit level: the shared-rows update of
-    /// `matmul_transposed_a`.
+    /// `out += Σ aᵀ · b` over `uses`, at an explicit level: the kernel
+    /// behind `Tensor::matmul_transposed_a` and behind backward's fold of
+    /// a weight's uses into one sum. Each use is `(a, b, k)`: a row-major
+    /// `k × n` left operand and `k × m` right operand; `out` is `n × m`.
+    ///
+    /// The fold runs one output row at a time, adding the uses in order,
+    /// so a row of `out` stays in cache while every use adds to it. Each
+    /// use's row is first summed from zero in `row` (length `m`): its
+    /// shared rows four at a time, as `a0·b0 + a1·b1 + a2·b2 + a3·b3`
+    /// left-associated, then the remaining rows one at a time. Only then
+    /// is it added into `out`. So every element gets the bits of building
+    /// each product on its own and adding them in order, at any `k`. With
+    /// one shared row the sum from zero is `0.0 + a·b`, computed in place.
     ///
     /// # Panics
-    /// Panics unless every `b_i` is as long as `out`.
-    pub fn axpy4_shared_at(
+    /// Panics unless `out` holds `n·m` floats and each use's `a` and `b`
+    /// hold `k·n` and `k·m`.
+    pub fn transposed_a_add_at(
         lvl: SimdLevel,
         out: &mut [f32],
-        a0: f32,
-        a1: f32,
-        a2: f32,
-        a3: f32,
-        b0: &[f32],
-        b1: &[f32],
-        b2: &[f32],
-        b3: &[f32],
+        row: &mut [f32],
+        uses: &[(&[f32], &[f32], usize)],
+        n: usize,
     ) {
-        let n = out.len();
-        assert!(
-            b0.len() == n && b1.len() == n && b2.len() == n && b3.len() == n,
-            "axpy4_shared: rows of {}, {}, {} and {} against {n}",
-            b0.len(),
-            b1.len(),
-            b2.len(),
-            b3.len()
-        );
-        for j in 0..n {
-            out[j] += a0 * b0[j] + a1 * b1[j] + a2 * b2[j] + a3 * b3[j];
+        let m = row.len();
+        assert_eq!(out.len(), n * m, "transposed_a_add: out of {} against n = {n}, m = {m}", out.len());
+        for &(a, b, k) in uses {
+            assert!(
+                a.len() == k * n && b.len() == k * m,
+                "transposed_a_add: a of {} and b of {} against k = {k}, n = {n}, m = {m}",
+                a.len(),
+                b.len()
+            );
+        }
+        if m == 0 {
+            return;
+        }
+        for (i, o) in out.chunks_exact_mut(m).enumerate() {
+            for &(a, b, k) in uses {
+                if k == 1 {
+                    let a0 = a[i];
+                    for (ov, &bv) in o.iter_mut().zip(b) {
+                        *ov += 0.0 + a0 * bv;
+                    }
+                    continue;
+                }
+                row.fill(0.0);
+                let full = k - k % 4;
+                for p in (0..full).step_by(4) {
+                    let (a0, a1, a2, a3) =
+                        (a[p * n + i], a[(p + 1) * n + i], a[(p + 2) * n + i], a[(p + 3) * n + i]);
+                    let b0 = &b[p * m..(p + 1) * m];
+                    let b1 = &b[(p + 1) * m..(p + 2) * m];
+                    let b2 = &b[(p + 2) * m..(p + 3) * m];
+                    let b3 = &b[(p + 3) * m..(p + 4) * m];
+                    for j in 0..m {
+                        row[j] += a0 * b0[j] + a1 * b1[j] + a2 * b2[j] + a3 * b3[j];
+                    }
+                }
+                for p in full..k {
+                    let av = a[p * n + i];
+                    for (rv, &bv) in row.iter_mut().zip(&b[p * m..(p + 1) * m]) {
+                        *rv += av * bv;
+                    }
+                }
+                for (ov, &rv) in o.iter_mut().zip(row.iter()) {
+                    *ov += rv;
+                }
+            }
         }
     }
 }

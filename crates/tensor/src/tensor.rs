@@ -291,23 +291,12 @@ impl Tensor {
         dot_kernel(&self.data, &other.data, self.rows, self.cols, other.rows, lvl)
     }
 
-    /// `selfᵀ @ other` without materialising the transpose.
-    ///
-    /// Computed as a sum of rank-1 updates, four shared rows per pass: for
-    /// rows `p..p+4`, `out[i] += Σ self[p][i] · other.row(p)`, so all reads
-    /// and writes are contiguous and each output row is traversed once per
-    /// four input rows. Shapes: `(k×n)ᵀ @ k×m → n×m`.
+    /// `selfᵀ @ other` without materialising the transpose: the fold of
+    /// [`Tensor::add_matmul_transposed_a`] into zeros. Shapes:
+    /// `(k×n)ᵀ @ k×m → n×m`.
     pub fn matmul_transposed_a(&self, other: &Tensor) -> Tensor {
-        assert_eq!(
-            self.rows, other.rows,
-            "matmul_transposed_a: ({}x{})ᵀ @ {}x{}",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        let start = valuenet_obs::enabled().then(valuenet_obs::now_ns);
-        let out = transposed_a_kernel(&self.data, &other.data, self.rows, self.cols, other.cols, simd::level());
-        if let Some(s) = start {
-            record_matmul(self.cols, self.rows, other.cols, s);
-        }
+        let mut out = Tensor::zeros(self.cols, other.cols);
+        out.add_matmul_transposed_a(&[(self, other)]);
         out
     }
 
@@ -315,12 +304,49 @@ impl Tensor {
     /// Bit-identical at every level; used by tests and benchmarks.
     #[doc(hidden)]
     pub fn matmul_transposed_a_with_level(&self, other: &Tensor, lvl: SimdLevel) -> Tensor {
-        assert_eq!(
-            self.rows, other.rows,
-            "matmul_transposed_a: ({}x{})ᵀ @ {}x{}",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        transposed_a_kernel(&self.data, &other.data, self.rows, self.cols, other.cols, lvl)
+        let mut out = Tensor::zeros(self.cols, other.cols);
+        out.add_matmul_transposed_a_with_level(&[(self, other)], lvl);
+        out
+    }
+
+    /// `self += Σ aᵀ @ b` over `uses`, each `a` of `k×n` and `b` of `k×m`
+    /// (`k` may differ between uses) and `self` of `n×m`: how backward
+    /// folds the uses of a weight into the weight's gradient sum. The
+    /// result is bit-identical to `self.add_assign(&a.matmul_transposed_a(b))`
+    /// for each use in order, and no product is built (see
+    /// [`simd::transposed_a_add_at`]).
+    pub fn add_matmul_transposed_a(&mut self, uses: &[(&Tensor, &Tensor)]) {
+        let start = valuenet_obs::enabled().then(valuenet_obs::now_ns);
+        self.add_matmul_transposed_a_with_level(uses, simd::level());
+        if let Some(s) = start {
+            let k: usize = uses.iter().map(|(a, _)| a.rows).sum();
+            record_matmul(self.rows, k, self.cols, s);
+        }
+    }
+
+    /// [`Tensor::add_matmul_transposed_a`] pinned to an explicit SIMD
+    /// level. Bit-identical at every level; used by tests and the kernel
+    /// fuzz.
+    #[doc(hidden)]
+    pub fn add_matmul_transposed_a_with_level(&mut self, uses: &[(&Tensor, &Tensor)], lvl: SimdLevel) {
+        for (a, b) in uses {
+            assert!(
+                a.rows == b.rows && self.shape() == (a.cols, b.cols),
+                "matmul_transposed_a: {}x{} += ({}x{})ᵀ @ {}x{}",
+                self.rows,
+                self.cols,
+                a.rows,
+                a.cols,
+                b.rows,
+                b.cols
+            );
+        }
+        let raw: Vec<(&[f32], &[f32], usize)> =
+            uses.iter().map(|(a, b)| (a.as_slice(), b.as_slice(), a.rows)).collect();
+        let mut row = crate::pool::take(self.cols);
+        row.resize(self.cols, 0.0);
+        simd::transposed_a_add_at(lvl, &mut self.data, &mut row, &raw, self.rows);
+        crate::pool::give(row);
     }
 
     /// Transposed copy, tiled so the destination is written contiguously.
@@ -406,38 +432,6 @@ fn dot_kernel(a: &[f32], b: &[f32], n: usize, k: usize, m: usize, lvl: SimdLevel
         simd::dot_rows_at(lvl, x, b, k, m, &mut data);
     }
     Tensor { data, rows: n, cols: m }
-}
-
-/// The kernel behind [`Tensor::matmul_transposed_a`]: `selfᵀ @ other` as a
-/// sum of rank-1 updates, four shared rows per pass. `a` is `k×n`, `b` is
-/// `k×m`, result is `n×m`.
-#[inline(never)]
-fn transposed_a_kernel(a: &[f32], b: &[f32], k: usize, n: usize, m: usize, lvl: SimdLevel) -> Tensor {
-    let mut out = Tensor::zeros(n, m);
-    let full_p = k - k % 4;
-    for p in (0..full_p).step_by(4) {
-        let b0 = &b[p * m..(p + 1) * m];
-        let b1 = &b[(p + 1) * m..(p + 2) * m];
-        let b2 = &b[(p + 2) * m..(p + 3) * m];
-        let b3 = &b[(p + 3) * m..(p + 4) * m];
-        for i in 0..n {
-            let a0 = a[p * n + i];
-            let a1 = a[(p + 1) * n + i];
-            let a2 = a[(p + 2) * n + i];
-            let a3 = a[(p + 3) * n + i];
-            let out_row = &mut out.data[i * m..(i + 1) * m];
-            simd::axpy4_shared_at(lvl, out_row, a0, a1, a2, a3, b0, b1, b2, b3);
-        }
-    }
-    for p in full_p..k {
-        let b_row = &b[p * m..(p + 1) * m];
-        for i in 0..n {
-            let av = a[p * n + i];
-            let out_row = &mut out.data[i * m..(i + 1) * m];
-            simd::axpy_at(lvl, out_row, av, b_row);
-        }
-    }
-    out
 }
 
 /// The shared inner kernel behind [`Tensor::matmul`] and

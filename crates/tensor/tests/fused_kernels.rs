@@ -96,12 +96,12 @@ proptest! {
         let loss = weighted_loss(&mut g, y, seed ^ 0xF00D);
         prop_assert_eq!(loss_fused.to_bits(), g.value(loss).scalar_value().to_bits());
         let grads = g.backward(loss);
-        assert_bits_eq(&grads_fused.for_param(0).unwrap(), &grads.for_param(0).unwrap(), "d_input");
-        assert_bits_eq(&grads_fused.for_param(1).unwrap(), &grads.for_param(1).unwrap(), "d_weight");
+        assert_bits_eq(grads_fused.for_param(0).unwrap(), grads.for_param(0).unwrap(), "d_input");
+        assert_bits_eq(grads_fused.for_param(1).unwrap(), grads.for_param(1).unwrap(), "d_weight");
         if with_bias {
             assert_bits_eq(
-                &grads_fused.for_param(2).unwrap(),
-                &grads.for_param(2).unwrap(),
+                grads_fused.for_param(2).unwrap(),
+                grads.for_param(2).unwrap(),
                 "d_bias",
             );
         }
@@ -155,8 +155,8 @@ proptest! {
         let loss = weighted_loss(&mut g, y, seed ^ 0xBEEF);
         prop_assert_eq!(loss_fused.to_bits(), g.value(loss).scalar_value().to_bits());
         let grads = g.backward(loss);
-        assert_bits_eq(&grads_fused.for_param(0).unwrap(), &grads.for_param(0).unwrap(), "d_query");
-        assert_bits_eq(&grads_fused.for_param(1).unwrap(), &grads.for_param(1).unwrap(), "d_keys");
+        assert_bits_eq(grads_fused.for_param(0).unwrap(), grads.for_param(0).unwrap(), "d_query");
+        assert_bits_eq(grads_fused.for_param(1).unwrap(), grads.for_param(1).unwrap(), "d_keys");
     }
 
     /// `matmul_transposed_b` ≡ transpose → matmul: forward, loss, and both
@@ -187,8 +187,8 @@ proptest! {
         let loss = weighted_loss(&mut g, y, seed ^ 0xD00D);
         prop_assert_eq!(loss_fused.to_bits(), g.value(loss).scalar_value().to_bits());
         let grads = g.backward(loss);
-        assert_bits_eq(&grads_fused.for_param(0).unwrap(), &grads.for_param(0).unwrap(), "d_a");
-        assert_bits_eq(&grads_fused.for_param(1).unwrap(), &grads.for_param(1).unwrap(), "d_b");
+        assert_bits_eq(grads_fused.for_param(0).unwrap(), grads.for_param(0).unwrap(), "d_a");
+        assert_bits_eq(grads_fused.for_param(1).unwrap(), grads.for_param(1).unwrap(), "d_b");
     }
 
     /// `lstm_gates` ≡ the thirteen-node slice/sigmoid/tanh/mul/add chain:
@@ -239,8 +239,8 @@ proptest! {
         let loss = g.add(lh, lc);
         prop_assert_eq!(loss_fused.to_bits(), g.value(loss).scalar_value().to_bits());
         let grads = g.backward(loss);
-        assert_bits_eq(&grads_fused.for_param(0).unwrap(), &grads.for_param(0).unwrap(), "d_z");
-        assert_bits_eq(&grads_fused.for_param(1).unwrap(), &grads.for_param(1).unwrap(), "d_c_prev");
+        assert_bits_eq(grads_fused.for_param(0).unwrap(), grads.for_param(0).unwrap(), "d_z");
+        assert_bits_eq(grads_fused.for_param(1).unwrap(), grads.for_param(1).unwrap(), "d_c_prev");
     }
 
     /// `log_softmax_nll` ≡ log_softmax_rows → nll_loss, loss value and input
@@ -265,6 +265,6 @@ proptest! {
         let loss = g.nll_loss(lp, &targets);
         prop_assert_eq!(loss_fused.to_bits(), g.value(loss).scalar_value().to_bits());
         let grads = g.backward(loss);
-        assert_bits_eq(&grads_fused.for_param(0).unwrap(), &grads.for_param(0).unwrap(), "d_x");
+        assert_bits_eq(grads_fused.for_param(0).unwrap(), grads.for_param(0).unwrap(), "d_x");
     }
 }

@@ -83,8 +83,11 @@ fn short_operands_panic_at_every_level() {
         must_panic("axpy4, short row", &|| {
             simd::axpy4_at(lvl, &mut l(), &mut l(), &mut l(), &mut s(), 1.0, 2.0, 3.0, 4.0, &long)
         });
-        must_panic("axpy4_shared, short b3", &|| {
-            simd::axpy4_shared_at(lvl, &mut l(), 1.0, 2.0, 3.0, 4.0, &long, &long, &long, &short)
+        must_panic("transposed_a_add, short b", &|| {
+            simd::transposed_a_add_at(lvl, &mut l(), &mut [0.0; 8], &[(&long[..4], &short, 2)], 2)
+        });
+        must_panic("transposed_a_add, short out", &|| {
+            simd::transposed_a_add_at(lvl, &mut s(), &mut [0.0; 8], &[(&long[..4], &long, 2)], 2)
         });
         must_panic("dot_rows, short x", &|| {
             simd::dot_rows_at(lvl, &short, &long, 8, 2, &mut Vec::new())
@@ -177,11 +180,16 @@ proptest! {
             simd::axpy_at(lvl, &mut got, a0, &b0);
             assert_bits_eq(&got, &want, &format!("axpy {name}"));
 
+            // `acc += aᵀ·b` for one output row: a use with one shared row,
+            // then one with four (one group of the shared-rows fold).
+            let (a, b) = ([a0, a1, a2, a3], [b0.clone(), b1.clone(), b2.clone(), b3.clone()].concat());
+            let uses = [(&a[..1], &b[..len], 1), (&a[..], &b[..], 4)];
+            let mut row = vec![0.0; len];
             let mut want = acc.clone();
-            simd::axpy4_shared_at(SimdLevel::Scalar, &mut want, a0, a1, a2, a3, &b0, &b1, &b2, &b3);
+            simd::transposed_a_add_at(SimdLevel::Scalar, &mut want, &mut row, &uses, 1);
             let mut got = acc.clone();
-            simd::axpy4_shared_at(lvl, &mut got, a0, a1, a2, a3, &b0, &b1, &b2, &b3);
-            assert_bits_eq(&got, &want, &format!("axpy4_shared {name}"));
+            simd::transposed_a_add_at(lvl, &mut got, &mut row, &uses, 1);
+            assert_bits_eq(&got, &want, &format!("transposed_a_add {name}"));
 
             let (mut w0, mut w1, mut w2, mut w3) =
                 (acc.clone(), b1.clone(), b2.clone(), b3.clone());

@@ -1,7 +1,7 @@
 //! Deterministic fuzz harness for the matmul kernels.
 //!
-//! Each case derives a matrix shape and contents from its seed (the same
-//! SplitMix64 discipline as [`crate::fuzz`]) and checks two kernel
+//! Each case derives matrix shapes and contents from its seed (the same
+//! SplitMix64 discipline as [`crate::fuzz`]) and checks three kernel
 //! families **bit for bit** at every SIMD level the host supports:
 //!
 //! * **packed**: the packed inference matmul against the scalar blocked
@@ -9,9 +9,15 @@
 //! * **tape**: `Tensor::{matmul, matmul_transposed_b,
 //!   matmul_transposed_a}_with_level` against the same product at the
 //!   scalar level, and `matmul` and the narrow `matmul_transposed_b` also
-//!   against `matmul_naive`, whose fold order they share.
+//!   against `matmul_naive`, whose fold order they share;
+//! * **fold**: backward's fold of a weight's uses into one sum
+//!   (`Tensor::add_matmul_transposed_a_with_level`): 1–6 uses of 1–9 rows
+//!   each, at the model's widths (`n` from {64, 112, 128, 192}, `m` from
+//!   {46, 48, 64, 128, 512}), added into a zeroed buffer, against each use
+//!   built by `matmul_transposed_a` at the scalar level and summed in
+//!   order, the first one cloned.
 //!
-//! Shapes (`n×k @ k×m`):
+//! Shapes of the packed and tape families (`n×k @ k×m`):
 //!
 //! * every third case pins `n = 1`, the decoder's first beam step and
 //!   greedy shape; otherwise `n` is drawn from `1..=13`, which reaches every
@@ -56,6 +62,11 @@ fn levels() -> Vec<SimdLevel> {
         .collect()
 }
 
+/// True when two results differ in any bit.
+fn diverges(got: &Tensor, want: &Tensor) -> bool {
+    got.as_slice().iter().zip(want.as_slice()).any(|(x, y)| x.to_bits() != y.to_bits())
+}
+
 /// Runs one seeded case; `None` on success, a failure description otherwise.
 pub fn run_kernel_case(seed: u64) -> Option<String> {
     let mut s = seed;
@@ -69,9 +80,6 @@ pub fn run_kernel_case(seed: u64) -> Option<String> {
     let a = Tensor::from_vec(n, k, pseudo_data(&mut s, n * k));
     let w = Tensor::from_vec(k, m, pseudo_data(&mut s, k * m));
     let shape = format!("{n}x{k} @ {k}x{m}");
-    let diverges = |got: &Tensor, want: &Tensor| {
-        got.as_slice().iter().zip(want.as_slice()).any(|(x, y)| x.to_bits() != y.to_bits())
-    };
 
     let oracle = a.matmul_with_level(&w, SimdLevel::Scalar);
     let packed = PackedMatrix::from_tensor(&w);
@@ -106,6 +114,43 @@ pub fn run_kernel_case(seed: u64) -> Option<String> {
         }
     }
 
+    fold_case(&mut s)
+}
+
+/// The fold family: several uses of one weight, each `aᵀ · dz` with its
+/// own row count, added into one buffer, against building each use at the
+/// scalar level and adding them in order with the first one cloned.
+fn fold_case(s: &mut u64) -> Option<String> {
+    let n = [64, 112, 128, 192][(splitmix(s) % 4) as usize];
+    let m = [46, 48, 64, 128, 512][(splitmix(s) % 5) as usize];
+    let uses: Vec<(Tensor, Tensor)> = (0..splitmix(s) % 6 + 1)
+        .map(|_| {
+            let k = (splitmix(s) % 9 + 1) as usize;
+            (Tensor::from_vec(k, n, pseudo_data(s, k * n)), Tensor::from_vec(k, m, pseudo_data(s, k * m)))
+        })
+        .collect();
+    let mut want: Option<Tensor> = None;
+    for (a, dz) in &uses {
+        let built = a.matmul_transposed_a_with_level(dz, SimdLevel::Scalar);
+        match &mut want {
+            Some(sum) => sum.add_assign(&built),
+            None => want = Some(built),
+        }
+    }
+    let want = want.expect("at least one use");
+    let refs: Vec<(&Tensor, &Tensor)> = uses.iter().map(|(a, dz)| (a, dz)).collect();
+    let rows: Vec<usize> = uses.iter().map(|(a, _)| a.rows()).collect();
+    for lvl in levels() {
+        let mut got = Tensor::zeros(n, m);
+        got.add_matmul_transposed_a_with_level(&refs, lvl);
+        if diverges(&got, &want) {
+            return Some(format!(
+                "fold of {} uses ({rows:?} rows, {n}x{m}) diverges from the built-and-summed uses at {}",
+                uses.len(),
+                lvl.name()
+            ));
+        }
+    }
     None
 }
 
