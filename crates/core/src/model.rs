@@ -136,8 +136,9 @@ impl ModelConfig {
 }
 
 thread_local! {
-    /// When set, inference runs on a fresh tape (no packed weights, no
-    /// recycled tape) — see [`ValueNetModel::with_tape_fallback`].
+    /// When set, inference runs on a fresh tape with dense weights (no
+    /// packed panels, no recycled tape) — see
+    /// [`ValueNetModel::with_tape_fallback`].
     static FRESH_TAPE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
@@ -201,8 +202,9 @@ impl ValueNetModel {
 
     /// Runs `f` with this thread's inference on a fresh tape:
     /// [`ValueNetModel::predict`] / [`ValueNetModel::predict_beam`] inside
-    /// `f` use a new non-inference tape instead of the recycled one, and so
-    /// bypass the packed-weight cache. Kernels still dispatch at
+    /// `f` use a new non-inference tape with dense weights
+    /// ([`Graph::set_dense_weights`]) instead of the recycled one, and so
+    /// bypass the packed panels. Kernels still dispatch at
     /// `simd::level()`. This is the serving engine's degraded retry: a
     /// request whose attempt killed a worker runs once more on this path
     /// before it is quarantined. The flag is restored even if `f` unwinds.
@@ -220,7 +222,8 @@ impl ValueNetModel {
     /// Runs `f` on a thread-local recycled tape (capacity and, through the
     /// buffer pool, every tensor from the previous query survive). Under
     /// [`ValueNetModel::with_tape_fallback`] it runs on a fresh
-    /// non-inference tape instead, bypassing every packed fast path.
+    /// non-inference tape with dense weights instead, bypassing the packed
+    /// panels.
     fn with_inference_tape<R>(f: impl FnOnce(&mut Graph) -> R) -> R {
         if !FRESH_TAPE.with(std::cell::Cell::get) {
             thread_local! {
@@ -229,14 +232,15 @@ impl ValueNetModel {
             TAPE.with(|tape| {
                 let mut g = tape.borrow_mut();
                 g.reset();
-                // Inference tape: layers may evaluate parameter applications
-                // off-tape against the packed-weight cache (bit-identical to
-                // the tape).
+                // Inference tape: weights come as `W` panels alone and no
+                // use records a gradient node.
                 g.set_inference(true);
                 f(&mut g)
             })
         } else {
-            f(&mut Graph::new())
+            let mut g = Graph::new();
+            g.set_dense_weights(true);
+            f(&mut g)
         }
     }
 
@@ -270,10 +274,12 @@ impl ValueNetModel {
     }
 
     /// Beam-search prediction through the per-hypothesis reference decoder
-    /// ([`Decoder::decode_beam_unbatched`]). Bit-identical to
-    /// [`ValueNetModel::predict_beam`]; kept as the differential oracle.
+    /// ([`Decoder::decode_beam_unbatched`]) on a fresh inference tape.
+    /// Bit-identical to [`ValueNetModel::predict_beam`]; kept as the
+    /// differential oracle.
     pub fn predict_beam_unbatched(&self, input: &ModelInput) -> Vec<(Vec<Action>, f32)> {
         let mut g = Graph::new();
+        g.set_inference(true);
         let enc = self.encode(&mut g, input, None);
         self.decoder.decode_beam_unbatched(
             &mut g,

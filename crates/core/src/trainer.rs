@@ -275,7 +275,11 @@ pub fn train(
                     };
                     let _s = valuenet_obs::span("train.backward");
                     let grads = g.backward(loss);
-                    (loss_value, model.params.collect_grads(&grads))
+                    let collected = model.params.collect_grads(&grads);
+                    // Drop the nodes now, not at the next pass, so that no
+                    // tape holds the packed panels when Adam repacks them.
+                    g.reset();
+                    (loss_value, collected)
                 })
             });
             // Reduce in sample order so f32 sums are canonical. The slot map

@@ -53,15 +53,11 @@ impl Linear {
 
     /// Applies the layer followed by `act`, as one fused
     /// [`Graph::matmul_bias_act`] node (matmul, bias broadcast and
-    /// activation in a single pass over the output). On an inference tape
-    /// the layer instead runs off-tape against the store's packed weights,
-    /// bit-identically.
+    /// activation in a single pass over the output), on the store's packed
+    /// weights ([`ParamStore::weight`]).
     pub fn forward_act(&self, g: &mut Graph, ps: &ParamStore, x: Var, act: Activation) -> Var {
         debug_assert_eq!(g.value(x).cols(), self.in_dim, "Linear: input dim mismatch");
-        if g.inference_mode() {
-            return ps.forward_linear(g, x, self.w, self.b, act);
-        }
-        let w = ps.var(g, self.w);
+        let w = ps.weight(g, self.w);
         let b = self.b.map(|b| ps.var(g, b));
         g.matmul_bias_act(x, w, b, act)
     }

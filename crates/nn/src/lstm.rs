@@ -83,10 +83,12 @@ impl LstmCell {
     }
 
     /// One step: consumes `x` of shape `[B, in_dim]` and the previous
-    /// `[B, hidden]` state. Every op in the cell is row-wise, so a batch of
-    /// `B` rows produces exactly the per-row results of `B` separate calls
-    /// (the blocked matmul kernel accumulates each output row independently
-    /// in a fixed order) — the batched beam decoder relies on this.
+    /// `[B, hidden]` state, multiplying by the store's packed weights
+    /// ([`ParamStore::weight`]). Every op in the cell is row-wise, so a
+    /// batch of `B` rows produces exactly the per-row results of `B`
+    /// separate calls (the matmul kernels accumulate each output row
+    /// independently in a fixed order) — the batched beam decoder relies on
+    /// this.
     pub fn step(&self, g: &mut Graph, ps: &ParamStore, x: Var, state: LstmState) -> LstmState {
         debug_assert_eq!(g.value(x).cols(), self.in_dim, "LstmCell: bad input width");
         debug_assert_eq!(
@@ -94,17 +96,8 @@ impl LstmCell {
             g.value(state.h).rows(),
             "LstmCell: input/state batch mismatch"
         );
-        if g.inference_mode() {
-            // Off-tape path: packed weight matmuls, same summation order as
-            // the tape ops, so the results are bit-identical.
-            let z = ps.lstm_preact(g, x, state.h, self.wx, self.wh, self.b);
-            let (h_t, c_t) = valuenet_tensor::lstm_gates_eval(&z, g.value(state.c));
-            let c = g.input(c_t);
-            let h_out = g.input(h_t);
-            return LstmState { h: h_out, c };
-        }
-        let wx = ps.var(g, self.wx);
-        let wh = ps.var(g, self.wh);
+        let wx = ps.weight(g, self.wx);
+        let wh = ps.weight(g, self.wh);
         let b = ps.var(g, self.b);
         let zx = g.matmul(x, wx);
         let zh = g.matmul(state.h, wh);

@@ -1,18 +1,17 @@
 //! Named parameter storage shared by all layers.
 //!
-//! Besides the raw `f32` buffers, the store owns the *inference cache*: each
-//! weight matrix can be packed once into the blocked layout of
-//! [`PackedMatrix`] so that inference-time matmuls skip both the tape copy
-//! that [`ParamStore::var`] makes and the column-gather of the unpacked
-//! kernel. The cache is built lazily under a shared reference (so
-//! concurrent evaluation threads can fill it) and invalidated whenever the
-//! optimiser writes to a parameter.
+//! Besides the raw `f32` buffers, the store owns each weight matrix's
+//! packed panels ([`PackedMatrix`]), which every tape multiplies by
+//! through [`ParamStore::weight`]: `W`'s panels for the forward `x·W`,
+//! packed the first time any tape uses the weight, and `Wᵀ`'s for
+//! backward's `dz·Wᵀ`, packed the first time a training tape does. No tape
+//! copies a weight. Both are built under a shared reference (so concurrent
+//! threads can fill them), and a write repacks the ones that exist,
+//! copy-on-write: panels a tape still holds are never changed.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
-use valuenet_tensor::{
-    apply_activation, pool, simd, Activation, Gradients, Graph, PackedMatrix, Tensor, Var,
-};
+use valuenet_tensor::{pool, Gradients, Graph, PackedMatrix, Tensor, Var};
 
 /// Handle to a parameter inside a [`ParamStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -39,7 +38,7 @@ static NEXT_STAMP: AtomicU64 = AtomicU64::new(1);
 /// Names one state of a store's weights: drawn fresh from a process-wide
 /// counter when the store is created and on every write, so no two states
 /// of any two stores share a stamp. A tape keys its parameter value leaves
-/// by it (see [`Graph::param_view`]).
+/// by it (see [`Graph::param_view`] and [`Graph::param_panels`]).
 struct WriteStamp(u64);
 
 impl Default for WriteStamp {
@@ -48,16 +47,25 @@ impl Default for WriteStamp {
     }
 }
 
+/// The packed panels of one weight that some tape has asked for.
+#[derive(Default, Clone)]
+struct Panels {
+    /// `W`'s, for `x·W`.
+    w: Option<Arc<PackedMatrix>>,
+    /// `Wᵀ`'s, for backward's `dz·Wᵀ`.
+    wt: Option<Arc<PackedMatrix>>,
+}
+
 /// Holds every trainable tensor of a model, each tagged with a name and an
 /// optimiser *group* (the paper trains encoder / decoder / connection
 /// parameters with different learning rates).
 #[derive(Default)]
 pub struct ParamStore {
     params: Vec<ParamEntry>,
-    /// Lazily built packed forms, indexed like `params`.
-    packed: RwLock<Vec<Option<Arc<PackedMatrix>>>>,
-    /// Renewed by every write, so a tape never reuses a value leaf loaded
-    /// before the write or from another store.
+    /// Packed panels, indexed like `params`.
+    packed: RwLock<Vec<Panels>>,
+    /// Renewed by every write, so a tape never reuses a value leaf or
+    /// panel leaf loaded before the write or from another store.
     stamp: WriteStamp,
 }
 
@@ -144,98 +152,77 @@ impl ParamStore {
         let p = &mut self.params[id.0];
         assert_eq!((p.rows, p.cols), t.shape(), "ParamStore::set: shape mismatch for {}", p.name);
         p.data.copy_from_slice(t.as_slice());
-        self.invalidate(id);
+        self.written(id);
     }
 
     /// Applies `f` to the raw weight buffer of a parameter.
     pub fn update_in_place(&mut self, id: ParamId, f: impl FnOnce(&mut [f32])) {
         f(&mut self.params[id.0].data);
-        self.invalidate(id);
+        self.written(id);
     }
 
-    /// Drops the cached packed form and renews the write stamp after a
-    /// weight update.
-    fn invalidate(&mut self, id: ParamId) {
+    /// Renews the write stamp after a weight update and repacks the
+    /// parameter's panels that exist: in place when no tape holds them,
+    /// into new panels otherwise, so a tape keeps the ones it was given.
+    fn written(&mut self, id: ParamId) {
         self.stamp = WriteStamp::default();
-        let cache = self.packed.get_mut().unwrap();
-        if let Some(slot) = cache.get_mut(id.0) {
-            *slot = None;
+        let data = &self.params[id.0].data;
+        let Some(slot) = self.packed.get_mut().unwrap().get_mut(id.0) else { return };
+        for panels in [&mut slot.w, &mut slot.wt].into_iter().flatten() {
+            match Arc::get_mut(panels) {
+                Some(p) => p.repack(data),
+                None => *panels = Arc::new(panels.repacked(data)),
+            }
         }
     }
 
-    /// The packed form of a parameter, building and caching it on first
-    /// use. Callable under a shared reference so concurrent inference
-    /// threads share one packing.
+    /// `W`'s packed panels, packed and cached on first use. Callable under
+    /// a shared reference so concurrent threads share one packing.
     pub fn packed_param(&self, id: ParamId) -> Arc<PackedMatrix> {
-        {
-            let cache = self.packed.read().unwrap();
-            if let Some(Some(p)) = cache.get(id.0) {
-                return Arc::clone(p);
-            }
+        self.panels(id, false)
+    }
+
+    /// `Wᵀ`'s packed panels (see [`PackedMatrix::pack_transposed`]),
+    /// packed and cached the first time a training tape uses the weight.
+    pub fn packed_transposed(&self, id: ParamId) -> Arc<PackedMatrix> {
+        self.panels(id, true)
+    }
+
+    fn panels(&self, id: ParamId, transposed: bool) -> Arc<PackedMatrix> {
+        let cached = |p: &Panels| if transposed { p.wt.clone() } else { p.w.clone() };
+        if let Some(built) = self.packed.read().unwrap().get(id.0).and_then(cached) {
+            return built;
         }
         let e = &self.params[id.0];
-        let built = Arc::new(PackedMatrix::pack(&e.data, e.rows, e.cols));
+        let built = Arc::new(if transposed {
+            PackedMatrix::pack_transposed(&e.data, e.rows, e.cols)
+        } else {
+            PackedMatrix::pack(&e.data, e.rows, e.cols)
+        });
         let mut cache = self.packed.write().unwrap();
         if cache.len() < self.params.len() {
-            cache.resize(self.params.len(), None);
+            cache.resize(self.params.len(), Panels::default());
         }
-        match &mut cache[id.0] {
-            Some(p) => Arc::clone(p),
-            slot @ None => {
-                *slot = Some(Arc::clone(&built));
-                built
-            }
-        }
+        let slot = &mut cache[id.0];
+        let slot = if transposed { &mut slot.wt } else { &mut slot.w };
+        Arc::clone(slot.get_or_insert(built))
     }
 
-    /// Inference-path dense layer: `act(x W + b)` computed off-tape with the
-    /// packed weights. Bit-identical to the fused
-    /// [`Graph::matmul_bias_act`] training node.
-    pub fn forward_linear(
-        &self,
-        g: &mut Graph,
-        x: Var,
-        w: ParamId,
-        b: Option<ParamId>,
-        act: Activation,
-    ) -> Var {
-        let out = {
-            let xt = g.value(x);
-            let mut out = self.packed_param(w).matmul(xt);
-            if let Some(b) = b {
-                let bias = self.data(b);
-                let lvl = simd::level();
-                for r in 0..out.rows() {
-                    simd::add_assign_at(lvl, out.row_mut(r), bias);
-                }
-            }
-            apply_activation(&mut out, act);
-            out
-        };
-        g.input(out)
-    }
-
-    /// Inference-path LSTM pre-activation: `x Wx + h Wh + b` with packed
-    /// weights, summed in the same order as the tape path (`(zx + zh) + b`),
-    /// so the result is bit-identical.
-    pub fn lstm_preact(
-        &self,
-        g: &Graph,
-        x: Var,
-        h: Var,
-        wx: ParamId,
-        wh: ParamId,
-        b: ParamId,
-    ) -> Tensor {
-        let mut z = self.packed_param(wx).matmul(g.value(x));
-        let zh = self.packed_param(wh).matmul(g.value(h));
-        let lvl = simd::level();
-        simd::add_assign_at(lvl, z.as_mut_slice(), zh.as_slice());
-        let bias = self.data(b);
-        for r in 0..z.rows() {
-            simd::add_assign_at(lvl, z.row_mut(r), bias);
+    /// One use of the weight matrix `id` as the right operand of
+    /// [`Graph::matmul`] or [`Graph::matmul_bias_act`]. Every tape gets a
+    /// view of the packed panels ([`Graph::param_panels`]): `W`'s, and
+    /// `Wᵀ`'s too unless it is an inference tape. A tape set to dense
+    /// weights ([`Graph::set_dense_weights`]) gets a dense view
+    /// ([`ParamStore::var`]) instead. Both give bit-identical values and
+    /// gradients.
+    pub fn weight(&self, g: &mut Graph, id: ParamId) -> Var {
+        if g.dense_weights() {
+            return self.var(g, id);
         }
-        z
+        let training = !g.inference_mode();
+        g.param_panels(id.0, self.stamp.0, || {
+            (self.packed_param(id), training.then(|| self.packed_transposed(id)))
+        })
     }
 
     /// Inference-path embedding lookup: copies the requested rows straight
@@ -253,10 +240,12 @@ impl ParamStore {
     }
 
     /// Registers one use of the parameter on the autodiff graph so
-    /// gradients flow back to it. The value enters the tape once per tape
-    /// and store state: the first use copies it, through the buffer pool,
-    /// into a value leaf that every later use reads, while each use gets a
-    /// gradient node of its own (see [`Graph::param_view`]).
+    /// gradients flow back to it: how biases, gains and embedding tables
+    /// enter a tape (weight matrices go through [`ParamStore::weight`]).
+    /// The value enters the tape once per tape and store state: the first
+    /// use copies it, through the buffer pool, into a value leaf that every
+    /// later use reads, while each use on a training tape gets a gradient
+    /// node of its own (see [`Graph::param_view`]).
     pub fn var(&self, g: &mut Graph, id: ParamId) -> Var {
         g.param_view(id.0, self.stamp.0, || {
             let p = &self.params[id.0];
@@ -316,42 +305,58 @@ mod tests {
     }
 
     #[test]
-    fn packed_cache_matches_matmul_and_invalidates() {
+    fn a_write_repacks_the_cached_panels() {
         let mut ps = ParamStore::new();
         let w = Tensor::from_vec(3, 5, (0..15).map(|i| i as f32 * 0.25 - 1.0).collect());
         let id = ps.add("w", 0, w.clone());
         let x = Tensor::from_vec(2, 3, vec![0.5, -1.0, 2.0, 0.25, 3.0, -0.75]);
-        let want = x.matmul(&w);
-        let got = ps.packed_param(id).matmul(&x);
-        assert_eq!(want.as_slice(), got.as_slice());
-        // Same Arc on the second lookup.
+        let dz = Tensor::from_vec(2, 5, (0..10).map(|i| (i as f32).sin()).collect());
+        assert_eq!(bits(&ps.packed_param(id).matmul(&x)), bits(&x.matmul(&w)));
+        assert_eq!(bits(&ps.packed_transposed(id).matmul(&dz)), bits(&dz.matmul_transposed_b(&w)));
+        // The same Arc on the second lookup.
         assert!(Arc::ptr_eq(&ps.packed_param(id), &ps.packed_param(id)));
-        // A weight update drops the cached packing.
-        let w2 = Tensor::from_vec(3, 5, vec![1.0; 15]);
+        assert!(Arc::ptr_eq(&ps.packed_transposed(id), &ps.packed_transposed(id)));
+
+        // `set` while a tape holds the panels: the held ones keep the old
+        // weights and the cache holds a fresh pack of the new ones.
+        let (held, held_t) = (ps.packed_param(id), ps.packed_transposed(id));
+        let w2 = Tensor::from_vec(3, 5, (0..15).map(|i| (i as f32 * 0.7).cos()).collect());
         ps.set(id, &w2);
-        let got2 = ps.packed_param(id).matmul(&x);
-        assert_eq!(x.matmul(&w2).as_slice(), got2.as_slice());
+        let fresh = |ps: &ParamStore| {
+            let e = ps.get(id);
+            (PackedMatrix::from_tensor(&e), PackedMatrix::pack_transposed(e.as_slice(), 3, 5))
+        };
+        let cached =
+            |ps: &ParamStore| ((*ps.packed_param(id)).clone(), (*ps.packed_transposed(id)).clone());
+        assert_eq!(cached(&ps), fresh(&ps), "the cache holds a fresh pack of the new weights");
+        assert_eq!(bits(&held.matmul(&x)), bits(&x.matmul(&w)), "held W panels keep the old weights");
+        assert_eq!(bits(&held_t.matmul(&dz)), bits(&dz.matmul_transposed_b(&w)), "and so do held Wᵀ panels");
+        assert!(!Arc::ptr_eq(&held, &ps.packed_param(id)));
+        drop((held, held_t));
+
+        // `update_in_place` with no holder repacks the panels in place.
+        let before = Arc::as_ptr(&ps.packed_param(id));
+        ps.update_in_place(id, |d| d.iter_mut().for_each(|v| *v = -*v * 1.5));
+        assert_eq!(cached(&ps), fresh(&ps), "the cache holds a fresh pack of the new weights");
+        assert_eq!(Arc::as_ptr(&ps.packed_param(id)), before, "repacked where it was");
+        assert_eq!(bits(&ps.packed_param(id).matmul(&x)), bits(&x.matmul(&ps.get(id))));
     }
 
     #[test]
-    fn forward_linear_matches_tape_path_bitwise() {
+    fn an_inference_tape_builds_no_transposed_panels() {
         let mut ps = ParamStore::new();
-        let wid =
-            ps.add("l.w", 0, Tensor::from_vec(4, 3, (0..12).map(|i| (i as f32).sin()).collect()));
-        let bid = ps.add("l.b", 0, Tensor::from_vec(1, 3, vec![0.1, -0.2, 0.3]));
-        let xs = Tensor::from_vec(2, 4, (0..8).map(|i| (i as f32 * 0.7).cos()).collect());
-
+        let id = ps.add("w", 0, Tensor::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]));
         let mut g = Graph::new();
-        let x = g.input(xs.clone());
-        let w = ps.var(&mut g, wid);
-        let b = ps.var(&mut g, bid);
-        let tape = g.matmul_bias_act(x, w, Some(b), Activation::Relu);
-        let want: Vec<u32> = g.value(tape).as_slice().iter().map(|v| v.to_bits()).collect();
+        g.set_inference(true);
+        let x = g.input(Tensor::from_vec(1, 2, vec![0.5, -1.0]));
+        let w = ps.weight(&mut g, id);
+        g.matmul(x, w);
+        ps.set(id, &Tensor::from_vec(2, 2, vec![0.5; 4]));
+        let cache = ps.packed.read().unwrap();
+        assert!(cache[id.0].w.is_some() && cache[id.0].wt.is_none(), "only W panels, repacked");
+    }
 
-        let mut g2 = Graph::new();
-        let x2 = g2.input(xs);
-        let fast = ps.forward_linear(&mut g2, x2, wid, Some(bid), Activation::Relu);
-        let got: Vec<u32> = g2.value(fast).as_slice().iter().map(|v| v.to_bits()).collect();
-        assert_eq!(want, got);
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
     }
 }

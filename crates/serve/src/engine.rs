@@ -19,7 +19,8 @@
 //! guard fires injected faults and checks the deadline at every gate; a
 //! degraded retry runs the whole call under
 //! [`ValueNetModel::with_tape_fallback`], which swaps the recycled tape and
-//! the packed-weight cache for a fresh tape. Each request decodes alone:
+//! the packed weight panels for a fresh tape with dense weights. Each
+//! request decodes alone:
 //! neither the engine nor the decoder co-batches requests, because on
 //! `serve_decode` a shared decode cost the same per request and lowered
 //! throughput (DESIGN.md §15).

@@ -9,7 +9,9 @@
 //! built into dense gradients one by one: a matmul weight keeps its
 //! upstream rows and a gather table its gathered rows, and after the sweep
 //! each parameter's uses are folded into one buffer in tape order,
-//! bit-identical to building and adding them.
+//! bit-identical to building and adding them. A weight matrix enters the
+//! tape as a view of its packed panels ([`Graph::param_panels`]), not as a
+//! copy: the forward `x·W` and backward's `dz·Wᵀ` both run on the panels.
 //!
 //! Every op builds its output in a single pass into a buffer drawn from the
 //! thread-local pool ([`crate::pool`]) — nothing clones its input just to
@@ -19,7 +21,8 @@
 //! in values and gradients to the equivalent chain of unfused ops (pinned by
 //! proptest in `tests/fused_kernels.rs`, which records those chains by hand).
 
-use crate::Tensor;
+use crate::{PackedMatrix, Tensor};
+use std::sync::Arc;
 
 // Invocation counts for the fused kernels; the FLOP/byte accounting itself
 // is inherited from the `tensor.matmul.*` counters because the fused paths
@@ -50,9 +53,10 @@ pub enum Activation {
 ///
 /// A handle names two nodes: the one its gradient flows to and the one
 /// that holds its value. They are the same node everywhere except at a
-/// parameter view ([`Graph::param_view`]), whose value is the parameter's
-/// one value leaf on the tape and whose gradient goes to a use node of its
-/// own.
+/// parameter view on a training tape ([`Graph::param_view`],
+/// [`Graph::param_panels`]), whose value is the parameter's one value
+/// leaf or panel leaf on the tape and whose gradient goes to a use node of
+/// its own.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Var {
     grad: u32,
@@ -67,6 +71,10 @@ enum Op {
     /// Constant input, trainable parameter, or one of a parameter view's
     /// two nodes: the value leaf and a use node (see [`Graph::param_view`]).
     Leaf,
+    /// A weight's packed panels, the value side of a weight view (see
+    /// [`Graph::param_panels`]): `W`'s for `x @ W` and, on a training
+    /// tape, `Wᵀ`'s for backward's `dz @ Wᵀ`. Its node holds no value.
+    Panels { w: Arc<PackedMatrix>, wt: Option<Arc<PackedMatrix>> },
     Add(Var, Var),
     /// `[n,d] + [1,d]` — broadcast the single row over all rows.
     AddBroadcastRow(Var, Var),
@@ -253,10 +261,14 @@ fn add_rows(table: &mut Tensor, indices: &[usize], rows: &Tensor) {
 pub struct Graph {
     nodes: Vec<Node>,
     inference: bool,
+    dense_weights: bool,
     /// Value leaf of each parameter loaded by [`Graph::param_view`], indexed
     /// by parameter id (`NO_LEAF` when not loaded). Valid for the store
     /// write stamp `leaf_stamp`; [`Graph::reset`] clears it.
     leaves: Vec<u32>,
+    /// Panel leaf of each weight loaded by [`Graph::param_panels`], kept
+    /// like `leaves`.
+    panel_leaves: Vec<u32>,
     leaf_stamp: u64,
 }
 
@@ -266,11 +278,12 @@ impl Graph {
         Self::default()
     }
 
-    /// Marks this tape as inference-only. Layers then bypass the tape for
-    /// parameter applications (pre-packed weight kernels feeding
-    /// [`Graph::input`] leaves) since no backward pass will run.
-    /// Training tapes never set this, so training stays on the recorded
-    /// f32 path.
+    /// Marks this tape as inference-only: no backward pass will run on it.
+    /// Its parameter views then record no use nodes, so nothing on it
+    /// needs a gradient, and the store hands it each weight's `W` panels
+    /// alone, never the `Wᵀ` panels only backward reads. Layers run the
+    /// same ops on it as on a training tape, except that embedding lookups
+    /// copy their rows straight from the store.
     pub fn set_inference(&mut self, on: bool) {
         self.inference = on;
     }
@@ -278,6 +291,19 @@ impl Graph {
     /// True when this tape was marked inference-only.
     pub fn inference_mode(&self) -> bool {
         self.inference
+    }
+
+    /// Makes the store hand this tape its weights as dense value leaves
+    /// ([`Graph::param_view`]) instead of packed panels. The serving
+    /// engine's degraded retry runs on such a tape, and it is the
+    /// reference the packed path is tested against.
+    pub fn set_dense_weights(&mut self, on: bool) {
+        self.dense_weights = on;
+    }
+
+    /// True when this tape takes its weights as dense value leaves.
+    pub fn dense_weights(&self) -> bool {
+        self.dense_weights
     }
 
     /// Clears the tape for reuse, keeping the node vector's capacity.
@@ -288,6 +314,7 @@ impl Graph {
     pub fn reset(&mut self) {
         self.nodes.clear();
         self.leaves.clear();
+        self.panel_leaves.clear();
     }
 
     /// Number of recorded nodes.
@@ -339,13 +366,14 @@ impl Graph {
     /// The parameter's value enters the tape once: the first use since
     /// [`Graph::reset`] (or since the stamp changed) calls `load` and
     /// records the result as a value leaf that needs no gradient and
-    /// carries no parameter id. Every use, that one included, gets a node
-    /// of its own that carries `param_id`, holds no value and receives this
-    /// use's share of the gradient, which backward folds into the id's one
-    /// sum in tape order. The returned handle reads the leaf and sends its
-    /// gradient to the use node, so forward values and the sums of
-    /// [`Gradients::for_param`] are bit-identical to a [`Graph::param`]
-    /// copy per use.
+    /// carries no parameter id. On a training tape every use, that one
+    /// included, gets a node of its own that carries `param_id`, holds no
+    /// value and receives this use's share of the gradient, which backward
+    /// folds into the id's one sum in tape order. The returned handle reads
+    /// the leaf and sends its gradient to the use node, so forward values
+    /// and the sums of [`Gradients::for_param`] are bit-identical to a
+    /// [`Graph::param`] copy per use. On an inference tape the handle is
+    /// the leaf alone.
     ///
     /// `stamp` must change whenever the values behind a parameter id may
     /// differ (a weight write, or another store): a tape whose stamp
@@ -358,21 +386,93 @@ impl Graph {
         stamp: u64,
         load: impl FnOnce() -> Tensor,
     ) -> Var {
+        let val = self.leaf(param_id, stamp, false, |g| g.push(load(), Op::Leaf, false, None).val);
+        self.param_use(param_id, val)
+    }
+
+    /// Registers one use of the weight `param_id` as the right operand of
+    /// [`Graph::matmul`] or [`Graph::matmul_bias_act`], on its packed
+    /// panels instead of a dense value: the forward `x @ W` runs on `W`'s
+    /// panels and backward's `dz @ Wᵀ` on `Wᵀ`'s, each bit-identical to the
+    /// dense kernel it replaces.
+    ///
+    /// `load` returns the panels: `W`'s, and `Wᵀ`'s unless this is an
+    /// inference tape (backward panics on a use without them). They enter
+    /// the tape once per stamp, as a panel leaf that holds the `Arc`s and
+    /// no value, and each use gets a use node exactly as in
+    /// [`Graph::param_view`], with the same stamp rule: a use recorded
+    /// before a write keeps the panels it was given. The handle is an
+    /// operand of those two ops only; [`Graph::value`] of it is empty.
+    pub fn param_panels(
+        &mut self,
+        param_id: usize,
+        stamp: u64,
+        load: impl FnOnce() -> (Arc<PackedMatrix>, Option<Arc<PackedMatrix>>),
+    ) -> Var {
+        let val = self.leaf(param_id, stamp, true, |g| {
+            let (w, wt) = load();
+            let no_value = Tensor::from_vec(0, 0, Vec::new());
+            g.push(no_value, Op::Panels { w, wt }, false, None).val
+        });
+        self.param_use(param_id, val)
+    }
+
+    /// The value leaf (or, with `panels`, the panel leaf) of `param_id` at
+    /// `stamp`, recorded by `load` on first use.
+    fn leaf(
+        &mut self,
+        param_id: usize,
+        stamp: u64,
+        panels: bool,
+        load: impl FnOnce(&mut Self) -> u32,
+    ) -> u32 {
         if self.leaf_stamp != stamp {
             self.leaves.clear();
+            self.panel_leaves.clear();
             self.leaf_stamp = stamp;
         }
-        if param_id >= self.leaves.len() {
-            self.leaves.resize(param_id + 1, NO_LEAF);
+        let slots = if panels { &mut self.panel_leaves } else { &mut self.leaves };
+        if param_id >= slots.len() {
+            slots.resize(param_id + 1, NO_LEAF);
         }
-        let mut val = self.leaves[param_id];
-        if val == NO_LEAF {
-            val = self.push(load(), Op::Leaf, false, None).val;
-            self.leaves[param_id] = val;
+        if slots[param_id] != NO_LEAF {
+            return slots[param_id];
+        }
+        let val = load(self);
+        let slots = if panels { &mut self.panel_leaves } else { &mut self.leaves };
+        slots[param_id] = val;
+        val
+    }
+
+    /// A use of the parameter leaf `val`: a use node of its own on a
+    /// training tape, the leaf itself on an inference tape.
+    fn param_use(&mut self, param_id: usize, val: u32) -> Var {
+        if self.inference {
+            return Var { grad: val, val };
         }
         let no_value = Tensor::from_vec(0, 0, Vec::new());
         let grad = self.push(no_value, Op::Leaf, true, Some(param_id)).grad;
         Var { grad, val }
+    }
+
+    /// `value(a) @ w`, on `w`'s panels when it is a weight view.
+    fn weight_product(&self, a: Var, w: Var) -> Tensor {
+        match &self.nodes[w.val as usize].op {
+            Op::Panels { w: panels, .. } => panels.matmul(self.value(a)),
+            _ => self.value(a).matmul(self.value(w)),
+        }
+    }
+
+    /// `dz @ value(w)ᵀ`, the input gradient of a product by `w`, on `w`'s
+    /// `Wᵀ` panels when it is a weight view.
+    fn input_grad(&self, dz: &Tensor, w: Var) -> Tensor {
+        match &self.nodes[w.val as usize].op {
+            Op::Panels { wt: Some(wt), .. } => wt.matmul(dz),
+            Op::Panels { wt: None, .. } => {
+                panic!("backward through a weight view that has no Wᵀ panels (an inference tape's)")
+            }
+            _ => dz.matmul_transposed_b(self.value(w)),
+        }
     }
 
     /// Element-wise sum of two same-shape tensors.
@@ -431,9 +531,10 @@ impl Graph {
         self.push(v, Op::Scale(a, k), ng, None)
     }
 
-    /// Matrix product.
+    /// Matrix product. `b` may be a weight view on packed panels
+    /// ([`Graph::param_panels`]).
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
-        let v = self.value(a).matmul(self.value(b));
+        let v = self.weight_product(a, b);
         let ng = self.any_needs_grad(&[a, b]);
         self.push(v, Op::Matmul(a, b), ng, None)
     }
@@ -652,10 +753,11 @@ impl Graph {
     /// Fused `act(a @ w + bias)` — one node instead of the three-node
     /// matmul / add_broadcast_row / activation chain, so the bias-shifted
     /// pre-activation never materialises. Bit-identical in values and
-    /// gradients to the unfused composition.
+    /// gradients to the unfused composition. `w` may be a weight view on
+    /// packed panels ([`Graph::param_panels`]).
     pub fn matmul_bias_act(&mut self, a: Var, w: Var, bias: Option<Var>, act: Activation) -> Var {
         FUSED_MATMUL_BIAS_ACT.add(1);
-        let mut out = self.value(a).matmul(self.value(w));
+        let mut out = self.weight_product(a, w);
         if let Some(b) = bias {
             let tb = self.value(b);
             assert_eq!(tb.rows(), 1, "matmul_bias_act: bias must be a row vector");
@@ -848,7 +950,7 @@ impl Graph {
             self.add_share(grads, v, Share::Dense(delta))
         };
         match &self.nodes[i].op {
-            Op::Leaf => {}
+            Op::Leaf | Op::Panels { .. } => {}
             Op::Add(a, b) => {
                 if self.needs_grad(*a) {
                     add_to(grads, *a, g.clone());
@@ -917,11 +1019,12 @@ impl Graph {
                 }
             }
             Op::Matmul(a, b) => {
-                // dL/dA = G·Bᵀ and dL/dB = Aᵀ·G, via the transposed-operand
-                // kernels so neither transpose is materialised. Aᵀ·G is
-                // kept unbuilt until B's gradient is needed.
+                // dL/dA = G·Bᵀ and dL/dB = Aᵀ·G, on B's Wᵀ panels or the
+                // transposed-operand kernels, so neither transpose is
+                // materialised. Aᵀ·G is kept unbuilt until B's gradient is
+                // needed.
                 if self.needs_grad(*a) {
-                    add_to(grads, *a, g.matmul_transposed_b(self.value(*b)));
+                    add_to(grads, *a, self.input_grad(&g, *b));
                 }
                 if self.needs_grad(*b) {
                     self.add_share(grads, *b, Share::Product { a: *a, dz: g });
@@ -1099,7 +1202,7 @@ impl Graph {
                     (b, gb)
                 });
                 if self.needs_grad(*a) {
-                    add_to(grads, *a, dz.matmul_transposed_b(self.value(*w)));
+                    add_to(grads, *a, self.input_grad(&dz, *w));
                 }
                 if self.needs_grad(*w) {
                     self.add_share(grads, *w, Share::Product { a: *a, dz });
@@ -1158,19 +1261,21 @@ impl Graph {
                 // bit-identical to the unfused chain's cached node values,
                 // and each product below mirrors one unfused backward zip
                 // (mul backward, then sigmoid/tanh backward) term for term.
+                // One pass per element evaluates each gate once for both
+                // operands' shares.
                 let tz = self.value(*z);
                 let tcp = self.value(*c_prev);
                 let (rows, h) = tcp.shape();
-                if self.needs_grad(*z) {
-                    let mut dz = Tensor::zeros(rows, 4 * h);
-                    for r in 0..rows {
-                        let zr = tz.row(r);
-                        let cp = tcp.row(r);
-                        let gr = g.row(r);
-                        let out = dz.row_mut(r);
-                        for j in 0..h {
+                let mut dz = self.needs_grad(*z).then(|| Tensor::zeros(rows, 4 * h));
+                let mut dcp = self.needs_grad(*c_prev).then(|| Tensor::zeros(rows, h));
+                for r in 0..rows {
+                    let (zr, cp, gr) = (tz.row(r), tcp.row(r), g.row(r));
+                    let mut dz_r = dz.as_mut().map(|t| t.row_mut(r));
+                    let mut dcp_r = dcp.as_mut().map(|t| t.row_mut(r));
+                    for j in 0..h {
+                        let fv = sigmoid(zr[h + j]);
+                        if let Some(out) = dz_r.as_deref_mut() {
                             let iv = sigmoid(zr[j]);
-                            let fv = sigmoid(zr[h + j]);
                             let gv_ = zr[2 * h + j].tanh();
                             let di = gr[j] * gv_;
                             let df = gr[j] * cp[j];
@@ -1179,54 +1284,46 @@ impl Graph {
                             out[h + j] = df * fv * (1.0 - fv);
                             out[2 * h + j] = dcand * (1.0 - gv_ * gv_);
                         }
-                    }
-                    add_to(grads, *z, dz);
-                }
-                if self.needs_grad(*c_prev) {
-                    let mut dcp = Tensor::zeros(rows, h);
-                    for r in 0..rows {
-                        let zr = tz.row(r);
-                        let gr = g.row(r);
-                        let out = dcp.row_mut(r);
-                        for j in 0..h {
-                            out[j] = gr[j] * sigmoid(zr[h + j]);
+                        if let Some(out) = dcp_r.as_deref_mut() {
+                            out[j] = gr[j] * fv;
                         }
                     }
+                }
+                if let Some(dz) = dz {
+                    add_to(grads, *z, dz);
+                }
+                if let Some(dcp) = dcp {
                     add_to(grads, *c_prev, dcp);
                 }
             }
             Op::LstmOutGate { z, c } => {
-                // g is dL/dh with h = σ(z_o)·tanh(c).
+                // g is dL/dh with h = σ(z_o)·tanh(c); one pass per element
+                // evaluates σ(z_o) and tanh(c) once for both shares.
                 let tz = self.value(*z);
                 let tc = self.value(*c);
                 let (rows, h) = tc.shape();
-                if self.needs_grad(*z) {
-                    let mut dz = Tensor::zeros(rows, 4 * h);
-                    for r in 0..rows {
-                        let zr = tz.row(r);
-                        let cr = tc.row(r);
-                        let gr = g.row(r);
-                        let out = dz.row_mut(r);
-                        for j in 0..h {
-                            let ov = sigmoid(zr[3 * h + j]);
-                            let do_ = gr[j] * cr[j].tanh();
+                let mut dz = self.needs_grad(*z).then(|| Tensor::zeros(rows, 4 * h));
+                let mut dc = self.needs_grad(*c).then(|| Tensor::zeros(rows, h));
+                for r in 0..rows {
+                    let (zr, cr, gr) = (tz.row(r), tc.row(r), g.row(r));
+                    let mut dz_r = dz.as_mut().map(|t| t.row_mut(r));
+                    let mut dc_r = dc.as_mut().map(|t| t.row_mut(r));
+                    for j in 0..h {
+                        let ov = sigmoid(zr[3 * h + j]);
+                        let tcv = cr[j].tanh();
+                        if let Some(out) = dz_r.as_deref_mut() {
+                            let do_ = gr[j] * tcv;
                             out[3 * h + j] = do_ * ov * (1.0 - ov);
                         }
-                    }
-                    add_to(grads, *z, dz);
-                }
-                if self.needs_grad(*c) {
-                    let mut dc = Tensor::zeros(rows, h);
-                    for r in 0..rows {
-                        let zr = tz.row(r);
-                        let cr = tc.row(r);
-                        let gr = g.row(r);
-                        let out = dc.row_mut(r);
-                        for j in 0..h {
-                            let tcv = cr[j].tanh();
-                            out[j] = gr[j] * sigmoid(zr[3 * h + j]) * (1.0 - tcv * tcv);
+                        if let Some(out) = dc_r.as_deref_mut() {
+                            out[j] = gr[j] * ov * (1.0 - tcv * tcv);
                         }
                     }
+                }
+                if let Some(dz) = dz {
+                    add_to(grads, *z, dz);
+                }
+                if let Some(dc) = dc {
                     add_to(grads, *c, dc);
                 }
             }
@@ -1267,20 +1364,14 @@ fn sigmoid(x: f32) -> f32 {
     1.0 / (1.0 + (-x).exp())
 }
 
-/// Forward LSTM gate math outside the tape: consumes the pre-activations
+/// The values of [`Graph::lstm_gates`]: consumes the pre-activations
 /// `z = [i|f|g|o]` (`[B, 4h]`) and the previous cell state (`[B, h]`),
-/// returns `(h, c)`. This is exactly the value computation of the fused
-/// [`Graph::lstm_gates`] (which calls it), exposed so the packed inference
-/// path can run the same math on plain tensors. The gate nonlinearities
-/// stay scalar (exp/tanh); the elementwise combines
-/// `c = f ⊙ c_prev + i ⊙ g` and `h = o ⊙ tanh(c)` go through the
-/// bit-pinned SIMD kernels with the same expression trees as the unfused
-/// `add(mul, mul)` / `mul` ops.
-pub fn lstm_gates_eval(tz: &Tensor, tc_prev: &Tensor) -> (Tensor, Tensor) {
-    let h = tc_prev.cols();
-    let rows = tc_prev.rows();
-    assert_eq!(tz.cols(), 4 * h, "lstm_gates: z must be [B, 4h]");
-    assert_eq!(tz.rows(), rows, "lstm_gates: batch mismatch");
+/// returns `(h, c)`. The gate nonlinearities stay scalar (exp/tanh); the
+/// elementwise combines `c = f ⊙ c_prev + i ⊙ g` and `h = o ⊙ tanh(c)` go
+/// through the bit-pinned SIMD kernels with the same expression trees as
+/// the unfused `add(mul, mul)` / `mul` ops.
+fn lstm_gates_eval(tz: &Tensor, tc_prev: &Tensor) -> (Tensor, Tensor) {
+    let (rows, h) = tc_prev.shape();
     let lvl = crate::simd::level();
     let mut scratch = crate::pool::take(3 * h);
     scratch.resize(3 * h, 0.0);
@@ -1334,7 +1425,7 @@ fn softmax_row(row: &mut [f32]) {
 /// unfused [`Graph::tanh`] / [`Graph::sigmoid`] / [`Graph::relu`] maps (the
 /// Relu goes through the SIMD kernel, which is bit-pinned to the scalar
 /// `simd::relu_scalar`).
-pub fn apply_activation(out: &mut Tensor, act: Activation) {
+fn apply_activation(out: &mut Tensor, act: Activation) {
     match act {
         Activation::None => {}
         Activation::Tanh => out.as_mut_slice().iter_mut().for_each(|x| *x = x.tanh()),

@@ -52,7 +52,7 @@ pub mod pool;
 pub mod simd;
 mod tensor;
 
-pub use graph::{apply_activation, lstm_gates_eval, Activation, Gradients, Graph, Var};
+pub use graph::{Activation, Gradients, Graph, Var};
 pub use packed::PackedMatrix;
 pub use simd::SimdLevel;
 pub use tensor::Tensor;

@@ -1,4 +1,4 @@
-//! Pre-packed weight matrices for the inference path.
+//! Pre-packed weight matrices: the operand of every weight product.
 //!
 //! [`PackedMatrix`] stores a `k×m` weight matrix in panel-major order: the
 //! columns are split into panels of [`NR`] = 8, and each panel holds its `k`
@@ -47,8 +47,15 @@
 //! never reaches the output: padded lanes accumulate `a·0` into columns
 //! that are simply not copied out.
 //!
-//! Training never sees the packed form: it is built lazily from the f32
-//! store and invalidated on every optimizer step.
+//! **Both directions of a weight product.** Every tape but the degraded
+//! retry's multiplies by its weights on these panels, which the parameter
+//! store caches (`ParamStore` in `valuenet-nn`). [`PackedMatrix::pack`] lays out `W` for the forward
+//! `x·W`. [`PackedMatrix::pack_transposed`] lays out `Wᵀ` straight from
+//! `W`'s rows, with no transposed copy, for backward's input gradient
+//! `dz·Wᵀ`; that product folds each output over `W`'s columns exactly as
+//! [`Tensor::matmul_transposed_b`] does, so it is bit-identical to it. A
+//! weight write packs the new values into the same layout
+//! ([`PackedMatrix::repack`]).
 
 use crate::simd::{self, SimdLevel};
 use crate::tensor::record_matmul;
@@ -69,6 +76,9 @@ const _: () = assert!(std::mem::size_of::<PanelRow>() == NR * std::mem::size_of:
 pub struct PackedMatrix {
     k: usize,
     m: usize,
+    /// Whether the panels hold the transpose of the row-major source they
+    /// are packed from ([`PackedMatrix::pack_transposed`]).
+    transposed: bool,
     /// `ceil(m/NR)` panels, each `k` rows of `NR` values.
     panels: Vec<PanelRow>,
 }
@@ -79,17 +89,59 @@ impl PackedMatrix {
     /// # Panics
     /// Panics if `data.len() != k * m`.
     pub fn pack(data: &[f32], k: usize, m: usize) -> Self {
-        assert_eq!(data.len(), k * m, "PackedMatrix::pack: buffer is not {k}x{m}");
-        let pc = m.div_ceil(NR);
-        let mut panels = vec![PanelRow::default(); k * pc];
-        for p in 0..pc {
+        Self::packed(data, k, m, false)
+    }
+
+    /// Packs the transpose of a row-major `rows×cols` buffer `W`: the
+    /// panels of `Wᵀ` (`k = cols`, `m = rows`), read straight from `W`'s
+    /// rows. `dz @ Wᵀ` on them is bit-identical to
+    /// `dz.matmul_transposed_b(W)`.
+    ///
+    /// # Panics
+    /// Panics if `data.len() != rows * cols`.
+    pub fn pack_transposed(data: &[f32], rows: usize, cols: usize) -> Self {
+        Self::packed(data, cols, rows, true)
+    }
+
+    fn packed(data: &[f32], k: usize, m: usize, transposed: bool) -> Self {
+        let panels = vec![PanelRow::default(); k * m.div_ceil(NR)];
+        let mut packed = PackedMatrix { k, m, transposed, panels };
+        packed.repack(data);
+        packed
+    }
+
+    /// Packs a new row-major source of the same shape into these panels,
+    /// the way they were first packed (as `W` or as `Wᵀ`). The zero
+    /// padding of the last panel stays zero.
+    ///
+    /// # Panics
+    /// Panics if `data` is not `k·m` long.
+    pub fn repack(&mut self, data: &[f32]) {
+        let (k, m) = (self.k, self.m);
+        assert_eq!(data.len(), k * m, "PackedMatrix::repack: buffer is not {k}x{m}");
+        for (p, panel) in self.panels.chunks_exact_mut(k.max(1)).enumerate() {
             let j0 = p * NR;
             let w = NR.min(m - j0);
-            for l in 0..k {
-                panels[p * k + l].0[..w].copy_from_slice(&data[l * m + j0..l * m + j0 + w]);
+            if self.transposed {
+                // Column `j0 + q` of `Wᵀ` is row `j0 + q` of `W`.
+                for q in 0..w {
+                    let src = &data[(j0 + q) * k..(j0 + q + 1) * k];
+                    for (row, &v) in panel.iter_mut().zip(src) {
+                        row.0[q] = v;
+                    }
+                }
+            } else {
+                for (l, row) in panel.iter_mut().enumerate() {
+                    row.0[..w].copy_from_slice(&data[l * m + j0..l * m + j0 + w]);
+                }
             }
         }
-        PackedMatrix { k, m, panels }
+    }
+
+    /// A new packing of `data` in this matrix's shape and layout, for a
+    /// write that must leave these panels as they are.
+    pub fn repacked(&self, data: &[f32]) -> Self {
+        Self::packed(data, self.k, self.m, self.transposed)
     }
 
     /// Packs a tensor (rows = `k`, cols = `m`).
@@ -161,6 +213,15 @@ impl PackedMatrix {
             }
         }
         Tensor::from_vec(n, m, data)
+    }
+}
+
+/// Bitwise: two packings are equal when they have the same shape and
+/// layout and every panel value has the same bits.
+impl PartialEq for PackedMatrix {
+    fn eq(&self, other: &Self) -> bool {
+        (self.k, self.m, self.transposed) == (other.k, other.m, other.transposed)
+            && self.panels().iter().zip(other.panels()).all(|(a, b)| a.to_bits() == b.to_bits())
     }
 }
 
@@ -355,6 +416,28 @@ mod tests {
                     let got = panels[(j / NR) * k * NR + l * NR + j % NR];
                     let want = if j < m { w.as_slice()[l * m + j] } else { 0.0 };
                     assert_eq!(got.to_bits(), want.to_bits(), "{k}x{m} at ({l}, {j})");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn transposed_panels_match_matmul_transposed_b() {
+        // Widths 46 and 112 leave a partial last panel; 1..=9 rows reach
+        // every tile shape and remainder, and both regimes (narrow dot,
+        // wide pack) of `matmul_transposed_b`.
+        for &(rows, cols) in &[(1, 1), (46, 13), (112, 46), (17, 112), (64, 64)] {
+            let w = pseudo_tensor(rows, cols, 41 + rows as u64);
+            let wt = PackedMatrix::pack_transposed(w.as_slice(), rows, cols);
+            assert_eq!((wt.rows(), wt.cols()), (cols, rows));
+            for n in 1..=9 {
+                let dz = pseudo_tensor(n, cols, 7 * n as u64);
+                let want = dz.matmul_transposed_b(&w);
+                for lvl in levels() {
+                    let got = wt.matmul_at(lvl, &dz);
+                    for (x, y) in got.as_slice().iter().zip(want.as_slice()) {
+                        assert_eq!(x.to_bits(), y.to_bits(), "{n}x{cols} @ ({rows}x{cols})ᵀ at {lvl:?}");
+                    }
                 }
             }
         }

@@ -10,8 +10,9 @@
 //! ```
 //!
 //! `--kernel N` switches to kernel mode: `N` seeded cases fuzz the packed
-//! matmul kernel against its scalar oracle at every SIMD level
-//! (`valuenet_verify::kernel_fuzz`) instead of the SQL executor.
+//! `W` and `Wᵀ` panels, the tape matmuls and backward's fold against their
+//! scalar oracles at every SIMD level (`valuenet_verify::kernel_fuzz`)
+//! instead of the SQL executor.
 //!
 //! `--lookup N` switches to lookup mode: `N` seeded cases compare the
 //! inverted index's similarity search with a scan that has no blocking, and

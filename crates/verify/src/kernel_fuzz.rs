@@ -15,7 +15,14 @@
 //!   each, at the model's widths (`n` from {64, 112, 128, 192}, `m` from
 //!   {46, 48, 64, 128, 512}), added into a zeroed buffer, against each use
 //!   built by `matmul_transposed_a` at the scalar level and summed in
-//!   order, the first one cloned.
+//!   order, the first one cloned;
+//! * **transposed panels**: backward's input gradient `dz·Wᵀ` on panels
+//!   packed from a row-major `W` (`PackedMatrix::pack_transposed`), 1–9
+//!   rows of `dz` at the model's widths (shared dimension from
+//!   {46, 48, 64, 128, 512}, output from {32, 64, 112, 128, 192}), against
+//!   `matmul_transposed_b_with_level(.., Scalar)`. Every other case seeds
+//!   ±0.0, NaN, ±∞ and subnormal entries into `W` and `dz`; any NaN then
+//!   matches any NaN, since a NaN's payload depends on operand order.
 //!
 //! Shapes of the packed and tape families (`n×k @ k×m`):
 //!
@@ -114,7 +121,10 @@ pub fn run_kernel_case(seed: u64) -> Option<String> {
         }
     }
 
-    fold_case(&mut s)
+    if let Some(fail) = fold_case(&mut s) {
+        return Some(fail);
+    }
+    transposed_case(&mut s, seed.is_multiple_of(2))
 }
 
 /// The fold family: several uses of one weight, each `aᵀ · dz` with its
@@ -148,6 +158,59 @@ fn fold_case(s: &mut u64) -> Option<String> {
                 "fold of {} uses ({rows:?} rows, {n}x{m}) diverges from the built-and-summed uses at {}",
                 uses.len(),
                 lvl.name()
+            ));
+        }
+    }
+    None
+}
+
+/// The transposed-panels family: `dz @ Wᵀ` on the panels of `Wᵀ` packed
+/// from `W`'s rows, against the narrow A·Bᵀ kernel at the scalar level.
+/// With `special`, `W` and `dz` also hold ±0.0, NaN, ±∞ and subnormals.
+fn transposed_case(s: &mut u64, special: bool) -> Option<String> {
+    const SPECIAL: [f32; 8] = [
+        0.0,
+        -0.0,
+        f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::MIN_POSITIVE / 2.0,
+        -f32::MIN_POSITIVE / 4.0,
+        f32::from_bits(1),
+    ];
+    let k = [46, 48, 64, 128, 512][(splitmix(s) % 5) as usize];
+    let out = [32, 64, 112, 128, 192][(splitmix(s) % 5) as usize];
+    let n = (splitmix(s) % 9 + 1) as usize;
+    let mut data = |len: usize| {
+        let mut d = pseudo_data(s, len);
+        if special {
+            for v in &mut d {
+                let r = splitmix(s);
+                if r.is_multiple_of(16) {
+                    *v = SPECIAL[(r >> 8) as usize % SPECIAL.len()];
+                }
+            }
+        }
+        d
+    };
+    // `W` is `out×k` row-major (the weight of a `k`-wide product), `dz` is
+    // `n×k`, and `dz @ Wᵀ` is `n×out`.
+    let w = Tensor::from_vec(out, k, data(out * k));
+    let dz = Tensor::from_vec(n, k, data(n * k));
+    let want = dz.matmul_transposed_b_with_level(&w, SimdLevel::Scalar);
+    let panels = PackedMatrix::pack_transposed(w.as_slice(), out, k);
+    for lvl in levels() {
+        let got = panels.matmul_at(lvl, &dz);
+        let same = got
+            .as_slice()
+            .iter()
+            .zip(want.as_slice())
+            .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()));
+        if !same {
+            return Some(format!(
+                "transposed panels diverge from the scalar narrow dot at {} ({n}x{k} @ ({out}x{k})ᵀ{})",
+                lvl.name(),
+                if special { ", special values" } else { "" }
             ));
         }
     }
