@@ -136,8 +136,8 @@ impl ModelConfig {
 }
 
 thread_local! {
-    /// When set, inference runs on a fresh tape with dense weights (no
-    /// packed panels, no recycled tape) — see
+    /// When set, inference runs on a fresh tape with weight panels packed
+    /// for it alone (no shared panel cache, no recycled tape) — see
     /// [`ValueNetModel::with_tape_fallback`].
     static FRESH_TAPE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
@@ -202,9 +202,9 @@ impl ValueNetModel {
 
     /// Runs `f` with this thread's inference on a fresh tape:
     /// [`ValueNetModel::predict`] / [`ValueNetModel::predict_beam`] inside
-    /// `f` use a new non-inference tape with dense weights
-    /// ([`Graph::set_dense_weights`]) instead of the recycled one, and so
-    /// bypass the packed panels. Kernels still dispatch at
+    /// `f` use a new inference tape whose weight panels are packed for it
+    /// alone ([`Graph::set_own_panels`]) instead of the recycled tape, and
+    /// so bypass the store's shared panel cache. Kernels still dispatch at
     /// `simd::level()`. This is the serving engine's degraded retry: a
     /// request whose attempt killed a worker runs once more on this path
     /// before it is quarantined. The flag is restored even if `f` unwinds.
@@ -219,11 +219,10 @@ impl ValueNetModel {
         f()
     }
 
-    /// Runs `f` on a thread-local recycled tape (capacity and, through the
-    /// buffer pool, every tensor from the previous query survive). Under
-    /// [`ValueNetModel::with_tape_fallback`] it runs on a fresh
-    /// non-inference tape with dense weights instead, bypassing the packed
-    /// panels.
+    /// Runs `f` on a thread-local recycled inference tape (capacity and,
+    /// through the buffer pool, every tensor from the previous query
+    /// survive). Under [`ValueNetModel::with_tape_fallback`] it runs on a
+    /// fresh inference tape with panels of its own instead.
     fn with_inference_tape<R>(f: impl FnOnce(&mut Graph) -> R) -> R {
         if !FRESH_TAPE.with(std::cell::Cell::get) {
             thread_local! {
@@ -239,7 +238,8 @@ impl ValueNetModel {
             })
         } else {
             let mut g = Graph::new();
-            g.set_dense_weights(true);
+            g.set_inference(true);
+            g.set_own_panels(true);
             f(&mut g)
         }
     }

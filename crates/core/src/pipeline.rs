@@ -70,6 +70,9 @@ impl Stage {
 pub enum PipelineError {
     /// [`ValueMode::Light`] requires the oracle's gold value options.
     MissingGoldValues,
+    /// The question tokenizes to nothing (it holds only punctuation), so
+    /// there is no question to encode.
+    NoWordTokens,
     /// A decoded `V` pointer indexes past the candidate list — the model
     /// emitted a value reference with no backing candidate text.
     DanglingValuePointer {
@@ -92,6 +95,7 @@ impl std::fmt::Display for PipelineError {
             PipelineError::MissingGoldValues => {
                 write!(f, "ValueNet light requires the gold value options")
             }
+            PipelineError::NoWordTokens => write!(f, "the question has no word tokens"),
             PipelineError::DanglingValuePointer { index, candidates } => write!(
                 f,
                 "value pointer {index} has no backing candidate ({candidates} available)"
@@ -376,7 +380,8 @@ impl Pipeline {
     ///
     /// # Errors
     /// [`PipelineError::MissingGoldValues`] in [`ValueMode::Light`] without
-    /// gold value options.
+    /// gold value options; [`PipelineError::NoWordTokens`] when the question
+    /// tokenizes to nothing.
     pub fn try_translate(
         &self,
         db: &Database,
@@ -433,6 +438,9 @@ impl Pipeline {
         // Stage 1a: tokenisation (pre-processing).
         clock.gate(Stage::Preprocess)?;
         let tokens = tokenize_question(question);
+        if tokens.is_empty() {
+            return Err(PipelineError::NoWordTokens);
+        }
 
         // Stage 2: value extraction + candidate generation + validation
         // ("Value lookup" in Table II — dominated by database lookups).

@@ -1,7 +1,9 @@
 //! Unit tests for candidate assembly and mode semantics (no training).
 
-use valuenet_core::{assemble_candidates, ValueMode};
-use valuenet_preprocess::{preprocess, CandidateConfig, HeuristicNer};
+use valuenet_core::{
+    assemble_candidates, ModelConfig, Pipeline, PipelineError, ValueMode, ValueNetModel, Vocab,
+};
+use valuenet_preprocess::{preprocess, CandidateConfig, HeuristicNer, StatisticalNer};
 use valuenet_schema::{ColumnType, SchemaBuilder};
 use valuenet_storage::Database;
 
@@ -104,4 +106,23 @@ fn candidate_case_insensitive_dedup() {
     let gold = vec!["france".to_string(), "FRANCE".to_string()];
     let cands = assemble_candidates(&db, &p, ValueMode::Light, Some(&gold), false);
     assert_eq!(cands.len(), 1);
+}
+
+/// A question of punctuation alone has no word tokens: `try_translate`
+/// refuses it with a typed error in every mode instead of panicking in
+/// the encoder.
+#[test]
+fn a_question_with_no_word_tokens_is_a_typed_error() {
+    let db = db();
+    let gold = vec!["France".to_string()];
+    for mode in [ValueMode::Light, ValueMode::Full, ValueMode::NoValue] {
+        let vocab = Vocab::build(["How many students are from France?"].into_iter());
+        let model = ValueNetModel::new(ModelConfig::tiny(), vocab, 7);
+        let pipeline = Pipeline::new(model, mode, StatisticalNer::new());
+        for question in ["?!", "...", ",", " ? "] {
+            let got = pipeline.try_translate(&db, question, Some(&gold)).map(|_| ());
+            assert_eq!(got, Err(PipelineError::NoWordTokens), "{question:?} in {}", mode.label());
+        }
+        assert!(pipeline.try_translate(&db, "How many students?", Some(&gold)).is_ok());
+    }
 }

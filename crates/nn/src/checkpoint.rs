@@ -219,6 +219,11 @@ pub fn read_checkpoint(text: &str) -> Result<Checkpoint, CheckpointError> {
                         data.len()
                     )));
                 }
+                // A number past f32's range reads as ±inf, which
+                // `write_checkpoint` never writes.
+                if let Some(i) = data.iter().position(|w| !w.is_finite()) {
+                    return Err(corrupt(format!("`{name}` weight {i} is {} as f32", data[i])));
+                }
                 ps.add_raw(name, group, rows, cols, data);
             }
             "checkpoint_end" => {

@@ -7,7 +7,10 @@
 //! backward's `dz·Wᵀ`, packed the first time a training tape does. No tape
 //! copies a weight. Both are built under a shared reference (so concurrent
 //! threads can fill them), and a write repacks the ones that exist,
-//! copy-on-write: panels a tape still holds are never changed.
+//! copy-on-write: panels a tape still holds are never changed. A tape set
+//! to own panels ([`Graph::set_own_panels`], the serving engine's degraded
+//! retry) gets panels packed for it alone instead and never reads or fills
+//! the cache.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -193,12 +196,7 @@ impl ParamStore {
         if let Some(built) = self.packed.read().unwrap().get(id.0).and_then(cached) {
             return built;
         }
-        let e = &self.params[id.0];
-        let built = Arc::new(if transposed {
-            PackedMatrix::pack_transposed(&e.data, e.rows, e.cols)
-        } else {
-            PackedMatrix::pack(&e.data, e.rows, e.cols)
-        });
+        let built = Arc::new(self.pack(id, transposed));
         let mut cache = self.packed.write().unwrap();
         if cache.len() < self.params.len() {
             cache.resize(self.params.len(), Panels::default());
@@ -208,21 +206,33 @@ impl ParamStore {
         Arc::clone(slot.get_or_insert(built))
     }
 
+    /// A fresh packing of the weight's buffer: `W`'s panels, or `Wᵀ`'s.
+    fn pack(&self, id: ParamId, transposed: bool) -> PackedMatrix {
+        let e = &self.params[id.0];
+        if transposed {
+            PackedMatrix::pack_transposed(&e.data, e.rows, e.cols)
+        } else {
+            PackedMatrix::pack(&e.data, e.rows, e.cols)
+        }
+    }
+
     /// One use of the weight matrix `id` as the right operand of
     /// [`Graph::matmul`] or [`Graph::matmul_bias_act`]. Every tape gets a
-    /// view of the packed panels ([`Graph::param_panels`]): `W`'s, and
-    /// `Wᵀ`'s too unless it is an inference tape. A tape set to dense
-    /// weights ([`Graph::set_dense_weights`]) gets a dense view
-    /// ([`ParamStore::var`]) instead. Both give bit-identical values and
-    /// gradients.
+    /// view of packed panels ([`Graph::param_panels`]): `W`'s, and `Wᵀ`'s
+    /// too unless it is an inference tape. They are the cached panels,
+    /// except on a tape set to own panels ([`Graph::set_own_panels`]),
+    /// which gets panels packed for it alone from the weight's buffer, once
+    /// per weight. Both give bit-identical values and gradients.
     pub fn weight(&self, g: &mut Graph, id: ParamId) -> Var {
-        if g.dense_weights() {
-            return self.var(g, id);
-        }
-        let training = !g.inference_mode();
-        g.param_panels(id.0, self.stamp.0, || {
-            (self.packed_param(id), training.then(|| self.packed_transposed(id)))
-        })
+        let (training, own) = (!g.inference_mode(), g.own_panels());
+        let panels = |transposed| {
+            if own {
+                Arc::new(self.pack(id, transposed))
+            } else {
+                self.panels(id, transposed)
+            }
+        };
+        g.param_panels(id.0, self.stamp.0, || (panels(false), training.then(|| panels(true))))
     }
 
     /// Inference-path embedding lookup: copies the requested rows straight
@@ -354,6 +364,43 @@ mod tests {
         ps.set(id, &Tensor::from_vec(2, 2, vec![0.5; 4]));
         let cache = ps.packed.read().unwrap();
         assert!(cache[id.0].w.is_some() && cache[id.0].wt.is_none(), "only W panels, repacked");
+    }
+
+    #[test]
+    fn an_own_panels_tape_never_builds_or_reads_the_cache() {
+        // One weight product, and on a training tape its input gradient,
+        // on an own-panels tape and on a cached-panels one.
+        let mut ps = ParamStore::new();
+        let w = Tensor::from_vec(3, 10, (0..30).map(|i| (i as f32 * 0.3).sin()).collect());
+        let w = ps.add("w", 0, w);
+        let x = ps.add("x", 0, Tensor::from_vec(2, 3, vec![0.5, -1.0, 2.0, 0.25, 3.0, -0.75]));
+        let run = |own: bool, inference: bool| {
+            let mut g = Graph::new();
+            g.set_own_panels(own);
+            g.set_inference(inference);
+            let (xv, wv) = (ps.var(&mut g, x), ps.weight(&mut g, w));
+            let y = g.matmul(xv, wv);
+            let mut out = bits(g.value(y));
+            if !inference {
+                let loss = g.sum_all(y);
+                out.extend(bits(g.backward(loss).for_param(x.index()).unwrap()));
+            }
+            out
+        };
+        let empty = || ps.packed.read().unwrap().iter().all(|p| p.w.is_none() && p.wt.is_none());
+        for inference in [true, false] {
+            let own = run(true, inference);
+            assert!(empty(), "an own-panels tape builds no cached panels");
+            assert_eq!(run(false, inference), own, "cached and own panels agree");
+            assert!(!empty());
+            // Cached panels of zeros, which an own-panels tape must not read.
+            let zeros = |p: &Arc<PackedMatrix>| Arc::new(p.repacked(&[0.0; 30]));
+            for slot in ps.packed.write().unwrap().iter_mut() {
+                (slot.w, slot.wt) = (slot.w.as_ref().map(zeros), slot.wt.as_ref().map(zeros));
+            }
+            assert_eq!(run(true, inference), own, "an own-panels tape reads no cached panels");
+            ps.packed.write().unwrap().clear();
+        }
     }
 
     fn bits(t: &Tensor) -> Vec<u32> {

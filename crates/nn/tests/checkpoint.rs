@@ -144,6 +144,23 @@ fn non_finite_weight_is_refused_in_f32() {
     }
 }
 
+/// A weight that overflows `f32` is corrupt, not a silent ±inf: the
+/// reader refuses what the writer would (`non_finite_weight_is_refused_in_f32`),
+/// naming the parameter and the weight's index.
+#[test]
+fn a_weight_that_overflows_f32_is_corrupt() {
+    for big in ["1e39", "-1e39", "1e400"] {
+        let text = [
+            r#"{"schema_version":1,"type":"checkpoint_meta","checkpoint_version":2,"format":"f32","params":1,"weights":2}"#,
+            &format!(r#"{{"schema_version":1,"type":"checkpoint_param","name":"w","group":0,"rows":1,"cols":2,"data":[0.5,{big}]}}"#),
+            r#"{"schema_version":1,"type":"checkpoint_end","params":1}"#,
+        ]
+        .join("\n");
+        let e = expect_err(&text, |e| matches!(e, CheckpointError::Corrupt(_)), "Corrupt");
+        assert!(e.to_string().contains("`w` weight 1"), "{big}: {e}");
+    }
+}
+
 /// Weights are stored at full precision only. An int8 file, as earlier
 /// builds wrote it (a per-tensor `scale` and integer codes in `qdata`), and
 /// a file in a format no build wrote are each refused, naming the format.

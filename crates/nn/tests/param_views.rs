@@ -385,8 +385,9 @@ fn every_kind_of_use(g: &mut Graph, param: &mut dyn FnMut(&mut Graph, usize) -> 
 
 /// Checks every parameter's one sum against the same pass with every use
 /// under an id of its own, a copy through the dense kernels, the sums
-/// built use by use and added in tape order: with the weights on their
-/// packed panels, and with them as dense views ([`Graph::set_dense_weights`]).
+/// built use by use and added in tape order: with the weights on the
+/// store's cached panels, and on panels of the tape's own
+/// ([`Graph::set_own_panels`]).
 #[test]
 fn each_sum_is_its_uses_added_in_tape_order() {
     let ps = kinds_store();
@@ -398,9 +399,9 @@ fn each_sum_is_its_uses_added_in_tape_order() {
         g.param(ps.get(ids[p]), owner.len() - 1)
     });
     let distinct = gd.backward(loss);
-    for dense in [false, true] {
+    for own in [false, true] {
         let mut g = Graph::new();
-        g.set_dense_weights(dense);
+        g.set_own_panels(own);
         let loss = every_kind_of_use(&mut g, &mut |g, p| {
             if WEIGHTS.contains(&p) {
                 ps.weight(g, ids[p])
@@ -409,7 +410,8 @@ fn each_sum_is_its_uses_added_in_tape_order() {
             }
         });
         let shared = g.backward(loss);
-        check_sums(&ps, &ids, &owner, &distinct, &shared, if dense { "dense" } else { "packed" });
+        let arm = if own { "own panels" } else { "cached panels" };
+        check_sums(&ps, &ids, &owner, &distinct, &shared, arm);
     }
 }
 

@@ -19,8 +19,8 @@
 //! guard fires injected faults and checks the deadline at every gate; a
 //! degraded retry runs the whole call under
 //! [`ValueNetModel::with_tape_fallback`], which swaps the recycled tape and
-//! the packed weight panels for a fresh tape with dense weights. Each
-//! request decodes alone:
+//! the shared weight panels for a fresh tape whose panels are packed for
+//! it alone. Each request decodes alone:
 //! neither the engine nor the decoder co-batches requests, because on
 //! `serve_decode` a shared decode cost the same per request and lowered
 //! throughput (DESIGN.md §15).
@@ -812,6 +812,7 @@ fn map_pipeline_error(e: PipelineError, deadline_hit: bool) -> ServeError {
         PipelineError::MissingGoldValues => {
             ServeError::new(ErrorKind::BadRequest, "light mode requires gold_values")
         }
+        e @ PipelineError::NoWordTokens => ServeError::new(ErrorKind::BadRequest, e.to_string()),
         e @ PipelineError::DanglingValuePointer { .. } => {
             ServeError::new(ErrorKind::Internal, e.to_string())
         }

@@ -298,6 +298,24 @@ fn adversarial_inputs_get_typed_errors() {
     assert_eq!(engine.live_workers(), 1, "adversarial input killed a worker");
 }
 
+/// A question of punctuation alone tokenizes to nothing: the pipeline
+/// refuses it with a typed error before the encoder, so it is a
+/// `bad_request`, no worker dies, and each rejection is counted once.
+#[test]
+fn a_question_with_no_word_tokens_is_a_bad_request() {
+    let c = corpus();
+    let db_name = c.databases[0].schema().db_id.clone();
+    let engine = Engine::start(untrained(), c.databases, harness_config(2, 8));
+    for (id, question) in [(1, "?!"), (2, "..."), (3, ",")] {
+        let reply = engine.translate_blocking(job(id, &db_name, question, &[]));
+        expect_error(reply, ErrorKind::BadRequest);
+    }
+    assert_eq!(engine.stats().worker_panics(), 0, "a question with no tokens killed a worker");
+    assert_eq!(engine.stats().rejected(ErrorKind::BadRequest), 3, "one rejection per request");
+    assert_eq!(engine.stats().rejected(ErrorKind::Quarantined), 0);
+    assert_eq!(engine.live_workers(), 2);
+}
+
 /// The tentpole invariant: a trace context allocated at admission survives
 /// a worker panic, the respawn, and the degraded retry — the reply digest
 /// and the flight-recorder span tree both cover *all* attempts.

@@ -139,8 +139,9 @@ pub struct Gradients {
 
 impl Gradients {
     /// Gradient for the parameter registered under `param_id`: the sum of
-    /// every [`Graph::param`] or [`Graph::param_view`] use of that id, in
-    /// tape order. `None` when no use reached the loss.
+    /// every [`Graph::param`], [`Graph::param_view`] or
+    /// [`Graph::param_panels`] use of that id, in tape order. `None` when no
+    /// use reached the loss.
     pub fn for_param(&self, param_id: usize) -> Option<&Tensor> {
         let i = self.params.binary_search_by_key(&param_id, |&(pid, _)| pid).ok()?;
         Some(&self.params[i].1)
@@ -261,7 +262,7 @@ fn add_rows(table: &mut Tensor, indices: &[usize], rows: &Tensor) {
 pub struct Graph {
     nodes: Vec<Node>,
     inference: bool,
-    dense_weights: bool,
+    own_panels: bool,
     /// Value leaf of each parameter loaded by [`Graph::param_view`], indexed
     /// by parameter id (`NO_LEAF` when not loaded). Valid for the store
     /// write stamp `leaf_stamp`; [`Graph::reset`] clears it.
@@ -293,17 +294,18 @@ impl Graph {
         self.inference
     }
 
-    /// Makes the store hand this tape its weights as dense value leaves
-    /// ([`Graph::param_view`]) instead of packed panels. The serving
-    /// engine's degraded retry runs on such a tape, and it is the
-    /// reference the packed path is tested against.
-    pub fn set_dense_weights(&mut self, on: bool) {
-        self.dense_weights = on;
+    /// Makes the store pack this tape's weight panels for it alone, from
+    /// its weight buffers, once per weight, instead of handing it the
+    /// panels it caches and shares ([`Graph::param_panels`] either way).
+    /// The serving engine's degraded retry runs on such a tape, so it never
+    /// touches the shared panel cache.
+    pub fn set_own_panels(&mut self, on: bool) {
+        self.own_panels = on;
     }
 
-    /// True when this tape takes its weights as dense value leaves.
-    pub fn dense_weights(&self) -> bool {
-        self.dense_weights
+    /// True when this tape's weight panels are packed for it alone.
+    pub fn own_panels(&self) -> bool {
+        self.own_panels
     }
 
     /// Clears the tape for reuse, keeping the node vector's capacity.
@@ -393,8 +395,8 @@ impl Graph {
     /// Registers one use of the weight `param_id` as the right operand of
     /// [`Graph::matmul`] or [`Graph::matmul_bias_act`], on its packed
     /// panels instead of a dense value: the forward `x @ W` runs on `W`'s
-    /// panels and backward's `dz @ Wᵀ` on `Wᵀ`'s, each bit-identical to the
-    /// dense kernel it replaces.
+    /// panels and backward's `dz @ Wᵀ` on `Wᵀ`'s, each bit-identical to
+    /// [`Tensor::matmul_naive`] on the dense operands.
     ///
     /// `load` returns the panels: `W`'s, and `Wᵀ`'s unless this is an
     /// inference tape (backward panics on a use without them). They enter
@@ -540,12 +542,11 @@ impl Graph {
     }
 
     /// `A·Bᵀ` without materialising a transpose node. Bit-identical to
-    /// `transpose` followed by `matmul` (every kernel involved folds each
-    /// output element over the shared dimension in the same ascending
-    /// order), but the tape holds one node instead of two, and for narrow
-    /// left operands the kernel reads `B`'s rows directly instead of
-    /// packing a transposed copy — the pattern of per-step pointer scores
-    /// against a fixed item matrix.
+    /// `transpose` followed by `matmul` (both fold each output element over
+    /// the shared dimension in the same ascending order), but the tape
+    /// holds one node instead of two, and the panels of `Bᵀ` are packed
+    /// straight from `B`'s rows ([`Tensor::matmul_transposed_b`]) — the
+    /// pattern of per-step pointer scores against a fixed item matrix.
     pub fn matmul_transposed_b(&mut self, a: Var, b: Var) -> Var {
         let v = self.value(a).matmul_transposed_b(self.value(b));
         let ng = self.any_needs_grad(&[a, b]);

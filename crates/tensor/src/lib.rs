@@ -39,8 +39,9 @@
 //!
 //! # Unsafe code
 //!
-//! This is the workspace's one crate with `unsafe` code: the AVX2
-//! intrinsic kernels and the aligned panel buffer. Every unsafe operation
+//! This is the workspace's one crate with `unsafe` code: the packed
+//! register tiles (the one intrinsic kernel), the calls into kernels
+//! compiled for AVX2 and the aligned panel buffer. Every unsafe operation
 //! sits in its own `unsafe` block with a `// SAFETY:` comment, which the
 //! lints below enforce.
 

@@ -1,14 +1,25 @@
-//! Pre-packed weight matrices: the operand of every weight product.
+//! Packed matrices: the right operand of every matrix product.
 //!
-//! [`PackedMatrix`] stores a `k×m` weight matrix in panel-major order: the
+//! [`PackedMatrix`] stores a `k×m` right operand in panel-major order: the
 //! columns are split into panels of [`NR`] = 8, and each panel holds its `k`
 //! rows contiguously (`k × NR` values, zero-padded in the last panel). The
 //! panel width matches the AVX2 register width, and a panel is read top to
-//! bottom with unit-stride loads and no per-call re-packing. The buffer is
-//! 32-byte aligned, so no panel-row load straddles two cache lines. The
-//! allocator alone guarantees 16 bytes, and where a buffer lands depends on
-//! which thread packed it first, so the tiles' speed would otherwise vary
-//! from one process to the next.
+//! bottom with unit-stride loads. The buffer is 32-byte aligned, so no
+//! panel-row load straddles two cache lines. The allocator alone guarantees
+//! 16 bytes, and where a buffer lands depends on which thread packed it
+//! first, so the tiles' speed would otherwise vary from one process to the
+//! next.
+//!
+//! **One product kernel.** [`PackedMatrix::matmul_at`] is the only
+//! production kernel for `A·B` and `A·Bᵀ`. A weight's panels are packed once
+//! and cached by the parameter store (`ParamStore` in `valuenet-nn`);
+//! [`Tensor::matmul`] and [`Tensor::matmul_transposed_b`] pack an
+//! activation operand per call. [`PackedMatrix::pack`] lays out `B` for
+//! `A·B`. [`PackedMatrix::pack_transposed`] lays out `Bᵀ` straight from
+//! `B`'s rows, with no transposed copy, for `A·Bᵀ`: backward's input
+//! gradient `dz·Wᵀ`, attention scores `q·Kᵀ` and pointer scores. A weight
+//! write packs the new values into the same layout
+//! ([`PackedMatrix::repack`]). [`Tensor::matmul_naive`] is the oracle.
 //!
 //! **Register tiles (AVX2).** The AVX2 product computes a tile of `R`
 //! activation rows × `P` panels at once, one 8-lane accumulator per
@@ -39,23 +50,12 @@
 //! vectorizes the fold with the baseline target's 128-bit lanes.
 //!
 //! **Bit-identity.** Each output element is the same strict ascending fold
-//! over the shared dimension as [`Tensor::matmul`]'s blocked kernel — one
-//! multiply and one add per step, starting from +0.0 — so the packed
-//! product is bit-identical to the unpacked one (and to the scalar kernel)
-//! for every input. A tile only changes which independent outputs are in
-//! flight together, never the order of one output's fold. The zero padding
-//! never reaches the output: padded lanes accumulate `a·0` into columns
-//! that are simply not copied out.
-//!
-//! **Both directions of a weight product.** Every tape but the degraded
-//! retry's multiplies by its weights on these panels, which the parameter
-//! store caches (`ParamStore` in `valuenet-nn`). [`PackedMatrix::pack`] lays out `W` for the forward
-//! `x·W`. [`PackedMatrix::pack_transposed`] lays out `Wᵀ` straight from
-//! `W`'s rows, with no transposed copy, for backward's input gradient
-//! `dz·Wᵀ`; that product folds each output over `W`'s columns exactly as
-//! [`Tensor::matmul_transposed_b`] does, so it is bit-identical to it. A
-//! weight write packs the new values into the same layout
-//! ([`PackedMatrix::repack`]).
+//! over the shared dimension as [`Tensor::matmul_naive`] — one multiply and
+//! one add per step, starting from +0.0 — so the product is bit-identical
+//! to the oracle at both tiers for every input. A tile only changes which
+//! independent outputs are in flight together, never the order of one
+//! output's fold. The zero padding never reaches the output: padded lanes
+//! accumulate `a·0` into columns that are simply not copied out.
 
 use crate::simd::{self, SimdLevel};
 use crate::tensor::record_matmul;
@@ -71,7 +71,7 @@ struct PanelRow([f32; NR]);
 
 const _: () = assert!(std::mem::size_of::<PanelRow>() == NR * std::mem::size_of::<f32>());
 
-/// A `k×m` weight matrix re-laid-out into column panels of [`NR`].
+/// A `k×m` right operand re-laid-out into column panels of [`NR`].
 #[derive(Debug, Clone)]
 pub struct PackedMatrix {
     k: usize,
@@ -94,8 +94,7 @@ impl PackedMatrix {
 
     /// Packs the transpose of a row-major `rows×cols` buffer `W`: the
     /// panels of `Wᵀ` (`k = cols`, `m = rows`), read straight from `W`'s
-    /// rows. `dz @ Wᵀ` on them is bit-identical to
-    /// `dz.matmul_transposed_b(W)`.
+    /// rows. `dz @ Wᵀ` on them is what `dz.matmul_transposed_b(W)` runs.
     ///
     /// # Panics
     /// Panics if `data.len() != rows * cols`.
@@ -104,36 +103,52 @@ impl PackedMatrix {
     }
 
     fn packed(data: &[f32], k: usize, m: usize, transposed: bool) -> Self {
-        let panels = vec![PanelRow::default(); k * m.div_ceil(NR)];
+        let panels = Vec::with_capacity(k * m.div_ceil(NR));
         let mut packed = PackedMatrix { k, m, transposed, panels };
         packed.repack(data);
         packed
     }
 
     /// Packs a new row-major source of the same shape into these panels,
-    /// the way they were first packed (as `W` or as `Wᵀ`). The zero
-    /// padding of the last panel stays zero.
+    /// the way they were first packed (as `W` or as `Wᵀ`), in place. A full
+    /// panel's rows are built in registers and each written once; only a
+    /// partial last panel is zeroed, so its padding lanes hold zeros.
     ///
     /// # Panics
     /// Panics if `data` is not `k·m` long.
     pub fn repack(&mut self, data: &[f32]) {
         let (k, m) = (self.k, self.m);
         assert_eq!(data.len(), k * m, "PackedMatrix::repack: buffer is not {k}x{m}");
-        for (p, panel) in self.panels.chunks_exact_mut(k.max(1)).enumerate() {
-            let j0 = p * NR;
+        self.panels.clear();
+        for j0 in (0..m).step_by(NR) {
             let w = NR.min(m - j0);
-            if self.transposed {
-                // Column `j0 + q` of `Wᵀ` is row `j0 + q` of `W`.
-                for q in 0..w {
-                    let src = &data[(j0 + q) * k..(j0 + q + 1) * k];
-                    for (row, &v) in panel.iter_mut().zip(src) {
-                        row.0[q] = v;
+            // Column `j0 + q` of `Wᵀ` is row `j0 + q` of `W`.
+            let col = |q: usize| &data[(j0 + q) * k..(j0 + q + 1) * k];
+            match (self.transposed, w == NR) {
+                (true, true) => {
+                    let [c0, c1, c2, c3, c4, c5, c6, c7]: [&[f32]; NR] = std::array::from_fn(col);
+                    self.panels.extend((0..k).map(|l| {
+                        PanelRow([c0[l], c1[l], c2[l], c3[l], c4[l], c5[l], c6[l], c7[l]])
+                    }));
+                }
+                (true, false) => {
+                    let start = self.panels.len();
+                    self.panels.resize(start + k, PanelRow::default());
+                    for q in 0..w {
+                        for (row, &v) in self.panels[start..].iter_mut().zip(col(q)) {
+                            row.0[q] = v;
+                        }
                     }
                 }
-            } else {
-                for (l, row) in panel.iter_mut().enumerate() {
-                    row.0[..w].copy_from_slice(&data[l * m + j0..l * m + j0 + w]);
+                (false, true) => {
+                    let full = |r: &[f32]| PanelRow(r[j0..j0 + NR].try_into().unwrap());
+                    self.panels.extend(data.chunks_exact(m).map(full))
                 }
+                (false, false) => self.panels.extend(data.chunks_exact(m).map(|r| {
+                    let mut row = [0.0; NR];
+                    row[..w].copy_from_slice(&r[j0..j0 + w]);
+                    PanelRow(row)
+                })),
             }
         }
     }
@@ -149,12 +164,12 @@ impl PackedMatrix {
         Self::pack(t.as_slice(), t.rows(), t.cols())
     }
 
-    /// Shared dimension (`k`, the weight's row count).
+    /// Shared dimension (`k`, the operand's row count).
     pub fn rows(&self) -> usize {
         self.k
     }
 
-    /// Output dimension (`m`, the weight's column count).
+    /// Output dimension (`m`, the operand's column count).
     pub fn cols(&self) -> usize {
         self.m
     }
@@ -179,8 +194,8 @@ impl PackedMatrix {
         out
     }
 
-    /// `a @ self` at an explicit SIMD level. Bit-identical to
-    /// [`Tensor::matmul`] at every level.
+    /// `a @ self` at an explicit SIMD level, uncounted: the one product
+    /// kernel. Bit-identical to [`Tensor::matmul_naive`] at every level.
     pub fn matmul_at(&self, lvl: SimdLevel, a: &Tensor) -> Tensor {
         assert_eq!(
             a.cols(),
@@ -423,20 +438,29 @@ mod tests {
 
     #[test]
     fn transposed_panels_match_matmul_transposed_b() {
-        // Widths 46 and 112 leave a partial last panel; 1..=9 rows reach
-        // every tile shape and remainder, and both regimes (narrow dot,
-        // wide pack) of `matmul_transposed_b`.
+        // `Wᵀ`'s panels, read from `W`'s rows, against the oracle on the
+        // materialised transpose, at each level and through
+        // `matmul_transposed_b`. Widths 46 and 112 leave a partial last
+        // panel; 1..=9 rows reach every tile shape and remainder.
         for &(rows, cols) in &[(1, 1), (46, 13), (112, 46), (17, 112), (64, 64)] {
             let w = pseudo_tensor(rows, cols, 41 + rows as u64);
             let wt = PackedMatrix::pack_transposed(w.as_slice(), rows, cols);
             assert_eq!((wt.rows(), wt.cols()), (cols, rows));
+            let bits = |p: &PackedMatrix| -> Vec<u32> { p.panels().iter().map(|v| v.to_bits()).collect() };
+            let want = PackedMatrix::from_tensor(&w.transpose());
+            assert_eq!(bits(&wt), bits(&want), "{rows}x{cols}: Wᵀ's panels");
             for n in 1..=9 {
                 let dz = pseudo_tensor(n, cols, 7 * n as u64);
-                let want = dz.matmul_transposed_b(&w);
-                for lvl in levels() {
-                    let got = wt.matmul_at(lvl, &dz);
+                let want = dz.matmul_naive(&w.transpose());
+                let mut arms: Vec<_> = levels()
+                    .into_iter()
+                    .map(|lvl| (format!("{lvl:?}"), wt.matmul_at(lvl, &dz)))
+                    .collect();
+                arms.push(("matmul_transposed_b".into(), dz.matmul_transposed_b(&w)));
+                for (arm, got) in arms {
                     for (x, y) in got.as_slice().iter().zip(want.as_slice()) {
-                        assert_eq!(x.to_bits(), y.to_bits(), "{n}x{cols} @ ({rows}x{cols})ᵀ at {lvl:?}");
+                        let what = format!("{n}x{cols} @ ({rows}x{cols})ᵀ, {arm}");
+                        assert_eq!(x.to_bits(), y.to_bits(), "{what}");
                     }
                 }
             }
@@ -444,12 +468,12 @@ mod tests {
     }
 
     #[test]
-    fn packed_matmul_bit_identical_to_blocked() {
+    fn packed_matmul_bit_identical_to_the_oracle() {
         for &(n, k, m) in &[(1, 1, 1), (1, 7, 5), (3, 8, 8), (4, 13, 17), (9, 5, 24), (2, 64, 33)]
         {
             let a = pseudo_tensor(n, k, 3 + n as u64);
             let w = pseudo_tensor(k, m, 17 + m as u64);
-            let expect = a.matmul(&w);
+            let expect = a.matmul_naive(&w);
             let packed = PackedMatrix::from_tensor(&w);
             for lvl in levels() {
                 let got = packed.matmul_at(lvl, &a);

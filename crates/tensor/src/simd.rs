@@ -1,16 +1,16 @@
 //! Runtime-dispatched kernels: one loop per kernel, compiled for two tiers.
 //!
-//! Every elementwise and axpy kernel here is written once, as a plain loop
-//! over *independent output elements*. That loop is the scalar tier and
-//! the proptest oracle. The AVX2 tier is the same loop compiled a second
-//! time inside a `#[target_feature(enable = "avx2")]` wrapper (the
-//! `kernel!` macro), so the compiler vectorizes it with 256-bit lanes
-//! instead of the x86-64 baseline's 128-bit ones. The results are
-//! bit-identical at both tiers because Rust neither reassociates nor
-//! contracts f32 arithmetic: each vector lane computes one output element
-//! with exactly the multiplies and adds, in exactly the order, that the
-//! loop spells out (the same discipline as the fused kernels, see DESIGN.md
-//! "SIMD & packed weights").
+//! Every kernel here (the elementwise ones and the `Aᵀ·B` fold behind
+//! weight gradients) is written once, as a plain loop over *independent
+//! output elements*. That loop is the scalar tier and the proptest oracle.
+//! The AVX2 tier is the same loop compiled a second time inside a
+//! `#[target_feature(enable = "avx2")]` wrapper (the `kernel!` macro), so
+//! the compiler vectorizes it with 256-bit lanes instead of the x86-64
+//! baseline's 128-bit ones. The results are bit-identical at both tiers
+//! because Rust neither reassociates nor contracts f32 arithmetic: each
+//! vector lane computes one output element with exactly the multiplies and
+//! adds, in exactly the order, that the loop spells out (the same
+//! discipline as the fused kernels, see DESIGN.md "SIMD & packed weights").
 //!
 //! Two rules keep that promise honest:
 //!
@@ -22,10 +22,10 @@
 //!   lanes only ever hold *different* output elements, never partial sums
 //!   of the same element.
 //!
-//! Intrinsics remain where the compiler cannot derive the access pattern
-//! from the scalar fold: `dot8_avx2`, the narrow A·Bᵀ kernel, which reads
-//! eight rows of B at once through an in-register transpose, and the packed
-//! register tiles in [`crate::packed`].
+//! This module has no intrinsics. The matrix products `A·B` and `A·Bᵀ` run
+//! on the packed register tiles in [`crate::packed`], the one place that
+//! writes them, because the compiler does not derive a register tile from a
+//! loop nest.
 //!
 //! The active level is chosen once per process from
 //! [`is_x86_feature_detected!`] and can be capped with
@@ -42,8 +42,8 @@ pub enum SimdLevel {
     /// The kernels as compiled for the baseline target (on x86-64, plain
     /// loops auto-vectorized with 128-bit SSE2 lanes).
     Scalar = 0,
-    /// The same loops compiled with AVX2 enabled, plus the intrinsic
-    /// kernels.
+    /// The same loops compiled with AVX2 enabled, plus the packed register
+    /// tiles.
     Avx2 = 1,
 }
 
@@ -114,15 +114,12 @@ macro_rules! kernel {
         pub fn $name:ident($lvl:ident: SimdLevel, $($arg:ident: $ty:ty),* $(,)?) $body:block
     ) => {
         $(#[$doc])*
-        #[allow(clippy::too_many_arguments)]
         pub fn $name($lvl: SimdLevel, $($arg: $ty),*) {
             #[inline(always)]
-            #[allow(clippy::too_many_arguments)]
             fn body($($arg: $ty),*) $body
 
             #[cfg(target_arch = "x86_64")]
             #[target_feature(enable = "avx2")]
-            #[allow(clippy::too_many_arguments)]
             fn avx2($($arg: $ty),*) {
                 body($($arg),*)
             }
@@ -144,56 +141,6 @@ macro_rules! kernel {
 // a tier without touching process-global state; the plain names use the
 // process-wide `level()`.
 // ---------------------------------------------------------------------------
-
-kernel! {
-    /// `r_i[j] += a_i * b[j]` for four rows, at an explicit level: a row
-    /// block of the register-blocked matmul micro-kernel.
-    ///
-    /// # Panics
-    /// Panics unless every row is as long as `b`.
-    pub fn axpy4_at(
-        lvl: SimdLevel,
-        r0: &mut [f32],
-        r1: &mut [f32],
-        r2: &mut [f32],
-        r3: &mut [f32],
-        a0: f32,
-        a1: f32,
-        a2: f32,
-        a3: f32,
-        b: &[f32],
-    ) {
-        let n = b.len();
-        assert!(
-            r0.len() == n && r1.len() == n && r2.len() == n && r3.len() == n,
-            "axpy4: rows of {}, {}, {} and {} against {n}",
-            r0.len(),
-            r1.len(),
-            r2.len(),
-            r3.len()
-        );
-        let rows = r0.iter_mut().zip(r1.iter_mut()).zip(r2.iter_mut()).zip(r3.iter_mut());
-        for ((((o0, o1), o2), o3), &bv) in rows.zip(b) {
-            *o0 += a0 * bv;
-            *o1 += a1 * bv;
-            *o2 += a2 * bv;
-            *o3 += a3 * bv;
-        }
-    }
-}
-
-kernel! {
-    /// `out[j] += a * b[j]`, at an explicit level.
-    ///
-    /// # Panics
-    /// Panics if `out.len() != b.len()`.
-    pub fn axpy_at(lvl: SimdLevel, out: &mut [f32], a: f32, b: &[f32]) {
-        assert_eq!(out.len(), b.len(), "axpy: operand lengths differ");
-        for (o, &bv) in out.iter_mut().zip(b) {
-            *o += a * bv;
-        }
-    }
-}
 
 kernel! {
     /// `out += Σ aᵀ · b` over `uses`, at an explicit level: the kernel
@@ -266,62 +213,6 @@ kernel! {
                 }
             }
         }
-    }
-}
-
-/// All `m` dot products of `x` (length `k`) against the rows of row-major
-/// `b` (`m × k`), appended to `out` — the inner loop of the narrow-left
-/// direct-dot kernel. Each output element is one serial ascending-`l` fold,
-/// identical at both levels; AVX2 folds eight independent outputs at once
-/// through `dot8_avx2`, the scalar tier four.
-///
-/// # Panics
-/// Panics unless `x.len() == k` and `b.len() == m * k`.
-pub fn dot_rows_at(lvl: SimdLevel, x: &[f32], b: &[f32], k: usize, m: usize, out: &mut Vec<f32>) {
-    assert!(
-        x.len() == k && b.len() == m * k,
-        "dot_rows: x of {} and b of {} against k = {k}, m = {m}",
-        x.len(),
-        b.len()
-    );
-    let mut j = 0;
-    #[cfg(target_arch = "x86_64")]
-    if avx2_enabled(lvl) {
-        while j + 8 <= m {
-            // SAFETY: `avx2_enabled` checked that the host supports AVX2.
-            let r = unsafe { x86::dot8_avx2(x, &b[j * k..(j + 8) * k]) };
-            out.extend_from_slice(&r);
-            j += 8;
-        }
-    }
-    let _ = lvl;
-    // Scalar path (and the j-tail of the AVX2 path): a 4-column blocked
-    // fold, then plain dots.
-    let full_j = j + (m - j) / 4 * 4;
-    while j < full_j {
-        let y0 = &b[j * k..(j + 1) * k];
-        let y1 = &b[(j + 1) * k..(j + 2) * k];
-        let y2 = &b[(j + 2) * k..(j + 3) * k];
-        let y3 = &b[(j + 3) * k..(j + 4) * k];
-        let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-        for l in 0..k {
-            let xv = x[l];
-            s0 += xv * y0[l];
-            s1 += xv * y1[l];
-            s2 += xv * y2[l];
-            s3 += xv * y3[l];
-        }
-        out.extend_from_slice(&[s0, s1, s2, s3]);
-        j += 4;
-    }
-    while j < m {
-        let y = &b[j * k..(j + 1) * k];
-        let mut s = 0.0f32;
-        for l in 0..k {
-            s += x[l] * y[l];
-        }
-        out.push(s);
-        j += 1;
     }
 }
 
@@ -457,64 +348,6 @@ pub fn mul(out: &mut [f32], a: &[f32], b: &[f32]) {
     mul_at(level(), out, a, b);
 }
 
-#[cfg(target_arch = "x86_64")]
-mod x86 {
-    //! The one intrinsic kernel of this module. It follows the scalar
-    //! 4-column fold of `dot_rows_at` element by element: ascending `l`
-    //! from +0.0, separate multiply and add (never FMA).
-    use core::arch::x86_64::*;
-
-    /// Transposes four 4-lane rows into four 4-lane columns.
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    fn transpose4(r0: __m128, r1: __m128, r2: __m128, r3: __m128) -> [__m128; 4] {
-        let t0 = _mm_unpacklo_ps(r0, r1);
-        let t1 = _mm_unpacklo_ps(r2, r3);
-        let t2 = _mm_unpackhi_ps(r0, r1);
-        let t3 = _mm_unpackhi_ps(r2, r3);
-        [_mm_movelh_ps(t0, t1), _mm_movehl_ps(t1, t0), _mm_movelh_ps(t2, t3), _mm_movehl_ps(t3, t2)]
-    }
-
-    /// Eight dot products `x · y_t`, where `y_t` is row `t` of the
-    /// row-major `8 × x.len()` block `rows`: two in-register 4×4 transposes
-    /// feed a 256-bit accumulator, one serial ascending-`l` fold per lane.
-    ///
-    /// # Panics
-    /// Panics unless `rows.len() == 8 * x.len()`.
-    #[target_feature(enable = "avx2")]
-    pub(super) fn dot8_avx2(x: &[f32], rows: &[f32]) -> [f32; 8] {
-        let k = x.len();
-        assert_eq!(rows.len(), 8 * k, "dot8_avx2: rows are not 8 x {k}");
-        let y: [*const f32; 8] = std::array::from_fn(|t| rows.as_ptr().wrapping_add(t * k));
-        let mut acc = _mm256_setzero_ps();
-        let mut l = 0;
-        while l + 4 <= k {
-            // SAFETY: row `t` starts at `y[t]` and holds `k` floats
-            // (`rows` is `8·k` long, asserted above), and `l + 4 <= k`, so
-            // each load reads four floats inside its row. The loads are
-            // unaligned.
-            let r: [__m128; 8] = std::array::from_fn(|t| unsafe { _mm_loadu_ps(y[t].add(l)) });
-            let lo = transpose4(r[0], r[1], r[2], r[3]);
-            let hi = transpose4(r[4], r[5], r[6], r[7]);
-            for ((&lo_s, &hi_s), &xv) in lo.iter().zip(&hi).zip(&x[l..l + 4]) {
-                let col = _mm256_set_m128(hi_s, lo_s);
-                acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(xv), col));
-            }
-            l += 4;
-        }
-        while l < k {
-            let y = |t: usize| rows[t * k + l];
-            let col = _mm256_set_ps(y(7), y(6), y(5), y(4), y(3), y(2), y(1), y(0));
-            acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(x[l]), col));
-            l += 1;
-        }
-        let mut out = [0.0f32; 8];
-        // SAFETY: `out` holds the eight floats the unaligned store writes.
-        unsafe { _mm256_storeu_ps(out.as_mut_ptr(), acc) };
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -593,25 +426,6 @@ mod tests {
                 let mut v = vec![0.0; len];
                 mul2_add_at(lvl, &mut v, &a, &b, &c, &d);
                 assert!(s.iter().zip(&v).all(|(x, y)| x.to_bits() == y.to_bits()));
-            }
-        }
-    }
-
-    #[test]
-    fn dot_rows_bit_identical_across_levels() {
-        for (k, m) in [(0usize, 9usize), (1, 1), (3, 5), (4, 8), (7, 9), (16, 20), (33, 13)] {
-            let x = pseudo(k, 10);
-            let b = pseudo(k * m, 11);
-            let mut scalar = Vec::new();
-            dot_rows_at(SimdLevel::Scalar, &x, &b, k, m, &mut scalar);
-            for lvl in levels() {
-                let mut v = Vec::new();
-                dot_rows_at(lvl, &x, &b, k, m, &mut v);
-                assert_eq!(scalar.len(), v.len());
-                assert!(
-                    scalar.iter().zip(&v).all(|(a, b)| a.to_bits() == b.to_bits()),
-                    "k={k} m={m} level {lvl:?}"
-                );
             }
         }
     }

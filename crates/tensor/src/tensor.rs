@@ -1,6 +1,7 @@
 //! A dense, row-major, two-dimensional `f32` matrix.
 
 use crate::simd::{self, SimdLevel};
+use crate::PackedMatrix;
 use std::fmt;
 
 // Kernel accounting for the production matmul paths (see `DESIGN.md`,
@@ -188,44 +189,25 @@ impl Tensor {
         self.data[0]
     }
 
-    /// Matrix product `self @ other` via the register-blocked, cache-tiled
-    /// kernel ([`block_kernel`]): four output rows are produced per pass so
-    /// every loaded `other` value feeds four multiply-adds, and columns are
-    /// tiled so the active output block stays L1-resident. See
-    /// [`Tensor::matmul_naive`] for the reference kernel.
+    /// Matrix product `self @ other`: packs `other` into column panels
+    /// ([`PackedMatrix::pack`]) and runs the register tiles
+    /// ([`PackedMatrix::matmul_at`]), the one product kernel. Counted in
+    /// `tensor.matmul.*` with its packing. [`Tensor::matmul_naive`] is its
+    /// oracle, bit for bit.
     pub fn matmul(&self, other: &Tensor) -> Tensor {
         assert_eq!(
             self.cols, other.rows,
             "matmul: {}x{} @ {}x{}",
             self.rows, self.cols, other.rows, other.cols
         );
-        let lvl = simd::level();
-        if !valuenet_obs::enabled() {
-            return block_kernel(&self.data, &other.data, self.rows, self.cols, other.cols, lvl);
-        }
-        let start = valuenet_obs::now_ns();
-        let out = block_kernel(&self.data, &other.data, self.rows, self.cols, other.cols, lvl);
-        record_matmul(self.rows, self.cols, other.cols, start);
-        out
+        self.packed_product(|| PackedMatrix::pack(&other.data, other.rows, other.cols))
     }
 
-    /// [`Tensor::matmul`] pinned to an explicit SIMD level. All levels are
-    /// bit-identical; tests and benchmarks use this to compare arms without
-    /// touching the process-wide level.
-    #[doc(hidden)]
-    pub fn matmul_with_level(&self, other: &Tensor, lvl: SimdLevel) -> Tensor {
-        assert_eq!(
-            self.cols, other.rows,
-            "matmul: {}x{} @ {}x{}",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        block_kernel(&self.data, &other.data, self.rows, self.cols, other.cols, lvl)
-    }
-
-    /// Reference matrix product (the original straightforward i-k-j kernel).
-    ///
-    /// Kept as the oracle for equivalence tests and as the baseline in the
-    /// matmul benchmarks; production code paths use [`Tensor::matmul`].
+    /// Reference matrix product: the straightforward i-k-j loop, each
+    /// output folded from +0.0 over the shared dimension in ascending
+    /// order. The oracle that [`Tensor::matmul`] and
+    /// [`Tensor::matmul_transposed_b`] are tested against; production code
+    /// uses those.
     pub fn matmul_naive(&self, other: &Tensor) -> Tensor {
         assert_eq!(
             self.cols, other.rows,
@@ -247,48 +229,30 @@ impl Tensor {
         out
     }
 
-    /// `self @ otherᵀ`. Shapes: `n×k @ (m×k)ᵀ → n×m`.
-    ///
-    /// Two regimes, chosen by the left operand's height. Wide (`n >= 8`):
-    /// pack `otherᵀ` once through the tiled [`Tensor::transpose`] and run the
-    /// blocked kernel on the panel — the `k·m`-copy pack amortises over `n`
-    /// reuses. Narrow (`n < 8`, the shape of every backward `dz @ wᵀ` and of
-    /// beam-step attention scores): the pack would cost as much memory
-    /// traffic as the multiply itself, so compute row dots directly via
-    /// [`dot_kernel`] instead. Both regimes fold each output element over
-    /// the shared dimension in ascending order, one add per step, so the
-    /// choice never changes a bit of the result.
+    /// `self @ otherᵀ`. Shapes: `n×k @ (m×k)ᵀ → n×m`. Packs `otherᵀ`
+    /// straight from `other`'s rows ([`PackedMatrix::pack_transposed`], no
+    /// transposed copy) and runs the register tiles, so it is bit-identical
+    /// to `self.matmul(&other.transpose())`. Counted like
+    /// [`Tensor::matmul`].
     pub fn matmul_transposed_b(&self, other: &Tensor) -> Tensor {
         assert_eq!(
             self.cols, other.cols,
             "matmul_transposed_b: {}x{} @ ({}x{})ᵀ",
             self.rows, self.cols, other.rows, other.cols
         );
-        let lvl = simd::level();
-        let start = valuenet_obs::enabled().then(valuenet_obs::now_ns);
-        let out = if self.rows < 8 {
-            dot_kernel(&self.data, &other.data, self.rows, self.cols, other.rows, lvl)
-        } else {
-            let packed = other.transpose();
-            block_kernel(&self.data, &packed.data, self.rows, self.cols, other.rows, lvl)
-        };
-        if let Some(s) = start {
-            record_matmul(self.rows, self.cols, other.rows, s);
-        }
-        out
+        self.packed_product(|| PackedMatrix::pack_transposed(&other.data, other.rows, other.cols))
     }
 
-    /// [`Tensor::matmul_transposed_b`] pinned to an explicit SIMD level,
-    /// forcing the narrow-left direct-dot kernel. Bit-identical at every
-    /// level; used by tests and benchmarks.
-    #[doc(hidden)]
-    pub fn matmul_transposed_b_with_level(&self, other: &Tensor, lvl: SimdLevel) -> Tensor {
-        assert_eq!(
-            self.cols, other.cols,
-            "matmul_transposed_b: {}x{} @ ({}x{})ᵀ",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        dot_kernel(&self.data, &other.data, self.rows, self.cols, other.rows, lvl)
+    /// `self @ b` for the panels `pack` builds, at the process-wide level;
+    /// the packing and the product count as one `tensor.matmul.*` call.
+    fn packed_product(&self, pack: impl FnOnce() -> PackedMatrix) -> Tensor {
+        let start = valuenet_obs::enabled().then(valuenet_obs::now_ns);
+        let b = pack();
+        let out = b.matmul_at(simd::level(), self);
+        if let Some(s) = start {
+            record_matmul(self.rows, self.cols, b.cols(), s);
+        }
+        out
     }
 
     /// `selfᵀ @ other` without materialising the transpose: the fold of
@@ -417,83 +381,6 @@ impl Tensor {
     }
 }
 
-/// Narrow-case kernel for [`Tensor::matmul_transposed_b`]: `n×k @ (m×k)ᵀ`
-/// as plain row dots, no transpose pack. Four output columns are produced
-/// per pass — four independent accumulator chains over four contiguous `b`
-/// rows — so the loop has instruction-level parallelism even though each
-/// individual dot is a serial f32 fold. Each output element is a strict
-/// ascending fold over the shared dimension, exactly like the blocked
-/// kernel's per-element accumulation, so the two paths agree bitwise.
-#[inline(never)]
-fn dot_kernel(a: &[f32], b: &[f32], n: usize, k: usize, m: usize, lvl: SimdLevel) -> Tensor {
-    let mut data = crate::pool::take(n * m);
-    for i in 0..n {
-        let x = &a[i * k..(i + 1) * k];
-        simd::dot_rows_at(lvl, x, b, k, m, &mut data);
-    }
-    Tensor { data, rows: n, cols: m }
-}
-
-/// The shared inner kernel behind [`Tensor::matmul`] and
-/// [`Tensor::matmul_transposed_b`]: a standard `n×k @ k×m` row-major product.
-///
-/// Two levels of blocking over the naive i-k-j loop:
-///
-/// * **Register blocking over rows** — four output rows are computed per
-///   pass, so each `b` element loaded in the vectorisable inner axpy feeds
-///   four multiply-adds instead of one, quartering the B-panel traffic that
-///   dominates the naive kernel at sizes past L1.
-/// * **Cache tiling over columns** — the column window is capped so the four
-///   active output rows plus the current `b` row stay L1-resident while `p`
-///   sweeps the full depth.
-///
-/// The inner loop keeps the naive kernel's contiguous multiply-accumulate
-/// shape (independent lanes, no reduction chain), which the compiler
-/// auto-vectorises at the baseline target.
-///
-/// `inline(never)`: call overhead is nothing next to the 2·n·k·m-FLOP body,
-/// and one out-of-line copy keeps every `matmul` entry point (instrumented
-/// or not) on the same code, free of per-caller layout/alignment skew.
-#[inline(never)]
-fn block_kernel(a: &[f32], b: &[f32], n: usize, k: usize, m: usize, lvl: SimdLevel) -> Tensor {
-    const MR: usize = 4; // output rows per register block
-    const JC: usize = 512; // column tile: MR rows × 512 cols × 4 B = 8 KiB
-    let mut out = Tensor::zeros(n, m);
-    let full_i = n - n % MR;
-    for jb in (0..m).step_by(JC) {
-        let jw = JC.min(m - jb);
-        for i in (0..full_i).step_by(MR) {
-            // Four disjoint output-row windows for this column tile.
-            let block = &mut out.data[i * m..(i + MR) * m];
-            let (r0, rest) = block.split_at_mut(m);
-            let (r1, rest) = rest.split_at_mut(m);
-            let (r2, r3) = rest.split_at_mut(m);
-            let r0 = &mut r0[jb..jb + jw];
-            let r1 = &mut r1[jb..jb + jw];
-            let r2 = &mut r2[jb..jb + jw];
-            let r3 = &mut r3[jb..jb + jw];
-            for p in 0..k {
-                let a0 = a[i * k + p];
-                let a1 = a[(i + 1) * k + p];
-                let a2 = a[(i + 2) * k + p];
-                let a3 = a[(i + 3) * k + p];
-                let b_row = &b[p * m + jb..p * m + jb + jw];
-                simd::axpy4_at(lvl, r0, r1, r2, r3, a0, a1, a2, a3, b_row);
-            }
-        }
-        // Row remainder: plain single-row axpy over the same column tile.
-        for i in full_i..n {
-            let out_row = &mut out.data[i * m + jb..i * m + jb + jw];
-            for p in 0..k {
-                let av = a[i * k + p];
-                let b_row = &b[p * m + jb..p * m + jb + jw];
-                simd::axpy_at(lvl, out_row, av, b_row);
-            }
-        }
-    }
-    out
-}
-
 impl fmt::Debug for Tensor {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "Tensor {}x{} [", self.rows, self.cols)?;
@@ -515,6 +402,10 @@ impl fmt::Debug for Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
 
     #[test]
     fn zeros_and_shape() {
@@ -562,8 +453,11 @@ mod tests {
 
     #[test]
     fn blocked_matches_naive_on_awkward_shapes() {
-        // Shapes straddling the 2×4 block edges and the dot4 tail.
-        for &(n, k, m) in &[(1, 1, 1), (2, 4, 4), (3, 5, 7), (8, 3, 2), (5, 9, 6), (7, 17, 13)] {
+        // The packed product against the oracle, bit for bit, on shapes
+        // straddling the 4-row tiles and the 8-lane panels, with `k = 0`
+        // and zero-row operands.
+        let shapes = [(1, 1, 1), (2, 4, 4), (3, 5, 7), (8, 3, 2), (5, 9, 6), (7, 17, 13)];
+        for &(n, k, m) in shapes.iter().chain(&[(3, 0, 5), (0, 4, 6), (2, 4, 0)]) {
             let a = Tensor::from_vec(
                 n,
                 k,
@@ -576,10 +470,8 @@ mod tests {
             );
             let fast = a.matmul(&b);
             let naive = a.matmul_naive(&b);
-            assert_eq!(fast.shape(), naive.shape());
-            for (x, y) in fast.as_slice().iter().zip(naive.as_slice()) {
-                assert!((x - y).abs() < 1e-4, "{n}x{k}x{m}: {x} vs {y}");
-            }
+            assert_eq!(fast.shape(), (n, m));
+            assert_eq!(bits(&fast), bits(&naive), "{n}x{k}x{m}");
         }
     }
 
@@ -587,11 +479,7 @@ mod tests {
     fn transposed_kernels_match_explicit_transpose() {
         let a = Tensor::from_vec(3, 5, (0..15).map(|i| i as f32 * 0.5 - 3.0).collect());
         let b = Tensor::from_vec(4, 5, (0..20).map(|i| (i as f32).cos()).collect());
-        let direct = a.matmul_transposed_b(&b);
-        let reference = a.matmul_naive(&b.transpose());
-        for (x, y) in direct.as_slice().iter().zip(reference.as_slice()) {
-            assert!((x - y).abs() < 1e-5);
-        }
+        assert_eq!(bits(&a.matmul_transposed_b(&b)), bits(&a.matmul_naive(&b.transpose())));
 
         let c = Tensor::from_vec(3, 4, (0..12).map(|i| (i as f32).sin()).collect());
         let direct = a.matmul_transposed_a(&c); // (3x5)ᵀ @ 3x4 = 5x4

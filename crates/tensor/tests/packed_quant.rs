@@ -1,10 +1,12 @@
-//! Property tests for the pre-packed f32 layout.
+//! Property tests for the one product kernel, the packed f32 layout.
 //!
-//! Packing is a pure layout change: `PackedMatrix::matmul` must be
-//! **bit-identical** to the row-major blocked matmul at every SIMD tier —
-//! for random shapes up to 13 rows (every row remainder after one and two
-//! full 4-row AVX2 tiles), at the default model's products, and on ±0.0,
-//! NaN, ±∞ and subnormal inputs.
+//! Packing is a pure layout change: `PackedMatrix::matmul_at` must be
+//! **bit-identical** to the oracle, `Tensor::matmul_naive`, at every SIMD
+//! tier — for random shapes up to 13 rows (every row remainder after one
+//! and two full 4-row AVX2 tiles), at the default model's weight and
+//! activation products, through `Tensor::matmul` and
+//! `Tensor::matmul_transposed_b`, and on ±0.0, NaN, ±∞ and subnormal
+//! inputs.
 
 use proptest::prelude::*;
 use valuenet_tensor::packed::PackedMatrix;
@@ -57,7 +59,7 @@ fn packed_matmul_is_bit_identical_at_model_shapes() {
     for (n, k, m) in shapes {
         let a = pseudo_tensor(n, k, (n * k) as u64);
         let w = pseudo_tensor(k, m, (k * m) as u64 ^ 0xBEEF);
-        let want = a.matmul_with_level(&w, SimdLevel::Scalar);
+        let want = a.matmul_naive(&w);
         let packed = PackedMatrix::from_tensor(&w);
         for lvl in levels() {
             assert_bits_eq(
@@ -66,6 +68,56 @@ fn packed_matmul_is_bit_identical_at_model_shapes() {
                 &format!("packed {} ({n}x{k}x{m})", lvl.name()),
             );
         }
+    }
+}
+
+/// `a·b` and `a·(bᵀ)ᵀ` through every path to the kernel — `Tensor::matmul`,
+/// `Tensor::matmul_transposed_b`, and `PackedMatrix::pack` or
+/// `pack_transposed` with `matmul_at` at each level — against the oracle.
+fn check_products(a: &Tensor, b: &Tensor, what: &str) {
+    let want = a.matmul_naive(b);
+    let bt = b.transpose();
+    let packed = PackedMatrix::from_tensor(b);
+    let packed_t = PackedMatrix::pack_transposed(bt.as_slice(), bt.rows(), bt.cols());
+    let (n, k, m) = (a.rows(), a.cols(), b.cols());
+    let mut arms = vec![("matmul".to_string(), a.matmul(b))];
+    arms.push(("matmul_transposed_b".to_string(), a.matmul_transposed_b(&bt)));
+    for lvl in levels() {
+        arms.push((format!("pack {}", lvl.name()), packed.matmul_at(lvl, a)));
+        arms.push((format!("pack_transposed {}", lvl.name()), packed_t.matmul_at(lvl, a)));
+    }
+    for (arm, got) in arms {
+        assert_eq!(got.shape(), (n, m), "{what} {arm}");
+        assert_bits_eq(got.as_slice(), want.as_slice(), &format!("{what} {arm} ({n}x{k}x{m})"));
+    }
+}
+
+/// The activation products the model sends the kernel: the encoder's
+/// self-attention scores `q·Kᵀ` (`n×16 · (n×16)ᵀ`) and `attn·V`
+/// (`n×n · n×16`), and decoder steps of 1–4 rows scoring and attending
+/// over 1, 10 or 60 item rows of width 64 or 128; then `k = 0` and
+/// zero-row operands. Each shape runs as `A·B` and as `A·Bᵀ`.
+#[test]
+fn products_are_bit_identical_at_activation_shapes() {
+    for n in [1, 7, 8, 9, 33, 61] {
+        let (q, keys) = (pseudo_tensor(n, 16, n as u64), pseudo_tensor(n, 16, 100 + n as u64));
+        check_products(&q, &keys.transpose(), "encoder q·Kᵀ");
+        check_products(&pseudo_tensor(n, n, 200 + n as u64), &keys, "encoder attn·V");
+    }
+    for rows in 1..=4 {
+        for items in [1, 10, 60] {
+            for width in [64, 128] {
+                let seed = (rows * 1000 + items * 10 + width) as u64;
+                let h = pseudo_tensor(rows, width, seed);
+                let item = pseudo_tensor(items, width, seed ^ 0xA11);
+                check_products(&h, &item.transpose(), "decoder scores");
+                let attn = pseudo_tensor(rows, items, seed ^ 0x5EED);
+                check_products(&attn, &item, "decoder attn·items");
+            }
+        }
+    }
+    for (n, k, m) in [(3, 0, 5), (1, 0, 1), (0, 4, 6), (0, 0, 3), (2, 4, 0), (0, 3, 0)] {
+        check_products(&pseudo_tensor(n, k, 7), &pseudo_tensor(k, m, 8), "empty");
     }
 }
 
@@ -106,7 +158,7 @@ fn packed_matmul_matches_scalar_on_special_values() {
             })
             .collect();
         let a = Tensor::from_vec(n, k, a);
-        let want = a.matmul_with_level(&w, SimdLevel::Scalar);
+        let want = a.matmul_naive(&w);
         for i in (0..n).step_by(2) {
             for j in NEG_ZERO {
                 assert_eq!(want.get(i, j).to_bits(), 0.0f32.to_bits(), "oracle ({i},{j})");
@@ -130,7 +182,7 @@ fn packed_matmul_matches_scalar_on_special_values() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Packed f32 matmul ≡ blocked matmul, bit for bit, at every tier, for
+    /// Packed f32 matmul ≡ the oracle, bit for bit, at every tier, for
     /// every panel-tail residue (`m % 8`) and every AVX2 row-tile shape.
     #[test]
     fn packed_matmul_is_bit_identical(
@@ -140,7 +192,7 @@ proptest! {
         let n = batch(n, seed);
         let a = pseudo_tensor(n, k, seed);
         let w = pseudo_tensor(k, m, seed ^ 0xFACE);
-        let want = a.matmul_with_level(&w, SimdLevel::Scalar);
+        let want = a.matmul_naive(&w);
         let packed = PackedMatrix::from_tensor(&w);
         prop_assert_eq!(packed.rows(), k);
         prop_assert_eq!(packed.cols(), m);

@@ -1,5 +1,6 @@
 //! Property tests: every SIMD kernel tier is **bit-identical** to the
-//! scalar oracle.
+//! scalar oracle, and the matrix products at every tier to
+//! `Tensor::matmul_naive`.
 //!
 //! This is the load-bearing invariant of the vectorization work — the beam
 //! search compares f32 log-probabilities for ties, so any rounding
@@ -14,7 +15,7 @@
 
 use proptest::prelude::*;
 use valuenet_tensor::simd::{self, SimdLevel};
-use valuenet_tensor::Tensor;
+use valuenet_tensor::{PackedMatrix, Tensor};
 
 const DIM: std::ops::Range<usize> = 1..12;
 
@@ -69,31 +70,17 @@ fn panics(f: impl FnOnce()) -> bool {
 #[test]
 fn short_operands_panic_at_every_level() {
     let (long, short) = (vec![1.0f32; 16], vec![1.0f32; 2]);
-    let packed = valuenet_tensor::PackedMatrix::from_tensor(&pseudo_tensor(16, 9, 1));
+    let packed = PackedMatrix::from_tensor(&pseudo_tensor(16, 9, 1));
     for lvl in levels() {
         let (l, s) = (|| long.clone(), || short.clone());
         let must_panic = |what: &str, case: &dyn Fn()| {
             assert!(panics(case), "{what} at {} must panic", lvl.name());
         };
-        must_panic("axpy, short b", &|| simd::axpy_at(lvl, &mut l(), 1.0, &short));
-        must_panic("axpy, short out", &|| simd::axpy_at(lvl, &mut s(), 1.0, &long));
-        must_panic("axpy4, short b", &|| {
-            simd::axpy4_at(lvl, &mut l(), &mut l(), &mut l(), &mut l(), 1.0, 2.0, 3.0, 4.0, &short)
-        });
-        must_panic("axpy4, short row", &|| {
-            simd::axpy4_at(lvl, &mut l(), &mut l(), &mut l(), &mut s(), 1.0, 2.0, 3.0, 4.0, &long)
-        });
         must_panic("transposed_a_add, short b", &|| {
             simd::transposed_a_add_at(lvl, &mut l(), &mut [0.0; 8], &[(&long[..4], &short, 2)], 2)
         });
         must_panic("transposed_a_add, short out", &|| {
             simd::transposed_a_add_at(lvl, &mut s(), &mut [0.0; 8], &[(&long[..4], &long, 2)], 2)
-        });
-        must_panic("dot_rows, short x", &|| {
-            simd::dot_rows_at(lvl, &short, &long, 8, 2, &mut Vec::new())
-        });
-        must_panic("dot_rows, short b", &|| {
-            simd::dot_rows_at(lvl, &long[..2], &long, 2, 9, &mut Vec::new())
         });
         must_panic("add_assign, short src", &|| simd::add_assign_at(lvl, &mut l(), &short));
         must_panic("add_assign, short dst", &|| simd::add_assign_at(lvl, &mut s(), &long));
@@ -160,84 +147,45 @@ proptest! {
         }
     }
 
-    /// The axpy family — the inner loops of every matmul tier — is
-    /// bit-identical across tiers.
+    /// Backward's `Aᵀ·B` fold is bit-identical across tiers for one
+    /// output row: a use with one shared row, then one with four (one
+    /// group of the shared-rows fold).
     #[test]
-    fn axpy_kernels_bit_identical(len in 1usize..70, seed in 0u64..1000) {
-        let b0 = pseudo_vec(len, seed);
-        let b1 = pseudo_vec(len, seed ^ 0x1111);
-        let b2 = pseudo_vec(len, seed ^ 0x2222);
-        let b3 = pseudo_vec(len, seed ^ 0x3333);
+    fn transposed_a_add_bit_identical(len in 1usize..70, seed in 0u64..1000) {
+        let b = pseudo_vec(4 * len, seed);
         let acc = pseudo_vec(len, seed ^ 0x4444);
-        let (a0, a1, a2, a3) = (0.7f32, -1.3f32, 2.6f32, -0.2f32);
-
+        let a = [0.7f32, -1.3, 2.6, -0.2];
+        let uses = [(&a[..1], &b[..len], 1), (&a[..], &b[..], 4)];
+        let mut row = vec![0.0; len];
+        let mut want = acc.clone();
+        simd::transposed_a_add_at(SimdLevel::Scalar, &mut want, &mut row, &uses, 1);
         for lvl in levels() {
-            let name = lvl.name();
-
-            let mut want = acc.clone();
-            simd::axpy_at(SimdLevel::Scalar, &mut want, a0, &b0);
-            let mut got = acc.clone();
-            simd::axpy_at(lvl, &mut got, a0, &b0);
-            assert_bits_eq(&got, &want, &format!("axpy {name}"));
-
-            // `acc += aᵀ·b` for one output row: a use with one shared row,
-            // then one with four (one group of the shared-rows fold).
-            let (a, b) = ([a0, a1, a2, a3], [b0.clone(), b1.clone(), b2.clone(), b3.clone()].concat());
-            let uses = [(&a[..1], &b[..len], 1), (&a[..], &b[..], 4)];
-            let mut row = vec![0.0; len];
-            let mut want = acc.clone();
-            simd::transposed_a_add_at(SimdLevel::Scalar, &mut want, &mut row, &uses, 1);
             let mut got = acc.clone();
             simd::transposed_a_add_at(lvl, &mut got, &mut row, &uses, 1);
-            assert_bits_eq(&got, &want, &format!("transposed_a_add {name}"));
-
-            let (mut w0, mut w1, mut w2, mut w3) =
-                (acc.clone(), b1.clone(), b2.clone(), b3.clone());
-            simd::axpy4_at(SimdLevel::Scalar, &mut w0, &mut w1, &mut w2, &mut w3, a0, a1, a2, a3, &b0);
-            let (mut g0, mut g1, mut g2, mut g3) =
-                (acc.clone(), b1.clone(), b2.clone(), b3.clone());
-            simd::axpy4_at(lvl, &mut g0, &mut g1, &mut g2, &mut g3, a0, a1, a2, a3, &b0);
-            assert_bits_eq(&g0, &w0, &format!("axpy4 r0 {name}"));
-            assert_bits_eq(&g1, &w1, &format!("axpy4 r1 {name}"));
-            assert_bits_eq(&g2, &w2, &format!("axpy4 r2 {name}"));
-            assert_bits_eq(&g3, &w3, &format!("axpy4 r3 {name}"));
+            assert_bits_eq(&got, &want, &format!("transposed_a_add {}", lvl.name()));
         }
     }
 
-    /// The narrow-left direct-dot kernel is bit-identical across tiers.
-    #[test]
-    fn dot_rows_bit_identical((k, m) in (1usize..40, 1usize..40), seed in 0u64..1000) {
-        let x = pseudo_vec(k, seed);
-        let b = pseudo_vec(m * k, seed ^ 0x7777);
-        for lvl in levels() {
-            let mut want = Vec::new();
-            simd::dot_rows_at(SimdLevel::Scalar, &x, &b, k, m, &mut want);
-            let mut got = Vec::new();
-            simd::dot_rows_at(lvl, &x, &b, k, m, &mut got);
-            assert_bits_eq(&got, &want, &format!("dot_rows {}", lvl.name()));
-        }
-    }
-
-    /// Full matmuls (plain and both transposed variants) are bit-identical
-    /// across tiers on random rectangular shapes.
+    /// Full matmuls on random rectangular shapes: `A·B` and `A·Bᵀ` on the
+    /// packed tiles at every tier equal the oracle, and `Aᵀ·B` is
+    /// bit-identical across tiers.
     #[test]
     fn matmul_bit_identical_across_levels((n, k, m) in (DIM, DIM, DIM), seed in 0u64..1000) {
         let a = pseudo_tensor(n, k, seed);
         let b = pseudo_tensor(k, m, seed ^ 0x9E37);
         let bt = pseudo_tensor(m, k, seed ^ 0x1357);
         let at = pseudo_tensor(k, n, seed ^ 0x2468);
-        let want = a.matmul_with_level(&b, SimdLevel::Scalar);
-        let want_tb = a.matmul_transposed_b_with_level(&bt, SimdLevel::Scalar);
+        let packed = PackedMatrix::from_tensor(&b);
+        let packed_t = PackedMatrix::pack_transposed(bt.as_slice(), m, k);
+        let want = a.matmul_naive(&b);
+        let want_tb = a.matmul_naive(&bt.transpose());
         let want_ta = at.matmul_transposed_a_with_level(&b, SimdLevel::Scalar);
         for lvl in levels() {
             let name = lvl.name();
+            let got = packed.matmul_at(lvl, &a);
+            assert_bits_eq(got.as_slice(), want.as_slice(), &format!("matmul {name}"));
             assert_bits_eq(
-                a.matmul_with_level(&b, lvl).as_slice(),
-                want.as_slice(),
-                &format!("matmul {name}"),
-            );
-            assert_bits_eq(
-                a.matmul_transposed_b_with_level(&bt, lvl).as_slice(),
+                packed_t.matmul_at(lvl, &a).as_slice(),
                 want_tb.as_slice(),
                 &format!("matmul_transposed_b {name}"),
             );
@@ -250,19 +198,26 @@ proptest! {
     }
 
     /// The decoder's hot case — a single activation row against a wide
-    /// weight — is bit-identical across tiers for every width, including
-    /// every lane-tail residue.
+    /// operand, as `a·B` and as `a·Bᵀ` — equals the oracle at every tier
+    /// for every width, including every lane-tail residue.
     #[test]
     fn beam_row_matmul_bit_identical((k, m) in (1usize..24, 1usize..40), seed in 0u64..1000) {
         let a = pseudo_tensor(1, k, seed);
         let b = pseudo_tensor(k, m, seed ^ 0xBEA4);
-        let want = a.matmul_with_level(&b, SimdLevel::Scalar);
-        for lvl in levels() {
-            assert_bits_eq(
-                a.matmul_with_level(&b, lvl).as_slice(),
-                want.as_slice(),
-                &format!("1x{k}x{m} matmul {}", lvl.name()),
-            );
+        let want = a.matmul_naive(&b);
+        let bt = b.transpose();
+        let arms = [
+            ("matmul", PackedMatrix::from_tensor(&b)),
+            ("matmul_transposed_b", PackedMatrix::pack_transposed(bt.as_slice(), m, k)),
+        ];
+        for (arm, packed) in &arms {
+            for lvl in levels() {
+                assert_bits_eq(
+                    packed.matmul_at(lvl, &a).as_slice(),
+                    want.as_slice(),
+                    &format!("1x{k}x{m} {arm} {}", lvl.name()),
+                );
+            }
         }
     }
 }

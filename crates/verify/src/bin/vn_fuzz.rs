@@ -9,10 +9,11 @@
 //! vn-fuzz --serve-replay CASE_SEED
 //! ```
 //!
-//! `--kernel N` switches to kernel mode: `N` seeded cases fuzz the packed
-//! `W` and `Wᵀ` panels, the tape matmuls and backward's fold against their
-//! scalar oracles at every SIMD level (`valuenet_verify::kernel_fuzz`)
-//! instead of the SQL executor.
+//! `--kernel N` switches to kernel mode: `N` seeded cases fuzz the one
+//! product kernel (`A·B` and `A·Bᵀ` on packed panels, `Wᵀ` panels
+//! included) against `matmul_naive`, and the `Aᵀ·B` kernel and backward's
+//! fold against the scalar level, at every SIMD level
+//! (`valuenet_verify::kernel_fuzz`) instead of the SQL executor.
 //!
 //! `--lookup N` switches to lookup mode: `N` seeded cases compare the
 //! inverted index's similarity search with a scan that has no blocking, and
@@ -223,8 +224,8 @@ fn main() -> ExitCode {
     }
 
     if let Some(cases) = kernel {
-        // Kernel mode: fuzz the packed matmul kernel against its scalar
-        // oracle instead of the SQL executor.
+        // Kernel mode: fuzz the matmul kernels against their oracles
+        // instead of the SQL executor.
         let report = valuenet_verify::run_kernel_fuzz(cases, cfg.seed);
         println!(
             "vn-fuzz --kernel: {} kernel cases (seed {}): {} failures",

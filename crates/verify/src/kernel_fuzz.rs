@@ -1,15 +1,15 @@
 //! Deterministic fuzz harness for the matmul kernels.
 //!
 //! Each case derives matrix shapes and contents from its seed (the same
-//! SplitMix64 discipline as [`crate::fuzz`]) and checks three kernel
+//! SplitMix64 discipline as [`crate::fuzz`]) and checks four kernel
 //! families **bit for bit** at every SIMD level the host supports:
 //!
-//! * **packed**: the packed inference matmul against the scalar blocked
-//!   matmul;
-//! * **tape**: `Tensor::{matmul, matmul_transposed_b,
-//!   matmul_transposed_a}_with_level` against the same product at the
-//!   scalar level, and `matmul` and the narrow `matmul_transposed_b` also
-//!   against `matmul_naive`, whose fold order they share;
+//! * **products**: the one product kernel, `A·B` and `A·Bᵀ` on packed
+//!   panels. `Tensor::matmul` and `Tensor::matmul_transposed_b` (which pack
+//!   per call), and `PackedMatrix::pack` / `pack_transposed` with
+//!   `matmul_at` at every level, against `matmul_naive` (for `A·Bᵀ`, of
+//!   the materialised transpose); and `matmul_transposed_a_with_level`
+//!   against the same product at the scalar level;
 //! * **fold**: backward's fold of a weight's uses into one sum
 //!   (`Tensor::add_matmul_transposed_a_with_level`): 1–6 uses of 1–9 rows
 //!   each, at the model's widths (`n` from {64, 112, 128, 192}, `m` from
@@ -20,11 +20,13 @@
 //!   packed from a row-major `W` (`PackedMatrix::pack_transposed`), 1–9
 //!   rows of `dz` at the model's widths (shared dimension from
 //!   {46, 48, 64, 128, 512}, output from {32, 64, 112, 128, 192}), against
-//!   `matmul_transposed_b_with_level(.., Scalar)`. Every other case seeds
-//!   ±0.0, NaN, ±∞ and subnormal entries into `W` and `dz`; any NaN then
-//!   matches any NaN, since a NaN's payload depends on operand order.
+//!   `matmul_naive` of the materialised `Wᵀ`.
 //!
-//! Shapes of the packed and tape families (`n×k @ k×m`):
+//! Every other case seeds ±0.0, NaN, ±∞ and subnormal entries into the
+//! operands of the products and transposed-panels families; any NaN then
+//! matches any NaN, since a NaN's payload depends on operand order.
+//!
+//! Shapes of the products family (`n×k @ k×m`):
 //!
 //! * every third case pins `n = 1`, the decoder's first beam step and
 //!   greedy shape; otherwise `n` is drawn from `1..=13`, which reaches every
@@ -32,7 +34,7 @@
 //!   tiles;
 //! * every fourth case draws the default model's widths, `k` from
 //!   {112, 128, 192, 512} and `m` from {46, 64, 112, 128, 512}, which run
-//!   the compiler-vectorized main loops of the tape kernels at full width;
+//!   the compiler-vectorized main loops of the `Aᵀ·B` fold at full width;
 //! * the rest draw `k` in `1..=40` and `m` in `1..=70`: odd,
 //!   non-lane-multiple sizes that exercise every tail path, about half of
 //!   them 32 columns or wider.
@@ -49,6 +51,18 @@ pub struct KernelFuzzReport {
     pub failures: Vec<(u64, String)>,
 }
 
+/// Values a case with special entries seeds into its operands.
+const SPECIAL: [f32; 8] = [
+    0.0,
+    -0.0,
+    f32::NAN,
+    f32::INFINITY,
+    f32::NEG_INFINITY,
+    f32::MIN_POSITIVE / 2.0,
+    -f32::MIN_POSITIVE / 4.0,
+    f32::from_bits(1),
+];
+
 fn splitmix(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e3779b97f4a7c15);
     let mut z = *state;
@@ -61,6 +75,21 @@ fn pseudo_data(state: &mut u64, n: usize) -> Vec<f32> {
     (0..n).map(|_| (splitmix(state) >> 40) as f32 / 8388608.0 * 4.0 - 2.0).collect()
 }
 
+/// A `rows×cols` operand; with `special`, about one entry in 16 is drawn
+/// from [`SPECIAL`].
+fn operand(s: &mut u64, rows: usize, cols: usize, special: bool) -> Tensor {
+    let mut d = pseudo_data(s, rows * cols);
+    if special {
+        for v in &mut d {
+            let r = splitmix(s);
+            if r.is_multiple_of(16) {
+                *v = SPECIAL[(r >> 8) as usize % SPECIAL.len()];
+            }
+        }
+    }
+    Tensor::from_vec(rows, cols, d)
+}
+
 fn levels() -> Vec<SimdLevel> {
     let top = detected_level();
     [SimdLevel::Scalar, SimdLevel::Avx2]
@@ -69,14 +98,21 @@ fn levels() -> Vec<SimdLevel> {
         .collect()
 }
 
-/// True when two results differ in any bit.
+/// True when two results differ in shape or in any bit, where any NaN
+/// matches any NaN.
 fn diverges(got: &Tensor, want: &Tensor) -> bool {
-    got.as_slice().iter().zip(want.as_slice()).any(|(x, y)| x.to_bits() != y.to_bits())
+    got.shape() != want.shape()
+        || got
+            .as_slice()
+            .iter()
+            .zip(want.as_slice())
+            .any(|(x, y)| x.to_bits() != y.to_bits() && !(x.is_nan() && y.is_nan()))
 }
 
 /// Runs one seeded case; `None` on success, a failure description otherwise.
 pub fn run_kernel_case(seed: u64) -> Option<String> {
     let mut s = seed;
+    let special = seed.is_multiple_of(2);
     let n = if seed.is_multiple_of(3) { 1 } else { (splitmix(&mut s) % 13 + 1) as usize };
     let (k, m) = if seed.is_multiple_of(4) {
         let k = [112, 128, 192, 512][(splitmix(&mut s) % 4) as usize];
@@ -84,47 +120,45 @@ pub fn run_kernel_case(seed: u64) -> Option<String> {
     } else {
         ((splitmix(&mut s) % 40 + 1) as usize, (splitmix(&mut s) % 70 + 1) as usize)
     };
-    let a = Tensor::from_vec(n, k, pseudo_data(&mut s, n * k));
-    let w = Tensor::from_vec(k, m, pseudo_data(&mut s, k * m));
-    let shape = format!("{n}x{k} @ {k}x{m}");
+    let a = operand(&mut s, n, k, special);
+    let w = operand(&mut s, k, m, special);
+    let shape = format!("{n}x{k} @ {k}x{m}{}", if special { ", special values" } else { "" });
 
-    let oracle = a.matmul_with_level(&w, SimdLevel::Scalar);
+    // `a @ w` as `A·B`, and as `A·Bᵀ` with `B = wᵀ`: `matmul_naive` of the
+    // materialised transpose of `wᵀ` is `matmul_naive(w)`.
+    let naive = a.matmul_naive(&w);
+    let wt = w.transpose();
     let packed = PackedMatrix::from_tensor(&w);
+    let packed_t = PackedMatrix::pack_transposed(wt.as_slice(), m, k);
+    let mut checks = vec![
+        ("Tensor::matmul".to_string(), a.matmul(&w)),
+        ("Tensor::matmul_transposed_b".to_string(), a.matmul_transposed_b(&wt)),
+    ];
     for lvl in levels() {
-        if diverges(&packed.matmul_at(lvl, &a), &oracle) {
-            return Some(format!(
-                "packed f32 matmul diverges from scalar oracle at {} ({shape})",
-                lvl.name()
-            ));
-        }
+        let name = lvl.name();
+        checks.push((format!("pack + matmul_at({name})"), packed.matmul_at(lvl, &a)));
+        checks.push((format!("pack_transposed + matmul_at({name})"), packed_t.matmul_at(lvl, &a)));
+    }
+    if let Some((kernel, _)) = checks.iter().find(|(_, got)| diverges(got, &naive)) {
+        return Some(format!("{kernel} diverges from the matmul_naive oracle ({shape})"));
     }
 
-    // `a @ w` three ways: directly, as `a @ (wᵀ)ᵀ` and as `(aᵀ)ᵀ @ w`.
-    let naive = a.matmul_naive(&w);
-    let (wt, at) = (w.transpose(), a.transpose());
+    // `a @ w` as `(aᵀ)ᵀ @ w`, against the scalar level.
+    let at = a.transpose();
     let scalar_ta = at.matmul_transposed_a_with_level(&w, SimdLevel::Scalar);
     for lvl in levels() {
-        let tb = a.matmul_transposed_b_with_level(&wt, lvl);
-        let ta = at.matmul_transposed_a_with_level(&w, lvl);
-        let checks = [
-            ("matmul", a.matmul_with_level(&w, lvl), &naive, "matmul_naive"),
-            ("matmul_transposed_b", tb, &naive, "matmul_naive"),
-            ("matmul_transposed_a", ta, &scalar_ta, "scalar"),
-        ];
-        for (kernel, got, want, oracle) in checks {
-            if diverges(&got, want) {
-                return Some(format!(
-                    "tape {kernel} diverges from the {oracle} oracle at {} ({shape})",
-                    lvl.name()
-                ));
-            }
+        if diverges(&at.matmul_transposed_a_with_level(&w, lvl), &scalar_ta) {
+            return Some(format!(
+                "matmul_transposed_a diverges from the scalar level at {} ({shape})",
+                lvl.name()
+            ));
         }
     }
 
     if let Some(fail) = fold_case(&mut s) {
         return Some(fail);
     }
-    transposed_case(&mut s, seed.is_multiple_of(2))
+    transposed_case(&mut s, special)
 }
 
 /// The fold family: several uses of one weight, each `aᵀ · dz` with its
@@ -165,52 +199,24 @@ fn fold_case(s: &mut u64) -> Option<String> {
 }
 
 /// The transposed-panels family: `dz @ Wᵀ` on the panels of `Wᵀ` packed
-/// from `W`'s rows, against the narrow A·Bᵀ kernel at the scalar level.
-/// With `special`, `W` and `dz` also hold ±0.0, NaN, ±∞ and subnormals.
+/// from `W`'s rows, against the oracle on the materialised `Wᵀ`. With
+/// `special`, `W` and `dz` also hold ±0.0, NaN, ±∞ and subnormals.
 fn transposed_case(s: &mut u64, special: bool) -> Option<String> {
-    const SPECIAL: [f32; 8] = [
-        0.0,
-        -0.0,
-        f32::NAN,
-        f32::INFINITY,
-        f32::NEG_INFINITY,
-        f32::MIN_POSITIVE / 2.0,
-        -f32::MIN_POSITIVE / 4.0,
-        f32::from_bits(1),
-    ];
     let k = [46, 48, 64, 128, 512][(splitmix(s) % 5) as usize];
     let out = [32, 64, 112, 128, 192][(splitmix(s) % 5) as usize];
     let n = (splitmix(s) % 9 + 1) as usize;
-    let mut data = |len: usize| {
-        let mut d = pseudo_data(s, len);
-        if special {
-            for v in &mut d {
-                let r = splitmix(s);
-                if r.is_multiple_of(16) {
-                    *v = SPECIAL[(r >> 8) as usize % SPECIAL.len()];
-                }
-            }
-        }
-        d
-    };
     // `W` is `out×k` row-major (the weight of a `k`-wide product), `dz` is
     // `n×k`, and `dz @ Wᵀ` is `n×out`.
-    let w = Tensor::from_vec(out, k, data(out * k));
-    let dz = Tensor::from_vec(n, k, data(n * k));
-    let want = dz.matmul_transposed_b_with_level(&w, SimdLevel::Scalar);
+    let w = operand(s, out, k, special);
+    let dz = operand(s, n, k, special);
+    let want = dz.matmul_naive(&w.transpose());
     let panels = PackedMatrix::pack_transposed(w.as_slice(), out, k);
     for lvl in levels() {
-        let got = panels.matmul_at(lvl, &dz);
-        let same = got
-            .as_slice()
-            .iter()
-            .zip(want.as_slice())
-            .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()));
-        if !same {
+        if diverges(&panels.matmul_at(lvl, &dz), &want) {
+            let values = if special { ", special values" } else { "" };
             return Some(format!(
-                "transposed panels diverge from the scalar narrow dot at {} ({n}x{k} @ ({out}x{k})ᵀ{})",
-                lvl.name(),
-                if special { ", special values" } else { "" }
+                "transposed panels diverge from the matmul_naive oracle at {} ({n}x{k} @ ({out}x{k})ᵀ{values})",
+                lvl.name()
             ));
         }
     }

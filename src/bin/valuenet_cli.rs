@@ -17,7 +17,8 @@
 
 use std::io::{BufRead, Write};
 use valuenet::core::{
-    evaluate_with_threads, train, ModelConfig, Pipeline, TrainConfig, ValueMode, ValueNetModel,
+    evaluate_with_threads, train, ModelConfig, Pipeline, PipelineError, TrainConfig, ValueMode,
+    ValueNetModel,
 };
 use valuenet::dataset::{generate, Corpus, CorpusConfig};
 use valuenet::eval::ExecOutcome;
@@ -219,7 +220,14 @@ fn cmd_eval(args: &[String]) {
     );
 }
 
-fn translate_one(pipeline: &Pipeline, corpus: &Corpus, db_id: &str, question: &str) {
+/// Translates one question and prints the SQL and its result; a question
+/// the pipeline refuses comes back as its typed error.
+fn translate_one(
+    pipeline: &Pipeline,
+    corpus: &Corpus,
+    db_id: &str,
+    question: &str,
+) -> Result<(), PipelineError> {
     let Some(db_index) =
         corpus.databases.iter().position(|db| db.schema().db_id == db_id)
     else {
@@ -228,7 +236,7 @@ fn translate_one(pipeline: &Pipeline, corpus: &Corpus, db_id: &str, question: &s
         fatal(&format!("unknown database '{db_id}'; available: {}", names.join(", ")));
     };
     let db = &corpus.databases[db_index];
-    let pred = pipeline.translate(db, question, None);
+    let pred = pipeline.try_translate(db, question, None)?;
     match &pred.sql {
         Some(sql) => {
             println!("SQL: {sql}");
@@ -239,12 +247,13 @@ fn translate_one(pipeline: &Pipeline, corpus: &Corpus, db_id: &str, question: &s
         }
         None => println!("(no SQL produced; candidates were {:?})", pred.candidates),
     }
+    Ok(())
 }
 
 fn cmd_ask(args: &[String], question: &str) {
     let db_id = arg(args, "--db").unwrap_or_else(|| fatal("--db is required"));
     let (pipeline, corpus) = load_model(args);
-    translate_one(&pipeline, &corpus, &db_id, question);
+    translate_one(&pipeline, &corpus, &db_id, question).unwrap_or_else(|e| fatal(&e.to_string()));
 }
 
 fn cmd_repl(args: &[String]) {
@@ -263,7 +272,9 @@ fn cmd_repl(args: &[String]) {
         if q.is_empty() {
             break;
         }
-        translate_one(&pipeline, &corpus, &db_id, q);
+        if let Err(e) = translate_one(&pipeline, &corpus, &db_id, q) {
+            println!("error: {e}");
+        }
     }
 }
 

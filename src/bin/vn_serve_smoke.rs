@@ -2,7 +2,9 @@
 //!
 //! Connects to a running serving socket and walks the protocol end to end:
 //! liveness, a batch of real translations, one malformed frame, one
-//! injected worker panic (the server must run `--allow-faults`), recovery
+//! punctuation-only question (a `bad_request` that leaves the pool's panic
+//! count as it was), one injected worker panic (the server must run
+//! `--allow-faults`), recovery
 //! of the panic's full trace from the flight recorder via the `trace`
 //! verb, a `stats` cross-check of the pool invariants plus its SLO
 //! section, delta-window stats semantics, and a clean `shutdown`. Exits
@@ -72,6 +74,18 @@ fn arg_usize(args: &[String], name: &str, default: usize) -> usize {
 fn fail(msg: &str) -> ! {
     eprintln!("vn_serve_smoke: FAIL: {msg}");
     std::process::exit(1);
+}
+
+/// The pool's `workers.panics` count, read with a `stats` request.
+fn worker_panics(client: &mut Client, id: i64) -> f64 {
+    match client.roundtrip(&verb_frame(id, "stats")) {
+        Ok(Response::Stats { stats, .. }) => stats
+            .get("workers")
+            .and_then(|w| w.get("panics"))
+            .and_then(Json::as_f64)
+            .unwrap_or_else(|| fail("stats payload has no workers.panics")),
+        other => fail(&format!("stats verb failed: {other:?}")),
+    }
 }
 
 fn main() {
@@ -151,6 +165,20 @@ fn main() {
         Ok(Response::Pong { .. }) => {}
         other => fail(&format!("connection wedged after malformed frame: {other:?}")),
     }
+
+    // 3b. A question with no word tokens must get a typed bad_request
+    // without killing a worker.
+    let panics_before = worker_panics(&mut client, 907);
+    let db_id = &corpus.db(samples[0]).schema().db_id;
+    match client.roundtrip(&translate_frame(908, db_id, "?!", None, None, None)) {
+        Ok(Response::Error { error, .. }) if error.kind == ErrorKind::BadRequest => {}
+        other => fail(&format!("punctuation-only question got {other:?}")),
+    }
+    let panics_after = worker_panics(&mut client, 909);
+    if panics_after != panics_before {
+        fail(&format!("punctuation-only question: panics {panics_before} -> {panics_after}"));
+    }
+    println!("punctuation-only question: typed bad_request, no worker panic");
 
     // 4. One injected worker panic: the pool must catch it, respawn, and
     // answer after a degraded retry.
